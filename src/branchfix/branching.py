@@ -23,7 +23,9 @@ drift/divergence verdict.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -453,19 +455,10 @@ class IncrementDistribution:
 
 
 def increment_distribution(model: WeightModel, alpha: float) -> IncrementDistribution:
-    """Exact one-step increment distribution at exponent ``alpha``."""
-    if isinstance(model, BernoulliCascade):
-        # Closed form: N(1-theta) mass at 0, N theta e^{-alpha} at 1.
-        locs, mass = [], []
-        m0 = model.N * (1.0 - model.theta)
-        m1 = model.N * model.theta * math.exp(-alpha)
-        if m0 > 0.0:
-            locs.append(0.0)
-            mass.append(m0)
-        if m1 > 0.0:
-            locs.append(1.0)
-            mass.append(m1)
-        return IncrementDistribution(alpha, np.array(locs), np.array(mass))
+    """Exact one-step increment distribution at exponent ``alpha``.
+
+    Each of the ``copies`` i.i.d. draws adds its atom's measure once.
+    """
     table = atom_table(model)
     locs = []
     mass = []
@@ -473,7 +466,7 @@ def increment_distribution(model: WeightModel, alpha: float) -> IncrementDistrib
         if p == 0.0:
             continue
         locs.append(-lw)
-        mass.append(p * np.exp(alpha * lw))
+        mass.append(table.copies * p * np.exp(alpha * lw))
     locs = np.concatenate(locs)
     mass = np.concatenate(mass)
     uniq, inv = np.unique(locs, return_inverse=True)
@@ -499,19 +492,20 @@ class BigginsReport:
 
 
 def _w1_distribution(model: WeightModel, alpha: float):
-    if isinstance(model, BernoulliCascade):
-        n, theta = model.N, model.theta
-        e = math.exp(-alpha)
-        vals = np.array([(n - k) + k * e for k in range(n + 1)])
-        probs = np.array(
-            [math.comb(n, k) * theta**k * (1.0 - theta) ** (n - k) for k in range(n + 1)]
-        )
-    else:
-        table = atom_table(model)
-        vals = np.array([float(np.sum(np.exp(alpha * lw))) for lw in table.log_weights])
-        probs = np.asarray(table.probs, dtype=np.float64)
-    uniq, inv = np.unique(vals, return_inverse=True)
-    merged = np.bincount(inv, weights=probs, minlength=len(uniq))
+    """Law of ``W_1 = sum_i T_i^alpha``: multinomial over the atom counts."""
+    table = atom_table(model)
+    per_atom = [float(np.sum(np.exp(alpha * lw))) for lw in table.log_weights]
+    c = table.copies
+    vals, mass = [], []
+    for draws in itertools.combinations_with_replacement(range(len(per_atom)), c):
+        counts = Counter(draws).items()
+        prob = math.factorial(c) // math.prod(math.factorial(j) for _, j in counts)
+        for k, j in counts:
+            prob *= float(table.probs[k]) ** j
+        vals.append(sum(j * per_atom[k] for k, j in counts))
+        mass.append(prob)
+    uniq, inv = np.unique(np.array(vals), return_inverse=True)
+    merged = np.bincount(inv, weights=np.array(mass), minlength=len(uniq))
     keep = merged > 0.0
     return uniq[keep], merged[keep]
 

@@ -4,7 +4,10 @@ The min-type operator sends a survival curve ``F̄`` to ``t -> E prod_i
 F̄(t T_i)``; the sum-type (smoothing) operator sends a Laplace curve ``φ``
 to ``x -> E prod_i φ(x T_i)``.  Over a finite-atom weight model both are the
 same exact finite expectation, evaluated here on the curve's own grid with
-every grid-edge clamp counted and reported.
+every grid-edge clamp counted and reported.  With ``T`` made of ``copies``
+i.i.d. atom draws (:class:`branchfix.weights.AtomTable`) the expectation
+factorizes into a ``copies``-th power, so its cost does not grow with the
+number of cascade coordinates.
 
 Fixed points are constructed as mixtures driven by the empirical martingale
 limit: survival curves ``φ̂_α(h(t) t^α)`` (Weibull scale mixtures, min
@@ -84,6 +87,7 @@ def _apply_expectation(curve, model: WeightModel, warn_threshold: float) -> Oper
             prod *= vals
             clamped |= cl
         out += p * prod
+    out **= table.copies
     np.clip(out, 0.0, 1.0, out=out)
     frac = float(np.mean(clamped))
     warnings = []
@@ -106,14 +110,16 @@ def _apply_expectation(curve, model: WeightModel, warn_threshold: float) -> Oper
 def apply_min_operator(
     curve: SurvivalCurve, model: WeightModel, warn_threshold: float = 0.05
 ) -> OperatorResult:
-    """Min-type operator image ``t -> E prod_i F̄(t T_i)`` on the curve grid."""
+    """Min-type operator image ``t -> E prod_i F̄(t T_i)`` on the curve grid,
+    computed as ``(sum_k p_k prod_{w in atom k} F̄(t w))^copies``."""
     return _apply_expectation(curve, model, warn_threshold)
 
 
 def apply_sum_operator(
     curve, model: WeightModel, warn_threshold: float = 0.05
 ) -> OperatorResult:
-    """Smoothing-transform image ``x -> E prod_i φ(x T_i)`` on the curve grid."""
+    """Smoothing-transform image ``x -> E prod_i φ(x T_i)`` on the curve grid,
+    computed as ``(sum_k p_k prod_{w in atom k} φ(x w))^copies``."""
     return _apply_expectation(curve, model, warn_threshold)
 
 
@@ -304,7 +310,15 @@ def mixture_residual_report(
 
     ``arg(u) = h(u) u^alpha``.  Every Laplace evaluation is done sample-side
     at the exact argument (no grid interpolation), and each point's standard
-    error accounts for the correlation induced by the shared sample.
+    error accounts for the correlation induced by the shared sample.  The
+    operator value is ``A^copies``, ``A = sum_k p_k prod_{w in atom k}
+    φ̂(arg(t w))``; its tail ``(1 - A)(1 + A + ... + A^(copies-1))`` and its
+    gradient ``copies A^(copies-1) dA`` go through that power.
+
+    ``z = 0`` where ``|residual| <= 8 eps max(tail(t), operator tail)``: that
+    is rounding of two tails, which near 1 is ulps over a tiny SE.  With zero
+    SE a residual <= 1e-12 also gives ``z = 0`` (products underflow before
+    single factors do), and any other residual ``z = inf``.
     """
     hmod = _as_modulation(h)
     table = atom_table(model)
@@ -313,6 +327,7 @@ def mixture_residual_report(
     pts = np.asarray(points, dtype=np.float64)
     residuals = np.empty(len(pts))
     ses = np.empty(len(pts))
+    scales = np.empty(len(pts))
     for j, t in enumerate(pts):
         args = [float(hmod.eval(t) * t**alpha)]
         spans = []  # (prob, [arg indices]) per atom
@@ -335,7 +350,7 @@ def mixture_residual_report(
         tau = -np.expm1(-outer).mean(axis=1)
         mu = 1.0 - tau
         grad = np.zeros(len(uniq))
-        op_tail = 0.0
+        op_tail, op_mean = 0.0, 0.0   # 1 - A, A
         with np.errstate(divide="ignore"):
             log_mu = np.log1p(-tau)
         for p, idxs in spans:
@@ -343,25 +358,25 @@ def mixture_residual_report(
             # 1 - prod(mu_i) via logs: exact cancellation-free product tail
             op_tail += p * float(-np.expm1(np.sum(log_mu[inv[idxs]])))
             prod = float(np.prod(mus))
+            op_mean += p * prod
             for pos, e in enumerate(inv[idxs]):
                 rest = prod / mus[pos] if mus[pos] != 0.0 else float(
                     np.prod(np.delete(mus, pos))
                 )
                 grad[e] += p * rest
+        op_tail *= sum(op_mean**i for i in range(table.copies))
+        grad *= table.copies * op_mean ** (table.copies - 1)
         grad[inv[0]] -= 1.0
         resid = float(tau[inv[0]]) - op_tail
         z_i = grad @ a
         se = float(z_i.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
         residuals[j] = resid
         ses[j] = se
+        scales[j] = max(float(tau[inv[0]]), op_tail)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # With zero sampling spread, a residual at probability scale <= 1e-12
-        # is numerically zero (products underflow before single factors do).
-        z = np.where(
-            ses > 0.0,
-            residuals / ses,
-            np.where(np.abs(residuals) <= 1e-12, 0.0, np.inf),
-        )
+        z = np.where(ses > 0.0, residuals / ses,
+                     np.where(np.abs(residuals) <= 1e-12, 0.0, np.inf))
+    z[np.abs(residuals) <= 8.0 * np.finfo(np.float64).eps * scales] = 0.0
     return MixtureResidualReport(kind, pts, residuals, ses, z, float(np.max(np.abs(z))))
 
 

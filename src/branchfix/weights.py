@@ -12,6 +12,13 @@ every operation in this module exact:
 
 Infinite or continuously distributed weight vectors are out of scope.
 
+Every analysis routine reads one form of a model, its :class:`AtomTable`:
+``T`` is ``copies`` i.i.d. draws from a finite atom law.  Explicit atoms and
+fixed vectors are one draw; the cascade is ``N`` draws of ``{exp(-1): theta,
+1: 1 - theta}``.  Expected products over the coordinates are then ``copies``-th
+powers and expected sums scale by ``copies``, so nothing enumerates the
+``2^N`` cascade patterns.  Only :func:`atom_table` inspects a model's type.
+
 The module computes the moment function ``m(beta) = E sum_i T_i^beta``, its
 minimal positive unit root (the characteristic exponent), the multiplicative
 lattice generated by the positive weights, structural assumption flags, and
@@ -21,7 +28,7 @@ Galton-Watson extinction probabilities by generating-function iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -118,18 +125,22 @@ WeightModel = Union[FiniteAtoms, BernoulliCascade, Deterministic]
 
 @dataclass(frozen=True)
 class AtomTable:
-    """Internal exact atom representation shared by the analysis routines.
+    """Exact atom representation shared by the analysis routines.
 
+    ``T`` is ``copies`` i.i.d. draws, each drawing atom ``k`` (a weight
+    vector) with probability ``probs[k]``, concatenated in draw order.
     ``log_weights[k]`` holds ``log T_i`` for the *positive* weights of atom
     ``k`` only; zero weights are recorded in ``full_weights`` (used by
     :func:`sample_T`) but drop out of every moment/lattice computation.
-    For the Bernoulli cascade the log-weights are exact small integers
-    (``-B``), avoiding ``log(exp(-B))`` round-trips.
+    Atoms of probability 0 are kept: they still span the weight lattice.
+    For the Bernoulli cascade the log-weights are the exact integers ``-1``
+    and ``0``, avoiding ``log(exp(-1))`` round-trips.
     """
 
     probs: np.ndarray
     full_weights: tuple          # tuple of tuples, zeros included
     log_weights: tuple           # tuple of float64 arrays (positive weights only)
+    copies: int = 1              # i.i.d. draws concatenated into T
 
     @property
     def positive_counts(self) -> np.ndarray:
@@ -137,7 +148,7 @@ class AtomTable:
 
 
 def atom_table(model: WeightModel) -> AtomTable:
-    """Exact atom representation of ``model`` (<= 2^20 atoms)."""
+    """The :class:`AtomTable` of ``model``; the one dispatch on model type."""
     if isinstance(model, Deterministic):
         ws = model.weights
         lw = np.log(np.array([w for w in ws if w > 0.0]))
@@ -148,41 +159,34 @@ def atom_table(model: WeightModel) -> AtomTable:
         logs = tuple(np.log(np.array([w for w in ws if w > 0.0])) for ws in full)
         return AtomTable(probs, full, logs)
     if isinstance(model, BernoulliCascade):
-        n = model.N
-        if n > 20:
-            raise ModelError(f"cascade atom enumeration limited to N <= 20, got N={n}")
+        # exp(-1) first, so a uniform u < theta draws it, as in the engine.
         theta = model.theta
-        patterns = np.arange(1 << n, dtype=np.uint32)
-        bits = ((patterns[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.float64)
-        ones = bits.sum(axis=1)
-        probs = theta ** ones * (1.0 - theta) ** (n - ones)
-        full = tuple(tuple(np.exp(-row)) for row in bits)
-        logs = tuple(-row for row in bits)  # exact integers, no log round-trip
-        return AtomTable(probs, full, logs)
+        return AtomTable(
+            np.array([theta, 1.0 - theta]),
+            ((math.exp(-1.0),), (1.0,)),
+            (np.array([-1.0]), np.array([0.0])),
+            copies=int(model.N),
+        )
     raise TypeError(f"not a weight model: {model!r}")
 
 
 def sample_T(model: WeightModel, seed: int) -> tuple:
     """Draw one realization of the weight vector as a pure function of ``seed``.
 
-    Identical ``(model, seed)`` pairs always return the identical vector.
+    Identical ``(model, seed)`` pairs always return the identical vector.  A
+    single draw uses the uniform of ``seed`` itself; draw ``i`` of several
+    uses the uniform of ``child_seed(seed, i)``.
     """
-    if isinstance(model, Deterministic):
-        return model.weights
-    if isinstance(model, BernoulliCascade):
-        out = []
-        for i in range(model.N):
-            u = unit_uniform(child_seed(seed, i))
-            out.append(math.exp(-1.0) if u < model.theta else 1.0)
-        return tuple(out)
-    if isinstance(model, FiniteAtoms):
-        probs = np.array([p for p, _ in model.atoms])
-        cum = np.cumsum(probs)
-        u = unit_uniform(seed)
-        k = int(np.searchsorted(cum, u, side="right"))
-        k = min(k, len(model.atoms) - 1)
-        return model.atoms[k][1]
-    raise TypeError(f"not a weight model: {model!r}")
+    table = atom_table(model)
+    cum = np.cumsum(table.probs)
+
+    def draw(s: int) -> tuple:
+        k = int(np.searchsorted(cum, unit_uniform(s), side="right"))
+        return table.full_weights[min(k, len(cum) - 1)]
+
+    if table.copies == 1:
+        return draw(seed)
+    return tuple(w for i in range(table.copies) for w in draw(child_seed(seed, i)))
 
 
 def moment_m(model: WeightModel, beta: float) -> float:
@@ -193,22 +197,11 @@ def moment_m(model: WeightModel, beta: float) -> float:
     """
     if beta < 0.0 or not math.isfinite(beta):
         raise ValueError("beta must be finite and >= 0")
-    if isinstance(model, BernoulliCascade):
-        return model.N * (model.theta * math.exp(-beta) + (1.0 - model.theta))
     table = atom_table(model)
     total = 0.0
     for p, lw in zip(table.probs, table.log_weights):
         total += p * float(np.sum(np.exp(beta * lw)))
-    return total
-
-
-def _moment_many(model: WeightModel, betas: np.ndarray) -> np.ndarray:
-    if isinstance(model, BernoulliCascade):
-        return model.N * (model.theta * np.exp(-betas) + (1.0 - model.theta))
-    table = atom_table(model)
-    pw = np.concatenate([np.full(len(lw), p) for p, lw in zip(table.probs, table.log_weights)])
-    lw = np.concatenate(list(table.log_weights))
-    return np.exp(betas[:, None] * lw[None, :]) @ pw
+    return table.copies * total
 
 
 def _m_minus_one_many(model: WeightModel, betas: np.ndarray) -> np.ndarray:
@@ -221,14 +214,12 @@ def _m_minus_one_many(model: WeightModel, betas: np.ndarray) -> np.ndarray:
     relative accuracy however small they are.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
-    if isinstance(model, BernoulliCascade):
-        const = model.N * (1.0 - model.theta) - 1.0
-        return model.N * model.theta * np.exp(-betas) + const
     table = atom_table(model)
     const = -1.0
     pws = []
     lws = []
     for p, lw in zip(table.probs, table.log_weights):
+        p = table.copies * p
         const += p * float(np.count_nonzero(lw == 0.0))
         rest = lw[lw != 0.0]
         if len(rest):
@@ -421,17 +412,13 @@ class AssumptionReport:
 
 
 def check_assumptions(model: WeightModel) -> AssumptionReport:
-    """Compute :class:`AssumptionReport` exactly by atom enumeration."""
-    if isinstance(model, BernoulliCascade):
-        theta = model.theta
-        return AssumptionReport(
-            a1=True,
-            a2=theta > 0.0,
-            a3=True,
-            a4=theta > 0.0,
-            degenerate_sup_one=theta == 0.0,
-            sup_ge_one=False,
-        )
+    """Compute :class:`AssumptionReport` exactly from the atom table.
+
+    Over ``copies`` i.i.d. draws the positive-weight count of ``T`` ranges
+    up to ``copies`` times an atom's count and has ``copies`` times the mean
+    (a1, a3).  Every draw can repeat any live atom, so the events on the
+    largest weight and on weights in ``{0, 1}`` read off single atoms.
+    """
     table = atom_table(model)
     sups = np.array([max(ws) for ws in table.full_weights])
     counts = table.positive_counts
@@ -441,9 +428,9 @@ def check_assumptions(model: WeightModel) -> AssumptionReport:
         [all(w == 0.0 or w == 1.0 for w in ws) for ws in table.full_weights]
     )
     return AssumptionReport(
-        a1=bool(np.all(counts[live] >= 1) and np.any(live & (counts > 1))),
+        a1=bool(np.all(counts[live] >= 1) and np.any(live & (table.copies * counts > 1))),
         a2=bool(np.any(live & (sups < 1.0))),
-        a3=bool(float(np.dot(probs, counts)) > 1.0),
+        a3=bool(table.copies * float(np.dot(probs, counts)) > 1.0),
         a4=bool(np.any(live & ~in01)),
         degenerate_sup_one=bool(np.all(sups[live] == 1.0)),
         sup_ge_one=bool(np.all(sups[live] >= 1.0) and np.any(live & (sups > 1.0))),

@@ -244,6 +244,22 @@ def test_stable_mixture_operator_residual_within_band():
     assert rep.max_abs_z <= 3.0
 
 
+def test_mixture_residual_rounding_is_not_a_z_score():
+    # At t = e^5 the curve value is below 1e-15, so the residual is two tails
+    # near 1 differenced: a few ulps, which over a standard error of ~2e-17
+    # used to read as z = 10.5.  Rounding of that size now scores 0.
+    model = BernoulliCascade(2, 0.9)
+    alpha = math.log(9.0 / 4.0)
+    phi = sample_W_limit(model, alpha, depth=8, replicates=5000, seed=8)
+    rep = mixture_residual_report(
+        phi, 1.0, alpha, model, np.array([math.e**5]), kind="sum"
+    )
+    eps = np.finfo(np.float64).eps
+    assert abs(rep.residuals[0]) <= 8.0 * eps
+    assert 0.0 < rep.se[0] < 1e-15
+    assert rep.z[0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # regularity near zero
 # ---------------------------------------------------------------------------

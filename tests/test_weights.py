@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from branchfix.seeding import child_seed, unit_uniform
 from branchfix.weights import (
     BernoulliCascade,
     Deterministic,
@@ -58,13 +59,28 @@ def test_finite_atoms_validation():
         BernoulliCascade(2, 1.5)  # theta in [0, 1]
 
 
-def test_atom_table_cascade_enumeration():
-    table = atom_table(BernoulliCascade(2, 0.75))
-    # 2^N ordered indicator outcomes: (0,0), (0,1), (1,0), (1,1)
-    np.testing.assert_allclose(
-        sorted(table.probs), sorted([1 / 16, 3 / 16, 3 / 16, 9 / 16])
-    )
-    assert sum(table.probs) == pytest.approx(1.0, abs=1e-15)
+def test_atom_table_cascade_two_atom_law():
+    # N i.i.d. copies of {exp(-1): theta, 1: 1 - theta}; exp(-1) comes first
+    # so that a uniform u < theta draws it, and its log-weight is exactly -1.
+    table = atom_table(BernoulliCascade(5, 0.75))
+    assert table.copies == 5
+    np.testing.assert_array_equal(table.probs, [0.75, 0.25])
+    assert table.full_weights == ((math.exp(-1.0),), (1.0,))
+    assert [lw.tolist() for lw in table.log_weights] == [[-1.0], [0.0]]
+    assert atom_table(Deterministic(0.5, 0.5)).copies == 1
+    assert atom_table(FiniteAtoms([(1.0, (0.5,))])).copies == 1
+
+
+def test_cascade_sample_draws_one_child_seed_per_coordinate():
+    # Coordinate i is exp(-1) exactly when the uniform of child_seed(seed, i)
+    # falls below theta -- the rule the tree engine applies to child seeds.
+    model = BernoulliCascade(6, 0.4)
+    for seed in range(50):
+        want = tuple(
+            math.exp(-1.0) if unit_uniform(child_seed(seed, i)) < 0.4 else 1.0
+            for i in range(6)
+        )
+        assert sample_T(model, seed) == want
 
 
 # ---------------------------------------------------------------------------
