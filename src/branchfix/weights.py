@@ -17,7 +17,8 @@ Every analysis routine reads one form of a model, its :class:`AtomTable`:
 fixed vectors are one draw; the cascade is ``N`` draws of ``{exp(-1): theta,
 1: 1 - theta}``.  Expected products over the coordinates are then ``copies``-th
 powers and expected sums scale by ``copies``, so nothing enumerates the
-``2^N`` cascade patterns.  Only :func:`atom_table` inspects a model's type.
+``2^N`` cascade patterns.  Of the analysis, only :func:`atom_table` reads
+a model's type.
 
 The module computes the moment function ``m(beta) = E sum_i T_i^beta``, its
 minimal positive unit root (the characteristic exponent), the multiplicative
@@ -125,7 +126,7 @@ WeightModel = Union[FiniteAtoms, BernoulliCascade, Deterministic]
 
 @dataclass(frozen=True)
 class AtomTable:
-    """Exact atom representation shared by the analysis routines.
+    """Internal exact atom representation shared by the analysis routines.
 
     ``T`` is ``copies`` i.i.d. draws, each drawing atom ``k`` (a weight
     vector) with probability ``probs[k]``, concatenated in draw order.
@@ -148,7 +149,7 @@ class AtomTable:
 
 
 def atom_table(model: WeightModel) -> AtomTable:
-    """The :class:`AtomTable` of ``model``; the one dispatch on model type."""
+    """The :class:`AtomTable` of ``model``; the analysis' one type dispatch."""
     if isinstance(model, Deterministic):
         ws = model.weights
         lw = np.log(np.array([w for w in ws if w > 0.0]))
