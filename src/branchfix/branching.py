@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import queue
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -108,17 +109,74 @@ def _expand_atoms(prep: _AtomPrep, S, seeds, rep):
     return S[parent] + step, child_seeds, rep[parent], parent
 
 
-def _expand_cascade(model: BernoulliCascade, levels, seeds, rep):
-    """Cascade generation step on exact integer levels ``S(v) = sum B``."""
-    n = model.N
-    v = len(levels)
-    salts = ((np.arange(n, dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN))
-    parent = np.repeat(np.arange(v, dtype=np.int64), n)
-    intra = np.tile(np.arange(n, dtype=np.int64), v)
-    child_seeds = seeding.mix64_np(seeds[parent] ^ salts[intra])
-    u = seeding.unit_uniforms_np(child_seeds)
-    b = (u < model.theta).astype(levels.dtype)
-    return levels[parent] + b, child_seeds, rep[parent], parent
+def _unit_threshold(theta: float) -> int:
+    """``ceil(theta * 2^53)``: ``k < thr`` iff ``k * 2^-53 < theta`` for integer k."""
+    return math.ceil(theta * 2.0**53)
+
+
+class _CascadeStep:
+    """Cascade generation step on exact integer levels ``S(v) = sum B``.
+
+    Calling the step on ``(levels, seeds)`` of one generation returns those
+    of the children in parent-major order: the ``N`` children of parent
+    ``i`` sit at ``i*N .. i*N + N-1``, as the broadcast ``seeds[:, None] ^
+    salts`` lays them out.  One fused pass per block of parents builds and
+    mixes the child seeds in place, draws ``bits = mix64(child ^ DRAW_SALT)
+    >> 11`` and adds ``bits < ceil(theta * 2^53)`` to the parent level.  That
+    integer test is exactly ``u < theta`` for ``u = bits * 2^-53`` (both
+    sides scale by the power of two exactly), so the draws are those of
+    :func:`seeding.unit_uniforms_np`.
+
+    Levels are int64.  The step owns its buffers, so one instance serves one
+    thread.  It writes its outputs to two slots in turn, each grown to the
+    largest generation it has held: a call reads the previous call's slot
+    while it writes the other, and a run of batches on one step touches no
+    fresh memory after the first.  An output is overwritten by the call
+    after next, so a caller that keeps a generation copies it.
+    """
+
+    def __init__(self, model: BernoulliCascade):
+        n = model.N
+        self.n = n
+        self.salts = (np.arange(n, dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
+        self.thr = np.uint64(_unit_threshold(model.theta))
+        self.parents = max(1, seeding._BLOCK // n)
+        width = self.parents * n
+        self.scratch = np.empty(width, dtype=np.uint64)
+        self.bits = np.empty(width, dtype=np.uint64)
+        self.hit = np.empty(width, dtype=bool)
+        self.slots = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64))] * 2
+        self.turn = 0
+
+    def _outputs(self, size):
+        out, child = self.slots[self.turn]
+        if len(out) < size:
+            out, child = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.uint64)
+            self.slots[self.turn] = (out, child)
+        self.turn ^= 1
+        return out[:size], child[:size]
+
+    def __call__(self, levels, seeds):
+        n = self.n
+        v = len(levels)
+        out, child = self._outputs(v * n)
+        out, child = out.reshape(v, n), child.reshape(v, n)
+        for lo in range(0, v, self.parents):
+            hi = min(lo + self.parents, v)
+            m = (hi - lo) * n
+            bits, hit = self.bits[:m], self.hit[:m]
+            # order="C" on the transposed views runs the inner loop over
+            # parents, not over the N (often 2) children of one parent.
+            np.bitwise_xor(seeds[lo:hi], self.salts[:, None], out=child[lo:hi].T,
+                           order="C")
+            c = child[lo:hi].reshape(-1)
+            seeding._mix64_inplace(c, self.scratch)
+            np.bitwise_xor(c, seeding._DRAW_NP, out=bits)
+            seeding._mix64_inplace(bits, self.scratch)
+            bits >>= seeding._UNIT_SHIFT
+            np.less(bits, self.thr, out=hit)
+            np.add(levels[lo:hi], hit.reshape(hi - lo, n).T, out=out[lo:hi].T, order="C")
+        return out.reshape(-1), child.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +217,11 @@ def simulate_tree(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     cascade = isinstance(model, BernoulliCascade)
-    prep = None if cascade else _AtomPrep(model)
     if cascade:
+        step = _CascadeStep(model)
         s = np.zeros(1, dtype=np.int64)
     else:
+        prep = _AtomPrep(model)
         s = np.zeros(1)
     seeds = np.array([seed & _M64], dtype=np.uint64)
     rep = np.zeros(1, dtype=np.int64)
@@ -172,7 +231,11 @@ def simulate_tree(
     count = 1
     for n in range(1, depth + 1):
         if cascade:
-            s, seeds, rep, parent = _expand_cascade(model, s, seeds, rep)
+            # Fixed fan-out: the budget check precedes the allocation.
+            if count + len(s) * model.N > node_cap:
+                raise NodeCapError(n, count + len(s) * model.N)
+            parent = np.repeat(np.arange(len(s), dtype=np.int64), model.N)
+            s, seeds = step(s, seeds)
         else:
             s, seeds, rep, parent = _expand_atoms(prep, s, seeds, rep)
         count += len(s)
@@ -224,33 +287,56 @@ class ReplicateTraces:
 
 
 def _batch_traces(model, alpha, depth, rep_indices, master_seed, node_cap,
-                  interval):
-    """Traces for one batch of replicates; pure function of its arguments."""
+                  interval, step):
+    """Traces for one batch of replicates; pure function of its arguments.
+
+    ``step`` is the :class:`_CascadeStep` of a cascade ``model`` and None
+    for any other model.
+    """
     nrep = len(rep_indices)
     w = np.empty((nrep, depth + 1))
     r = np.empty((nrep, depth + 1))
     ren = np.zeros(nrep) if interval is not None else None
     seeds = seeding.replicate_roots_np(master_seed, rep_indices)
-    rep = np.arange(nrep, dtype=np.int64)
     w[:, 0] = 1.0
     r[:, 0] = 1.0
     if interval is not None:
         a, b = interval
         if a - 1e-9 <= 0.0 <= b + 1e-9:
             ren += 1.0
-    totals = np.ones(nrep, dtype=np.int64)
-    cascade = isinstance(model, BernoulliCascade)
-    if cascade:
-        state = np.zeros(nrep, dtype=np.int64)
+    if step is not None:
+        # Fixed fan-out N: replicate i's generation n is the contiguous block
+        # i*N^n .. (i+1)*N^n - 1 and every replicate has sum_k N^k nodes.
+        # Levels carry the replicate as an offset, i*(depth+1) + S(v), so one
+        # exact integer bincount is every replicate's level histogram, which
+        # dotted with the alpha-geometric weights gives W_n (no per-vertex exp).
+        base = np.arange(nrep, dtype=np.int64) * (depth + 1)
+        state = base.copy()
         rho = np.exp(-alpha * np.arange(depth + 1))
-    else:
-        prep = _AtomPrep(model)
-        state = np.zeros(nrep)
+        width = total = 1
+        for n in range(1, depth + 1):
+            width *= model.N
+            if total + width > node_cap:
+                raise NodeCapError(n, total + width, replicate=int(rep_indices[0]))
+            total += width
+            state, seeds = step(state, seeds)
+            hist = np.bincount(state, minlength=nrep * (depth + 1))
+            lvl = np.ascontiguousarray(hist.reshape(nrep, depth + 1)[:, : n + 1])
+            w[:, n] = lvl @ rho[: n + 1]
+            kmin = state.reshape(nrep, width).min(axis=1) - base
+            r[:, n] = np.exp(-1.0 * kmin)
+            if interval is not None:
+                ks = np.arange(n + 1)
+                mask = (ks >= a - 1e-9) & (ks <= b + 1e-9)
+                if np.any(mask):
+                    ren += lvl[:, mask] @ rho[: n + 1][mask]
+        return w, r, ren
+    prep = _AtomPrep(model)
+    state = np.zeros(nrep)
+    rep = np.arange(nrep, dtype=np.int64)
+    totals = np.ones(nrep, dtype=np.int64)
     for n in range(1, depth + 1):
-        if cascade:
-            state, seeds, rep, _ = _expand_cascade(model, state, seeds, rep)
-        else:
-            state, seeds, rep, _ = _expand_atoms(prep, state, seeds, rep)
+        state, seeds, rep, _ = _expand_atoms(prep, state, seeds, rep)
         counts = np.bincount(rep, minlength=nrep)
         totals += counts
         bad = totals > node_cap
@@ -258,26 +344,12 @@ def _batch_traces(model, alpha, depth, rep_indices, master_seed, node_cap,
             i = int(np.argmax(bad))
             raise NodeCapError(n, int(totals[i]), replicate=int(rep_indices[i]))
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        if cascade:
-            # Exact integer levels: W_n is a per-replicate level histogram
-            # dotted with the alpha-geometric weights -- no per-vertex exp.
-            lvl = np.bincount(rep * (n + 1) + state, minlength=nrep * (n + 1))
-            lvl = lvl.reshape(nrep, n + 1)
-            w[:, n] = lvl @ rho[: n + 1]
-            kmin = np.minimum.reduceat(state, starts)
-            r[:, n] = np.exp(-1.0 * kmin)
-            if interval is not None:
-                ks = np.arange(n + 1)
-                mask = (ks >= a - 1e-9) & (ks <= b + 1e-9)
-                if np.any(mask):
-                    ren += lvl[:, mask] @ rho[: n + 1][mask]
-        else:
-            wv = np.exp(-alpha * state)
-            w[:, n] = np.bincount(rep, weights=wv, minlength=nrep)
-            r[:, n] = np.exp(-np.minimum.reduceat(state, starts))
-            if interval is not None:
-                mask = (state >= a - 1e-9) & (state <= b + 1e-9)
-                ren += np.bincount(rep, weights=wv * mask, minlength=nrep)
+        wv = np.exp(-alpha * state)
+        w[:, n] = np.bincount(rep, weights=wv, minlength=nrep)
+        r[:, n] = np.exp(-np.minimum.reduceat(state, starts))
+        if interval is not None:
+            mask = (state >= a - 1e-9) & (state <= b + 1e-9)
+            ren += np.bincount(rep, weights=wv * mask, minlength=nrep)
     return w, r, ren
 
 
@@ -308,10 +380,20 @@ def replicate_traces(
         for lo in range(0, replicates, _BATCH)
     ]
 
+    # One cascade step per running batch, handed from batch to batch so
+    # that its buffers are reused.
+    steps = queue.SimpleQueue()
+    for _ in range(max(threads, 1)):
+        steps.put(_CascadeStep(model) if isinstance(model, BernoulliCascade) else None)
+
     def run(idx):
-        bw, br, bren = _batch_traces(
-            model, alpha, depth, batches[idx], seed, node_cap, renewal_interval
-        )
+        step = steps.get()
+        try:
+            bw, br, bren = _batch_traces(
+                model, alpha, depth, batches[idx], seed, node_cap, renewal_interval, step
+            )
+        finally:
+            steps.put(step)
         sl = slice(batches[idx][0], batches[idx][-1] + 1)
         w[sl] = bw
         r[sl] = br

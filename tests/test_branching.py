@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from branchfix import branching
 from branchfix.branching import (
     NodeCapError,
     biggins_check,
@@ -16,6 +17,7 @@ from branchfix.branching import (
     simulate_tree,
     sup_weight_trace,
 )
+from branchfix.seeding import child_seeds_np, unit_uniforms_np
 from branchfix.weights import BernoulliCascade, Deterministic, FiniteAtoms
 
 LN3 = math.log(3.0)
@@ -69,6 +71,70 @@ def test_subtree_is_function_of_vertex_seed():
 def test_node_cap_raises():
     with pytest.raises(NodeCapError):
         simulate_tree(Deterministic(0.5, 0.5), depth=20, seed=3, node_cap=10)
+
+
+def _count_step_inputs(monkeypatch):
+    """Record the parent count of every cascade step call."""
+    sizes = []
+    original = branching._CascadeStep.__call__
+
+    def spy(self, levels, seeds):
+        sizes.append(len(levels))
+        return original(self, levels, seeds)
+
+    monkeypatch.setattr(branching._CascadeStep, "__call__", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cascade_node_cap_in_replicate_traces(threads, monkeypatch):
+    # 2^13 - 1 = 8191 <= 10^4 < 16383 = 2^14 - 1 nodes per replicate.
+    sizes = _count_step_inputs(monkeypatch)
+    with pytest.raises(NodeCapError) as err:
+        replicate_traces(BernoulliCascade(2, 0.5), 1.0, depth=30, replicates=1100,
+                         seed=5, node_cap=10**4, threads=threads)
+    e = err.value
+    assert (e.generation, e.node_count, e.replicate) == (13, 16383, 0)
+    # Raised before generation 13 is built: the largest step input is generation 11.
+    assert max(sizes) == 512 * 2**11
+
+
+def test_cascade_node_cap_in_simulate_tree(monkeypatch):
+    sizes = _count_step_inputs(monkeypatch)
+    with pytest.raises(NodeCapError) as err:
+        simulate_tree(BernoulliCascade(2, 0.5), depth=30, seed=5, node_cap=10**4)
+    e = err.value
+    assert (e.generation, e.node_count, e.replicate) == (13, 16383, None)
+    assert max(sizes) == 2**11
+
+
+@pytest.mark.parametrize("theta", [
+    0.0, 5e-324, 2.0**-53, 0.3, math.nextafter(0.75, 0.0), 0.75,
+    math.nextafter(0.75, 1.0), 1.0 - 2.0**-53, 1.0,
+])
+def test_unit_threshold_is_exact(theta):
+    thr = branching._unit_threshold(theta)
+    for k in {0, thr - 1, thr, thr + 1, 2**53 - 1}:
+        k = min(max(k, 0), 2**53 - 1)
+        assert (k < thr) == (k * 2.0**-53 < theta), (theta, k, thr)
+
+
+@pytest.mark.parametrize("theta", [0.0, 2.0**-53, 0.3, 0.75, 1.0 - 2.0**-53, 1.0])
+def test_cascade_step_matches_unit_uniform_reference(theta):
+    # N = 3 leaves a partial block of parents; two chained calls use both
+    # output slots of the step.
+    model = BernoulliCascade(3, theta)
+    step = branching._CascadeStep(model)
+    rng = np.random.default_rng(17)
+    seeds = rng.integers(0, 1 << 64, size=(1 << 15) // 3 + 7, dtype=np.uint64)
+    levels = rng.integers(0, 5, size=len(seeds), dtype=np.int64)
+    for _ in range(2):
+        kids = np.stack([child_seeds_np(seeds, j) for j in range(3)], axis=1).reshape(-1)
+        want = np.repeat(levels, 3) + (unit_uniforms_np(kids) < theta)
+        got_levels, got_seeds = step(levels, seeds)
+        np.testing.assert_array_equal(got_seeds, kids)
+        np.testing.assert_array_equal(got_levels, want)
+        levels, seeds = got_levels, got_seeds
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ byte for byte, and the report with its ``wrote <path>`` lines dropped (they
 carry the temporary directory).  A change that moves a digest on purpose
 updates it here and says why in CHANGES.md.
 
+The CLI configs are small: their largest generation (200 replicates at
+depth 5) stays inside one 2^15-value block of the seeding kernel.  The
+library cases below grow generations over several blocks, with a partial
+last batch of replicates, and pin the raw array bytes.
+
 To print the digests of the current code::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,9 +25,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from branchfix.branching import replicate_traces, simulate_tree
 from branchfix.cli import main
+from branchfix.weights import BernoulliCascade, FiniteAtoms
 
 LN3 = math.log(3.0)
 CASCADE = {"kind": "cascade", "N": 2, "theta": 0.75}
@@ -159,6 +167,46 @@ GOLDEN = {
 }
 
 
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _traces(model, alpha, depth, threads, interval=None):
+    tr = replicate_traces(model, alpha, depth, replicates=1100, seed=21,
+                          threads=threads, renewal_interval=interval)
+    extra = () if tr.renewal_sums is None else (tr.renewal_sums,)
+    return _sha(tr.W, tr.R_sup, *extra)
+
+
+def _tree():
+    tree = simulate_tree(BernoulliCascade(2, 0.75), depth=16, seed=21)
+    return _sha(*tree.generations, *tree.parent_index, *tree.vertex_seeds)
+
+
+# name -> zero-argument function returning a sha256 of the result arrays
+LIBRARY_CASES = {
+    "replicate-traces-cascade-t1": lambda: _traces(
+        BernoulliCascade(2, 0.75), LN3, 8, 1, (0.0, 2.0)),
+    "replicate-traces-cascade-t2": lambda: _traces(
+        BernoulliCascade(2, 0.75), LN3, 8, 2, (0.0, 2.0)),
+    "simulate-tree-cascade": _tree,
+    "replicate-traces-atoms": lambda: _traces(
+        FiniteAtoms(ATOMS["atoms"]), 1.0, 6, 1),
+}
+
+LIBRARY_GOLDEN = {
+    'replicate-traces-atoms': '9530f5e9da8076b8d4cd76f1b22b4b2fe81c4e295f7bcc8eebab6a760783590b',
+    'replicate-traces-cascade-t1': 'b74d562b27a1e990a64687dcc06a6598534f3209aa7d32d5fd29e1d02c7cc784',
+    'replicate-traces-cascade-t2': 'b74d562b27a1e990a64687dcc06a6598534f3209aa7d32d5fd29e1d02c7cc784',
+    'simulate-tree-cascade': '0ebe5086a9db6b9c8850a4cb36abd0d59b95badec7a6c083868c4a076bc74f86',
+}
+
+
 def artifact_digests(command: str, doc: dict, workdir: Path):
     """Run one command and return (exit code, {artifact: sha256})."""
     cfg = workdir / "config.json"
@@ -184,6 +232,11 @@ def test_golden_artifacts(name, tmp_path):
     assert digests == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
+def test_golden_library(name):
+    assert LIBRARY_CASES[name]() == LIBRARY_GOLDEN[name]
+
+
 if __name__ == "__main__":
     out = {}
     for case in sorted(CASES):
@@ -195,4 +248,6 @@ if __name__ == "__main__":
         for art, dig in digests.items():
             print(f"        {art!r}: {dig!r},")
         print("    },")
+    for case in sorted(LIBRARY_CASES):
+        print(f"    {case!r}: {LIBRARY_CASES[case]()!r},")
     sys.exit(0)

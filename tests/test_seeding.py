@@ -1,6 +1,7 @@
 """Counter-based seeding: determinism and scalar/vector agreement."""
 
 import numpy as np
+import pytest
 
 from branchfix.seeding import (
     child_seed,
@@ -59,3 +60,42 @@ def test_replicate_roots_vectorized():
     np.testing.assert_array_equal(got, want)
     # distinct replicates get distinct roots
     assert len(np.unique(got)) == len(got)
+
+
+# Lengths around the 2^15-value block of the in-place mixing kernel.
+BLOCK = 1 << 15
+KERNEL_LENGTHS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+
+def _twins_against_scalar(seeds):
+    """Check the three twins on ``seeds`` and that none of them writes to it."""
+    before = seeds.copy()
+    ints = [int(s) for s in seeds]
+    np.testing.assert_array_equal(
+        mix64_np(seeds), np.array([mix64(s) for s in ints], dtype=np.uint64))
+    np.testing.assert_array_equal(
+        child_seeds_np(seeds, 5), np.array([child_seed(s, 5) for s in ints], dtype=np.uint64))
+    np.testing.assert_array_equal(
+        unit_uniforms_np(seeds), np.array([unit_uniform(s) for s in ints], dtype=np.float64))
+    np.testing.assert_array_equal(seeds, before)
+    assert seeds.dtype == before.dtype
+
+
+@pytest.mark.parametrize("length", KERNEL_LENGTHS)
+def test_kernel_matches_scalar_loops_across_block_edges(length):
+    rng = np.random.default_rng(length)
+    _twins_against_scalar(rng.integers(0, 1 << 64, size=length, dtype=np.uint64))
+
+
+def test_kernel_takes_int64_input():
+    # int64 seeds wrap mod 2^64, as the scalar helpers mask negative ints.
+    rng = np.random.default_rng(3)
+    _twins_against_scalar(rng.integers(-(1 << 63), 1 << 63, size=BLOCK + 1, dtype=np.int64))
+
+
+def test_kernel_takes_strided_input():
+    rng = np.random.default_rng(4)
+    base = rng.integers(0, 1 << 64, size=2 * BLOCK + 6, dtype=np.uint64)
+    strided = base[1::2]
+    assert not strided.flags.c_contiguous
+    _twins_against_scalar(strided)
