@@ -1,6 +1,8 @@
 """Tree simulation, martingale traces, increment law, and renewal checks."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -181,6 +183,26 @@ def test_replicate_traces_thread_invariant():
     eight = replicate_traces(model, LN3, depth=6, replicates=600, seed=7, threads=8)
     np.testing.assert_array_equal(one.W, eight.W)
     np.testing.assert_array_equal(one.R_sup, eight.R_sup)
+
+
+def test_cascade_steps_survive_thread_switches():
+    # Twelve batches on four threads with a short switch interval: a step
+    # handed to two running batches at once would mix their buffers.
+    model = BernoulliCascade(2, 0.75)
+    want = replicate_traces(model, LN3, depth=8, replicates=6000, seed=9, threads=1)
+    got = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        worker = threading.Thread(target=lambda: got.append(replicate_traces(
+            model, LN3, depth=8, replicates=6000, seed=9, threads=4)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not worker.is_alive() and len(got) == 1
+    np.testing.assert_array_equal(got[0].W, want.W)
+    np.testing.assert_array_equal(got[0].R_sup, want.R_sup)
 
 
 def test_martingale_mean_within_three_se():

@@ -167,8 +167,6 @@ GOLDEN = {
 }
 
 
-
-
 def _sha(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -248,6 +246,7 @@ if __name__ == "__main__":
         for art, dig in digests.items():
             print(f"        {art!r}: {dig!r},")
         print("    },")
+    print("# LIBRARY_GOLDEN")
     for case in sorted(LIBRARY_CASES):
         print(f"    {case!r}: {LIBRARY_CASES[case]()!r},")
     sys.exit(0)
