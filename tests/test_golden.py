@@ -38,6 +38,8 @@ CASCADE3 = {"kind": "cascade", "N": 3, "theta": 0.8}
 ATOMS = {"kind": "atoms",
          "atoms": [[0.3, [0.6, 0.5]], [0.5, [0.9, 0.35]], [0.2, [0.7, 0.8]]]}
 HALVES = {"kind": "deterministic", "weights": [0.5, 0.5]}
+# Variable fan-out: unequal atom lengths and a zero weight (no child).
+VARIABLE = [(0.25, (0.2, 0.0, 1.5)), (0.5, (0.8,)), (0.25, (1.0, 0.4, 0.1))]
 LATTICE_GRID = {"mode": "lattice-step", "r": math.e, "n_lo": -12, "n_hi": 8}
 LOG_GRID = {"mode": "interp-loglinear", "lo": 1e-7, "hi": 1e3, "points": 96}
 
@@ -181,8 +183,8 @@ def _traces(model, alpha, depth, threads, interval=None):
     return _sha(tr.W, tr.R_sup, *extra)
 
 
-def _tree():
-    tree = simulate_tree(BernoulliCascade(2, 0.75), depth=16, seed=21)
+def _tree(model=BernoulliCascade(2, 0.75), depth=16):
+    tree = simulate_tree(model, depth=depth, seed=21)
     return _sha(*tree.generations, *tree.parent_index, *tree.vertex_seeds)
 
 
@@ -195,13 +197,28 @@ LIBRARY_CASES = {
     "simulate-tree-cascade": _tree,
     "replicate-traces-atoms": lambda: _traces(
         FiniteAtoms(ATOMS["atoms"]), 1.0, 6, 1),
+    # Generation 7 of a 512-replicate batch is 2^16 parents: four blocks.
+    "replicate-traces-atoms-renewal-t2": lambda: _traces(
+        FiniteAtoms(ATOMS["atoms"]), 1.0, 8, 2, (0.5, 3.0)),
+    # About 512 * 1.75^8 = 45k parents in the last generation of a batch.
+    "replicate-traces-variable-t1": lambda: _traces(
+        FiniteAtoms(VARIABLE), 1.0, 9, 1, (0.5, 3.0)),
+    "replicate-traces-variable-t2": lambda: _traces(
+        FiniteAtoms(VARIABLE), 1.0, 9, 2, (0.5, 3.0)),
+    "simulate-tree-atoms": lambda: _tree(FiniteAtoms(ATOMS["atoms"]), 16),
+    "simulate-tree-variable": lambda: _tree(FiniteAtoms(VARIABLE), 19),
 }
 
 LIBRARY_GOLDEN = {
     'replicate-traces-atoms': '9530f5e9da8076b8d4cd76f1b22b4b2fe81c4e295f7bcc8eebab6a760783590b',
+    'replicate-traces-atoms-renewal-t2': 'b47ff48603d58e6ed100ab5def5b0023bb0257762175bd05611d0c9af09e7518',
     'replicate-traces-cascade-t1': 'b74d562b27a1e990a64687dcc06a6598534f3209aa7d32d5fd29e1d02c7cc784',
     'replicate-traces-cascade-t2': 'b74d562b27a1e990a64687dcc06a6598534f3209aa7d32d5fd29e1d02c7cc784',
+    'replicate-traces-variable-t1': '714902419723c67414ddcff64828e3416566a54e79a80bcbfe26b19191b05dfc',
+    'replicate-traces-variable-t2': '714902419723c67414ddcff64828e3416566a54e79a80bcbfe26b19191b05dfc',
+    'simulate-tree-atoms': '2ba1279a2c72b23484c0011bacac31dc816d23e456ca5071a64db74d34e28437',
     'simulate-tree-cascade': '0ebe5086a9db6b9c8850a4cb36abd0d59b95badec7a6c083868c4a076bc74f86',
+    'simulate-tree-variable': '82663a7bb044077cd457d3e871e5e034616503d2289e7dc6f273bb4666ab00fd',
 }
 
 
