@@ -19,10 +19,25 @@ engines for the additive statistics
 
 and the exact per-generation increment distribution with the associated
 drift/divergence verdict.
+
+A generation is built by one of two steps, each a small object that owns
+its buffers and writes children into two reused output slots
+(:class:`_Slots`): :class:`_CascadeStep` on the cascade's exact integer
+levels, and :class:`_AtomStep` for every other model (explicit atoms and
+fixed vectors), which reads tables built once per call
+(:class:`_AtomColumns`).  The atom step draws every parent's atom before it
+builds any child, so the node budget is checked on exact child counts and a
+generation over budget is never allocated.  With a fixed fan-out (the
+cascade, and any model whose atoms all have the same number of positive
+weights) a replicate's generation is a contiguous block of equal size and
+the engines need no per-vertex index arrays beyond the ``np.bincount``
+labels of the atom sums.  Steps are handed from batch to batch, one per
+running thread.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import queue
@@ -68,53 +83,35 @@ class NodeCapError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class _AtomPrep:
-    """Padded per-atom lookup tables for vectorized generation expansion."""
-
-    def __init__(self, model: WeightModel):
-        table = atom_table(model)
-        self.cum = np.cumsum(table.probs)
-        sizes = np.array([len(ws) for ws in table.full_weights], dtype=np.int64)
-        self.sizes = sizes
-        width = int(sizes.max())
-        k = len(sizes)
-        self.pad_neglog = np.zeros((k, width))
-        self.pad_pos = np.zeros((k, width), dtype=bool)
-        for j, ws in enumerate(table.full_weights):
-            pos_idx = 0
-            for i, w in enumerate(ws):
-                if w > 0.0:
-                    self.pad_pos[j, i] = True
-                    self.pad_neglog[j, i] = -float(table.log_weights[j][pos_idx])
-                    pos_idx += 1
-        self.child_salts = ((np.arange(width, dtype=np.uint64) + np.uint64(1))
-                            * np.uint64(GOLDEN))
-
-
-def _expand_atoms(prep: _AtomPrep, S, seeds, rep):
-    """One generation step: returns (S, seeds, rep, parent_index) of children."""
-    u = seeding.unit_uniforms_np(seeds)
-    k = np.minimum(np.searchsorted(prep.cum, u, side="right"), len(prep.cum) - 1)
-    sz = prep.sizes[k]
-    total = int(sz.sum())
-    parent_all = np.repeat(np.arange(len(S), dtype=np.int64), sz)
-    offs = np.repeat(np.cumsum(sz) - sz, sz)
-    intra_all = np.arange(total, dtype=np.int64) - offs
-    katom = k[parent_all]
-    pos = prep.pad_pos[katom, intra_all]
-    parent = parent_all[pos]
-    intra = intra_all[pos]
-    step = prep.pad_neglog[katom[pos], intra]
-    child_seeds = seeding.mix64_np(seeds[parent] ^ prep.child_salts[intra])
-    return S[parent] + step, child_seeds, rep[parent], parent
-
-
 def _unit_threshold(theta: float) -> int:
     """``ceil(theta * 2^53)``: ``k < thr`` iff ``k * 2^-53 < theta`` for integer k."""
     return math.ceil(theta * 2.0**53)
 
 
-class _CascadeStep:
+class _Slots:
+    """Two output slots, ``(S, seeds)`` pairs, that a step writes in turn.
+
+    Each slot grows to the largest generation it has held: a call reads the
+    previous call's slot while it writes the other, and a run of batches on
+    one step touches no fresh memory after the first.  An output is
+    overwritten by the call after next, so a caller that keeps a generation
+    copies it.
+    """
+
+    def __init__(self, dtype):
+        self.slots = [(np.empty(0, dtype=dtype), np.empty(0, dtype=np.uint64))] * 2
+        self.turn = 0
+
+    def _outputs(self, size):
+        out, child = self.slots[self.turn]
+        if len(out) < size:
+            out, child = np.empty(size, dtype=out.dtype), np.empty(size, dtype=np.uint64)
+            self.slots[self.turn] = (out, child)
+        self.turn ^= 1
+        return out[:size], child[:size]
+
+
+class _CascadeStep(_Slots):
     """Cascade generation step on exact integer levels ``S(v) = sum B``.
 
     Calling the step on ``(levels, seeds)`` of one generation returns those
@@ -128,11 +125,7 @@ class _CascadeStep:
     :func:`seeding.unit_uniforms_np`.
 
     Levels are int64.  The step owns its buffers, so one instance serves one
-    thread.  It writes its outputs to two slots in turn, each grown to the
-    largest generation it has held: a call reads the previous call's slot
-    while it writes the other, and a run of batches on one step touches no
-    fresh memory after the first.  An output is overwritten by the call
-    after next, so a caller that keeps a generation copies it.
+    thread, and writes its outputs to two :class:`_Slots` in turn.
     """
 
     def __init__(self, model: BernoulliCascade):
@@ -145,16 +138,7 @@ class _CascadeStep:
         self.scratch = np.empty(width, dtype=np.uint64)
         self.bits = np.empty(width, dtype=np.uint64)
         self.hit = np.empty(width, dtype=bool)
-        self.slots = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64))] * 2
-        self.turn = 0
-
-    def _outputs(self, size):
-        out, child = self.slots[self.turn]
-        if len(out) < size:
-            out, child = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.uint64)
-            self.slots[self.turn] = (out, child)
-        self.turn ^= 1
-        return out[:size], child[:size]
+        super().__init__(np.int64)
 
     def __call__(self, levels, seeds):
         n = self.n
@@ -177,6 +161,153 @@ class _CascadeStep:
             np.less(bits, self.thr, out=hit)
             np.add(levels[lo:hi], hit.reshape(hi - lo, n).T, out=out[lo:hi].T, order="C")
         return out.reshape(-1), child.reshape(-1)
+
+
+# Up to this many thresholds the atom is counted by comparisons, one pass
+# each; beyond it a binary search is cheaper.  Both give the same count.
+_COUNT_PASSES = 16
+
+
+class _AtomColumns:
+    """Immutable draw and child tables of a finite-atom model.
+
+    ``thr[j] = ceil(cum_j * 2^53)`` for the cumulative atom probabilities
+    ``cum_j``, ``j < K-1``.  Column ``j`` of ``salts`` and ``neglog`` holds,
+    per atom, the child salt and ``-log w`` of the atom's ``j``-th positive
+    weight ``w``; the salt is that of the weight's position in
+    ``full_weights``, so zero weights keep their place in the seed chain.
+    ``valid[k, j]`` tells whether atom ``k`` has a ``j``-th positive weight
+    and ``counts[k]`` how many it has.  The fan-out is fixed when every atom
+    has the same count.  Built once per run; any number of steps share it.
+    """
+
+    def __init__(self, model: WeightModel):
+        table = atom_table(model)
+        cum = np.cumsum(table.probs)
+        k = len(cum)
+        self.thr = np.array([_unit_threshold(c) for c in cum[:-1]], dtype=np.uint64)
+        self.counts = table.positive_counts
+        self.width = width = int(self.counts.max())
+        self.fixed = bool(np.all(self.counts == width))
+        self.salts = np.zeros((width, k), dtype=np.uint64)
+        self.neglog = np.zeros((width, k))
+        self.valid = np.zeros((k, width), dtype=bool)
+        for a, ws in enumerate(table.full_weights):
+            positions = [i for i, w in enumerate(ws) if w > 0.0]
+            for j, i in enumerate(positions):
+                self.salts[j, a] = ((i + 1) * GOLDEN) & _M64
+                self.neglog[j, a] = -float(table.log_weights[a][j])
+                self.valid[a, j] = True
+        for arr in (self.thr, self.counts, self.salts, self.neglog, self.valid):
+            arr.flags.writeable = False
+
+
+class _AtomStep(_Slots):
+    """Finite-atom generation step on float ``S(v) = -log L(v)``.
+
+    A generation takes two calls.  :meth:`draw` picks each parent's atom
+    from ``bits = mix64(seed ^ DRAW_SALT) >> 11`` as the count of
+    ``bits >= thr[j]``: ``cum_j <= u`` for ``u = bits * 2^-53`` exactly when
+    ``bits >= ceil(cum_j * 2^53)`` (the power-of-two scaling is exact and
+    ``bits`` is an integer), and with ``cum`` nondecreasing the count over
+    ``j < K-1`` is ``min(searchsorted(cum, u, "right"), K-1)``, the draw of
+    :func:`seeding.unit_uniforms_np`.  With a variable fan-out it also
+    returns each parent's child end offset, so a caller knows every child
+    count before any child is built.  Calling the step then builds the
+    children, parent-major and, within a parent, in ascending position of
+    their weights.  Per block of parents, for each column ``j``, it gathers
+    the atoms' salts and ``-log w`` from the column tables into reused
+    buffers, XORs the salts into the parent seeds and adds the steps to the
+    parent ``S``.  With a fixed fan-out these land straight in the output;
+    otherwise in a block-sized ``(parents, width)`` buffer that one
+    row-major compress by the atoms' ``valid`` rows moves to the output.
+    The child seeds are then mixed in place.
+
+    The tables are shared; the buffers are the step's own, so one instance
+    serves one thread, and it writes its outputs to two :class:`_Slots` in
+    turn.  The atom buffer returned by :meth:`draw` is overwritten by the
+    next draw.
+    """
+
+    def __init__(self, columns: _AtomColumns):
+        self.cols = columns
+        self.parents = max(1, seeding._BLOCK // columns.width)
+        self.scratch = np.empty(seeding._BLOCK, dtype=np.uint64)
+        self.bits = np.empty(seeding._BLOCK, dtype=np.uint64)
+        self.hit = np.empty(seeding._BLOCK, dtype=bool)
+        self.salt = np.empty(self.parents, dtype=np.uint64)
+        self.step = np.empty(self.parents)
+        if not columns.fixed:
+            self.full_s = np.empty((self.parents, columns.width))
+            self.full_seeds = np.empty((self.parents, columns.width), dtype=np.uint64)
+            self.keep = np.empty((self.parents, columns.width), dtype=bool)
+        self.atoms = np.empty(0, dtype=np.intp)
+        super().__init__(np.float64)
+
+    def draw(self, seeds):
+        """``(atoms, ends)``: each parent's atom and, unless the fan-out is
+        fixed (then None), the cumulative child count up to each parent."""
+        v = len(seeds)
+        if len(self.atoms) < v:
+            self.atoms = np.empty(v, dtype=np.intp)
+        atoms = self.atoms[:v]
+        if len(self.cols.thr) == 0:         # one atom: nothing to draw
+            atoms[:] = 0
+        else:
+            for lo in range(0, v, seeding._BLOCK):
+                hi = min(lo + seeding._BLOCK, v)
+                bits = self.bits[: hi - lo]
+                np.bitwise_xor(seeds[lo:hi], seeding._DRAW_NP, out=bits)
+                seeding._mix64_inplace(bits, self.scratch)
+                bits >>= seeding._UNIT_SHIFT
+                self._count(bits, atoms[lo:hi])
+        if self.cols.fixed:
+            return atoms, None
+        return atoms, np.cumsum(np.take(self.cols.counts, atoms, mode="clip"))
+
+    def _count(self, bits, k):
+        """``k[i] = #{j : bits[i] >= thr[j]}``."""
+        thr = self.cols.thr
+        if len(thr) > _COUNT_PASSES:
+            k[:] = np.searchsorted(thr, bits, side="right")
+            return
+        np.greater_equal(bits, thr[0], out=k, casting="unsafe")
+        hit = self.hit[: len(bits)]
+        for t in thr[1:]:
+            np.greater_equal(bits, t, out=hit)
+            k += hit
+
+    def __call__(self, S, seeds, atoms, ends=None):
+        cols = self.cols
+        width = cols.width
+        v = len(S)
+        out, child = self._outputs(v * width if ends is None else int(ends[-1]))
+        for lo in range(0, v, self.parents):
+            hi = min(lo + self.parents, v)
+            m = hi - lo
+            k = atoms[lo:hi]
+            if ends is None:
+                full_s = out[lo * width : hi * width].reshape(m, width)
+                full_seeds = child[lo * width : hi * width].reshape(m, width)
+            else:
+                full_s, full_seeds = self.full_s[:m], self.full_seeds[:m]
+            salt, step = self.salt[:m], self.step[:m]
+            for j in range(width):
+                np.take(cols.salts[j], k, out=salt, mode="clip")
+                np.bitwise_xor(seeds[lo:hi], salt, out=full_seeds[:, j])
+                np.take(cols.neglog[j], k, out=step, mode="clip")
+                np.add(S[lo:hi], step, out=full_s[:, j])
+            if ends is None:
+                c = child[lo * width : hi * width]
+            else:
+                o0, o1 = (int(ends[lo - 1]) if lo else 0), int(ends[hi - 1])
+                keep = np.take(cols.valid, k, axis=0, out=self.keep[:m], mode="clip")
+                idx = np.flatnonzero(keep)
+                np.take(full_s.reshape(-1), idx, out=out[o0:o1], mode="clip")
+                c = child[o0:o1]
+                np.take(full_seeds.reshape(-1), idx, out=c, mode="clip")
+            seeding._mix64_inplace(c, self.scratch)
+        return out, child
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +352,26 @@ def simulate_tree(
         step = _CascadeStep(model)
         s = np.zeros(1, dtype=np.int64)
     else:
-        prep = _AtomPrep(model)
+        step = _AtomStep(_AtomColumns(model))
         s = np.zeros(1)
     seeds = np.array([seed & _M64], dtype=np.uint64)
-    rep = np.zeros(1, dtype=np.int64)
     gens = [s.astype(np.float64)]
     parents = [np.array([-1], dtype=np.int64)]
     vseeds = [seeds.copy()]
     count = 1
     for n in range(1, depth + 1):
+        # Every child count is known before the budget check, and the check
+        # precedes the allocation.
+        v = np.arange(len(s), dtype=np.int64)
         if cascade:
-            # Fixed fan-out: the budget check precedes the allocation.
-            if count + len(s) * model.N > node_cap:
-                raise NodeCapError(n, count + len(s) * model.N)
-            parent = np.repeat(np.arange(len(s), dtype=np.int64), model.N)
-            s, seeds = step(s, seeds)
+            parent = np.repeat(v, model.N)
         else:
-            s, seeds, rep, parent = _expand_atoms(prep, s, seeds, rep)
+            atoms, ends = step.draw(seeds)
+            parent = np.repeat(v, step.cols.width if ends is None else np.diff(ends, prepend=0))
+        if count + len(parent) > node_cap:
+            raise NodeCapError(n, count + len(parent))
+        s, seeds = step(s, seeds) if cascade else step(s, seeds, atoms, ends)
         count += len(s)
-        if count > node_cap:
-            raise NodeCapError(n, count)
         gens.append(s.astype(np.float64))
         parents.append(parent)
         vseeds.append(seeds.copy())
@@ -286,12 +417,12 @@ class ReplicateTraces:
     renewal_sums: Optional[np.ndarray] = None
 
 
-def _batch_traces(model, alpha, depth, rep_indices, master_seed, node_cap,
-                  interval, step):
+def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, step):
     """Traces for one batch of replicates; pure function of its arguments.
 
-    ``step`` is the :class:`_CascadeStep` of a cascade ``model`` and None
-    for any other model.
+    ``step`` is a :class:`_CascadeStep` or an :class:`_AtomStep` of the
+    model; either raises :class:`NodeCapError` before it builds the first
+    generation over budget, with the fields of the first replicate over it.
     """
     nrep = len(rep_indices)
     w = np.empty((nrep, depth + 1))
@@ -304,7 +435,7 @@ def _batch_traces(model, alpha, depth, rep_indices, master_seed, node_cap,
         a, b = interval
         if a - 1e-9 <= 0.0 <= b + 1e-9:
             ren += 1.0
-    if step is not None:
+    if isinstance(step, _CascadeStep):
         # Fixed fan-out N: replicate i's generation n is the contiguous block
         # i*N^n .. (i+1)*N^n - 1 and every replicate has sum_k N^k nodes.
         # Levels carry the replicate as an offset, i*(depth+1) + S(v), so one
@@ -315,7 +446,7 @@ def _batch_traces(model, alpha, depth, rep_indices, master_seed, node_cap,
         rho = np.exp(-alpha * np.arange(depth + 1))
         width = total = 1
         for n in range(1, depth + 1):
-            width *= model.N
+            width *= step.n
             if total + width > node_cap:
                 raise NodeCapError(n, total + width, replicate=int(rep_indices[0]))
             total += width
@@ -331,22 +462,34 @@ def _batch_traces(model, alpha, depth, rep_indices, master_seed, node_cap,
                 if np.any(mask):
                     ren += lvl[:, mask] @ rho[: n + 1][mask]
         return w, r, ren
-    prep = _AtomPrep(model)
-    state = np.zeros(nrep)
-    rep = np.arange(nrep, dtype=np.int64)
+    # Replicates stay contiguous and in order: replicate i's generation n is
+    # the block ends[i-1] .. ends[i] - 1 of the generation, with sizes[i]
+    # vertices.  W_n and the renewal sums add sequentially per replicate in
+    # np.bincount, so their bits do not depend on how blocks are cut.
+    sizes = np.ones(nrep, dtype=np.int64)
     totals = np.ones(nrep, dtype=np.int64)
+    state = np.zeros(nrep)
+    reps = np.arange(nrep, dtype=np.int64)
     for n in range(1, depth + 1):
-        state, seeds, rep, _ = _expand_atoms(prep, state, seeds, rep)
-        counts = np.bincount(rep, minlength=nrep)
-        totals += counts
+        atoms, ends = step.draw(seeds)
+        if ends is None:
+            sizes *= step.cols.width
+        else:
+            sizes = np.diff(ends[np.cumsum(sizes) - 1], prepend=0)
+        totals += sizes
         bad = totals > node_cap
         if np.any(bad):
             i = int(np.argmax(bad))
             raise NodeCapError(n, int(totals[i]), replicate=int(rep_indices[i]))
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        wv = np.exp(-alpha * state)
+        state, seeds = step(state, seeds, atoms, ends)
+        rep = np.repeat(reps, sizes)
+        wv = np.multiply(state, -alpha)
+        np.exp(wv, out=wv)
         w[:, n] = np.bincount(rep, weights=wv, minlength=nrep)
-        r[:, n] = np.exp(-np.minimum.reduceat(state, starts))
+        if ends is None:
+            r[:, n] = np.exp(-state.reshape(nrep, -1).min(axis=1))
+        else:
+            r[:, n] = np.exp(-np.minimum.reduceat(state, np.cumsum(sizes) - sizes))
         if interval is not None:
             mask = (state >= a - 1e-9) & (state <= b + 1e-9)
             ren += np.bincount(rep, weights=wv * mask, minlength=nrep)
@@ -380,17 +523,21 @@ def replicate_traces(
         for lo in range(0, replicates, _BATCH)
     ]
 
-    # One cascade step per running batch, handed from batch to batch so
-    # that its buffers are reused.
+    # One step per running batch, handed from batch to batch so that its
+    # buffers are reused.  Atom steps share one set of tables.
+    if isinstance(model, BernoulliCascade):
+        make_step = functools.partial(_CascadeStep, model)
+    else:
+        make_step = functools.partial(_AtomStep, _AtomColumns(model))
     steps = queue.SimpleQueue()
     for _ in range(max(threads, 1)):
-        steps.put(_CascadeStep(model) if isinstance(model, BernoulliCascade) else None)
+        steps.put(make_step())
 
     def run(idx):
         step = steps.get()
         try:
             bw, br, bren = _batch_traces(
-                model, alpha, depth, batches[idx], seed, node_cap, renewal_interval, step
+                alpha, depth, batches[idx], seed, node_cap, renewal_interval, step
             )
         finally:
             steps.put(step)

@@ -19,10 +19,24 @@ from branchfix.branching import (
     simulate_tree,
     sup_weight_trace,
 )
-from branchfix.seeding import child_seeds_np, unit_uniforms_np
-from branchfix.weights import BernoulliCascade, Deterministic, FiniteAtoms
+from branchfix.seeding import (
+    DRAW_SALT,
+    _BLOCK,
+    _M64,
+    _MIX1,
+    _MIX2,
+    child_seeds_np,
+    replicate_root,
+    unit_uniforms_np,
+)
+from branchfix.weights import BernoulliCascade, Deterministic, FiniteAtoms, atom_table
 
 LN3 = math.log(3.0)
+# Every atom has two positive weights: a fixed fan-out of 2.
+ATOMS_FIXED = FiniteAtoms([(0.3, (0.6, 0.5)), (0.5, (0.9, 0.35)), (0.2, (0.7, 0.8))])
+# Unequal atom lengths and a zero weight: fan-out 1, 2 or 3.
+ATOMS_VARIABLE = FiniteAtoms([(0.25, (0.2, 0.0, 1.5)), (0.5, (0.8,)),
+                              (0.25, (1.0, 0.4, 0.1))])
 
 
 # ---------------------------------------------------------------------------
@@ -75,16 +89,16 @@ def test_node_cap_raises():
         simulate_tree(Deterministic(0.5, 0.5), depth=20, seed=3, node_cap=10)
 
 
-def _count_step_inputs(monkeypatch):
-    """Record the parent count of every cascade step call."""
+def _count_step_inputs(monkeypatch, step=branching._CascadeStep):
+    """Record the parent count of every call of a generation step."""
     sizes = []
-    original = branching._CascadeStep.__call__
+    original = step.__call__
 
-    def spy(self, levels, seeds):
-        sizes.append(len(levels))
-        return original(self, levels, seeds)
+    def spy(self, S, *args):
+        sizes.append(len(S))
+        return original(self, S, *args)
 
-    monkeypatch.setattr(branching._CascadeStep, "__call__", spy)
+    monkeypatch.setattr(step, "__call__", spy)
     return sizes
 
 
@@ -108,6 +122,58 @@ def test_cascade_node_cap_in_simulate_tree(monkeypatch):
     e = err.value
     assert (e.generation, e.node_count, e.replicate) == (13, 16383, None)
     assert max(sizes) == 2**11
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fixed_fanout_atom_node_cap_in_replicate_traces(threads, monkeypatch):
+    # Fan-out 2 as in the cascade test above: the counts are scalars.
+    sizes = _count_step_inputs(monkeypatch, branching._AtomStep)
+    with pytest.raises(NodeCapError) as err:
+        replicate_traces(ATOMS_FIXED, 1.0, depth=30, replicates=1100, seed=5,
+                         node_cap=10**4, threads=threads)
+    e = err.value
+    assert (e.generation, e.node_count, e.replicate) == (13, 16383, 0)
+    assert max(sizes) == 512 * 2**11
+
+
+def test_fixed_fanout_atom_node_cap_in_simulate_tree(monkeypatch):
+    sizes = _count_step_inputs(monkeypatch, branching._AtomStep)
+    with pytest.raises(NodeCapError) as err:
+        simulate_tree(ATOMS_FIXED, depth=30, seed=5, node_cap=10**4)
+    e = err.value
+    assert (e.generation, e.node_count, e.replicate) == (13, 16383, None)
+    assert max(sizes) == 2**11
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_variable_fanout_node_cap_in_replicate_traces(threads, monkeypatch):
+    # Replicate 85 of the first batch is the first to pass 10^4 nodes, at
+    # generation 13; W_n at alpha = 0 counts each replicate's vertices, and
+    # no replicate of that batch is over the budget through generation 12.
+    per_gen = replicate_traces(ATOMS_VARIABLE, 0.0, depth=12, replicates=512, seed=5).W
+    totals = np.cumsum(per_gen, axis=1)
+    assert np.all(totals <= 10**4)
+    sizes = _count_step_inputs(monkeypatch, branching._AtomStep)
+    with pytest.raises(NodeCapError) as err:
+        replicate_traces(ATOMS_VARIABLE, 1.0, depth=30, replicates=1100, seed=5,
+                         node_cap=10**4, threads=threads)
+    e = err.value
+    assert (e.generation, e.node_count, e.replicate) == (13, 10386, 85)
+    if threads == 1:
+        # Raised before generation 13 is built: the first batch's last step
+        # input is its generation 11.
+        assert sizes == [int(c) for c in per_gen[:, :12].sum(axis=0)]
+
+
+def test_variable_fanout_node_cap_in_simulate_tree(monkeypatch):
+    gens = simulate_tree(ATOMS_VARIABLE, depth=15, seed=5).generations
+    assert sum(len(g) for g in gens) <= 10**4
+    sizes = _count_step_inputs(monkeypatch, branching._AtomStep)
+    with pytest.raises(NodeCapError) as err:
+        simulate_tree(ATOMS_VARIABLE, depth=30, seed=5, node_cap=10**4)
+    e = err.value
+    assert (e.generation, e.node_count, e.replicate) == (16, 10732, None)
+    assert sizes == [len(g) for g in gens[:15]]
 
 
 @pytest.mark.parametrize("theta", [
@@ -139,6 +205,100 @@ def test_cascade_step_matches_unit_uniform_reference(theta):
         levels, seeds = got_levels, got_seeds
 
 
+def _unmix64(z: int) -> int:
+    """Inverse of :func:`branchfix.seeding.mix64`."""
+    def unshift(x, k):
+        y = x
+        for _ in range(64 // k):
+            y = x ^ (y >> k)
+        return y
+
+    z = unshift(z, 31)
+    z = (z * pow(_MIX2, -1, 1 << 64)) & _M64
+    z = unshift(z, 27)
+    z = (z * pow(_MIX1, -1, 1 << 64)) & _M64
+    return unshift(z, 30)
+
+
+def _seeds_drawing(bits):
+    """Seeds whose uniform is ``b * 2^-53`` for each ``b`` in ``bits``."""
+    return np.array([_unmix64(b << 11) ^ DRAW_SALT for b in bits], dtype=np.uint64)
+
+
+def _atom_reference(model, S, seeds):
+    """One generation from the public seeding helpers: the atom is
+    ``min(searchsorted(cum, u, "right"), K-1)``, and position ``i`` of its
+    weight vector, when positive, gives a child with seed
+    ``child_seed(parent, i)`` and step ``-log w``."""
+    table = atom_table(model)
+    cum = np.cumsum(table.probs)
+    k = np.minimum(np.searchsorted(cum, unit_uniforms_np(seeds), side="right"), len(cum) - 1)
+    width = max(len(ws) for ws in table.full_weights)
+    keep = np.zeros((len(seeds), width), dtype=bool)
+    step = np.zeros((len(seeds), width))
+    for a, (ws, logs) in enumerate(zip(table.full_weights, table.log_weights)):
+        positions = [i for i, w in enumerate(ws) if w > 0.0]
+        for i, lw in zip(positions, logs):
+            keep[k == a, i] = True
+            step[k == a, i] = -lw
+    kids = np.stack([child_seeds_np(seeds, i) for i in range(width)], axis=1)
+    return k, (S[:, None] + step)[keep], kids[keep]
+
+
+# Twenty atoms take the binary-search count; cum_1 = 0.3 is no multiple of
+# 2^-53, cum_0 = 0.25 is one.
+MANY_ATOMS = FiniteAtoms([(0.25, (0.5, 0.0, 0.7)), (0.05, (1.1,))]
+                         + [(0.035, (0.3 + 0.01 * j,) * (1 + j % 3)) for j in range(20)])
+
+
+@pytest.mark.parametrize("model", [ATOMS_FIXED, ATOMS_VARIABLE, MANY_ATOMS,
+                                   Deterministic(0.5, 0.0, 0.25)],
+                         ids=["fixed", "variable", "many", "deterministic"])
+def test_atom_step_matches_reference(model):
+    step = branching._AtomStep(branching._AtomColumns(model))
+    rng = np.random.default_rng(23)
+    # Draws exactly on each cum_j * 2^53 and one ulp of u either side, at
+    # the head and across the boundary of the first draw block.
+    cum = np.cumsum(atom_table(model).probs)
+    edges = sorted({b for c in cum for f in (math.floor, math.ceil)
+                    for b in (f(c * 2.0**53) - 1, f(c * 2.0**53), f(c * 2.0**53) + 1)
+                    if 0 <= b < 2**53} | {0, 2**53 - 1})
+    seeds = rng.integers(0, 1 << 64, size=_BLOCK + len(edges), dtype=np.uint64)
+    seeds[: len(edges)] = _seeds_drawing(edges)
+    mid = _BLOCK - len(edges) // 2
+    seeds[mid : mid + len(edges)] = _seeds_drawing(edges)
+    np.testing.assert_array_equal(unit_uniforms_np(seeds[: len(edges)]),
+                                  np.array(edges) * 2.0**-53)
+    S = rng.uniform(-1.0, 3.0, size=len(seeds))
+    # Two chained calls: the second reads the first one's output slot.
+    outputs = []
+    for _ in range(2):
+        want_k, want_S, want_seeds = _atom_reference(model, S, seeds)
+        atoms, ends = step.draw(seeds)
+        np.testing.assert_array_equal(atoms, want_k)
+        S, seeds = step(S, seeds, atoms, ends)
+        np.testing.assert_array_equal(S, want_S)
+        np.testing.assert_array_equal(seeds, want_seeds)
+        outputs.append((S.copy(), seeds.copy(), S, seeds))
+    first_S, first_seeds, S1, seeds1 = outputs[0]
+    np.testing.assert_array_equal(S1, first_S)
+    np.testing.assert_array_equal(seeds1, first_seeds)
+
+
+def test_atom_tables_built_once_per_call(monkeypatch):
+    # Four batches on two threads share one set of tables.
+    calls = []
+    original = branching.atom_table
+
+    def spy(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(branching, "atom_table", spy)
+    replicate_traces(ATOMS_FIXED, 1.0, depth=3, replicates=2048, seed=3, threads=2)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # traces
 # ---------------------------------------------------------------------------
@@ -163,18 +323,23 @@ def test_sup_weight_deterministic():
 
 def test_replicate_traces_match_single_trees():
     # Replicate i is the tree rooted at replicate_root(master, i); the batch
-    # engine aggregates W_n by level histogram, so values agree with the
-    # per-vertex sum up to summation order only.
-    from branchfix.seeding import replicate_root
-
-    model = BernoulliCascade(2, 0.75)
-    traces = replicate_traces(model, LN3, depth=5, replicates=8, seed=2024)
-    for i in range(8):
-        tree = simulate_tree(model, depth=5, seed=replicate_root(2024, i))
-        np.testing.assert_allclose(
-            traces.W[i], martingale_trace(tree, LN3).values, rtol=1e-12
-        )
-        np.testing.assert_array_equal(traces.R_sup[i], sup_weight_trace(tree))
+    # engines aggregate W_n by level histogram (cascade) or by a sequential
+    # per-replicate sum (atoms), so values agree with the per-vertex sum up
+    # to summation order only.  R_n is exact: the engines take np.exp of the
+    # exact minimum, which for the cascade's integer levels is also what
+    # sup_weight_trace's math.exp gives.
+    cascade = BernoulliCascade(2, 0.75)
+    for model, alpha in ((cascade, LN3), (ATOMS_FIXED, 1.0), (ATOMS_VARIABLE, 1.0)):
+        traces = replicate_traces(model, alpha, depth=5, replicates=8, seed=2024)
+        for i in range(8):
+            tree = simulate_tree(model, depth=5, seed=replicate_root(2024, i))
+            np.testing.assert_allclose(
+                traces.W[i], martingale_trace(tree, alpha).values, rtol=1e-12
+            )
+            mins = np.array([s.min() for s in tree.generations])
+            np.testing.assert_array_equal(traces.R_sup[i], np.exp(-mins))
+            if model is cascade:
+                np.testing.assert_array_equal(traces.R_sup[i], sup_weight_trace(tree))
 
 
 def test_replicate_traces_thread_invariant():
@@ -185,17 +350,16 @@ def test_replicate_traces_thread_invariant():
     np.testing.assert_array_equal(one.R_sup, eight.R_sup)
 
 
-def test_cascade_steps_survive_thread_switches():
+def _assert_steps_survive_thread_switches(model, alpha, depth):
     # Twelve batches on four threads with a short switch interval: a step
     # handed to two running batches at once would mix their buffers.
-    model = BernoulliCascade(2, 0.75)
-    want = replicate_traces(model, LN3, depth=8, replicates=6000, seed=9, threads=1)
+    want = replicate_traces(model, alpha, depth=depth, replicates=6000, seed=9, threads=1)
     got = []
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         worker = threading.Thread(target=lambda: got.append(replicate_traces(
-            model, LN3, depth=8, replicates=6000, seed=9, threads=4)))
+            model, alpha, depth=depth, replicates=6000, seed=9, threads=4)))
         worker.start()
         worker.join(timeout=120)
     finally:
@@ -203,6 +367,15 @@ def test_cascade_steps_survive_thread_switches():
     assert not worker.is_alive() and len(got) == 1
     np.testing.assert_array_equal(got[0].W, want.W)
     np.testing.assert_array_equal(got[0].R_sup, want.R_sup)
+
+
+def test_cascade_steps_survive_thread_switches():
+    _assert_steps_survive_thread_switches(BernoulliCascade(2, 0.75), LN3, 8)
+
+
+@pytest.mark.parametrize("model", [ATOMS_FIXED, ATOMS_VARIABLE], ids=["fixed", "variable"])
+def test_atom_steps_survive_thread_switches(model):
+    _assert_steps_survive_thread_switches(model, 1.0, 7)
 
 
 def test_martingale_mean_within_three_se():
