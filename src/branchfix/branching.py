@@ -360,20 +360,21 @@ def simulate_tree(
     vseeds = [seeds.copy()]
     count = 1
     for n in range(1, depth + 1):
-        # Every child count is known before the budget check, and the check
-        # precedes the allocation.
-        v = np.arange(len(s), dtype=np.int64)
+        # Every parent's child count is known before the budget check, and
+        # the check precedes the allocation.
         if cascade:
-            parent = np.repeat(v, model.N)
+            counts = np.full(len(s), model.N)
         else:
             atoms, ends = step.draw(seeds)
-            parent = np.repeat(v, step.cols.width if ends is None else np.diff(ends, prepend=0))
-        if count + len(parent) > node_cap:
-            raise NodeCapError(n, count + len(parent))
+            counts = (np.full(len(s), step.cols.width) if ends is None
+                      else np.diff(ends, prepend=0))
+        kids = int(counts.sum())
+        if count + kids > node_cap:
+            raise NodeCapError(n, count + kids)
         s, seeds = step(s, seeds) if cascade else step(s, seeds, atoms, ends)
-        count += len(s)
+        count += kids
         gens.append(s.astype(np.float64))
-        parents.append(parent)
+        parents.append(np.repeat(np.arange(len(counts), dtype=np.int64), counts))
         vseeds.append(seeds.copy())
     return WeightedTree(depth, seed, count, gens, parents, vseeds)
 
@@ -463,9 +464,9 @@ def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, st
                     ren += lvl[:, mask] @ rho[: n + 1][mask]
         return w, r, ren
     # Replicates stay contiguous and in order: replicate i's generation n is
-    # the block ends[i-1] .. ends[i] - 1 of the generation, with sizes[i]
-    # vertices.  W_n and the renewal sums add sequentially per replicate in
-    # np.bincount, so their bits do not depend on how blocks are cut.
+    # a block of sizes[i] vertices after those of replicates 0 .. i-1.  W_n
+    # and the renewal sums add sequentially per replicate in np.bincount, so
+    # their bits do not depend on how the step cuts its blocks.
     sizes = np.ones(nrep, dtype=np.int64)
     totals = np.ones(nrep, dtype=np.int64)
     state = np.zeros(nrep)
