@@ -163,11 +163,6 @@ class _CascadeStep(_Slots):
         return out.reshape(-1), child.reshape(-1)
 
 
-# Up to this many thresholds the atom is counted by comparisons, one pass
-# each; beyond it a binary search is cheaper.  Both give the same count.
-_COUNT_PASSES = 16
-
-
 class _AtomColumns:
     """Immutable draw and child tables of a finite-atom model.
 
@@ -268,9 +263,6 @@ class _AtomStep(_Slots):
     def _count(self, bits, k):
         """``k[i] = #{j : bits[i] >= thr[j]}``."""
         thr = self.cols.thr
-        if len(thr) > _COUNT_PASSES:
-            k[:] = np.searchsorted(thr, bits, side="right")
-            return
         np.greater_equal(bits, thr[0], out=k, casting="unsafe")
         hit = self.hit[: len(bits)]
         for t in thr[1:]:
@@ -487,10 +479,7 @@ def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, st
         wv = np.multiply(state, -alpha)
         np.exp(wv, out=wv)
         w[:, n] = np.bincount(rep, weights=wv, minlength=nrep)
-        if ends is None:
-            r[:, n] = np.exp(-state.reshape(nrep, -1).min(axis=1))
-        else:
-            r[:, n] = np.exp(-np.minimum.reduceat(state, np.cumsum(sizes) - sizes))
+        r[:, n] = np.exp(-np.minimum.reduceat(state, np.cumsum(sizes) - sizes))
         if interval is not None:
             mask = (state >= a - 1e-9) & (state <= b + 1e-9)
             ren += np.bincount(rep, weights=wv * mask, minlength=nrep)

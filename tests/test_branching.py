@@ -245,8 +245,8 @@ def _atom_reference(model, S, seeds):
     return k, (S[:, None] + step)[keep], kids[keep]
 
 
-# Twenty atoms take the binary-search count; cum_1 = 0.3 is no multiple of
-# 2^-53, cum_0 = 0.25 is one.
+# Twenty-two atoms: 21 comparison passes per draw block; cum_1 = 0.3 is no
+# multiple of 2^-53, cum_0 = 0.25 is one.
 MANY_ATOMS = FiniteAtoms([(0.25, (0.5, 0.0, 0.7)), (0.05, (1.1,))]
                          + [(0.035, (0.3 + 0.01 * j,) * (1 + j % 3)) for j in range(20)])
 
