@@ -29,6 +29,8 @@ import numpy as np
 import pytest
 
 from branchfix.branching import replicate_traces, simulate_tree
+from branchfix.cascade import (CascadeParams, SeedFunction, exact_threshold_chain,
+                               explicit_solution, extend_from_seed, g_eval)
 from branchfix.cli import main
 from branchfix.weights import BernoulliCascade, FiniteAtoms
 
@@ -188,6 +190,20 @@ def _tree(model=BernoulliCascade(2, 0.75), depth=16):
     return _sha(*tree.generations, *tree.parent_index, *tree.vertex_seeds)
 
 
+def _chain(params, n):
+    """Digest of the exact chain: each value's sign, mantissa and exponent, and the flags."""
+    values, flags = exact_threshold_chain(params, n)
+    words = [f"{s}:{int(m)}:{int(e)}" for s, m, e, _ in (v._mpf_ for v in values)]
+    return hashlib.sha256(repr((words, flags)).encode()).hexdigest()
+
+
+def _extension(params, v_e=0.5, frac=0.5, n=20):
+    v_s = v_e + frac * (g_eval(params, v_e) - v_e)
+    seed = SeedFunction(np.array([math.exp(0.4), math.e]), np.array([v_s, v_e]))
+    curve = extend_from_seed(params, seed, -n, n)
+    return _sha(curve.grid, curve.values)
+
+
 # name -> zero-argument function returning a sha256 of the result arrays
 LIBRARY_CASES = {
     "replicate-traces-cascade-t1": lambda: _traces(
@@ -207,9 +223,21 @@ LIBRARY_CASES = {
         FiniteAtoms(VARIABLE), 1.0, 9, 2, (0.5, 3.0)),
     "simulate-tree-atoms": lambda: _tree(FiniteAtoms(ATOMS["atoms"]), 16),
     "simulate-tree-variable": lambda: _tree(FiniteAtoms(VARIABLE), 19),
+    # The threshold chain at N = 8 runs far past float64 underflow (a_30 is
+    # about 10^(-3.4e27)); the CLI cases pin it only at N = 4 and N = 2.
+    # The N = 3 chain has one cell (14) without a bit-exact preimage.
+    "cascade-chain-n8": lambda: _chain(CascadeParams(8, 0.5), 30),
+    "cascade-chain-n3": lambda: _chain(CascadeParams(3, 0.4), 20),
+    "cascade-solution-n8": lambda: _sha(
+        explicit_solution(CascadeParams(8, 0.5), scale=1.7, depth=30).a),
+    "cascade-extend-n8": lambda: _extension(CascadeParams(8, 7 / 8)),
 }
 
 LIBRARY_GOLDEN = {
+    'cascade-chain-n3': '36d86c54dac338170daeff8c32fc92cd6db6a93cdc4b7584d1e84c23aadbaf6c',
+    'cascade-chain-n8': '3f50b69b404c89df31b4264aaf04d96b558813f9c1ec4612ff9f2c27915dab1c',
+    'cascade-extend-n8': 'ac04bbd0319fffeb5632a059cdfca031b5277121caa92301f9215523e34312b1',
+    'cascade-solution-n8': 'b492085341452d53bc2f018eef8461a6731d282e12d52a9ffded8c0e19c9bb18',
     'replicate-traces-atoms': '9530f5e9da8076b8d4cd76f1b22b4b2fe81c4e295f7bcc8eebab6a760783590b',
     'replicate-traces-atoms-renewal-t2': 'b47ff48603d58e6ed100ab5def5b0023bb0257762175bd05611d0c9af09e7518',
     'replicate-traces-cascade-t1': 'b74d562b27a1e990a64687dcc06a6598534f3209aa7d32d5fd29e1d02c7cc784',
