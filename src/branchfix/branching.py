@@ -385,11 +385,14 @@ def martingale_trace(tree: WeightedTree, alpha: float) -> MartingaleTrace:
 
 
 def sup_weight_trace(tree: WeightedTree) -> np.ndarray:
-    """``R_n = max_v L(v)`` per generation (empty generations give 0)."""
-    out = np.empty(tree.depth + 1)
-    for n, s in enumerate(tree.generations):
-        out[n] = math.exp(-float(s.min())) if len(s) else 0.0
-    return out
+    """``R_n = max_v L(v)`` per generation (empty generations give 0).
+
+    ``np.exp`` of each generation's minimum, as the batch engines take it,
+    so ``replicate_traces(...).R_sup`` equals this trace bit for bit.
+    """
+    mins = np.array([s.min() if len(s) else np.inf for s in tree.generations],
+                    dtype=np.float64)
+    return np.exp(-mins)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,13 @@ chain is therefore computed in 53-bit arbitrary-exponent floats (mpmath) and
 each ``a_{k+1}`` is located by bisection followed by a unit-in-last-place
 scan for an argument whose image is *bit-for-bit* equal to ``a_k``; such a
 float almost always exists because ``g`` contracts adjacent-float spacing
-(slope ~ a_k / (N a_{k+1}) against an ulp ratio ~ a_{k+1}/a_k).  Exactness
-flags record the rare failures.  Float64 projections are provided alongside,
-with the underflow point marked.
+(slope ~ a_k / (N a_{k+1}) against an ulp ratio ~ a_{k+1}/a_k).  The scan
+walks the distinct candidates ``center + j * ulp/2`` (``|j| <= 64``, then
+``|j| <= 1024``) outward from the bisection limit and stops at the first
+exact hit: the nearest one, the lower on equal distances.  Exactness flags
+record the rare failures.  Both the bisection and the scan run on raw
+``mpmath.libmp`` tuples with one ``g`` evaluator per chain.  Float64
+projections are provided alongside, with the underflow point marked.
 """
 
 from __future__ import annotations
@@ -33,6 +37,23 @@ from typing import Optional
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_ge,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_nthroot,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sqrt,
+    mpf_sub,
+)
 
 from .curves import SurvivalCurve
 from .weights import BernoulliCascade
@@ -81,15 +102,39 @@ def g_eval(params: CascadeParams, u: float) -> float:
     return (root - (1.0 - params.theta) * u) / params.theta
 
 
+_PREC = 53
+_RND = "n"
+
+
+class _G:
+    """``g`` on raw 53-bit mpmath tuples, round to nearest.
+
+    ``theta`` and ``1 - theta`` are built once per instance; ``calls``
+    counts the evaluations.  Each operation is the one the mpf operators
+    apply at 53 bits, so the results equal ``mpf`` arithmetic bit for bit.
+    """
+
+    __slots__ = ("n", "theta", "one_minus", "calls")
+
+    def __init__(self, params: CascadeParams) -> None:
+        self.n = int(params.N)
+        self.theta = from_float(params.theta)
+        self.one_minus = mpf_sub(fone, self.theta, _PREC, _RND)
+        self.calls = 0
+
+    def __call__(self, u: tuple) -> tuple:
+        self.calls += 1
+        if self.n == 2:
+            root = mpf_sqrt(u, _PREC, _RND)
+        else:
+            root = mpf_nthroot(u, self.n, _PREC, _RND)
+        diff = mpf_sub(root, mpf_mul(self.one_minus, u, _PREC, _RND), _PREC, _RND)
+        return mpf_div(diff, self.theta, _PREC, _RND)
+
+
 def _g_mp(params: CascadeParams, u) -> mpf:
-    """``g`` in the active mpmath precision (callers pin 53 bits)."""
-    u = mpf(u)
-    theta = mpf(params.theta)
-    if params.N == 2:
-        root = mp.sqrt(u)
-    else:
-        root = mp.root(u, params.N)
-    return (root - (1 - theta) * u) / theta
+    """``g`` at 53 bits (callers pin 53 bits for the conversion of ``u``)."""
+    return mp.make_mpf(_G(params)(mpf(u)._mpf_))
 
 
 def g_eval_mp(params: CascadeParams, u) -> mpf:
@@ -114,57 +159,108 @@ def u_star(params: CascadeParams) -> float:
     return growth ** (-n / (n - 1.0))
 
 
-_DEEP_TARGET = 1e-3
+# Candidates ``center + j * 2^(mag(center) - 54)`` (half an ulp of the
+# center's binade) tried by the ulp scan: |j| <= 64 first, then |j| <= 1024.
+_SCAN_RADII = (64, 1024)
+_DEEP_TARGET = from_float(1e-3)
 
 
-def _mp_preimage(params: CascadeParams, y: mpf, hi: mpf, want_exact: bool = True):
+def _scan_side(center: tuple, step_exp: int, js: range, last):
+    """``(|j|, c)`` for each distinct rounded ``c = center + j 2^step_exp``, in ``js`` order.
+
+    A ``j`` whose rounded candidate repeats the previous one (or ``last``)
+    is skipped: it was tried already.
+    """
+    for j in js:
+        c = mpf_add(center, from_man_exp(j, step_exp), _PREC, _RND)
+        if c != last:
+            last = c
+            yield abs(j), c
+
+
+def _ulp_scan(g: _G, y: tuple, center: tuple):
+    """Nearest ``c`` to ``center`` with ``g(c) == y``, lower on a tie; else None.
+
+    Two pointers walk the distinct candidates outward: one down from
+    ``center`` itself, one up from the first candidate above it.  Each step
+    takes the side whose next candidate is nearer (the lower side on equal
+    distances), so the first hit is the nearest.  The step is half an ulp,
+    and the float spacing halves below a binade boundary, so ``+j`` and
+    ``-j`` can round to unequal distances; the walk orders by the distance
+    of the rounded values, not by ``|j|``.  The 1024 pass resumes
+    both pointers where the 64 pass stopped, so it tries only new candidates.
+    Every candidate is positive: ``1024`` steps are far below ``center/2``.
+    """
+    step_exp = center[2] + center[3] - 54
+    last_j = _SCAN_RADII[-1]
+    below = _scan_side(center, step_exp, range(0, -last_j - 1, -1), None)
+    above = _scan_side(center, step_exp, range(1, last_j + 1), center)
+    down, up = next(below, None), next(above, None)
+    for radius in _SCAN_RADII:
+        while True:
+            take_down = down is not None and down[0] <= radius
+            take_up = up is not None and up[0] <= radius
+            if take_down and take_up:
+                take_up = mpf_lt(mpf_sub(up[1], center, _PREC, _RND),
+                                 mpf_sub(center, down[1], _PREC, _RND))
+            if take_up:
+                cand, up = up[1], next(above, None)
+            elif take_down:
+                cand, down = down[1], next(below, None)
+            else:
+                break
+            if g(cand) == y:
+                return cand
+    return None
+
+
+def _mp_preimage(g: _G, y, hi, want_exact: bool = True):
     """Exact-if-possible preimage of ``y`` under the increasing branch of g.
 
-    Returns ``(x, exact)`` with ``g(x) == y`` bit-exactly at 53-bit precision
-    when such an ``x`` exists within a small ulp neighborhood of the
-    bisection limit; otherwise the nearest bisection point with ``exact =
-    False``.  ``want_exact=False`` skips the ulp scan and settles for the
-    bisection limit (a few ulps), which is all the seed extension needs.
+    Bisects ``[0, hi]`` geometrically down to a relative width of
+    ``4 eps``; its upper limit is the ``center``.  Returns ``(x, exact)``
+    with ``g(x) == y`` bit-exactly at 53-bit precision when such an ``x``
+    lies within 1024 half-ulp steps of ``center``: the hit nearest to
+    ``center`` among the 64-step candidates, else among the 1024-step ones,
+    the lower on equal distances (see :func:`_ulp_scan`).  Otherwise
+    ``(center, False)``.  ``want_exact=False`` skips the scan and settles
+    for the bisection limit (a few ulps), which is all the seed extension
+    needs.  Every ``g`` evaluation is counted on ``g.calls``.
     """
-    with mp.workprec(53):
-        y = mpf(y)
-        if y == 0:
+    with mp.workprec(_PREC):
+        y = mpf(y)._mpf_
+        if y == fzero:
             return mpf(0), True
-        lo = mpf(0)
-        hi = mpf(hi)
+        lo = fzero
+        hi = mpf(hi)._mpf_
         # Deep targets sit at x ~ (theta y)^N; a verified tight bracket
         # skips ~1800 halvings across the exponent range.
-        if y < _DEEP_TARGET:
-            est = (mpf(params.theta) * y) ** params.N
-            blo, bhi = est / 16, est * 16
-            if bhi < hi and _g_mp(params, blo) < y < _g_mp(params, bhi):
+        if mpf_lt(y, _DEEP_TARGET):
+            est = mpf_pow_int(mpf_mul(g.theta, y, _PREC, _RND), g.n, _PREC, _RND)
+            blo, bhi = mpf_shift(est, -4), mpf_shift(est, 4)
+            if mpf_lt(bhi, hi) and mpf_lt(g(blo), y) and mpf_lt(y, g(bhi)):
                 lo, hi = blo, bhi
         for _ in range(4000):
-            mid = mp.sqrt(lo * hi) if lo > 0 else hi / 2
-            if mid <= lo or mid >= hi:
+            if lo == fzero:
+                mid = mpf_shift(hi, -1)
+            else:
+                mid = mpf_sqrt(mpf_mul(lo, hi, _PREC, _RND), _PREC, _RND)
+            if mpf_le(mid, lo) or mpf_ge(mid, hi):
                 break
-            if _g_mp(params, mid) < y:
+            if mpf_lt(g(mid), y):
                 lo = mid
             else:
                 hi = mid
-            if lo > 0 and hi - lo <= mp.eps * hi * 4:
+            # hi - lo <= 4 eps hi, with eps = 2^-52
+            if lo != fzero and mpf_le(mpf_sub(hi, lo, _PREC, _RND), mpf_shift(hi, -50)):
                 break
-        center = hi
+        center = mp.make_mpf(hi)
         if not want_exact:
             return center, False
-        step = mpf(2) ** (mp.mag(center) - 54)
-        best = None
-        for radius in (64, 1024):
-            for j in range(-radius, radius + 1):
-                cand = center + j * step
-                if cand <= 0:
-                    continue
-                if _g_mp(params, cand) == y:
-                    if best is None or abs(cand - center) < abs(best - center):
-                        best = cand
-            if best is not None:
-                return best, True
-        return center, False
+        hit = _ulp_scan(g, y, hi)
+        if hit is None:
+            return center, False
+        return mp.make_mpf(hit), True
 
 
 def exact_threshold_chain(params: CascadeParams, n: int):
@@ -175,24 +271,31 @@ def exact_threshold_chain(params: CascadeParams, n: int):
     whether ``g(a_{k+1})`` reproduces ``a_k`` bit for bit.  Supercritical
     parameters only.
     """
+    values, flags, _ = _threshold_chain(params, n)
+    return values, flags
+
+
+def _threshold_chain(params: CascadeParams, n: int):
+    """:func:`exact_threshold_chain` plus its count of ``g`` evaluations."""
     if classify(params) != SUPERCRITICAL:
         raise ValueError("threshold sequence exists only in the supercritical regime")
     if n < 0:
         raise ValueError("n must be >= 0")
-    with mp.workprec(53):
+    g = _G(params)
+    with mp.workprec(_PREC):
         values = []
         flags = []
         target = mpf(1)
         hi = mpf(u_star(params))
         for _ in range(n + 1):
-            x, ok = _mp_preimage(params, target, hi)
+            x, ok = _mp_preimage(g, target, hi)
             if values and not x < values[-1]:
                 raise RuntimeError("threshold chain failed to decrease strictly")
             values.append(x)
             flags.append(ok)
             target = x
             hi = x  # g is increasing on [0, a_k] and a_{k+1} < a_k
-        return values, flags
+        return values, flags, g.calls
 
 
 def a_sequence(params: CascadeParams, n: int, tol: float = 1e-13) -> np.ndarray:
@@ -280,6 +383,7 @@ class CascadeSolution:
     exact_flags: list
     underflow_index: Optional[int]
     curve: SurvivalCurve
+    g_evaluations: int
 
     def cells(self):
         """Cell indices ``n`` carried by the curve (values ``a_n`` or 1)."""
@@ -298,7 +402,7 @@ def explicit_solution(
         raise ValueError("scale must be positive and finite")
     if depth < 0 or below < 1:
         raise ValueError("need depth >= 0 and below >= 1")
-    values_mp, flags = exact_threshold_chain(params, depth)
+    values_mp, flags, g_evaluations = _threshold_chain(params, depth)
     floats = np.array([float(v) for v in values_mp])
     under = np.nonzero(floats == 0.0)[0]
     underflow_index = int(under[0]) if len(under) else None
@@ -325,7 +429,8 @@ def explicit_solution(
         n_lo=m_lo + kappa,
     )
     return CascadeSolution(
-        params, scale, depth, below, floats, values_mp, flags, underflow_index, curve
+        params, scale, depth, below, floats, values_mp, flags, underflow_index, curve,
+        g_evaluations,
     )
 
 
@@ -435,7 +540,8 @@ def extend_from_seed(
     ups = -(n_lo - 1)
     downs = n_hi
     chains = []
-    with mp.workprec(53):
+    g = _G(params)
+    with mp.workprec(_PREC):
         for v in seed.values:
             chain = {0: float(v)}
             x = float(v)
@@ -452,8 +558,8 @@ def extend_from_seed(
             y = mpf(float(v))
             for k in range(1, downs + 1):
                 prev = y
-                y = _mp_preimage(params, y, y, want_exact=False)[0]
-                if abs(_g_mp(params, y) - prev) > tol:
+                y = _mp_preimage(g, y, y, want_exact=False)[0]
+                if abs(mp.make_mpf(g(y._mpf_)) - prev) > tol:
                     raise RuntimeError(
                         f"inverse chain missed its defining identity beyond {tol!r}"
                     )

@@ -325,9 +325,8 @@ def test_replicate_traces_match_single_trees():
     # Replicate i is the tree rooted at replicate_root(master, i); the batch
     # engines aggregate W_n by level histogram (cascade) or by a sequential
     # per-replicate sum (atoms), so values agree with the per-vertex sum up
-    # to summation order only.  R_n is exact: the engines take np.exp of the
-    # exact minimum, which for the cascade's integer levels is also what
-    # sup_weight_trace's math.exp gives.
+    # to summation order only.  R_n is exact: the engines and
+    # sup_weight_trace all take np.exp of the exact minimum.
     cascade = BernoulliCascade(2, 0.75)
     for model, alpha in ((cascade, LN3), (ATOMS_FIXED, 1.0), (ATOMS_VARIABLE, 1.0)):
         traces = replicate_traces(model, alpha, depth=5, replicates=8, seed=2024)
@@ -338,8 +337,7 @@ def test_replicate_traces_match_single_trees():
             )
             mins = np.array([s.min() for s in tree.generations])
             np.testing.assert_array_equal(traces.R_sup[i], np.exp(-mins))
-            if model is cascade:
-                np.testing.assert_array_equal(traces.R_sup[i], sup_weight_trace(tree))
+            np.testing.assert_array_equal(traces.R_sup[i], sup_weight_trace(tree))
 
 
 def test_replicate_traces_thread_invariant():

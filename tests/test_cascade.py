@@ -5,10 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, mpf_add, mpf_shift, mpf_sub
 
 from branchfix.branching import sample_W_limit
 from branchfix.cascade import (
     CascadeParams,
+    _G,
+    _mp_preimage,
+    _ulp_scan,
     SeedFunction,
     a0,
     a_sequence,
@@ -150,6 +155,205 @@ def test_exact_threshold_chain_flags():
     assert all(b < a for a, b in zip(floats, floats[1:]) if b > 0.0)
     seq = a_sequence(SUPER, 8)
     np.testing.assert_allclose(floats[:5], seq[:5], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the preimage search against the full-scan reference
+# ---------------------------------------------------------------------------
+
+# The reference is the search the chain was first defined by: mpf operators
+# throughout, and a scan that evaluates every candidate center + j*step for
+# |j| <= 64, then for |j| <= 1024, keeping the nearest hit (the lower one on
+# a tie, since j ascends).  The library must return the same bits.
+
+
+def _reference_g(params, u):
+    u = mpf(u)
+    theta = mpf(params.theta)
+    if params.N == 2:
+        root = mp.sqrt(u)
+    else:
+        root = mp.root(u, params.N)
+    return (root - (1 - theta) * u) / theta
+
+
+def _reference_scan(g, y, center):
+    step = mpf(2) ** (mp.mag(center) - 54)
+    best = None
+    for radius in (64, 1024):
+        for j in range(-radius, radius + 1):
+            cand = center + j * step
+            if cand <= 0:
+                continue
+            if g(cand) == y:
+                if best is None or abs(cand - center) < abs(best - center):
+                    best = cand
+        if best is not None:
+            return best, True
+    return center, False
+
+
+def _reference_preimage(params, y, hi, want_exact=True):
+    with mp.workprec(53):
+        y = mpf(y)
+        if y == 0:
+            return mpf(0), True
+        lo = mpf(0)
+        hi = mpf(hi)
+        if y < 1e-3:
+            est = (mpf(params.theta) * y) ** params.N
+            blo, bhi = est / 16, est * 16
+            if bhi < hi and _reference_g(params, blo) < y < _reference_g(params, bhi):
+                lo, hi = blo, bhi
+        for _ in range(4000):
+            mid = mp.sqrt(lo * hi) if lo > 0 else hi / 2
+            if mid <= lo or mid >= hi:
+                break
+            if _reference_g(params, mid) < y:
+                lo = mid
+            else:
+                hi = mid
+            if lo > 0 and hi - lo <= mp.eps * hi * 4:
+                break
+        center = hi
+        if not want_exact:
+            return center, False
+        return _reference_scan(lambda c: _reference_g(params, c), y, center)
+
+
+# (N, theta, chain length): supercritical, from near the watershed down.
+# Four cells have no bit-exact preimage: 1 and 6 of (2, 0.45), 3 of
+# (3, 0.2) and 14 of (3, 0.4).
+NO_HIT_CELLS = {(2, 0.45): [1, 6], (3, 0.2): [3], (3, 0.4): [14]}
+REFERENCE_CHAINS = [
+    (2, 0.25, 12), (2, 0.45, 8), (3, 0.2, 8), (3, 0.4, 16),
+    (4, 0.5, 10), (4, 0.7, 8), (8, 0.5, 12), (8, 0.85, 6),
+]
+
+
+@pytest.mark.parametrize("n,theta,length", REFERENCE_CHAINS)
+def test_preimage_matches_full_scan_reference(n, theta, length):
+    params = CascadeParams(n, theta)
+    g = _G(params)
+    y, hi = mpf(1), mpf(u_star(params))
+    flags = []
+    for _ in range(length):
+        want, want_ok = _reference_preimage(params, y, hi)
+        got, ok = _mp_preimage(g, y, hi)
+        assert (got._mpf_, ok) == (want._mpf_, want_ok)
+        # the bisection limit alone, as the seed extension takes it
+        limit, _ = _reference_preimage(params, y, hi, want_exact=False)
+        assert _mp_preimage(g, y, hi, want_exact=False)[0]._mpf_ == limit._mpf_
+        flags.append(ok)
+        y = hi = want
+    assert [k for k, ok in enumerate(flags) if not ok] == NO_HIT_CELLS.get((n, theta), [])
+
+
+class _HitSet:
+    """A g whose image is Y exactly on a chosen set of arguments.
+
+    Takes and returns raw tuples for the library and mpf for the reference,
+    and records every argument it sees.
+    """
+
+    Y = from_man_exp(3, -5)
+    MISS = from_man_exp(5, -5)
+
+    def __init__(self, hits):
+        self.hits = set(hits)
+        self.args = []
+
+    def __call__(self, u):
+        key = getattr(u, "_mpf_", u)
+        self.args.append(key)
+        value = self.Y if key in self.hits else self.MISS
+        return mp.make_mpf(value) if key is not u else value
+
+
+def _scan_both(center, hits):
+    """(library result, reference result, library's arguments) for one hit set."""
+    lib = _HitSet(hits)
+    got = _ulp_scan(lib, _HitSet.Y, center)
+    with mp.workprec(53):
+        want, ok = _reference_scan(_HitSet(hits), mp.make_mpf(_HitSet.Y), mp.make_mpf(center))
+    return got, (want._mpf_ if ok else None), lib.args
+
+
+# Centers with an odd and an even last mantissa bit, at a binade boundary
+# 2^k (finer floats below it), one ulp above and one ulp below it.
+CENTERS = {
+    "odd": from_man_exp(2**52 + 12345, -60),
+    "even": from_man_exp(2**52 + 12346, -60),
+    "binade": from_man_exp(1, -70),
+    "above-binade": from_man_exp(2**52 + 1, -122),
+    "below-binade": from_man_exp(2**53 - 1, -123),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTERS))
+def test_ulp_scan_tie_rule_matches_reference(name):
+    center = CENTERS[name]
+    with mp.workprec(53):
+        c = mp.make_mpf(center)
+        step = mpf(2) ** (mp.mag(c) - 54)
+        js = range(-1024, 1025)
+        cands = sorted({(c + j * step)._mpf_ for j in js}, key=mp.make_mpf)
+        first = {}
+        for j in sorted(js, key=abs):
+            first.setdefault((c + j * step)._mpf_, abs(j))
+        by_distance = sorted(cands, key=lambda v: abs(mp.make_mpf(v) - c))
+    near = by_distance[:12]
+    # candidates first reached at the edge of the 64-step pass, both sides
+    edge = [v for v in cands if 63 <= first[v] <= 66]
+    singles = near + edge + [v for v in cands if first[v] in (500, 1024)]
+    hit_sets = [()] + [(v,) for v in singles]
+    for group in (near, edge):
+        hit_sets += [(a, b) for i, a in enumerate(group) for b in group[i + 1:]]
+    assert center in near[:1]
+    for hits in hit_sets:
+        got, want, args = _scan_both(center, hits)
+        assert got == want, (name, hits)
+        # every distinct candidate is tried at most once, and the walk stops
+        # at its first hit
+        assert len(args) == len(set(args))
+        assert args.count(got) == (got is not None)
+        if got is not None:
+            assert args[-1] == got
+    # no hit: all 2049 steps give this many distinct candidates, tried once each
+    assert len(_scan_both(center, ())[2]) == len(cands)
+
+
+def test_ulp_scan_far_hits_and_misses_with_real_g():
+    # Centers moved off a true preimage: 150 steps puts every hit past the
+    # 64-step pass, 3000 steps puts them past the 1024-step one.
+    params = CascadeParams(4, 0.5)
+    g = _G(params)
+    with mp.workprec(53):
+        y = _reference_preimage(params, 1, u_star(params))[0]
+        x, ok = _reference_preimage(params, y, y)
+        assert ok
+        step_exp = mp.mag(x) - 54
+        for shift, found in ((150, True), (-150, True), (3000, False), (-3000, False)):
+            center = mpf_add(x._mpf_, from_man_exp(shift, step_exp), 53, "n")
+            want, want_ok = _reference_scan(
+                lambda u: _reference_g(params, u), y, mp.make_mpf(center))
+            got = _ulp_scan(g, y._mpf_, center)
+            assert want_ok == found
+            assert got == (want._mpf_ if want_ok else None)
+            if found:
+                gap = abs(mp.make_mpf(mpf_sub(got, center, 53, "n")))
+                assert gap > 64 * mp.make_mpf(mpf_shift((0, 1, 0, 1), step_exp))
+
+
+def test_chain_g_evaluations_repeat():
+    params = CascadeParams(8, 0.5)
+    one = explicit_solution(params, scale=1.0, depth=30)
+    two = explicit_solution(params, scale=2.5, depth=30)
+    assert all(one.exact_flags)
+    assert one.g_evaluations == two.g_evaluations > 0
+    # each exact cell stops its scan at the first hit: far fewer than the
+    # 129 evaluations per cell of a full 64-step scan
+    assert one.g_evaluations < 129 * len(one.exact_flags)
 
 
 # ---------------------------------------------------------------------------
