@@ -559,7 +559,7 @@ def extend_from_seed(
             for k in range(1, downs + 1):
                 prev = y
                 y = _mp_preimage(g, y, y, want_exact=False)[0]
-                if abs(mp.make_mpf(g(y._mpf_)) - prev) > tol:
+                if abs(_g_mp(params, y) - prev) > tol:
                     raise RuntimeError(
                         f"inverse chain missed its defining identity beyond {tol!r}"
                     )
