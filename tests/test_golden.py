@@ -14,6 +14,12 @@ last batch of replicates, and pin the raw array bytes.
 To print the digests of the current code::
 
     PYTHONPATH=src python tests/test_golden.py
+
+To list the ``cli.py`` lines that no case executes (``>>>>>>`` in the
+``.cover`` file; coverage.py is not a dependency)::
+
+    PYTHONPATH=src python -m trace --count --missing -C /tmp/cover \
+        --module pytest -q tests/test_golden.py -k artifacts
 """
 
 import contextlib
@@ -44,6 +50,10 @@ HALVES = {"kind": "deterministic", "weights": [0.5, 0.5]}
 VARIABLE = [(0.25, (0.2, 0.0, 1.5)), (0.5, (0.8,)), (0.25, (1.0, 0.4, 0.1))]
 LATTICE_GRID = {"mode": "lattice-step", "r": math.e, "n_lo": -12, "n_hi": 8}
 LOG_GRID = {"mode": "interp-loglinear", "lo": 1e-7, "hi": 1e3, "points": 96}
+DYADIC_GRID = {"mode": "dyadic", "points": 256, "per_octave": 4}
+# Two residues per period, for per-residue regularity labels.
+RESIDUE_GRID = {"mode": "lattice-step", "r": math.e, "residues": [1.0, 1.6],
+                "n_lo": -14, "n_hi": 6}
 
 # name -> (command, config, exit code)
 CASES = {
@@ -51,6 +61,11 @@ CASES = {
     "weights-analyze-atoms": ("weights-analyze", {"model": ATOMS}, 0),
     "weights-analyze-deterministic": (
         "weights-analyze", {"model": {"kind": "deterministic", "weights": [0.5, 0.25, 1.0]}}, 0),
+    # No exponent: the cascade regime line, and the sup >= 1 line.
+    "weights-analyze-cascade-critical": (
+        "weights-analyze", {"model": {"kind": "cascade", "N": 2, "theta": 0.5}}, 0),
+    "weights-analyze-sup-ge-one": ("weights-analyze", {"model": {
+        "kind": "atoms", "atoms": [[0.5, [1.5, 0.5]], [0.5, [1.0, 0.3]]]}}, 0),
     "wbp-simulate-cascade": ("wbp-simulate", {
         "model": CASCADE, "alpha": LN3,
         "mc": {"depth": 5, "replicates": 60, "seed": 11}}, 0),
@@ -58,12 +73,24 @@ CASES = {
         "model": ATOMS, "alpha": "auto",
         "mc": {"depth": 4, "replicates": 50, "seed": 12},
         "options": {"z_max": 6.0}}, 0),
+    # m(alpha) != 1: the mean check is skipped.
+    "wbp-simulate-renewal-unnormalized": ("wbp-simulate", {
+        "model": CASCADE, "alpha": 1.0,
+        "mc": {"depth": 4, "replicates": 40, "seed": 17},
+        "options": {"renewal_interval": [0.0, 2.0]}}, 0),
     "fixpoint-verify-cascade": ("fixpoint-verify", {
         "model": CASCADE3, "grid": LOG_GRID,
         "options": {"kind": "min", "curve": {"form": "weibull", "alpha": 1.0}}}, 2),
     "fixpoint-verify-deterministic": ("fixpoint-verify", {
         "model": HALVES, "grid": {"mode": "dyadic", "points": 256, "per_octave": 4},
         "options": {"kind": "sum", "curve": {"form": "exponential", "rate": 1.5}}}, 0),
+    "fixpoint-verify-exponential-min": ("fixpoint-verify", {
+        "model": HALVES, "grid": DYADIC_GRID,
+        "options": {"kind": "min", "curve": {"form": "exponential", "rate": 0.75}}}, 0),
+    "fixpoint-verify-weibull-modulation-number": ("fixpoint-verify", {
+        "model": HALVES, "grid": DYADIC_GRID,
+        "options": {"kind": "min",
+                    "curve": {"form": "weibull", "alpha": 1.0, "modulation": 2.0}}}, 0),
     "fixpoint-verify-atoms-mixture": ("fixpoint-verify", {
         "model": ATOMS, "alpha": "auto", "grid": LOG_GRID,
         "mc": {"depth": 5, "replicates": 200, "seed": 13},
@@ -83,9 +110,22 @@ CASES = {
     "cascade-extend": ("cascade-extend", {
         "model": {"kind": "cascade", "N": 2, "theta": 0.6},
         "options": {"seed_value": 0.4, "n_lo": -8, "n_hi": 8}}, 0),
+    "cascade-extend-seed-grid": ("cascade-extend", {
+        "model": {"kind": "cascade", "N": 2, "theta": 0.6},
+        "options": {"seed_grid": [math.exp(0.4), math.e], "seed_values": [0.45, 0.4],
+                    "n_lo": -6, "n_hi": 6}}, 0),
     "regularity-deterministic": ("regularity", {
         "model": HALVES, "alpha": 1.0, "grid": LOG_GRID,
         "options": {"curve": {"form": "weibull", "alpha": 1.0}}}, 0),
+    # t^100 underflows on the window: a note and an empty regularity table.
+    "regularity-vanishing-tail": ("regularity", {
+        "model": HALVES, "alpha": 1.0, "grid": LOG_GRID,
+        "options": {"curve": {"form": "weibull", "alpha": 100.0}}}, 0),
+    "regularity-mixture-residues": ("regularity", {
+        "model": CASCADE, "alpha": LN3, "grid": RESIDUE_GRID,
+        "mc": {"depth": 5, "replicates": 200, "seed": 18},
+        "options": {"curve": {"form": "weibull-mixture", "modulation": {
+            "period": math.e, "residues": [1.0, 1.6], "values": [1.0, 1.3]}}}}, 0),
     "biggins-cascade": ("biggins", {"model": CASCADE3, "alpha": "auto"}, 0),
     "biggins-atoms": ("biggins", {"model": ATOMS, "alpha": "auto"}, 0),
     "renewal-check-cascade": ("renewal-check", {
@@ -108,6 +148,10 @@ GOLDEN = {
     'cascade-extend': {
         'extension.csv': '6f5b73e8dd4ce55c64896521c47647af24ac56e8b9948ad68af592f2cd33f89c',
         'report.txt': '3414306e3957c8d22382c071f778ec406e8e4de299b70b0eafd750ba234019f9',
+    },
+    'cascade-extend-seed-grid': {
+        'extension.csv': 'd1aa1f2276774cc101f70e098b4882fff5f9711c56fa23d421588825cc7539e3',
+        'report.txt': 'cfb2f13492312d42b5b1e4d68efa6c2278fc1cf3b31e8f4318f6c55b930e27a2',
     },
     'cascade-solve': {
         'report.txt': '9728f5e9612bfd53ba8f07bfdd1f5fd0e0d8eb8434de805b22f84ba7407953ab',
@@ -139,10 +183,30 @@ GOLDEN = {
         'report.txt': 'e4792dd89751e4de78fbfcfc13ebac165869e34f675282a5239278310d0b68fe',
         'residuals.csv': 'aefd322eba14aa6fefb9f484886fcb66aac3a9f8dd2ab48cb5bf048cc3eff99f',
     },
+    'fixpoint-verify-exponential-min': {
+        'curve.csv': '187d52d22233975008d7e48094305798740455941b964519ec2ea8b9ab4edd49',
+        'report.txt': '220e699556188f01e4d1bfc3fa6aeb3742533dd520e65866253f1356b6dcf74a',
+        'residuals.csv': '3438138322e06ecff1ebe9149ef4f7893d11e2d30c3794d44983b364344e4c49',
+    },
+    'fixpoint-verify-weibull-modulation-number': {
+        'curve.csv': '712ebbf1504797b706775fbab322327d46f6e8a30a16d36e03361750bda5a94f',
+        'report.txt': '9ac681483d1ab4c1ee279f06b12f19517e0f0de98d277bed2b8225c7dccad6d1',
+        'residuals.csv': 'dd4944a914cc58ff066c1ee0b0dad2673d842b34fbb4bbdb111e4955bdc72698',
+    },
     'regularity-deterministic': {
         'curve.csv': 'fd19ae9571440300ee2cab2aeb1f262f0e8c25425279b9ca8ed8604359a2a40d',
         'regularity.csv': '5c9436d4099d4d4b4f9bf6e140fa6875cf6f537e48c84b850302180588b5b50c',
         'report.txt': '66b48e64e5cbafade52b6fdace6a493e1ce8d71a60c282031eb32cd45bef2a6c',
+    },
+    'regularity-mixture-residues': {
+        'curve.csv': '14e0c96589b183569e4beb1f28fb3fab2dc517adbe5c44432cbb09fb1985a970',
+        'regularity.csv': '32a12b2456e5fc1e2ca89d283d44941f120be02a5e24e1a80ce9d2f5fe43bdbd',
+        'report.txt': '46f2b2209ed19070a5125882ec7df569f5380797cdc153608ede9ef3fbfeb7b0',
+    },
+    'regularity-vanishing-tail': {
+        'curve.csv': '7082832e404bc8319fe901f9be572bd2f630ccaebfa044235823ef9ceef0e139',
+        'regularity.csv': 'aee4f47315e6e1a4f77cd222fada8098cbd10e9550aea002d1cb2185ee31c754',
+        'report.txt': '13ad20b59663b01294702006313fd96dfcaf91017bf852ee7c9c7702a108028b',
     },
     'renewal-check-cascade': {
         'renewal.csv': '258900c78a061e38b18339977e9b931acb0a90467fc882669da7684fd0fb0e8f',
@@ -156,6 +220,10 @@ GOLDEN = {
         'report.txt': '5c78d0854f54b326643ba81089ba471c70c709cdad288ef4566fa04ddfaba5a0',
         'traces.csv': 'd1d959ca6ce26abb4f5b46bc03bd7e4e2144af78852571124fd6a700ac110bf5',
     },
+    'wbp-simulate-renewal-unnormalized': {
+        'report.txt': '808ca698102dd1fe0649d2a64a09890c883dc37730eb7d33219cac8f688ab69f',
+        'traces.csv': '3d64ba55b18813a858fa1ee73b839f8ecfcf0c148a99c4c004715f81fcf0ffa5',
+    },
     'weights-analyze-atoms': {
         'moments.csv': '6bb30281a35651ef35944af560613194e40906d4f9a2e718b32a4afd00bd3e72',
         'report.txt': '4cb7e69cfe64f63c197398a4ce3189493d51788233b85ce3782423811444589b',
@@ -164,9 +232,17 @@ GOLDEN = {
         'moments.csv': '09777591b4678e6089b031c5404af82da5a4f2c15b7557e1a7e41e2d493d9e62',
         'report.txt': 'cd2f30c777cb539dd226e60d9fe6dba842ac51c27dbbffaa7cea58122853e06e',
     },
+    'weights-analyze-cascade-critical': {
+        'moments.csv': '7f57a72624d47672ffdeab33503f7480657b7e77bb05eb063cfc7bec32cb6a90',
+        'report.txt': 'a408c7caf5cc8d0838cbc6c252a32b9aa6cf7531c4d306c864f8bb031b2cc0f9',
+    },
     'weights-analyze-deterministic': {
         'moments.csv': 'c5627d81ae2c44a9f004d7190596dc455ffb6bc85b3bc67f4b1addd64b81cf29',
         'report.txt': '9d999d984d14895e21edbc39626c16c9ea8c51075a2d9ba082b6ddfd87680824',
+    },
+    'weights-analyze-sup-ge-one': {
+        'moments.csv': 'f200011c2c48cccd826c29945417731303facd33ccb84eb81455e1dbd59bf23f',
+        'report.txt': '075ee417e38eaa611f72cece3d6dd3c9efee4ac2c34bb7d7a776a7a03408fc48',
     },
 }
 
