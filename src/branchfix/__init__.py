@@ -74,8 +74,7 @@ from .fixpoint import (
     PsiReport,
     RegularityReport,
     ResidualReport,
-    apply_min_operator,
-    apply_sum_operator,
+    apply_operator,
     build_stable_mixture,
     build_weibull_mixture,
     disintegration_check,

@@ -323,40 +323,20 @@ def a0(params: CascadeParams, tol: float = 1e-13) -> float:
 
 
 def g_inverse(params: CascadeParams, y: float, tol: float = 1e-13) -> float:
-    """Invert ``g`` on its increasing branch by bisection.
+    """Invert ``g`` on its increasing branch ``[0, u*]``.
 
-    The branch is [0, 1] in the critical/subcritical regimes and [0, a_0]
-    in the supercritical regime; stops at ``|g(x) - y| <= tol``.
+    The float projection of the 53-bit preimage :func:`_mp_preimage` (the
+    branch is [0, 1] in the critical/subcritical regimes); raises
+    ``RuntimeError`` unless ``|g(x) - y| <= tol`` in float arithmetic.
     """
     if not (0.0 <= y <= 1.0):
         raise ValueError(f"y = {y!r} outside [0, 1]")
-    if y == 0.0:
-        return 0.0
-    if classify(params) == SUPERCRITICAL:
-        top = float(exact_threshold_chain(params, 0)[0][0])
-    else:
-        top = 1.0
-    lo, hi = 0.0, top
-    best_x, best_res = top, abs(g_eval(params, top) - y)
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        val = g_eval(params, mid)
-        res = abs(val - y)
-        if res < best_res:
-            best_x, best_res = mid, res
-        if res <= tol:
-            return mid
-        if val < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-18 * max(hi, 1e-300):
-            break
-    if best_res <= tol * 10.0:
-        return best_x
-    raise RuntimeError(
-        f"bisection failed to reach residual {tol!r} inverting g at y = {y!r}"
-    )
+    x = float(_mp_preimage(_G(params), y, u_star(params))[0])
+    if abs(g_eval(params, x) - y) > tol:
+        raise RuntimeError(
+            f"preimage missed residual {tol!r} inverting g at y = {y!r}"
+        )
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ The config document is JSON (file path via ``--config``).  Top-level keys:
                         ``{"mode": "lattice-step", "r", "residues", "n_lo", "n_hi"}``
 ``mc``      (optional)  ``{"depth", "replicates", "seed", "node_cap"}``
 ``out``     (optional)  artifact path prefix (``--out`` overrides)
-``options`` (optional)  command-specific settings (see each runner)
+``options`` (optional)  command-specific settings (see each runner); numeric
+                        settings must be JSON numbers (integers for counts),
+                        anything else is a usage error
 
 Unknown keys anywhere are rejected with their full path.  Exit codes: 0 on
 success, 1 on usage/config errors, 2 when a verification quantity (residual,
@@ -79,18 +81,6 @@ from .weights import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-
-COMMANDS = (
-    "weights-analyze",
-    "wbp-simulate",
-    "fixpoint-verify",
-    "fixpoint-construct",
-    "cascade-solve",
-    "cascade-extend",
-    "regularity",
-    "biggins",
-    "renewal-check",
-)
 
 
 class ConfigError(ValueError):
@@ -359,40 +349,42 @@ class _Emitter:
     """Collects report lines and writes CSV artifacts with metadata."""
 
     def __init__(self, config: RunConfig, out_prefix: str):
-        self.config = config
         self.prefix = out_prefix
         self.digest = config_digest(config)
-        self.seed = config.mc.seed if config.mc is not None else None
+        self.seed = str(config.mc.seed) if config.mc is not None else "none"
         self.lines = []
-        self.artifacts = []
 
     def say(self, line: str = "") -> None:
         self.lines.append(line)
 
-    def csv(self, name: str, header, rows) -> str:
-        path = Path(f"{self.prefix}-{name}.csv")
+    def verdict(self, label: str, ok: bool, detail: str) -> int:
+        """Report a ``PASS``/``FAIL`` line and return the matching exit status."""
+        self.say(f"{label} check: {'PASS' if ok else 'FAIL'} ({detail})")
+        return EXIT_OK if ok else EXIT_VERIFY
+
+    def _write(self, suffix: str, lines) -> Path:
+        path = Path(f"{self.prefix}-{suffix}")
         if path.parent != Path("."):
             path.parent.mkdir(parents=True, exist_ok=True)
-        out = [",".join(header)]
-        for row in rows:
-            out.append(",".join(format_number(c) for c in row))
-        out.append(f"# config_sha256: {self.digest}")
-        out.append(f"# seed: {self.seed if self.seed is not None else 'none'}")
-        path.write_text("\n".join(out) + "\n", encoding="utf-8")
-        self.artifacts.append(str(path))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def csv(self, name: str, columns: dict) -> None:
+        """Write ``{header: column}`` as rows; a column is an ndarray, range or list."""
+        cells = [
+            [format_number(x) for x in (c.tolist() if isinstance(c, np.ndarray) else c)]
+            for c in columns.values()
+        ]
+        rows = map(",".join, zip(*cells))
+        trailer = [f"# config_sha256: {self.digest}", f"# seed: {self.seed}"]
+        path = self._write(f"{name}.csv", [",".join(columns), *rows, *trailer])
         self.say(f"wrote {path}")
-        return str(path)
 
     def finish(self) -> str:
         self.say(f"config sha256: {self.digest}")
-        self.say(f"seed: {self.seed if self.seed is not None else 'none'}")
-        text = "\n".join(self.lines) + "\n"
-        path = Path(f"{self.prefix}-report.txt")
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        self.artifacts.append(str(path))
-        return text
+        self.say(f"seed: {self.seed}")
+        self._write("report.txt", self.lines)
+        return "\n".join(self.lines) + "\n"
 
 
 def _describe_model(model) -> str:
@@ -408,13 +400,17 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _options(config: RunConfig, allowed: set, command: str) -> dict:
-    unknown = sorted(set(config.options) - allowed)
-    _require(
-        not unknown,
-        f"options: unknown keys for {command}: {', '.join(unknown)}",
-    )
-    return config.options
+def _number(value, name: str, cast=float):
+    """A numeric setting as ``cast``; null, booleans, strings and lists are usage errors."""
+    ok = _is_int(value) if cast is int else _is_number(value)
+    _require(ok, f"{name}: must be {'an integer' if cast is int else 'a number'}")
+    return cast(value)
+
+
+def _pair(value, name: str, message: str) -> tuple:
+    """``[a, b]`` as two floats; ``message`` if it is not a two-element list."""
+    _require(isinstance(value, (list, tuple)) and len(value) == 2, message)
+    return tuple(_number(x, name) for x in value)
 
 
 def _parse_modulation(spec) -> PeriodicModulation:
@@ -425,9 +421,8 @@ def _parse_modulation(spec) -> PeriodicModulation:
     if isinstance(spec, dict):
         unknown = sorted(set(spec) - {"period", "residues", "values"})
         _require(not unknown, f"modulation: unknown keys: {', '.join(unknown)}")
-        period = spec.get("period", math.e)
         return PeriodicModulation(
-            float(period),
+            _number(spec.get("period", math.e), "modulation.period"),
             np.asarray(spec.get("residues", [1.0]), dtype=np.float64),
             np.asarray(spec.get("values", [1.0]), dtype=np.float64),
         )
@@ -447,42 +442,26 @@ class _BuiltCurve:
     alpha: Optional[float]
 
 
+# curve form -> the keys it accepts besides "form"
+_CURVE_KEYS = {
+    "exponential": {"rate"},
+    "weibull": {"alpha", "modulation"},
+    "weibull-mixture": {"modulation"},
+    "stable-mixture": {"modulation"},
+}
+
+
 def _build_curve(config: RunConfig, spec, kind: str, threads: int) -> _BuiltCurve:
     _require(isinstance(spec, dict), "options.curve: must be an object")
     form = spec.get("form")
-    if form == "exponential":
-        unknown = sorted(set(spec) - {"form", "rate"})
-        _require(not unknown, f"options.curve: unknown keys: {', '.join(unknown)}")
-        rate = spec.get("rate", 1.0)
-        _require(_is_number(rate) and rate > 0.0, "options.curve.rate: must be > 0")
-        grid = config.grid
-        _require(
-            isinstance(grid, np.ndarray),
-            "exponential curves need an interpolated grid section",
-        )
-        values = np.exp(-float(rate) * grid)
-        tail = -np.expm1(-float(rate) * grid)
-        cls = LaplaceCurve if kind == "sum" else SurvivalCurve
-        return _BuiltCurve(cls(grid, values, tail=tail), None, None, None)
-    if form == "weibull":
-        unknown = sorted(set(spec) - {"form", "alpha", "modulation"})
-        _require(not unknown, f"options.curve: unknown keys: {', '.join(unknown)}")
-        a = spec.get("alpha")
-        _require(_is_number(a) and a > 0.0, "options.curve.alpha: must be > 0")
-        h = _parse_modulation(spec.get("modulation"))
-        grid = config.grid
-        _require(
-            isinstance(grid, np.ndarray),
-            "closed-form weibull curves need an interpolated grid section",
-        )
-        args = h.eval_many(grid) * grid ** float(a)
-        values = np.exp(-args)
-        tail = -np.expm1(-args)
-        cls = LaplaceCurve if kind == "sum" else SurvivalCurve
-        return _BuiltCurve(cls(grid, values, tail=tail), None, h, float(a))
+    _require(
+        isinstance(form, str) and form in _CURVE_KEYS,
+        "options.curve.form: must be one of 'exponential', 'weibull', "
+        "'weibull-mixture', 'stable-mixture'",
+    )
+    unknown = sorted(set(spec) - _CURVE_KEYS[form] - {"form"})
+    _require(not unknown, f"options.curve: unknown keys: {', '.join(unknown)}")
     if form in ("weibull-mixture", "stable-mixture"):
-        unknown = sorted(set(spec) - {"form", "modulation"})
-        _require(not unknown, f"options.curve: unknown keys: {', '.join(unknown)}")
         _require(config.alpha is not None, f"{form} curves need the alpha key")
         _require(config.mc is not None, f"{form} curves need the mc section")
         _require(config.grid is not None, f"{form} curves need a grid section")
@@ -502,37 +481,57 @@ def _build_curve(config: RunConfig, spec, kind: str, threads: int) -> _BuiltCurv
         else:
             curve = build_stable_mixture(phi, h, config.alpha, config.grid)
         return _BuiltCurve(curve, phi, h, config.alpha)
-    raise ValueError(
-        "options.curve.form: must be one of 'exponential', 'weibull', "
-        "'weibull-mixture', 'stable-mixture'"
+    # Closed forms exp(-args): args = rate t, or h(t) t^alpha.  An exponential
+    # curve carries no alpha, so `regularity` still needs the alpha key.
+    if form == "exponential":
+        rate = spec.get("rate", 1.0)
+        _require(_is_number(rate) and rate > 0.0, "options.curve.rate: must be > 0")
+        h = a = None
+    else:
+        a = spec.get("alpha")
+        _require(_is_number(a) and a > 0.0, "options.curve.alpha: must be > 0")
+        a, h = float(a), _parse_modulation(spec.get("modulation"))
+    grid = config.grid
+    _require(
+        isinstance(grid, np.ndarray),
+        f"{'closed-form ' if form == 'weibull' else ''}{form} curves need an "
+        "interpolated grid section",
     )
+    args = float(rate) * grid if h is None else h.eval_many(grid) * grid**a
+    cls = LaplaceCurve if kind == "sum" else SurvivalCurve
+    return _BuiltCurve(cls(grid, np.exp(-args), tail=-np.expm1(-args)), None, h, a)
 
 
-def _curve_csv(em: _Emitter, curve, name: str = "curve") -> None:
-    header = ["t", "value", "tail"]
+def _curve_csv(em: _Emitter, curve) -> None:
     tails = curve.tail if curve.tail is not None else 1.0 - curve.values
-    rows = [
-        (t, v, w) for t, v, w in zip(curve.grid, curve.values, tails)
-    ]
-    em.csv(name, header, rows)
+    em.csv("curve", {"t": curve.grid, "value": curve.values, "tail": tails})
 
 
-def _pick_points(curve, count: int) -> np.ndarray:
-    """Interior grid points for residual spot checks, geometrically spread."""
-    grid = curve.grid
+def _mixture_residuals(em: _Emitter, config: RunConfig, built: _BuiltCurve, kind: str):
+    """Sample-side residual report at ``options.points`` interior grid points.
+
+    The points are spread geometrically over the middle half of the grid;
+    the report is written to the residuals CSV.
+    """
+    grid = built.curve.grid
     lo = len(grid) // 4
     hi = max(lo + 1, (3 * len(grid)) // 4)
+    count = _number(config.options.get("points", 24), "options.points", int)
     idx = np.unique(np.linspace(lo, hi - 1, count).round().astype(int))
-    return grid[idx]
+    rep = mixture_residual_report(
+        built.phi, built.modulation, built.alpha, config.model, grid[idx], kind
+    )
+    em.csv("residuals", {"t": rep.points, "residual": rep.residuals, "se": rep.se, "z": rep.z})
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # command runners
 # ---------------------------------------------------------------------------
+# `run_command` checks each runner's options and config parts against `_RUNNERS`.
 
 
 def _run_weights_analyze(config: RunConfig, em: _Emitter, threads: int) -> int:
-    _options(config, set(), "weights-analyze")
     model = config.model
     em.say(f"model: {_describe_model(model)}")
     res = characteristic_exponent(model)
@@ -564,17 +563,17 @@ def _run_weights_analyze(config: RunConfig, em: _Emitter, threads: int) -> int:
                "no fixed points in this regime")
     alpha_col = res.alpha if res.alpha is not None else 1.0
     betas = np.linspace(0.0, 2.0 * alpha_col if alpha_col > 0 else 2.0, 41)
-    rows = [(b, moment_m(model, float(b))) for b in betas]
-    em.csv("moments", ["beta", "m"], rows)
+    em.csv("moments", {"beta": betas, "m": [moment_m(model, float(b)) for b in betas]})
     return EXIT_OK
 
 
 def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
-    opts = _options(config, {"z_max", "renewal_interval"}, "wbp-simulate")
-    _require(config.alpha is not None, "wbp-simulate requires the alpha key")
-    _require(config.mc is not None, "wbp-simulate requires the mc section")
-    z_max = float(opts.get("z_max", 4.0))
+    opts = config.options
+    z_max = _number(opts.get("z_max", 4.0), "options.z_max")
     interval = opts.get("renewal_interval")
+    if interval is not None:
+        interval = _pair(interval, "options.renewal_interval",
+                         "options.renewal_interval: must be [a, b]")
     mc = config.mc
     traces = replicate_traces(
         config.model,
@@ -584,16 +583,14 @@ def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
         mc.seed,
         node_cap=mc.node_cap,
         threads=threads,
-        renewal_interval=tuple(interval) if interval is not None else None,
+        renewal_interval=interval,
     )
     em.say(f"model: {_describe_model(config.model)}")
     em.say(f"alpha: {format_number(config.alpha)}")
     em.say(f"replicates: {mc.replicates}, depth: {mc.depth}")
-    rows = []
-    for i in range(mc.replicates):
-        for n in range(mc.depth + 1):
-            rows.append((i, n, traces.W[i, n], traces.R_sup[i, n]))
-    em.csv("traces", ["replicate", "n", "W_n_alpha", "R_n"], rows)
+    replicate, n = np.divmod(np.arange(traces.W.size), mc.depth + 1)
+    em.csv("traces", {"replicate": replicate, "n": n,
+                      "W_n_alpha": traces.W.ravel(), "R_n": traces.R_sup.ravel()})
 
     mean_one = abs(moment_m(config.model, config.alpha) - 1.0) <= 1e-9
     worst = 0.0
@@ -608,18 +605,16 @@ def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
             f"(se {format_number(se)}, z {format_number(z)})"
         )
     if mean_one:
-        verdict = worst <= z_max
-        em.say(
-            f"martingale mean check: {'PASS' if verdict else 'FAIL'} "
-            f"(max |z| = {format_number(worst)}, limit {format_number(z_max)})"
+        return em.verdict(
+            "martingale mean", worst <= z_max,
+            f"max |z| = {format_number(worst)}, limit {format_number(z_max)}",
         )
-        return EXIT_OK if verdict else EXIT_VERIFY
     em.say("martingale mean check: skipped (m(alpha) is not 1; no mean-one normalization)")
     return EXIT_OK
 
 
 def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
-    opts = _options(config, {"kind", "curve", "tol", "z_max", "points"}, "fixpoint-verify")
+    opts = config.options
     kind = opts.get("kind", "min")
     _require(kind in ("min", "sum"), "options.kind: must be 'min' or 'sum'")
     _require("curve" in opts, "fixpoint-verify requires options.curve")
@@ -629,28 +624,19 @@ def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
     _curve_csv(em, built.curve)
 
     if built.phi is not None:
-        z_max = float(opts.get("z_max", 3.0))
-        points = _pick_points(built.curve, int(opts.get("points", 24)))
-        rep = mixture_residual_report(
-            built.phi, built.modulation, built.alpha, config.model, points, kind
-        )
-        rows = list(zip(rep.points, rep.residuals, rep.se, rep.z))
-        em.csv("residuals", ["t", "residual", "se", "z"], rows)
+        z_max = _number(opts.get("z_max", 3.0), "options.z_max")
+        rep = _mixture_residuals(em, config, built, kind)
         em.say(
-            f"{kind}-operator residual (sample z-scores at {len(points)} points): "
+            f"{kind}-operator residual (sample z-scores at {len(rep.points)} points): "
             f"max |z| = {format_number(rep.max_abs_z)}"
         )
-        verdict = rep.max_abs_z <= z_max
-        em.say(
-            f"{kind}-operator check: {'PASS' if verdict else 'FAIL'} "
-            f"(limit {format_number(z_max)})"
-        )
-        return EXIT_OK if verdict else EXIT_VERIFY
+        return em.verdict(f"{kind}-operator", rep.max_abs_z <= z_max,
+                          f"limit {format_number(z_max)}")
 
-    tol = float(opts.get("tol", 1e-10))
+    tol = _number(opts.get("tol", 1e-10), "options.tol")
     rep = fixed_point_residual(built.curve, config.model, kind=kind)
-    rows = list(zip(built.curve.grid, rep.residuals, rep.point_clamped))
-    em.csv("residuals", ["t", "residual", "clamped"], rows)
+    em.csv("residuals", {"t": built.curve.grid, "residual": rep.residuals,
+                         "clamped": rep.point_clamped})
     for w in rep.warnings:
         em.say(f"warning: {w}")
     if math.isnan(rep.sup_norm):
@@ -663,18 +649,12 @@ def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
         f"clean points (all points: {format_number(rep.sup_norm_all)}, "
         f"clamp fraction {format_number(rep.clamp_fraction)})"
     )
-    verdict = rep.sup_norm <= tol
-    em.say(
-        f"{kind}-operator check: {'PASS' if verdict else 'FAIL'} "
-        f"(tolerance {format_number(tol)})"
-    )
-    return EXIT_OK if verdict else EXIT_VERIFY
+    return em.verdict(f"{kind}-operator", rep.sup_norm <= tol,
+                      f"tolerance {format_number(tol)}")
 
 
 def _run_fixpoint_construct(config: RunConfig, em: _Emitter, threads: int) -> int:
-    opts = _options(
-        config, {"kind", "modulation", "z_max", "points"}, "fixpoint-construct"
-    )
+    opts = config.options
     kind = opts.get("kind", "min")
     _require(kind in ("min", "sum"), "options.kind: must be 'min' or 'sum'")
     form = "weibull-mixture" if kind == "min" else "stable-mixture"
@@ -693,23 +673,14 @@ def _run_fixpoint_construct(config: RunConfig, em: _Emitter, threads: int) -> in
         f"(se {format_number(diag['se_half_depth'])}) at depth {diag['half_depth']}"
     )
     _curve_csv(em, built.curve)
-    z_max = float(opts.get("z_max", 3.0))
-    points = _pick_points(built.curve, int(opts.get("points", 24)))
-    rep = mixture_residual_report(
-        built.phi, built.modulation, built.alpha, config.model, points, kind
-    )
-    rows = list(zip(rep.points, rep.residuals, rep.se, rep.z))
-    em.csv("residuals", ["t", "residual", "se", "z"], rows)
+    z_max = _number(opts.get("z_max", 3.0), "options.z_max")
+    rep = _mixture_residuals(em, config, built, kind)
     em.say(
         f"{kind}-operator residual: max |z| = {format_number(rep.max_abs_z)} "
-        f"at {len(points)} points"
+        f"at {len(rep.points)} points"
     )
-    verdict = rep.max_abs_z <= z_max
-    em.say(
-        f"self-consistency check: {'PASS' if verdict else 'FAIL'} "
-        f"(limit {format_number(z_max)})"
-    )
-    return EXIT_OK if verdict else EXIT_VERIFY
+    return em.verdict("self-consistency", rep.max_abs_z <= z_max,
+                      f"limit {format_number(z_max)}")
 
 
 def _cascade_params(config: RunConfig) -> casc.CascadeParams:
@@ -722,7 +693,7 @@ def _cascade_params(config: RunConfig) -> casc.CascadeParams:
 
 
 def _run_cascade_solve(config: RunConfig, em: _Emitter, threads: int) -> int:
-    opts = _options(config, {"depth", "scale", "below", "tol"}, "cascade-solve")
+    opts = config.options
     params = _cascade_params(config)
     regime = casc.classify(params)
     _require(
@@ -730,20 +701,22 @@ def _run_cascade_solve(config: RunConfig, em: _Emitter, threads: int) -> int:
         f"cascade-solve needs the supercritical regime; got {regime} "
         f"(theta vs 1 - 1/N)",
     )
-    depth = int(opts.get("depth", 30))
-    scale = float(opts.get("scale", 1.0))
-    below = int(opts.get("below", 1))
-    tol = float(opts.get("tol", 1e-10))
+    depth = _number(opts.get("depth", 30), "options.depth", int)
+    scale = _number(opts.get("scale", 1.0), "options.scale")
+    below = _number(opts.get("below", 1), "options.below", int)
+    tol = _number(opts.get("tol", 1e-10), "options.tol")
     sol = casc.explicit_solution(params, scale=scale, depth=depth, below=below)
     em.say(f"model: {_describe_model(config.model)} ({regime})")
     em.say(f"scale: {format_number(scale)}, cells n in [{-below}, {depth}]")
-    rows = [(k, sol.a[k], bool(sol.exact_flags[k])) for k in range(depth + 1)]
-    em.csv("thresholds", ["n", "a_n", "exact_preimage"], rows)
-    cells = []
-    for n in sol.cells():
-        value = 1.0 if n < 0 else float(sol.a[n])
-        cells.append((n, scale * math.e**n, scale * math.e ** (n + 1), value))
-    em.csv("solution", ["n", "lower_t", "upper_t", "survival_value"], cells)
+    em.csv("thresholds", {"n": range(depth + 1), "a_n": sol.a,
+                          "exact_preimage": sol.exact_flags})
+    cells = list(sol.cells())
+    em.csv("solution", {
+        "n": cells,
+        "lower_t": [scale * math.e**n for n in cells],
+        "upper_t": [scale * math.e ** (n + 1) for n in cells],
+        "survival_value": [1.0 if n < 0 else float(sol.a[n]) for n in cells],
+    })
     if sol.underflow_index is not None:
         em.say(
             f"float64 underflow from a_{sol.underflow_index} on "
@@ -754,20 +727,12 @@ def _run_cascade_solve(config: RunConfig, em: _Emitter, threads: int) -> int:
         f"step-identity residual: max = {format_number(rep.max_residual)}"
         + (" (exactly 0)" if rep.exact else "")
     )
-    verdict = rep.max_residual <= tol
-    em.say(
-        f"step-identity check: {'PASS' if verdict else 'FAIL'} "
-        f"(tolerance {format_number(tol)})"
-    )
-    return EXIT_OK if verdict else EXIT_VERIFY
+    return em.verdict("step-identity", rep.max_residual <= tol,
+                      f"tolerance {format_number(tol)}")
 
 
 def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
-    opts = _options(
-        config,
-        {"seed_grid", "seed_values", "seed_value", "n_lo", "n_hi", "tol", "check_tol"},
-        "cascade-extend",
-    )
+    opts = config.options
     params = _cascade_params(config)
     regime = casc.classify(params)
     if "seed_value" in opts:
@@ -776,7 +741,8 @@ def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
             "options.seed_value: give either seed_value or seed_grid/seed_values",
         )
         seed = casc.SeedFunction(
-            np.array([math.e]), np.array([float(opts["seed_value"])])
+            np.array([math.e]),
+            np.array([_number(opts["seed_value"], "options.seed_value")]),
         )
     else:
         _require(
@@ -788,39 +754,32 @@ def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
             np.asarray(opts["seed_grid"], dtype=np.float64),
             np.asarray(opts["seed_values"], dtype=np.float64),
         )
-    n_lo = int(opts.get("n_lo", -20))
-    n_hi = int(opts.get("n_hi", 20))
-    tol = float(opts.get("tol", 1e-13))
-    check_tol = float(opts.get("check_tol", 1e-10))
+    n_lo = _number(opts.get("n_lo", -20), "options.n_lo", int)
+    n_hi = _number(opts.get("n_hi", 20), "options.n_hi", int)
+    tol = _number(opts.get("tol", 1e-13), "options.tol")
+    check_tol = _number(opts.get("check_tol", 1e-10), "options.check_tol")
     curve = casc.extend_from_seed(params, seed, n_lo=n_lo, n_hi=n_hi, tol=tol)
     em.say(f"model: {_describe_model(config.model)} ({regime})")
     em.say(
         f"seed points: {len(seed.grid)}, extension cells n in [{n_lo}, {n_hi}]"
     )
-    q = len(curve.residues)
-    rows = []
-    for i, (t, v) in enumerate(zip(curve.grid, curve.values)):
-        n = curve.n_lo + i // q
-        rows.append((n, curve.residues[i % q], t, v))
-    em.csv("extension", ["n", "residue", "t", "value"], rows)
+    cell, residue = np.divmod(np.arange(len(curve.grid)), len(curve.residues))
+    em.csv("extension", {"n": curve.n_lo + cell, "residue": curve.residues[residue],
+                         "t": curve.grid, "value": curve.values})
     rep = casc.curve_step_residuals(params, curve)
     em.say(f"step-identity residual: max = {format_number(rep.max_residual)}")
-    verdict = rep.max_residual <= check_tol
-    em.say(
-        f"step-identity check: {'PASS' if verdict else 'FAIL'} "
-        f"(tolerance {format_number(check_tol)})"
-    )
-    return EXIT_OK if verdict else EXIT_VERIFY
+    return em.verdict("step-identity", rep.max_residual <= check_tol,
+                      f"tolerance {format_number(check_tol)}")
 
 
 def _run_regularity(config: RunConfig, em: _Emitter, threads: int) -> int:
-    opts = _options(config, {"curve", "window", "kind"}, "regularity")
+    opts = config.options
     _require("curve" in opts, "regularity requires options.curve")
     kind = opts.get("kind", "min")
     built = _build_curve(config, opts["curve"], kind, threads)
     alpha = config.alpha if config.alpha is not None else built.alpha
     _require(alpha is not None, "regularity requires the alpha key (or a curve form carrying one)")
-    window = int(opts.get("window", 12))
+    window = _number(opts.get("window", 12), "options.window", int)
     rep = regularity_diagnostic(built.curve, alpha, window=window)
     em.say(f"model: {_describe_model(config.model)}")
     em.say(f"alpha: {format_number(alpha)}, window points: {rep.window_points}")
@@ -831,20 +790,14 @@ def _run_regularity(config: RunConfig, em: _Emitter, threads: int) -> int:
     )
     for note in rep.notes:
         em.say(f"note: {note}")
-    rows = []
-    if rep.per_residue:
-        for label, limit in sorted(
-            rep.per_residue.items(), key=lambda kv: (kv[0] is None, kv[0])
-        ):
-            rows.append(("all" if label is None else label, limit))
-    em.csv("regularity", ["residue", "stabilized_limit"], rows)
+    limits = sorted((rep.per_residue or {}).items(), key=lambda kv: (kv[0] is None, kv[0]))
+    em.csv("regularity", {"residue": ["all" if k is None else k for k, _ in limits],
+                          "stabilized_limit": [v for _, v in limits]})
     _curve_csv(em, built.curve)
     return EXIT_OK
 
 
 def _run_biggins(config: RunConfig, em: _Emitter, threads: int) -> int:
-    _options(config, set(), "biggins")
-    _require(config.alpha is not None, "biggins requires the alpha key")
     rep = biggins_check(config.model, config.alpha)
     inc = increment_distribution(config.model, config.alpha)
     em.say(f"model: {_describe_model(config.model)}")
@@ -852,34 +805,21 @@ def _run_biggins(config: RunConfig, em: _Emitter, threads: int) -> int:
     em.say(f"increment drift: {format_number(rep.drift)}")
     em.say(f"mean-one normalization integral: {format_number(rep.integral)}")
     em.say(f"mean-one limit verdict: {rep.verdict}")
-    em.csv(
-        "increments",
-        ["location", "mass"],
-        list(zip(inc.locations, inc.masses)),
-    )
-    em.csv(
-        "generation-one",
-        ["W_1_value", "probability"],
-        list(zip(rep.w1_values, rep.w1_probs)),
-    )
+    em.csv("increments", {"location": inc.locations, "mass": inc.masses})
+    em.csv("generation-one", {"W_1_value": rep.w1_values, "probability": rep.w1_probs})
     return EXIT_OK
 
 
 def _run_renewal_check(config: RunConfig, em: _Emitter, threads: int) -> int:
-    opts = _options(config, {"interval", "z_max"}, "renewal-check")
-    _require(config.alpha is not None, "renewal-check requires the alpha key")
-    _require(config.mc is not None, "renewal-check requires the mc section")
-    interval = opts.get("interval")
-    _require(
-        isinstance(interval, (list, tuple)) and len(interval) == 2,
-        "renewal-check requires options.interval = [a, b]",
-    )
-    z_max = float(opts.get("z_max", 3.0))
+    opts = config.options
+    interval = _pair(opts.get("interval"), "options.interval",
+                     "renewal-check requires options.interval = [a, b]")
+    z_max = _number(opts.get("z_max", 3.0), "options.z_max")
     mc = config.mc
     rep = renewal_measure_check(
         config.model,
         config.alpha,
-        (float(interval[0]), float(interval[1])),
+        interval,
         mc.depth,
         mc.replicates,
         mc.seed,
@@ -898,31 +838,28 @@ def _run_renewal_check(config: RunConfig, em: _Emitter, threads: int) -> int:
     )
     em.say(f"exact convolution mass: {format_number(rep.exact)}")
     em.say(f"z-score: {format_number(rep.z_score)}")
-    em.csv(
-        "renewal",
-        ["interval_lo", "interval_hi", "empirical_mean", "empirical_se",
-         "exact_value", "z_score"],
-        [(rep.interval[0], rep.interval[1], rep.empirical_mean,
-          rep.empirical_se, rep.exact, rep.z_score)],
-    )
-    verdict = abs(rep.z_score) <= z_max
-    em.say(
-        f"renewal mass check: {'PASS' if verdict else 'FAIL'} "
-        f"(limit {format_number(z_max)})"
-    )
-    return EXIT_OK if verdict else EXIT_VERIFY
+    em.csv("renewal", {
+        "interval_lo": [rep.interval[0]], "interval_hi": [rep.interval[1]],
+        "empirical_mean": [rep.empirical_mean], "empirical_se": [rep.empirical_se],
+        "exact_value": [rep.exact], "z_score": [rep.z_score],
+    })
+    return em.verdict("renewal mass", abs(rep.z_score) <= z_max,
+                      f"limit {format_number(z_max)}")
 
 
+# command -> (runner, option keys it accepts, config parts it requires)
 _RUNNERS = {
-    "weights-analyze": _run_weights_analyze,
-    "wbp-simulate": _run_wbp_simulate,
-    "fixpoint-verify": _run_fixpoint_verify,
-    "fixpoint-construct": _run_fixpoint_construct,
-    "cascade-solve": _run_cascade_solve,
-    "cascade-extend": _run_cascade_extend,
-    "regularity": _run_regularity,
-    "biggins": _run_biggins,
-    "renewal-check": _run_renewal_check,
+    "weights-analyze": (_run_weights_analyze, (), ()),
+    "wbp-simulate": (_run_wbp_simulate, ("z_max", "renewal_interval"), ("alpha key", "mc section")),
+    "fixpoint-verify": (_run_fixpoint_verify, ("kind", "curve", "tol", "z_max", "points"), ()),
+    "fixpoint-construct": (
+        _run_fixpoint_construct, ("kind", "modulation", "z_max", "points"), ()),
+    "cascade-solve": (_run_cascade_solve, ("depth", "scale", "below", "tol"), ()),
+    "cascade-extend": (_run_cascade_extend, ("seed_grid", "seed_values", "seed_value",
+                                             "n_lo", "n_hi", "tol", "check_tol"), ()),
+    "regularity": (_run_regularity, ("curve", "window", "kind"), ()),
+    "biggins": (_run_biggins, (), ("alpha key",)),
+    "renewal-check": (_run_renewal_check, ("interval", "z_max"), ("alpha key", "mc section")),
 }
 
 
@@ -931,10 +868,14 @@ def run_command(config: RunConfig, command: str, threads: int = 1,
     """Run one command; writes artifacts and returns the exit status."""
     if command not in _RUNNERS:
         raise ValueError(f"unknown command {command!r}")
-    prefix = out or config.out or command
-    em = _Emitter(config, prefix)
+    runner, allowed, required = _RUNNERS[command]
+    unknown = sorted(set(config.options) - set(allowed))
+    _require(not unknown, f"options: unknown keys for {command}: {', '.join(unknown)}")
+    for part in required:  # "alpha key" is config.alpha, "mc section" is config.mc
+        _require(getattr(config, part.split()[0]) is not None, f"{command} requires the {part}")
+    em = _Emitter(config, out or config.out or command)
     em.say(f"command: {command}")
-    code = _RUNNERS[command](config, em, threads)
+    code = runner(config, em, threads)
     text = em.finish()
     sys.stdout.write(text)
     return code
@@ -946,7 +887,7 @@ def main(argv=None) -> int:
         description="Weighted-branching fixed-point toolkit command line",
     )
     parser.add_argument("--config", required=True, help="path to a JSON config file")
-    parser.add_argument("--command", required=True, choices=COMMANDS)
+    parser.add_argument("--command", required=True, choices=list(_RUNNERS))
     parser.add_argument("--out", default=None, help="artifact path prefix")
     parser.add_argument("--seed", type=int, default=None,
                         help="override mc.seed from the config")

@@ -71,7 +71,21 @@ class OperatorResult:
     warnings: list = field(default_factory=list)
 
 
-def _apply_expectation(curve, model: WeightModel, warn_threshold: float) -> OperatorResult:
+def apply_operator(
+    curve, model: WeightModel, warn_threshold: float = 0.05
+) -> OperatorResult:
+    """Operator image ``t -> E prod_i curve(t T_i)`` on the curve grid.
+
+    One expectation serves both readings, computed as
+    ``(sum_k p_k prod_{w in atom k} curve(t w))^copies``:
+
+    * on a :class:`SurvivalCurve` ``F̄`` it is the min-type operator
+      ``E prod_i F̄(t T_i)``, the survival function of ``min_i X_i / T_i``;
+    * on a :class:`LaplaceCurve` ``φ`` it is the smoothing transform
+      ``E prod_i φ(x T_i)``, the Laplace transform of ``sum_i T_i X_i``.
+
+    A zero weight contributes ``curve(0) = 1``.
+    """
     table = atom_table(model)
     ts = curve.grid
     out = np.zeros(len(ts))
@@ -107,22 +121,6 @@ def _apply_expectation(curve, model: WeightModel, warn_threshold: float) -> Oper
     return OperatorResult(image, clamped, frac, warnings)
 
 
-def apply_min_operator(
-    curve: SurvivalCurve, model: WeightModel, warn_threshold: float = 0.05
-) -> OperatorResult:
-    """Min-type operator image ``t -> E prod_i F̄(t T_i)`` on the curve grid,
-    computed as ``(sum_k p_k prod_{w in atom k} F̄(t w))^copies``."""
-    return _apply_expectation(curve, model, warn_threshold)
-
-
-def apply_sum_operator(
-    curve, model: WeightModel, warn_threshold: float = 0.05
-) -> OperatorResult:
-    """Smoothing-transform image ``x -> E prod_i φ(x T_i)`` on the curve grid,
-    computed as ``(sum_k p_k prod_{w in atom k} φ(x w))^copies``."""
-    return _apply_expectation(curve, model, warn_threshold)
-
-
 @dataclass
 class ResidualReport:
     """Per-point and sup-norm distance between a curve and its operator image.
@@ -148,7 +146,7 @@ def fixed_point_residual(
     """Signed residuals ``(operator image - curve)`` on the curve's grid."""
     if kind not in ("min", "sum"):
         raise ValueError(f"kind must be 'min' or 'sum', got {kind!r}")
-    res = _apply_expectation(curve, model, warn_threshold)
+    res = apply_operator(curve, model, warn_threshold)
     diff = res.curve.values - curve.values
     clean = ~res.point_clamped
     sup_all = float(np.max(np.abs(diff))) if len(diff) else 0.0

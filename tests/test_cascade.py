@@ -120,6 +120,15 @@ def test_g_inverse_round_trip():
         np.testing.assert_allclose(g_eval(SUPER, x), y, atol=1e-12)
 
 
+
+def test_g_inverse_deep_targets_to_relative_precision():
+    # x sits near (theta y)^N, far below the float resolution of y's scale.
+    params = CascadeParams(8, 0.5)
+    for y in (1e-20, 1e-5):
+        x = g_inverse(params, y)
+        np.testing.assert_allclose(x, (0.5 * y) ** 8, rtol=1e-6)
+        np.testing.assert_allclose(g_eval(params, x), y, rtol=1e-14)
+
 def test_a_sequence_oracles():
     seq = a_sequence(SUPER, 1)
     np.testing.assert_allclose(seq[0], 1.0 / 9.0, atol=1e-12)

@@ -333,6 +333,81 @@ def test_unknown_option_key_is_usage_error(tmp_path):
     assert code == 1
 
 
+CASCADE = {"kind": "cascade", "N": 2, "theta": 0.75}
+SMALL_MC = {"depth": 3, "replicates": 40, "seed": 5}
+HALVES_DYADIC = {"model": {"kind": "deterministic", "weights": [0.5, 0.5]},
+                 "grid": {"mode": "dyadic", "points": 64, "per_octave": 4}}
+MIXTURE = {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
+           "grid": {"mode": "lattice-step", "r": math.e, "n_lo": -12, "n_hi": 8}}
+
+
+def _usage_error(tmp_path, capsys, doc, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["--config", str(path), "--command", command,
+                 "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+# One case per command that takes numeric options: JSON null, booleans,
+# strings and lists are usage errors naming the option, not tracebacks.
+@pytest.mark.parametrize("command, doc, message", [
+    ("wbp-simulate", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
+                      "options": {"z_max": None}}, "options.z_max: must be a number"),
+    ("wbp-simulate", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
+                      "options": {"renewal_interval": [None, 2.0]}},
+     "options.renewal_interval: must be a number"),
+    ("fixpoint-verify", {**HALVES_DYADIC, "options": {
+        "tol": "1e-10", "curve": {"form": "exponential"}}}, "options.tol: must be a number"),
+    ("fixpoint-verify", {**HALVES_DYADIC, "options": {"curve": {
+        "form": "weibull", "alpha": 1.0, "modulation": {"period": None}}}},
+     "modulation.period: must be a number"),
+    ("fixpoint-verify", {**MIXTURE, "options": {
+        "points": 8.5, "curve": {"form": "weibull-mixture"}}},
+     "options.points: must be an integer"),
+    ("fixpoint-construct", {**MIXTURE, "options": {"z_max": [3.0]}},
+     "options.z_max: must be a number"),
+    ("cascade-solve", {"model": {"kind": "cascade", "N": 2, "theta": 0.25},
+                       "options": {"depth": None}}, "options.depth: must be an integer"),
+    ("cascade-solve", {"model": {"kind": "cascade", "N": 2, "theta": 0.25},
+                       "options": {"scale": True}}, "options.scale: must be a number"),
+    ("cascade-extend", {"model": {"kind": "cascade", "N": 2, "theta": 0.6},
+                        "options": {"seed_value": 0.4, "n_lo": None}},
+     "options.n_lo: must be an integer"),
+    ("cascade-extend", {"model": {"kind": "cascade", "N": 2, "theta": 0.6},
+                        "options": {"seed_value": None}}, "options.seed_value: must be a number"),
+    ("regularity", {**HALVES_DYADIC, "alpha": 1.0, "options": {
+        "window": 12.5, "curve": {"form": "weibull", "alpha": 1.0}}},
+     "options.window: must be an integer"),
+    ("renewal-check", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
+                       "options": {"interval": [None, 2]}}, "options.interval: must be a number"),
+    ("renewal-check", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
+                       "options": {"interval": [0.0, 2.0], "z_max": False}},
+     "options.z_max: must be a number"),
+])
+def test_non_numeric_option_is_usage_error(tmp_path, capsys, command, doc, message):
+    code, err = _usage_error(tmp_path, capsys, doc, command)
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("wbp-simulate", {"model": CASCADE, "mc": SMALL_MC},
+     "wbp-simulate requires the alpha key"),
+    ("renewal-check", {"model": CASCADE, "alpha": "auto", "options": {"interval": [0, 2]}},
+     "renewal-check requires the mc section"),
+    ("biggins", {"model": CASCADE}, "biggins requires the alpha key"),
+    ("renewal-check", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC},
+     "renewal-check requires options.interval = [a, b]"),
+    ("weights-analyze", {"model": CASCADE, "options": {"z_max": 1.0, "depth": 2}},
+     "options: unknown keys for weights-analyze: depth, z_max"),
+])
+def test_command_requirements_are_usage_errors(tmp_path, capsys, command, doc, message):
+    code, err = _usage_error(tmp_path, capsys, doc, command)
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # main(): file/flag plumbing
 # ---------------------------------------------------------------------------

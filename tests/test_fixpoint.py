@@ -19,8 +19,7 @@ from branchfix.curves import (
 )
 from branchfix.fixpoint import (
     GridDepthError,
-    apply_min_operator,
-    apply_sum_operator,
+    apply_operator,
     build_stable_mixture,
     build_weibull_mixture,
     disintegration_check,
@@ -67,7 +66,7 @@ def test_step_survival_is_fixed_for_degenerate_sup_one():
     c = g[40]
     vals = (g <= c).astype(np.float64)
     curve = SurvivalCurve(grid=g, values=vals)
-    out = apply_min_operator(curve, Deterministic(1.0, 0.5))
+    out = apply_operator(curve, Deterministic(1.0, 0.5))
     np.testing.assert_array_equal(out.curve.values, vals)
 
 
@@ -82,7 +81,7 @@ def test_operator_cascade_matches_hand_formula():
         grid=g, values=np.exp(-1.7 * g**0.9), mode="lattice-step",
         r=math.e, residues=np.array([1.0]), n_lo=-8,
     )
-    out = apply_min_operator(curve, model)
+    out = apply_operator(curve, model)
     inner_shift, _ = curve.eval_many(g / math.e)
     inner_stay, _ = curve.eval_many(g)
     want = (theta * inner_shift + (1 - theta) * inner_stay) ** 2
@@ -95,10 +94,10 @@ def test_operator_preserves_trivial_fixed_points():
     zeros = SurvivalCurve(grid=g, values=np.zeros(32))
     for model in (Deterministic(0.5, 0.5), BernoulliCascade(2, 0.4)):
         np.testing.assert_array_equal(
-            apply_min_operator(ones, model).curve.values, 1.0
+            apply_operator(ones, model).curve.values, 1.0
         )
         np.testing.assert_array_equal(
-            apply_min_operator(zeros, model).curve.values, 0.0
+            apply_operator(zeros, model).curve.values, 0.0
         )
 
 

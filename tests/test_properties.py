@@ -27,8 +27,7 @@ from branchfix.curves import (
     log_grid,
 )
 from branchfix.fixpoint import (
-    apply_min_operator,
-    apply_sum_operator,
+    apply_operator,
     build_weibull_mixture,
     disintegration_check,
     psi_transform,
@@ -183,8 +182,8 @@ def test_min_operator_monotone_randomized():
         model = _random_model(rng)
         upper = np.cumprod(rng.uniform(0.9, 1.0, len(grid)))
         lower = upper * np.cumprod(rng.uniform(0.95, 1.0, len(grid)))
-        hi = apply_min_operator(SurvivalCurve(grid=grid, values=upper), model)
-        lo = apply_min_operator(SurvivalCurve(grid=grid, values=lower), model)
+        hi = apply_operator(SurvivalCurve(grid=grid, values=upper), model)
+        lo = apply_operator(SurvivalCurve(grid=grid, values=lower), model)
         assert np.all(lo.curve.values <= hi.curve.values + 1e-12)
         assert np.max(hi.curve.values - lo.curve.values) > 0.0  # not vacuous
 
@@ -200,8 +199,8 @@ def test_sum_operator_monotone_randomized():
     for _ in range(50):
         model = _random_model(rng, dyadic_per_octave=4.0)
         low, high = _laplace_pair(rng, grid)
-        lo = apply_sum_operator(LaplaceCurve(grid=grid, values=low), model)
-        hi = apply_sum_operator(LaplaceCurve(grid=grid, values=high), model)
+        lo = apply_operator(LaplaceCurve(grid=grid, values=low), model)
+        hi = apply_operator(LaplaceCurve(grid=grid, values=high), model)
         assert np.all(lo.curve.values <= hi.curve.values + 1e-12)
         assert np.max(hi.curve.values - lo.curve.values) > 0.0
 
@@ -221,8 +220,8 @@ def test_scaling_equivariance_randomized_interp():
         values = np.cumprod(rng.uniform(0.9, 1.0, len(grid)))
         model = _random_model(rng)
         c = float(rng.uniform(0.1, 10.0))
-        base = apply_min_operator(SurvivalCurve(grid=grid, values=values), model)
-        scaled = apply_min_operator(
+        base = apply_operator(SurvivalCurve(grid=grid, values=values), model)
+        scaled = apply_operator(
             SurvivalCurve(grid=grid / c, values=values.copy()), model
         )
         clean = ~(base.point_clamped | scaled.point_clamped)
@@ -242,12 +241,12 @@ def test_scaling_equivariance_randomized_lattice():
         values = np.cumprod(rng.uniform(0.85, 1.0, len(grid)))
         model = BernoulliCascade(int(rng.integers(2, 5)), float(rng.uniform(0.05, 0.95)))
         k = int(rng.integers(1, 4))
-        base = apply_min_operator(
+        base = apply_operator(
             SurvivalCurve(grid=grid, values=values, mode="lattice-step",
                           r=math.e, residues=(1.0,), n_lo=n_lo),
             model,
         )
-        scaled = apply_min_operator(
+        scaled = apply_operator(
             SurvivalCurve(grid=grid / math.e ** k, values=values.copy(),
                           mode="lattice-step", r=math.e, residues=(1.0,),
                           n_lo=n_lo - k),
