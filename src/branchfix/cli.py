@@ -61,6 +61,7 @@ from .curves import (
 )
 from .fixpoint import (
     GridDepthError,
+    _mixture_arguments,
     build_stable_mixture,
     build_weibull_mixture,
     fixed_point_residual,
@@ -407,10 +408,10 @@ def _number(value, name: str, cast=float):
     return cast(value)
 
 
-def _pair(value, name: str, message: str) -> tuple:
-    """``[a, b]`` as two floats; ``message`` if it is not a two-element list."""
-    _require(isinstance(value, (list, tuple)) and len(value) == 2, message)
-    return tuple(_number(x, name) for x in value)
+def _numbers(value, name: str) -> list:
+    """A list of numbers as floats; each entry is read by ``_number``."""
+    _require(isinstance(value, (list, tuple)), f"{name}: must be a list of numbers")
+    return [_number(x, name) for x in value]
 
 
 def _parse_modulation(spec) -> PeriodicModulation:
@@ -423,8 +424,8 @@ def _parse_modulation(spec) -> PeriodicModulation:
         _require(not unknown, f"modulation: unknown keys: {', '.join(unknown)}")
         return PeriodicModulation(
             _number(spec.get("period", math.e), "modulation.period"),
-            np.asarray(spec.get("residues", [1.0]), dtype=np.float64),
-            np.asarray(spec.get("values", [1.0]), dtype=np.float64),
+            _numbers(spec.get("residues", [1.0]), "modulation.residues"),
+            _numbers(spec.get("values", [1.0]), "modulation.values"),
         )
     raise ValueError("modulation: must be a number or an object")
 
@@ -452,6 +453,7 @@ _CURVE_KEYS = {
 
 
 def _build_curve(config: RunConfig, spec, kind: str, threads: int) -> _BuiltCurve:
+    _require(kind in ("min", "sum"), "options.kind: must be 'min' or 'sum'")
     _require(isinstance(spec, dict), "options.curve: must be an object")
     form = spec.get("form")
     _require(
@@ -497,7 +499,7 @@ def _build_curve(config: RunConfig, spec, kind: str, threads: int) -> _BuiltCurv
         f"{'closed-form ' if form == 'weibull' else ''}{form} curves need an "
         "interpolated grid section",
     )
-    args = float(rate) * grid if h is None else h.eval_many(grid) * grid**a
+    args = float(rate) * grid if h is None else _mixture_arguments(h, a, grid)
     cls = LaplaceCurve if kind == "sum" else SurvivalCurve
     return _BuiltCurve(cls(grid, np.exp(-args), tail=-np.expm1(-args)), None, h, a)
 
@@ -570,10 +572,6 @@ def _run_weights_analyze(config: RunConfig, em: _Emitter, threads: int) -> int:
 def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
     z_max = _number(opts.get("z_max", 4.0), "options.z_max")
-    interval = opts.get("renewal_interval")
-    if interval is not None:
-        interval = _pair(interval, "options.renewal_interval",
-                         "options.renewal_interval: must be [a, b]")
     mc = config.mc
     traces = replicate_traces(
         config.model,
@@ -583,7 +581,6 @@ def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
         mc.seed,
         node_cap=mc.node_cap,
         threads=threads,
-        renewal_interval=interval,
     )
     em.say(f"model: {_describe_model(config.model)}")
     em.say(f"alpha: {format_number(config.alpha)}")
@@ -616,7 +613,6 @@ def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
 def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
     kind = opts.get("kind", "min")
-    _require(kind in ("min", "sum"), "options.kind: must be 'min' or 'sum'")
     _require("curve" in opts, "fixpoint-verify requires options.curve")
     built = _build_curve(config, opts["curve"], kind, threads)
     em.say(f"model: {_describe_model(config.model)}")
@@ -656,7 +652,6 @@ def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
 def _run_fixpoint_construct(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
     kind = opts.get("kind", "min")
-    _require(kind in ("min", "sum"), "options.kind: must be 'min' or 'sum'")
     form = "weibull-mixture" if kind == "min" else "stable-mixture"
     built = _build_curve(
         config, {"form": form, "modulation": opts.get("modulation")}, kind, threads
@@ -751,8 +746,8 @@ def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
             "plus options.seed_values",
         )
         seed = casc.SeedFunction(
-            np.asarray(opts["seed_grid"], dtype=np.float64),
-            np.asarray(opts["seed_values"], dtype=np.float64),
+            _numbers(opts["seed_grid"], "options.seed_grid"),
+            _numbers(opts["seed_values"], "options.seed_values"),
         )
     n_lo = _number(opts.get("n_lo", -20), "options.n_lo", int)
     n_hi = _number(opts.get("n_hi", 20), "options.n_hi", int)
@@ -812,8 +807,10 @@ def _run_biggins(config: RunConfig, em: _Emitter, threads: int) -> int:
 
 def _run_renewal_check(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
-    interval = _pair(opts.get("interval"), "options.interval",
-                     "renewal-check requires options.interval = [a, b]")
+    interval = opts.get("interval")
+    _require(isinstance(interval, (list, tuple)) and len(interval) == 2,
+             "renewal-check requires options.interval = [a, b]")
+    interval = tuple(_numbers(interval, "options.interval"))
     z_max = _number(opts.get("z_max", 3.0), "options.z_max")
     mc = config.mc
     rep = renewal_measure_check(
@@ -850,7 +847,7 @@ def _run_renewal_check(config: RunConfig, em: _Emitter, threads: int) -> int:
 # command -> (runner, option keys it accepts, config parts it requires)
 _RUNNERS = {
     "weights-analyze": (_run_weights_analyze, (), ()),
-    "wbp-simulate": (_run_wbp_simulate, ("z_max", "renewal_interval"), ("alpha key", "mc section")),
+    "wbp-simulate": (_run_wbp_simulate, ("z_max",), ("alpha key", "mc section")),
     "fixpoint-verify": (_run_fixpoint_verify, ("kind", "curve", "tol", "z_max", "points"), ()),
     "fixpoint-construct": (
         _run_fixpoint_construct, ("kind", "modulation", "z_max", "points"), ()),

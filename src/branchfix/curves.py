@@ -273,8 +273,8 @@ class PeriodicModulation:
             raise CurveShapeError("residues must be a nonempty 1-d array")
         if np.any(np.diff(self.residues) <= 0.0):
             raise CurveShapeError("residues must be strictly increasing")
-        if self.residues[0] < 1.0 or self.residues[-1] >= self.period:
-            raise CurveShapeError("residues must lie in [1, period)")
+        if not np.all((self.residues >= 1.0) & (self.residues < self.period)):
+            raise CurveShapeError("residues must be finite and lie in [1, period)")
         if self.values.shape != self.residues.shape:
             raise CurveShapeError("values and residues must have the same shape")
         if np.any(self.values <= 0.0) or not np.all(np.isfinite(self.values)):

@@ -16,6 +16,8 @@ case).  Their residuals are also measured *sample-side* — the operator
 expectation is evaluated directly through the empirical Laplace transform at
 exact arguments, with a standard error propagated through the shared Monte
 Carlo sample — so mixture verification does not inherit interpolation bias.
+The residual takes its arguments from the builders' own ``h(t) t^α``, reads
+φ̂ as a tail, and takes the grid operators' factorized atom expectation.
 
 The remaining routines classify near-zero regularity (``(1 - F̄(t)) /
 t^alpha``), check the generation-(j+k) disintegration of product
@@ -45,6 +47,9 @@ from .weights import WeightModel, atom_table
 
 Modulation = Union[PeriodicModulation, float]
 
+# Share of clamped grid lookups above which an operator image carries a warning.
+_CLAMP_WARN = 0.05
+
 
 class GridDepthError(ValueError):
     """The curve grid does not reach deep enough below 1 for the diagnostic."""
@@ -71,9 +76,7 @@ class OperatorResult:
     warnings: list = field(default_factory=list)
 
 
-def apply_operator(
-    curve, model: WeightModel, warn_threshold: float = 0.05
-) -> OperatorResult:
+def apply_operator(curve, model: WeightModel) -> OperatorResult:
     """Operator image ``t -> E prod_i curve(t T_i)`` on the curve grid.
 
     One expectation serves both readings, computed as
@@ -105,10 +108,10 @@ def apply_operator(
     np.clip(out, 0.0, 1.0, out=out)
     frac = float(np.mean(clamped))
     warnings = []
-    if frac > warn_threshold:
+    if frac > _CLAMP_WARN:
         warnings.append(
             f"{frac:.1%} of grid points needed clamped lookups "
-            f"(threshold {warn_threshold:.1%}); widen the grid"
+            f"(threshold {_CLAMP_WARN:.1%}); widen the grid"
         )
     image = type(curve)(
         grid=ts.copy(),
@@ -140,13 +143,11 @@ class ResidualReport:
     warnings: list = field(default_factory=list)
 
 
-def fixed_point_residual(
-    curve, model: WeightModel, kind: str = "min", warn_threshold: float = 0.05
-) -> ResidualReport:
+def fixed_point_residual(curve, model: WeightModel, kind: str = "min") -> ResidualReport:
     """Signed residuals ``(operator image - curve)`` on the curve's grid."""
     if kind not in ("min", "sum"):
         raise ValueError(f"kind must be 'min' or 'sum', got {kind!r}")
-    res = apply_operator(curve, model, warn_threshold)
+    res = apply_operator(curve, model)
     diff = res.curve.values - curve.values
     clean = ~res.point_clamped
     sup_all = float(np.max(np.abs(diff))) if len(diff) else 0.0
@@ -173,8 +174,7 @@ class IterationReport:
 
 
 def iterate_operator(
-    curve, model: WeightModel, kind: str = "min", n_iter: int = 1,
-    warn_threshold: float = 0.05,
+    curve, model: WeightModel, kind: str = "min", n_iter: int = 1
 ) -> IterationReport:
     """Apply the operator ``n_iter`` times, recording the residual each step."""
     if n_iter < 1:
@@ -182,7 +182,7 @@ def iterate_operator(
     sups, fracs, warnings = [], [], []
     cur = curve
     for _ in range(n_iter):
-        rep = fixed_point_residual(cur, model, kind, warn_threshold)
+        rep = fixed_point_residual(cur, model, kind)
         sups.append(rep.sup_norm)
         fracs.append(rep.clamp_fraction)
         warnings.extend(rep.warnings)
@@ -306,12 +306,17 @@ def mixture_residual_report(
 ) -> MixtureResidualReport:
     """Residual ``E prod_i φ̂(arg(t T_i)) - φ̂(arg(t))`` with joint-sample SE.
 
-    ``arg(u) = h(u) u^alpha``.  Every Laplace evaluation is done sample-side
-    at the exact argument (no grid interpolation), and each point's standard
-    error accounts for the correlation induced by the shared sample.  The
-    operator value is ``A^copies``, ``A = sum_k p_k prod_{w in atom k}
-    φ̂(arg(t w))``; its tail ``(1 - A)(1 + A + ... + A^(copies-1))`` and its
-    gradient ``copies A^(copies-1) dA`` go through that power.
+    ``arg(u) = h(u) u^alpha`` comes from the curve builders' own map, on one
+    (points x columns) matrix: column 0 is ``t``, then ``t w`` for each
+    positive weight of each live atom in atom-table order.  φ̂ is read there
+    sample-side as a tail (:meth:`EmpiricalLaplace.evaluate_tail`), with no
+    grid interpolation.  The operator value is ``A^copies``, ``A = sum_k p_k
+    prod_{w in atom k} φ̂(arg(t w))`` over each atom's column slice; its tail
+    ``(1 - A)(1 + A + ... + A^(copies-1))`` and its gradient ``copies
+    A^(copies-1) dA`` go through that power.  Each point's standard error
+    comes from the influence function over the shared sample, which takes
+    ``exp(-x W) - 1`` where ``φ̂(x) > 1/2`` and ``exp(-x W)`` elsewhere, so
+    that no column carries a constant near 1 for the variance to cancel.
 
     ``z = 0`` where ``|residual| <= 8 eps max(tail(t), operator tail)``: that
     is rounding of two tails, which near 1 is ulps over a tiny SE.  With zero
@@ -320,57 +325,49 @@ def mixture_residual_report(
     """
     hmod = _as_modulation(h)
     table = atom_table(model)
-    w = phi.samples
-    n = len(w)
     pts = np.asarray(points, dtype=np.float64)
-    residuals = np.empty(len(pts))
-    ses = np.empty(len(pts))
-    scales = np.empty(len(pts))
-    for j, t in enumerate(pts):
-        args = [float(hmod.eval(t) * t**alpha)]
-        spans = []  # (prob, [arg indices]) per atom
-        for p, ws in zip(table.probs, table.full_weights):
-            if p == 0.0:
-                continue
-            idxs = []
-            for wt in ws:
-                if wt == 0.0:
-                    continue
-                u = t * wt
-                args.append(float(hmod.eval(u) * u**alpha))
-                idxs.append(len(args) - 1)
-            spans.append((p, idxs))
-        uniq, inv = np.unique(np.array(args), return_inverse=True)
-        outer = np.outer(uniq, w)
-        a = np.exp(-outer)
-        # Tail means stay fully accurate near 0, where the value means would
-        # quantize at one ulp of 1 and swamp small residuals.
-        tau = -np.expm1(-outer).mean(axis=1)
-        mu = 1.0 - tau
-        grad = np.zeros(len(uniq))
-        op_tail, op_mean = 0.0, 0.0   # 1 - A, A
-        with np.errstate(divide="ignore"):
-            log_mu = np.log1p(-tau)
-        for p, idxs in spans:
-            mus = mu[inv[idxs]]
-            # 1 - prod(mu_i) via logs: exact cancellation-free product tail
-            op_tail += p * float(-np.expm1(np.sum(log_mu[inv[idxs]])))
-            prod = float(np.prod(mus))
-            op_mean += p * prod
-            for pos, e in enumerate(inv[idxs]):
-                rest = prod / mus[pos] if mus[pos] != 0.0 else float(
-                    np.prod(np.delete(mus, pos))
-                )
-                grad[e] += p * rest
-        op_tail *= sum(op_mean**i for i in range(table.copies))
-        grad *= table.copies * op_mean ** (table.copies - 1)
-        grad[inv[0]] -= 1.0
-        resid = float(tau[inv[0]]) - op_tail
-        z_i = grad @ a
-        se = float(z_i.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-        residuals[j] = resid
-        ses[j] = se
-        scales[j] = max(float(tau[inv[0]]), op_tail)
+    live = [(p, [w for w in ws if w != 0.0])
+            for p, ws in zip(table.probs, table.full_weights) if p != 0.0]
+    scale = np.array([1.0] + [w for _, ws in live for w in ws])
+    x = _mixture_arguments(hmod, alpha, pts[:, None] * scale)
+    # Tail means stay fully accurate near 0, where the value means would
+    # quantize at one ulp of 1 and swamp small residuals.
+    tau = phi.evaluate_tail(x.ravel())[0].reshape(x.shape)
+    mu = 1.0 - tau
+    with np.errstate(divide="ignore"):
+        log_mu = np.log1p(-tau)
+    op_tail = np.zeros(len(pts))   # 1 - A
+    op_mean = np.zeros(len(pts))   # A
+    grad = np.zeros(x.shape)
+    stop = 1
+    for p, ws in live:
+        cols = slice(stop, stop + len(ws))
+        stop = cols.stop
+        # 1 - prod(mu_i) via logs: exact cancellation-free product tail
+        op_tail += p * -np.expm1(log_mu[:, cols].sum(axis=1))
+        op_mean += p * mu[:, cols].prod(axis=1)
+        # d prod / d mu_i is the product of the others; no division by mu_i = 0
+        others = np.where(np.eye(len(ws), dtype=bool), 1.0, mu[:, None, cols])
+        grad[:, cols] = p * others.prod(axis=2)
+    op_tail *= sum(op_mean**i for i in range(table.copies))
+    grad *= (table.copies * op_mean ** (table.copies - 1))[:, None]
+    grad[:, 0] -= 1.0
+    residuals = tau[:, 0] - op_tail
+    n = len(phi.samples)
+    ses = np.full(len(pts), math.inf)
+    if n > 1:
+        step = max(1, (1 << 20) // (x.shape[1] * n))  # points per temporary
+        for lo in range(0, len(pts), step):
+            rows = slice(lo, lo + step)
+            # exp(-x W) minus 1 where φ̂ > 1/2, else as is: each column keeps
+            # full relative accuracy, and a constant leaves the variance alone.
+            terms = -x[rows, :, None] * phi.samples
+            small = np.broadcast_to(tau[rows, :, None] <= 0.5, terms.shape)
+            np.expm1(terms, out=terms, where=small)
+            np.exp(terms, out=terms, where=~small)
+            infl = np.matmul(grad[rows, None, :], terms)[:, 0]
+            ses[rows] = infl.std(axis=1, ddof=1) / math.sqrt(n)
+    scales = np.maximum(tau[:, 0], op_tail)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(ses > 0.0, residuals / ses,
                      np.where(np.abs(residuals) <= 1e-12, 0.0, np.inf))

@@ -354,9 +354,9 @@ def _usage_error(tmp_path, capsys, doc, command):
 @pytest.mark.parametrize("command, doc, message", [
     ("wbp-simulate", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
                       "options": {"z_max": None}}, "options.z_max: must be a number"),
-    ("wbp-simulate", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
-                      "options": {"renewal_interval": [None, 2.0]}},
-     "options.renewal_interval: must be a number"),
+    ("fixpoint-verify", {**HALVES_DYADIC, "options": {"curve": {
+        "form": "weibull", "alpha": 1.0, "modulation": {"residues": [1.0, None]}}}},
+     "modulation.residues: must be a number"),
     ("fixpoint-verify", {**HALVES_DYADIC, "options": {
         "tol": "1e-10", "curve": {"form": "exponential"}}}, "options.tol: must be a number"),
     ("fixpoint-verify", {**HALVES_DYADIC, "options": {"curve": {
@@ -384,6 +384,14 @@ def _usage_error(tmp_path, capsys, doc, command):
     ("renewal-check", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
                        "options": {"interval": [0.0, 2.0], "z_max": False}},
      "options.z_max: must be a number"),
+    ("fixpoint-construct", {**MIXTURE, "options": {"modulation": {
+        "residues": [1.0, 1.6], "values": [1.0, None]}}}, "modulation.values: must be a number"),
+    ("cascade-extend", {"model": {"kind": "cascade", "N": 2, "theta": 0.6}, "options": {
+        "seed_grid": [None, math.e], "seed_values": [0.45, 0.4]}},
+     "options.seed_grid: must be a number"),
+    ("cascade-extend", {"model": {"kind": "cascade", "N": 2, "theta": 0.6}, "options": {
+        "seed_grid": [math.exp(0.4), math.e], "seed_values": [None, 0.4]}},
+     "options.seed_values: must be a number"),
 ])
 def test_non_numeric_option_is_usage_error(tmp_path, capsys, command, doc, message):
     code, err = _usage_error(tmp_path, capsys, doc, command)
@@ -401,6 +409,12 @@ def test_non_numeric_option_is_usage_error(tmp_path, capsys, command, doc, messa
      "renewal-check requires options.interval = [a, b]"),
     ("weights-analyze", {"model": CASCADE, "options": {"z_max": 1.0, "depth": 2}},
      "options: unknown keys for weights-analyze: depth, z_max"),
+    ("wbp-simulate", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
+                      "options": {"renewal_interval": [0.0, 2.0]}},
+     "options: unknown keys for wbp-simulate: renewal_interval"),
+    ("regularity", {**HALVES_DYADIC, "alpha": 1.0, "options": {
+        "kind": "max", "curve": {"form": "weibull", "alpha": 1.0}}},
+     "options.kind: must be 'min' or 'sum'"),
 ])
 def test_command_requirements_are_usage_errors(tmp_path, capsys, command, doc, message):
     code, err = _usage_error(tmp_path, capsys, doc, command)

@@ -213,6 +213,8 @@ def test_modulation_validation():
         PeriodicModulation(2.0, np.array([1.0]), np.array([0.0]))  # value <= 0
     with pytest.raises(CurveShapeError):
         PeriodicModulation(2.0, np.array([0.5]), np.array([1.0]))  # residue < 1
+    with pytest.raises(CurveShapeError, match="finite"):
+        PeriodicModulation(2.0, np.array([1.0, np.nan]), np.array([1.0, 1.0]))
 
 
 def test_weibull_defect_flags_seam_violation():

@@ -3,6 +3,7 @@ tree-level product/renewal identities."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,8 @@ from branchfix.curves import (
 )
 from branchfix.fixpoint import (
     GridDepthError,
+    _as_modulation,
+    _mixture_arguments,
     apply_operator,
     build_stable_mixture,
     build_weibull_mixture,
@@ -29,7 +32,8 @@ from branchfix.fixpoint import (
     psi_transform,
     regularity_diagnostic,
 )
-from branchfix.weights import BernoulliCascade, Deterministic
+from branchfix.weights import (BernoulliCascade, Deterministic, FiniteAtoms, atom_table,
+                               characteristic_exponent)
 
 LN3 = math.log(3.0)
 
@@ -257,6 +261,134 @@ def test_mixture_residual_rounding_is_not_a_z_score():
     assert abs(rep.residuals[0]) <= 8.0 * eps
     assert 0.0 < rep.se[0] < 1e-15
     assert rep.z[0] == 0.0
+
+
+def _reference_mixture_residuals(phi, h, alpha, model, points):
+    """The per-point loop ``mixture_residual_report`` replaced, as a reference.
+
+    Each point deduplicates its arguments, takes their tails in one outer
+    product and walks the atoms one weight at a time.  The arguments go
+    through ``_mixture_arguments``, as the curve builders' do.
+    """
+    hmod = _as_modulation(h)
+    table = atom_table(model)
+    w = phi.samples
+    n = len(w)
+    pts = np.asarray(points, dtype=np.float64)
+    residuals = np.empty(len(pts))
+    ses = np.empty(len(pts))
+    for j, t in enumerate(pts):
+        args = [float(_mixture_arguments(hmod, alpha, np.array([t]))[0])]
+        spans = []  # (prob, [arg indices]) per atom
+        for p, ws in zip(table.probs, table.full_weights):
+            if p == 0.0:
+                continue
+            idxs = []
+            for wt in ws:
+                if wt == 0.0:
+                    continue
+                u = t * wt
+                args.append(float(_mixture_arguments(hmod, alpha, np.array([u]))[0]))
+                idxs.append(len(args) - 1)
+            spans.append((p, idxs))
+        uniq, inv = np.unique(np.array(args), return_inverse=True)
+        outer = np.outer(uniq, w)
+        a = np.exp(-outer)
+        tau = -np.expm1(-outer).mean(axis=1)
+        mu = 1.0 - tau
+        grad = np.zeros(len(uniq))
+        op_tail, op_mean = 0.0, 0.0   # 1 - A, A
+        with np.errstate(divide="ignore"):
+            log_mu = np.log1p(-tau)
+        for p, idxs in spans:
+            mus = mu[inv[idxs]]
+            op_tail += p * float(-np.expm1(np.sum(log_mu[inv[idxs]])))
+            prod = float(np.prod(mus))
+            op_mean += p * prod
+            for pos, e in enumerate(inv[idxs]):
+                rest = prod / mus[pos] if mus[pos] != 0.0 else float(
+                    np.prod(np.delete(mus, pos))
+                )
+                grad[e] += p * rest
+        op_tail *= sum(op_mean**i for i in range(table.copies))
+        grad *= table.copies * op_mean ** (table.copies - 1)
+        grad[inv[0]] -= 1.0
+        residuals[j] = float(tau[inv[0]]) - op_tail
+        ses[j] = float((grad @ a).std(ddof=1) / math.sqrt(n))
+    return residuals, ses
+
+
+ATOMS3 = FiniteAtoms([(0.3, (0.6, 0.5)), (0.5, (0.9, 0.35)), (0.2, (0.7, 0.8))])
+
+
+@pytest.mark.parametrize("model, alpha, h, kind", [
+    (BernoulliCascade(2, 0.75), LN3, 1.0, "min"),
+    (BernoulliCascade(2, 0.9), math.log(9.0 / 4.0), 1.0, "sum"),
+    (ATOMS3, None, 1.0, "min"),
+    # variable fan-out with a zero weight (no child) and a weight above 1
+    (FiniteAtoms([(0.25, (0.2, 0.0, 1.5)), (0.5, (0.8,)), (0.25, (1.0, 0.4, 0.1))]),
+     0.8, 1.0, "min"),
+    (BernoulliCascade(2, 0.75), LN3,
+     PeriodicModulation(math.e, np.array([1.0, 1.6]), np.array([1.0, 1.3])), "min"),
+], ids=["cascade-min", "cascade-sum", "three-atoms", "variable-fan-out", "modulated"])
+def test_mixture_residuals_match_per_point_reference(model, alpha, h, kind):
+    if alpha is None:
+        alpha = characteristic_exponent(model).alpha
+    phi = sample_W_limit(model, alpha, depth=6, replicates=1000, seed=21)
+    pts = np.exp(np.linspace(-10.0, 10.0, 21))
+    rep = mixture_residual_report(phi, h, alpha, model, pts, kind=kind)
+    want, want_se = _reference_mixture_residuals(phi, h, alpha, model, pts)
+    np.testing.assert_array_equal(rep.residuals, want)
+    # From t = 1 up the reference's value-form influence function is accurate.
+    np.testing.assert_allclose(rep.se[10:], want_se[10:], rtol=1e-9, atol=0.0)
+
+
+def _mp_mixture_se(phi, alpha, model, t):
+    """The residual's SE at ``t`` (constant modulation) in 60-digit arithmetic.
+
+    The float arguments and samples are taken as exact; everything after
+    them, the sample means, the gradient and the variance, is done in mpmath.
+    """
+    table = atom_table(model)
+    live = [(mpmath.mpf(float(p)), [w for w in ws if w != 0.0])
+            for p, ws in zip(table.probs, table.full_weights) if p != 0.0]
+    scale = np.array([1.0] + [w for _, ws in live for w in ws])
+    xs = _mixture_arguments(_as_modulation(1.0), alpha, t * scale)
+    with mpmath.workdps(60):
+        n = len(phi.samples)
+        vals = [[mpmath.exp(-mpmath.mpf(float(x)) * mpmath.mpf(float(w)))
+                 for w in phi.samples] for x in xs]
+        mu = [mpmath.fsum(v) / n for v in vals]
+        grad = [mpmath.mpf(0)] * len(xs)
+        mean, col = mpmath.mpf(0), 1
+        for p, ws in live:
+            cols = range(col, col + len(ws))
+            col += len(ws)
+            mean += p * mpmath.fprod(mu[i] for i in cols)
+            for i in cols:
+                grad[i] = p * mpmath.fprod(mu[k] for k in cols if k != i)
+        c = table.copies
+        grad = [g * c * mean ** (c - 1) for g in grad]
+        grad[0] -= 1
+        infl = [mpmath.fsum(g * v[s] for g, v in zip(grad, vals)) for s in range(n)]
+        centre = mpmath.fsum(infl) / n
+        var = mpmath.fsum((v - centre) ** 2 for v in infl) / (n - 1)
+        return float(mpmath.sqrt(var / n))
+
+
+@pytest.mark.parametrize("model, t_big", [(ATOMS3, math.exp(2.5)),
+                                           (BernoulliCascade(2, 0.75), math.exp(4.5))],
+                         ids=["three-atoms", "cascade"])
+def test_mixture_se_matches_extended_precision(model, t_big):
+    # At small t every exp(-x W) is near 1, and at large t every 1 - exp(-x W)
+    # is: an influence function built from either alone loses the spread to
+    # cancellation (13% off at e^-10 from values, 7e-7 at t_big from tails).
+    alpha = characteristic_exponent(model).alpha
+    phi = sample_W_limit(model, alpha, depth=8, replicates=512, seed=5)
+    pts = np.array([math.exp(-10.0), 1.0, t_big])
+    rep = mixture_residual_report(phi, 1.0, alpha, model, pts)
+    want = [_mp_mixture_se(phi, alpha, model, t) for t in pts]
+    np.testing.assert_allclose(rep.se, want, rtol=1e-8, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

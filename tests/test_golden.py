@@ -76,8 +76,7 @@ CASES = {
     # m(alpha) != 1: the mean check is skipped.
     "wbp-simulate-renewal-unnormalized": ("wbp-simulate", {
         "model": CASCADE, "alpha": 1.0,
-        "mc": {"depth": 4, "replicates": 40, "seed": 17},
-        "options": {"renewal_interval": [0.0, 2.0]}}, 0),
+        "mc": {"depth": 4, "replicates": 40, "seed": 17}}, 0),
     "fixpoint-verify-cascade": ("fixpoint-verify", {
         "model": CASCADE3, "grid": LOG_GRID,
         "options": {"kind": "min", "curve": {"form": "weibull", "alpha": 1.0}}}, 2),
@@ -160,18 +159,18 @@ GOLDEN = {
     },
     'fixpoint-construct-cascade': {
         'curve.csv': '23ad1bc3cd0d6dcbf3c7de05a7dd110dde3870d6e3e2c48154d08350e259d362',
-        'report.txt': '5fa38e98ba06d883617cf1c0cca6b22680e5bc7ec71c08ff0b6b190aeba54152',
-        'residuals.csv': '0ae6cbbbd36bcb0bdfe047292852383fcdc2943d67bb98b89d08683e5f4eb1ca',
+        'report.txt': '8eb95322bdf1b9a930d09645d2df4fe45def4f737d48848ac8c4b2f494d8f395',
+        'residuals.csv': '5e040654a7801b9634500f1fd980505339d6441906601cbcb1da4d7e2aa6b0b7',
     },
     'fixpoint-construct-cascade-sum': {
         'curve.csv': '2203bb3f0eadac02866d24e1406fb69367b73ee4850e208572dd5917334ac0b3',
-        'report.txt': '283c32c8c48f7815e971253411a46aa4518bc675f88189f99926642cd7ce49af',
-        'residuals.csv': '09762595197ae132140dc5b48b7efa49a520964c9d197e95570c657aa7b11782',
+        'report.txt': 'e9e292eb364793c24c06c36e372c9783a2df24aa81e9c3ebf9029037d392ba0d',
+        'residuals.csv': '1e4ef42ddbb86b1d45dc01913da991b0022c0bf301ff879cb7429279eb167e1c',
     },
     'fixpoint-verify-atoms-mixture': {
         'curve.csv': 'd85a6af3d3cefdae2bc855d1e43a92b1f283f5210b150fbf67f030fe79f41e30',
-        'report.txt': '136543b1393596f7137812e39a9b7a274e5f345a75b4c65d7fccc0a2e62a2f4f',
-        'residuals.csv': 'a517e9c80c3924b6e0d7367813783f461eaead3fc8ebf7ca36dcc38def1dad65',
+        'report.txt': '3174e2317007b032307a85c8add21b741a1fcaac2bb141d56316d7aae65148a0',
+        'residuals.csv': '65b707a8394e65b9a6bc77c63faca5d2c79d638c8b645b4ea9e2baa35b5c6b4d',
     },
     'fixpoint-verify-cascade': {
         'curve.csv': '30d30057f834653b45567fb8b9db7f52d3c0bf793bed79b9729f96f5b891121a',
@@ -221,8 +220,8 @@ GOLDEN = {
         'traces.csv': 'd1d959ca6ce26abb4f5b46bc03bd7e4e2144af78852571124fd6a700ac110bf5',
     },
     'wbp-simulate-renewal-unnormalized': {
-        'report.txt': '808ca698102dd1fe0649d2a64a09890c883dc37730eb7d33219cac8f688ab69f',
-        'traces.csv': '3d64ba55b18813a858fa1ee73b839f8ecfcf0c148a99c4c004715f81fcf0ffa5',
+        'report.txt': '9dd148ddea60a72a58f974556f47023ec9d361e8c3252c44ffa84d4157db966b',
+        'traces.csv': '209dd745f6c37a59261bd6318c3ab8eaad20c7177bacf18eda110cd6b15f6a29',
     },
     'weights-analyze-atoms': {
         'moments.csv': '6bb30281a35651ef35944af560613194e40906d4f9a2e718b32a4afd00bd3e72',
