@@ -328,8 +328,8 @@ def mixture_residual_report(
     pts = np.asarray(points, dtype=np.float64)
     live = [(p, [w for w in ws if w != 0.0])
             for p, ws in zip(table.probs, table.full_weights) if p != 0.0]
-    scale = np.array([1.0] + [w for _, ws in live for w in ws])
-    x = _mixture_arguments(hmod, alpha, pts[:, None] * scale)
+    weights = np.array([1.0] + [w for _, ws in live for w in ws])
+    x = _mixture_arguments(hmod, alpha, pts[:, None] * weights)
     # Tail means stay fully accurate near 0, where the value means would
     # quantize at one ulp of 1 and swamp small residuals.
     tau = phi.evaluate_tail(x.ravel())[0].reshape(x.shape)
