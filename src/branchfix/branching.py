@@ -569,24 +569,40 @@ class EmpiricalLaplace:
     warnings: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
+    @staticmethod
+    def _arguments(x) -> np.ndarray:
+        xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if np.any(xs < 0.0):
+            raise ValueError("Laplace arguments must be >= 0")
+        return xs
+
+    def _tail_blocks(self, xs: np.ndarray):
+        """``(rows, 1 - exp(-x W))`` over blocks of at most 2^22 elements."""
+        chunk = max(1, (1 << 22) // max(len(self.samples), 1))
+        for lo in range(0, len(xs), chunk):
+            yield slice(lo, lo + chunk), -np.expm1(-np.outer(xs[lo : lo + chunk], self.samples))
+
+    def _tail_mean(self, x) -> np.ndarray:
+        """``evaluate_tail(x)[0]`` on an array, without the variance pass."""
+        xs = self._arguments(x)
+        mean = np.empty(len(xs))
+        for rows, z in self._tail_blocks(xs):
+            mean[rows] = z.mean(axis=1)
+        return mean
+
     def _tail_moments(self, xs: np.ndarray):
         n = len(self.samples)
         mean = np.empty(len(xs))
         var = np.empty(len(xs))
-        chunk = max(1, (1 << 22) // max(n, 1))
-        for lo in range(0, len(xs), chunk):
-            z = -np.expm1(-np.outer(xs[lo : lo + chunk], self.samples))
+        for rows, z in self._tail_blocks(xs):
             mz = z.mean(axis=1)
-            mean[lo : lo + chunk] = mz
-            var[lo : lo + chunk] = np.sum((z - mz[:, None]) ** 2, axis=1) / (n - 1)
+            mean[rows] = mz
+            var[rows] = np.sum((z - mz[:, None]) ** 2, axis=1) / (n - 1)
         return mean, np.sqrt(var / n)
 
     def evaluate(self, x):
         """Empirical ``phi(x) = mean exp(-x W)`` with its standard error."""
-        xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if np.any(xs < 0.0):
-            raise ValueError("Laplace arguments must be >= 0")
-        tail, se = self._tail_moments(xs)
+        tail, se = self._tail_moments(self._arguments(x))
         val = 1.0 - tail
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(val[0]), float(se[0])
@@ -594,10 +610,7 @@ class EmpiricalLaplace:
 
     def evaluate_tail(self, x):
         """``1 - phi(x)`` with full relative accuracy for small arguments."""
-        xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if np.any(xs < 0.0):
-            raise ValueError("Laplace arguments must be >= 0")
-        tail, se = self._tail_moments(xs)
+        tail, se = self._tail_moments(self._arguments(x))
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(tail[0]), float(se[0])
         return tail, se

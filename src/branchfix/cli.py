@@ -20,8 +20,8 @@ success, 1 on usage/config errors, 2 when a verification quantity (residual,
 z-score) lands beyond its tolerance.  Artifacts are byte-identical for
 identical configs regardless of ``--threads``.
 
-CSV conventions: comma separator, ``.`` decimal point, scientific notation
-for ``|x| < 1e-4``, one header row, and a trailing comment block recording
+CSV conventions: comma separator, one header row, cells as
+:func:`format_column` writes them, and a trailing comment block recording
 the sha256 of the effective config and the master seed.
 """
 
@@ -322,28 +322,62 @@ def parse_config(document) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def format_column(column) -> list:
+    """CSV cells of one column: an ndarray, a ``range`` or a list.
+
+    The one set of cell rules (README "Artifacts"): strings as they are,
+    booleans ``True``/``False``, integers plain, floats via ``repr`` except
+    ``0.0`` for both zeros and numpy's shortest scientific form for
+    ``0 < |x| < 1e-4``.  Integer, boolean and float arrays are formatted as
+    whole columns; other columns cell by cell, their floats gathered into
+    one array.
+    """
+    if isinstance(column, range):
+        return list(map(str, column))
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biu":
+        return list(map(str, column.tolist()))
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return _float_cells(column.astype(np.float64, copy=False))
+    cells, at, floats = [], [], []
+    for x in column.tolist() if isinstance(column, np.ndarray) else column:
+        if isinstance(x, str):
+            cells.append(x)
+        elif isinstance(x, (bool, np.bool_)):
+            cells.append(str(bool(x)))
+        elif isinstance(x, (int, np.integer)):
+            cells.append(str(int(x)))
+        else:
+            at.append(len(cells))
+            floats.append(float(x))
+            cells.append(None)
+    for i, cell in zip(at, _float_cells(np.array(floats, dtype=np.float64))):
+        cells[i] = cell
+    return cells
+
+
+def _float_cells(values: np.ndarray) -> list:
+    """``repr`` of each float64, with the cells below 1e-4 in size found by one mask."""
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.abs(values) < 1e-4).tolist():
+        x = values[i]
+        cells[i] = "0.0" if x == 0.0 else np.format_float_scientific(x, unique=True)
+    return cells
+
+
 def format_number(x) -> str:
-    """CSV cell format: ints plain, floats via repr, scientific below 1e-4."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        return repr(x)
-    if x == 0.0:
-        return "0.0"
-    if abs(x) < 1e-4:
-        return np.format_float_scientific(x, unique=True)
-    return repr(x)
+    """One CSV cell: the one-cell case of :func:`format_column`."""
+    return format_column([x])[0]
 
 
 def config_digest(config: RunConfig) -> str:
     """sha256 of the effective config in canonical JSON form."""
     canon = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+# Rows per CSV write: a few thousand rows amortize the per-chunk work and
+# keep the formatted text of a chunk, not of the file, in memory.
+_CSV_CHUNK_ROWS = 4096
 
 
 class _Emitter:
@@ -363,28 +397,33 @@ class _Emitter:
         self.say(f"{label} check: {'PASS' if ok else 'FAIL'} ({detail})")
         return EXIT_OK if ok else EXIT_VERIFY
 
-    def _write(self, suffix: str, lines) -> Path:
+    def _path(self, suffix: str) -> Path:
         path = Path(f"{self.prefix}-{suffix}")
         if path.parent != Path("."):
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
 
     def csv(self, name: str, columns: dict) -> None:
-        """Write ``{header: column}`` as rows; a column is an ndarray, range or list."""
-        cells = [
-            [format_number(x) for x in (c.tolist() if isinstance(c, np.ndarray) else c)]
-            for c in columns.values()
-        ]
-        rows = map(",".join, zip(*cells))
-        trailer = [f"# config_sha256: {self.digest}", f"# seed: {self.seed}"]
-        path = self._write(f"{name}.csv", [",".join(columns), *rows, *trailer])
+        """Write ``{header: column}`` as rows; a column is an ndarray, range or list.
+
+        Rows are formatted and written ``_CSV_CHUNK_ROWS`` at a time, so only
+        one chunk's cells are held as text.
+        """
+        path = self._path(f"{name}.csv")
+        rows = min(map(len, columns.values()), default=0)
+        with path.open("w", encoding="utf-8") as f:
+            f.write(",".join(columns) + "\n")
+            for start in range(0, rows, _CSV_CHUNK_ROWS):
+                stop = min(start + _CSV_CHUNK_ROWS, rows)
+                cells = [format_column(c[start:stop]) for c in columns.values()]
+                f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            f.write(f"# config_sha256: {self.digest}\n# seed: {self.seed}\n")
         self.say(f"wrote {path}")
 
     def finish(self) -> str:
         self.say(f"config sha256: {self.digest}")
         self.say(f"seed: {self.seed}")
-        self._write("report.txt", self.lines)
+        self._path("report.txt").write_text("\n".join(self.lines) + "\n", encoding="utf-8")
         return "\n".join(self.lines) + "\n"
 
 

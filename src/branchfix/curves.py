@@ -67,6 +67,19 @@ def lattice_points(r: float, residues: Sequence[float], n_lo: int, n_hi: int) ->
     return (powers[:, None] * residues[None, :]).reshape(-1)
 
 
+def _residues(residues, period: float) -> np.ndarray:
+    """Residues of one period as float64, checked: nonempty, 1-d, strictly
+    increasing, finite and in ``[1, period)``."""
+    res = np.asarray(residues, dtype=np.float64)
+    if res.ndim != 1 or len(res) == 0:
+        raise CurveShapeError("residues must be a nonempty 1-d array")
+    if np.any(np.diff(res) <= 0.0):
+        raise CurveShapeError("residues must be strictly increasing")
+    if not np.all((res >= 1.0) & (res < period)):
+        raise CurveShapeError("residues must be finite and lie in [1, period)")
+    return res
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Grid specification for a lattice-step curve: points ``s * r^n``."""
@@ -75,6 +88,9 @@ class LatticeSpec:
     residues: tuple = (1.0,)
     n_lo: int = -40
     n_hi: int = 40
+
+    def __post_init__(self) -> None:
+        _residues(self.residues, self.r)
 
     def points(self) -> np.ndarray:
         return lattice_points(self.r, self.residues, self.n_lo, self.n_hi)
@@ -130,13 +146,9 @@ class _MonotoneCurve:
         if self.mode == MODE_LATTICE:
             if self.r is None or self.residues is None or self.n_lo is None:
                 raise CurveShapeError("lattice-step curves need r, residues, n_lo")
-            self.residues = np.asarray(self.residues, dtype=np.float64)
             if self.r <= 1.0:
                 raise CurveShapeError("lattice ratio r must exceed 1")
-            if np.any(np.diff(self.residues) <= 0.0):
-                raise CurveShapeError("residues must be strictly increasing")
-            if self.residues[0] < 1.0 or self.residues[-1] >= self.r:
-                raise CurveShapeError("residues must lie in [1, r)")
+            self.residues = _residues(self.residues, self.r)
             q = len(self.residues)
             if len(self.grid) % q != 0:
                 raise CurveShapeError("lattice grid length must be a multiple of len(residues)")
@@ -265,16 +277,10 @@ class PeriodicModulation:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.residues = np.asarray(self.residues, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.period <= 1.0:
             raise CurveShapeError("period must exceed 1")
-        if self.residues.ndim != 1 or len(self.residues) == 0:
-            raise CurveShapeError("residues must be a nonempty 1-d array")
-        if np.any(np.diff(self.residues) <= 0.0):
-            raise CurveShapeError("residues must be strictly increasing")
-        if not np.all((self.residues >= 1.0) & (self.residues < self.period)):
-            raise CurveShapeError("residues must be finite and lie in [1, period)")
+        self.residues = _residues(self.residues, self.period)
         if self.values.shape != self.residues.shape:
             raise CurveShapeError("values and residues must have the same shape")
         if np.any(self.values <= 0.0) or not np.all(np.isfinite(self.values)):

@@ -63,6 +63,14 @@ def test_parse_theta_out_of_range():
     assert "model.theta: theta must lie in (0,1)" in exc.value.errors
 
 
+def test_parse_lattice_grid_rejects_nan_residue():
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"model": {"kind": "cascade", "N": 2, "theta": 0.75},
+                      "grid": {"mode": "lattice-step", "residues": [1.0, math.nan]}})
+    assert exc.value.errors == [
+        "grid.residues: residues must be finite and lie in [1, period)"]
+
+
 def test_parse_missing_mc_seed_lists_requirements():
     with pytest.raises(ConfigError) as exc:
         parse_config(

@@ -158,6 +158,21 @@ def test_lattice_residues_must_live_in_unit_cell():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lattice_spec_rejects_non_finite_residues(bad):
+    with pytest.raises(CurveShapeError, match=r"finite and lie in \[1, period\)"):
+        LatticeSpec(r=math.e, residues=(1.0, bad), n_lo=0, n_hi=2)
+
+
+@pytest.mark.parametrize("cls", [SurvivalCurve, LaplaceCurve])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lattice_curve_rejects_non_finite_residues(cls, bad):
+    grid = lattice_points(math.e, [1.0, 1.5], 0, 1)
+    with pytest.raises(CurveShapeError, match=r"finite and lie in \[1, period\)"):
+        cls(grid=grid, values=np.array([1.0, 0.9, 0.8, 0.7]), mode="lattice-step",
+            r=math.e, residues=np.array([1.0, bad]), n_lo=0)
+
+
 # ---------------------------------------------------------------------------
 # Laplace curves and convexity
 # ---------------------------------------------------------------------------

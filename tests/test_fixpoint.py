@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from branchfix.branching import sample_W_limit, simulate_tree
+from branchfix.branching import EmpiricalLaplace, sample_W_limit, simulate_tree
 from branchfix.cascade import CascadeParams, explicit_solution
 from branchfix.curves import (
     CurveShapeError,
@@ -221,6 +221,24 @@ def test_mixture_tail_slope_recovers_mean():
     d0 = float(curve.tail[0] / curve.grid[0] ** LN3)
     band = 3.0 * float(phi.samples.std(ddof=1)) / math.sqrt(len(phi.samples))
     assert abs(d0 - 1.0) <= band + 1e-9
+
+
+def test_tail_mean_matches_evaluate_tail(monkeypatch):
+    phi = sample_W_limit(BernoulliCascade(2, 0.75), LN3, depth=6,
+                         replicates=4096, seed=22)
+    # 1024 arguments per 2^22-element block: three blocks, the last partial.
+    xs = np.concatenate([[0.0, 1e-300, 1e-9], np.geomspace(1e-6, 1e3, 2497)])
+    want = phi.evaluate_tail(xs)[0]
+    assert phi._tail_mean(xs).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=">= 0"):
+        phi._tail_mean([1.0, -1.0])
+    grid = xs[3:]
+    curve_tail = phi.evaluate_tail(_mixture_arguments(_as_modulation(1.0), LN3, grid))[0]
+    # The mixture builders take the mean-only path: no variance pass runs.
+    monkeypatch.setattr(EmpiricalLaplace, "_tail_moments", None)
+    curve = build_weibull_mixture(phi, 1.0, LN3, grid)
+    assert curve.tail.tobytes() == curve_tail.tobytes()
+    mixture_residual_report(phi, 1.0, LN3, BernoulliCascade(2, 0.75), xs[100:2000:400])
 
 
 # ---------------------------------------------------------------------------

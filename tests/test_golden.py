@@ -6,10 +6,11 @@ byte for byte, and the report with its ``wrote <path>`` lines dropped (they
 carry the temporary directory).  A change that moves a digest on purpose
 updates it here and says why in CHANGES.md.
 
-The CLI configs are small: their largest generation (200 replicates at
-depth 5) stays inside one 2^15-value block of the seeding kernel.  The
-library cases below grow generations over several blocks, with a partial
-last batch of replicates, and pin the raw array bytes.
+The CLI configs are small: their largest generation stays inside one
+2^15-value block of the seeding kernel.  Only ``wbp-simulate-chunks`` writes
+enough rows to span several CSV write chunks.  The library cases below grow
+generations over several blocks, with a partial last batch of replicates,
+and pin the raw array bytes.
 
 To print the digests of the current code::
 
@@ -77,6 +78,12 @@ CASES = {
     "wbp-simulate-renewal-unnormalized": ("wbp-simulate", {
         "model": CASCADE, "alpha": 1.0,
         "mc": {"depth": 4, "replicates": 40, "seed": 17}}, 0),
+    # 1400 x 11 = 15400 trace rows span several CSV write chunks.  Paths
+    # through the 1e-80 weight underflow, so the traces hold zeros,
+    # subnormals and other cells below 1e-4.
+    "wbp-simulate-chunks": ("wbp-simulate", {
+        "model": {"kind": "atoms", "atoms": [[0.5, [1e-80]], [0.5, [0.5, 0.5]]]},
+        "alpha": 1.0, "mc": {"depth": 10, "replicates": 1400, "seed": 19}}, 0),
     "fixpoint-verify-cascade": ("fixpoint-verify", {
         "model": CASCADE3, "grid": LOG_GRID,
         "options": {"kind": "min", "curve": {"form": "weibull", "alpha": 1.0}}}, 2),
@@ -218,6 +225,10 @@ GOLDEN = {
     'wbp-simulate-cascade': {
         'report.txt': '5c78d0854f54b326643ba81089ba471c70c709cdad288ef4566fa04ddfaba5a0',
         'traces.csv': 'd1d959ca6ce26abb4f5b46bc03bd7e4e2144af78852571124fd6a700ac110bf5',
+    },
+    'wbp-simulate-chunks': {
+        'report.txt': '13f3c850d37c9fc8d2aebcf23ef7b0575ed32357b5e340e5c1fcc6439c75082e',
+        'traces.csv': '03dc2b563333ebab3e1585ae8a0c693e181d63e3033d0b7fd44bf5d57c72595e',
     },
     'wbp-simulate-renewal-unnormalized': {
         'report.txt': '9dd148ddea60a72a58f974556f47023ec9d361e8c3252c44ffa84d4157db966b',
