@@ -309,9 +309,10 @@ def mixture_residual_report(
     ``arg(u) = h(u) u^alpha`` comes from the curve builders' own map, on one
     (points x columns) matrix: column 0 is ``t``, then ``t w`` for each
     positive weight of each live atom in atom-table order.  φ̂ is read there
-    sample-side as a tail (the mean of :meth:`EmpiricalLaplace.evaluate_tail`),
-    with no grid interpolation.  The operator value is ``A^copies``, ``A = sum_k p_k
-    prod_{w in atom k} φ̂(arg(t w))`` over each atom's column slice; its tail
+    sample-side as a tail (the mean of :meth:`EmpiricalLaplace.evaluate_tail`,
+    without its standard error), with no grid interpolation.  The operator
+    value is ``A^copies``, ``A = sum_k p_k prod_{w in atom k} φ̂(arg(t w))``
+    over each atom's column slice; its tail
     ``(1 - A)(1 + A + ... + A^(copies-1))`` and its gradient ``copies
     A^(copies-1) dA`` go through that power.  Each point's standard error
     comes from the influence function over the shared sample, which takes
