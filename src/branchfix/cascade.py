@@ -24,9 +24,16 @@ float almost always exists because ``g`` contracts adjacent-float spacing
 walks the distinct candidates ``center + j * ulp/2`` (``|j| <= 64``, then
 ``|j| <= 1024``) outward from the bisection limit and stops at the first
 exact hit: the nearest one, the lower on equal distances.  Exactness flags
-record the rare failures.  Both the bisection and the scan run on raw
-``mpmath.libmp`` tuples with one ``g`` evaluator per chain.  Float64
-projections are provided alongside, with the underflow point marked.
+record the rare failures.  The bisection is a bit-identical replay of the
+53-bit one: its mids are computed on ``(exponent, float64 mantissa)``
+pairs, which round exactly as the mpmath operations do, and a comparison
+``g(mid) < y`` is decided without evaluating ``g`` wherever a certified root
+enclosure (Newton's method, verified by two ``g`` evaluations against a
+proven error bound) decides it; ``g`` is evaluated only inside the
+enclosure, and everywhere when the certificate is refused.  The scan runs
+on raw ``mpmath.libmp`` tuples.  One ``g`` evaluator serves a chain, and
+one each report that checks it.  Float64 projections are provided
+alongside, with the underflow point marked.
 """
 
 from __future__ import annotations
@@ -42,12 +49,15 @@ from mpmath.libmp import (
     from_float,
     from_man_exp,
     fzero,
+    mpf_abs,
     mpf_add,
+    mpf_cmp,
     mpf_div,
     mpf_ge,
     mpf_le,
     mpf_lt,
     mpf_mul,
+    mpf_mul_int,
     mpf_nthroot,
     mpf_pow_int,
     mpf_shift,
@@ -110,17 +120,20 @@ class _G:
     """``g`` on raw 53-bit mpmath tuples, round to nearest.
 
     ``theta`` and ``1 - theta`` are built once per instance; ``calls``
-    counts the evaluations.  Each operation is the one the mpf operators
-    apply at 53 bits, so the results equal ``mpf`` arithmetic bit for bit.
+    counts the evaluations, and ``certified`` the preimage comparisons that
+    a certified root enclosure decided without one.  Each operation is the
+    one the mpf operators apply at 53 bits, so the results equal ``mpf``
+    arithmetic bit for bit.
     """
 
-    __slots__ = ("n", "theta", "one_minus", "calls")
+    __slots__ = ("n", "theta", "one_minus", "calls", "certified")
 
     def __init__(self, params: CascadeParams) -> None:
         self.n = int(params.N)
         self.theta = from_float(params.theta)
         self.one_minus = mpf_sub(fone, self.theta, _PREC, _RND)
         self.calls = 0
+        self.certified = 0
 
     def __call__(self, u: tuple) -> tuple:
         self.calls += 1
@@ -132,17 +145,12 @@ class _G:
         return mpf_div(diff, self.theta, _PREC, _RND)
 
 
-def _g_mp(params: CascadeParams, u) -> mpf:
-    """``g`` at 53 bits (callers pin 53 bits for the conversion of ``u``)."""
-    return mp.make_mpf(_G(params)(mpf(u)._mpf_))
-
-
 def g_eval_mp(params: CascadeParams, u) -> mpf:
     """53-bit, unbounded-exponent evaluation of ``g`` (no underflow)."""
     with mp.workprec(53):
         if u < 0 or u > 1:
             raise ValueError(f"u = {u!r} outside [0, 1]")
-        return _g_mp(params, u)
+        return mp.make_mpf(_G(params)(mpf(u)._mpf_))
 
 
 def u_star(params: CascadeParams) -> float:
@@ -214,6 +222,119 @@ def _ulp_scan(g: _G, y: tuple, center: tuple):
     return None
 
 
+# Certificate margin m = 2^-47 on y, Newton enclosure half-width N 2^-45 on
+# x, and the upper decisions stop 2^-40 (relative) below hi.
+_MARGIN_BELOW = from_man_exp((1 << 47) - 1, -47)
+_MARGIN_ABOVE = from_man_exp((1 << 47) + 1, -47)
+_NEWTON_PREC = 80
+# An enclosure that decides nothing: every mid is evaluated.
+_NO_ENCLOSURE = ((-math.inf, 0.0), (math.inf, 0.0), (-math.inf, 0.0))
+
+
+def _pair(t: tuple):
+    """A positive libmp tuple as ``(exponent, mantissa in [1, 2))``, the same value."""
+    _, man, exp, bc = t
+    return exp + bc - 1, math.ldexp(man, 1 - bc)
+
+
+def _unpair(p) -> tuple:
+    """The libmp tuple of a pair from :func:`_pair`."""
+    exp, mant = p
+    return from_man_exp(int(math.ldexp(mant, 52)), exp - 52)
+
+
+def _below_peak(g: _G, u: tuple) -> bool:
+    """Whether ``u`` lies at or below the peak ``u*`` of ``g``, decided exactly.
+
+    With ``c`` the rounded ``1 - theta`` of ``g``, ``g'(u) >= 0`` iff
+    ``(N c)^N u^(N-1) <= 1``; the product is taken on integers as
+    ``man 2^-k``, so no rounding enters.
+    """
+    n = g.n
+    _, c_man, c_exp, _ = g.one_minus
+    _, u_man, u_exp, _ = u
+    man = (n * c_man) ** n * u_man ** (n - 1)
+    k = -(n * c_exp + (n - 1) * u_exp)
+    bits = man.bit_length()
+    return bits <= k or (bits == k + 1 and man == 1 << k)
+
+
+def _newton_root(g: _G, y: tuple) -> tuple:
+    """Estimate of the branch root of ``g(x) = y``, at 80 bits.
+
+    Newton's method on ``v = x^(1/N)`` for ``p(v) = v - c v^N - theta y``,
+    started at ``v = theta y``.  ``p`` is concave and ``p(theta y) < 0``, so
+    the iterates rise monotonically to the root on the increasing branch.
+    Stops on a step below 2^-70 relative, a slope that is not positive (no
+    root below the peak), or after 64 steps; returns ``v^N``.
+    """
+    prec = _NEWTON_PREC
+    n = g.n
+    ty = mpf_mul(g.theta, y, prec, _RND)
+    v = ty
+    for _ in range(64):
+        cw = mpf_mul(g.one_minus, mpf_pow_int(v, n - 1, prec, _RND), prec, _RND)
+        slope = mpf_sub(fone, mpf_mul_int(cw, n, prec, _RND), prec, _RND)
+        if not mpf_lt(fzero, slope):
+            break
+        p = mpf_sub(mpf_sub(v, mpf_mul(cw, v, prec, _RND), prec, _RND), ty, prec, _RND)
+        step = mpf_div(p, slope, prec, _RND)
+        v = mpf_sub(v, step, prec, _RND)
+        if mpf_le(mpf_abs(step), mpf_shift(v, -70)):
+            break
+    return mpf_pow_int(v, n, prec, _RND)
+
+
+def _enclosure(g: _G, y: tuple, hi: tuple):
+    """Certified enclosure ``(L, U, top)`` of the root of ``g(x) = y``, or None.
+
+    Write ``G`` for the 53-bit evaluation of :class:`_G` and ``g`` for the
+    exact function with the same rounded coefficients (``theta`` as given,
+    ``c`` the rounded ``1 - theta``).  The enclosure promises ``G(mid) < y``
+    for every ``mid <= L`` and ``G(mid) > y`` for every ``U <= mid <= top``,
+    so the bisection takes those comparisons without evaluating.  ``None``
+    when the certificate is refused.
+
+    *Candidate.*  ``x`` from :func:`_newton_root`; ``L, U = x (1 -+ N 2^-45)``,
+    wide enough because ``x g'(x) / g(x)`` is about ``1/N`` away from the
+    peak; ``top = hi (1 - 2^-40)`` rounded down.  Newton's accuracy decides
+    only how often the certificate is refused, never a comparison.
+
+    *Error bound.*  Let ``r = u^(1/N)``.  Up to the peak ``u* = (N c)^(-N/(N-1))``
+    of ``g``, ``c u <= r / N``.  ``G`` rounds ``r`` within one ulp (``sqrt``
+    correctly; ``nthroot`` rounds a Newton root carried with ten guard
+    bits), a relative ``2^-52``, and ``c u``, the ``sub`` and the ``div`` each
+    within half an ulp, ``2^-53``.  The rounded ``r - c u`` errs by at most
+    ``(r + c u) / (r - c u) 2^-52 <= (N+1)/(N-1) 2^-52 <= 3 2^-52``
+    relative, so on ``[0, u*]``, ``|G/g - 1| <= E`` with
+    ``E = (1 + 3 2^-52)(1 + 2^-53)^2 - 1 < 2^-50 (1 + 2^-49)``.
+
+    *Monotonicity.*  ``g`` is concave (a concave root minus a linear term)
+    with its peak at ``u*``.  :func:`_below_peak` checks ``top <= u*``
+    exactly, so ``g`` increases on ``[0, top]``: it is at most ``g(L)`` on
+    ``[0, L]``, and on ``[U, top]`` at least ``min(g(U), g(top)) = g(U)``.
+    Every point that is evaluated or decided lies in ``[0, top]``, where
+    ``E`` holds.
+
+    *Margin.*  The certificate is ``G(L) <= y (1 - m)`` and
+    ``G(U) >= y (1 + m)``, ``m = 2^-47``, with the thresholds rounded down
+    and up.  For ``mid <= L``, ``G(mid) <= (1 + E) g(L) <= (1 + E)/(1 - E)
+    G(L) <= (1 + E)(1 - m)/(1 - E) y < y``, which needs ``m > 2E/(1 + E)``.
+    For ``U <= mid <= top``, ``G(mid) >= (1 - E) g(U) >= (1 - E)/(1 + E)
+    (1 + m) y > y``, which needs ``m > 2E/(1 - E)``.  ``m >= 4E`` meets both
+    with room, so each skipped comparison equals the evaluated one.
+    """
+    x = _newton_root(g, y)
+    low = mpf_mul(x, from_man_exp((1 << 45) - g.n, -45), _PREC, _RND)
+    high = mpf_mul(x, from_man_exp((1 << 45) + g.n, -45), _PREC, _RND)
+    top = mpf_sub(hi, mpf_shift(hi, -40), _PREC, "d")
+    if (mpf_le(high, top) and _below_peak(g, top)
+            and mpf_le(g(low), mpf_mul(y, _MARGIN_BELOW, _PREC, "d"))
+            and mpf_ge(g(high), mpf_mul(y, _MARGIN_ABOVE, _PREC, "u"))):
+        return low, high, top
+    return None
+
+
 def _mp_preimage(g: _G, y, hi, want_exact: bool = True):
     """Exact-if-possible preimage of ``y`` under the increasing branch of g.
 
@@ -225,35 +346,64 @@ def _mp_preimage(g: _G, y, hi, want_exact: bool = True):
     the lower on equal distances (see :func:`_ulp_scan`).  Otherwise
     ``(center, False)``.  ``want_exact=False`` skips the scan and settles
     for the bisection limit (a few ulps), which is all the seed extension
-    needs.  Every ``g`` evaluation is counted on ``g.calls``.
+    needs.
+
+    The bisection is a replay of the 53-bit mpmath one on
+    ``(exponent, mantissa)`` pairs: ``mpf_mul`` and ``mpf_sqrt`` round to
+    nearest, ties to even, and so do IEEE ``*`` and ``math.sqrt`` on
+    mantissas in [1, 4), so every mid has the same bits.  Each comparison
+    ``g(mid) < y`` that the certified enclosure of :func:`_enclosure`
+    decides is counted on ``g.certified``; only the others evaluate ``g``,
+    and every evaluation is counted on ``g.calls``.
     """
     with mp.workprec(_PREC):
         y = mpf(y)._mpf_
         if y == fzero:
             return mpf(0), True
-        lo = fzero
         hi = mpf(hi)._mpf_
+        bounds = _enclosure(g, y, hi)
+        low, high, top = map(_pair, bounds) if bounds else _NO_ENCLOSURE
+
+        def side(mid):
+            """Sign of ``g(mid) - y``, from the enclosure where it decides."""
+            if mid <= low:
+                g.certified += 1
+                return -1
+            if high <= mid <= top:
+                g.certified += 1
+                return 1
+            return mpf_cmp(g(_unpair(mid)), y)
+
+        lo, hi = None, _pair(hi)  # lo None is 0
         # Deep targets sit at x ~ (theta y)^N; a verified tight bracket
         # skips ~1800 halvings across the exponent range.
         if mpf_lt(y, _DEEP_TARGET):
             est = mpf_pow_int(mpf_mul(g.theta, y, _PREC, _RND), g.n, _PREC, _RND)
-            blo, bhi = mpf_shift(est, -4), mpf_shift(est, 4)
-            if mpf_lt(bhi, hi) and mpf_lt(g(blo), y) and mpf_lt(y, g(bhi)):
+            exp, mant = _pair(est)
+            blo, bhi = (exp - 4, mant), (exp + 4, mant)
+            if bhi < hi and side(blo) < 0 and side(bhi) > 0:
                 lo, hi = blo, bhi
         for _ in range(4000):
-            if lo == fzero:
-                mid = mpf_shift(hi, -1)
+            if lo is None:
+                mid = (hi[0] - 1, hi[1])
             else:
-                mid = mpf_sqrt(mpf_mul(lo, hi, _PREC, _RND), _PREC, _RND)
-            if mpf_le(mid, lo) or mpf_ge(mid, hi):
+                exp, mant = lo[0] + hi[0], lo[1] * hi[1]
+                if mant >= 2.0:
+                    exp, mant = exp + 1, 0.5 * mant
+                mid = (exp >> 1, math.sqrt(mant + mant) if exp & 1 else math.sqrt(mant))
+            if (lo is not None and mid <= lo) or mid >= hi:
                 break
-            if mpf_lt(g(mid), y):
+            if side(mid) < 0:
                 lo = mid
             else:
                 hi = mid
-            # hi - lo <= 4 eps hi, with eps = 2^-52
-            if lo != fzero and mpf_le(mpf_sub(hi, lo, _PREC, _RND), mpf_shift(hi, -50)):
-                break
+            # hi - lo <= 4 eps hi, with eps = 2^-52, both sides rounded as
+            # mpf_sub does; a gap of two binades is always wider
+            if lo is not None:
+                gap = hi[0] - lo[0]
+                if gap <= 1 and math.ldexp(hi[1], gap) - lo[1] <= math.ldexp(hi[1], gap - 50):
+                    break
+        hi = _unpair(hi)
         center = mp.make_mpf(hi)
         if not want_exact:
             return center, False
@@ -276,7 +426,7 @@ def exact_threshold_chain(params: CascadeParams, n: int):
 
 
 def _threshold_chain(params: CascadeParams, n: int):
-    """:func:`exact_threshold_chain` plus its count of ``g`` evaluations."""
+    """:func:`exact_threshold_chain` plus the evaluator that counted its work."""
     if classify(params) != SUPERCRITICAL:
         raise ValueError("threshold sequence exists only in the supercritical regime")
     if n < 0:
@@ -295,7 +445,7 @@ def _threshold_chain(params: CascadeParams, n: int):
             flags.append(ok)
             target = x
             hi = x  # g is increasing on [0, a_k] and a_{k+1} < a_k
-        return values, flags, g.calls
+        return values, flags, g
 
 
 def a_sequence(params: CascadeParams, n: int, tol: float = 1e-13) -> np.ndarray:
@@ -306,11 +456,12 @@ def a_sequence(params: CascadeParams, n: int, tol: float = 1e-13) -> np.ndarray:
     bit-exact whenever an exact preimage exists).
     """
     values, flags = exact_threshold_chain(params, n)
+    g = _G(params)
     with mp.workprec(53):
         for k, (v, ok) in enumerate(zip(values, flags)):
             if not ok:
                 prev = mpf(1) if k == 0 else values[k - 1]
-                if abs(_g_mp(params, v) - prev) > mpf(tol):
+                if abs(mp.make_mpf(g(v._mpf_)) - prev) > mpf(tol):
                     raise RuntimeError(
                         f"threshold a_{k} missed its defining identity beyond {tol!r}"
                     )
@@ -352,6 +503,9 @@ class CascadeSolution:
     ``(c e^n, c e^{n+1}]``.  ``a`` is the float64 projection of the exact
     53-bit chain ``a_exact``; ``underflow_index`` marks the first threshold
     that is not representable in float64 (``None`` if all are).
+    ``g_evaluations`` counts the chain's ``g`` evaluations and
+    ``certified_steps`` its bisection comparisons decided by a certified root
+    enclosure without one.
     """
 
     params: CascadeParams
@@ -364,6 +518,7 @@ class CascadeSolution:
     underflow_index: Optional[int]
     curve: SurvivalCurve
     g_evaluations: int
+    certified_steps: int
 
     def cells(self):
         """Cell indices ``n`` carried by the curve (values ``a_n`` or 1)."""
@@ -382,7 +537,7 @@ def explicit_solution(
         raise ValueError("scale must be positive and finite")
     if depth < 0 or below < 1:
         raise ValueError("need depth >= 0 and below >= 1")
-    values_mp, flags, g_evaluations = _threshold_chain(params, depth)
+    values_mp, flags, g = _threshold_chain(params, depth)
     floats = np.array([float(v) for v in values_mp])
     under = np.nonzero(floats == 0.0)[0]
     underflow_index = int(under[0]) if len(under) else None
@@ -410,7 +565,7 @@ def explicit_solution(
     )
     return CascadeSolution(
         params, scale, depth, below, floats, values_mp, flags, underflow_index, curve,
-        g_evaluations,
+        g.calls, g.certified,
     )
 
 
@@ -430,14 +585,14 @@ def step_identity_residual(solution: CascadeSolution) -> StepIdentityReport:
     Computed on the 53-bit unbounded-exponent chain, so double-exponentially
     small thresholds do not fake a zero residual through underflow.
     """
-    params = solution.params
+    g = _G(solution.params)
     cells = np.arange(-solution.below, solution.depth + 1)
     res = np.empty(len(cells))
     with mp.workprec(53):
         for i, n in enumerate(cells):
             v_n = solution.a_exact[n] if n >= 0 else mpf(1)
             v_prev = solution.a_exact[n - 1] if n >= 1 else mpf(1)
-            res[i] = float(abs(v_prev - _g_mp(params, v_n)))
+            res[i] = float(abs(v_prev - mp.make_mpf(g(v_n._mpf_))))
     mx = float(np.max(res)) if len(res) else 0.0
     return StepIdentityReport(cells, res, mx, mx == 0.0)
 
@@ -539,7 +694,7 @@ def extend_from_seed(
             for k in range(1, downs + 1):
                 prev = y
                 y = _mp_preimage(g, y, y, want_exact=False)[0]
-                if abs(_g_mp(params, y) - prev) > tol:
+                if abs(mp.make_mpf(g(y._mpf_)) - prev) > tol:
                     raise RuntimeError(
                         f"inverse chain missed its defining identity beyond {tol!r}"
                     )

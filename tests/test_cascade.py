@@ -2,16 +2,33 @@
 extended solutions, escape, and modulation extraction."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_add, mpf_sub
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_ge,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_nthroot,
+    mpf_sub,
+)
 
+from branchfix import cascade
 from branchfix.branching import sample_W_limit
 from branchfix.cascade import (
     CascadeParams,
     _G,
+    _below_peak,
+    _enclosure,
     _mp_preimage,
     _ulp_scan,
     SeedFunction,
@@ -354,15 +371,171 @@ def test_ulp_scan_far_hits_and_misses_with_real_g():
                 assert gap > 64 * mpf(2) ** step_exp
 
 
+# ---------------------------------------------------------------------------
+# the certified bisection replay
+# ---------------------------------------------------------------------------
+
+# Cells whose certificate is refused, so every mid is evaluated: the a_0 of
+# the chains nearest the watershed, where g flattens toward its peak.
+REFUSED_CELLS = {(2, 0.45): [0], (4, 0.7): [0], (8, 0.85): [0]}
+
+
+def _same_as_reference(params, y, hi, want_exact):
+    """The library's preimage, required to carry the reference's bits and flag."""
+    want, want_ok = _reference_preimage(params, y, hi, want_exact)
+    got, ok = _mp_preimage(_G(params), y, hi, want_exact)
+    assert (got._mpf_, ok) == (want._mpf_, want_ok), (params, y, hi, want_exact)
+    return want
+
+
+def test_replay_sweep_matches_reference():
+    rng = random.Random(20090917)
+    with mp.workprec(53):
+        # supercritical chains, scanned and bisection-only
+        for _ in range(8):
+            n = rng.randint(2, 12)
+            params = CascadeParams(n, rng.uniform(0.05, 0.97 * (1.0 - 1.0 / n)))
+            for want_exact in (True, False):
+                y, hi = mpf(1), mpf(u_star(params))
+                for _ in range(4):
+                    y = hi = _same_as_reference(params, y, hi, want_exact)
+        # critical and subcritical extension chains from random seed values
+        for _ in range(8):
+            n = rng.randint(2, 12)
+            watershed = 1.0 - 1.0 / n
+            theta = watershed if rng.random() < 0.5 else rng.uniform(watershed, 0.99)
+            params = CascadeParams(n, theta)
+            y = mpf(rng.uniform(0.02, 0.98))
+            for _ in range(5):
+                y = _same_as_reference(params, y, y, False)
+        # g_inverse at random targets, shallow and deep, in every regime
+        for _ in range(8):
+            n = rng.randint(2, 12)
+            params = CascadeParams(n, rng.uniform(0.05, 0.95))
+            for y in (rng.random(), 10.0 ** rng.uniform(-30.0, -3.0)):
+                x = _same_as_reference(params, y, u_star(params), True)
+                assert g_inverse(params, y) == float(x)
+        # roots at a power of two, so the last bracket can straddle a binade
+        for n, theta in ((2, 0.25), (5, 0.3), (8, 0.5)):
+            params = CascadeParams(n, theta)
+            for k in (3, 11, 36):
+                for j in (-1, 0, 1):
+                    root = mpf(2) ** -k + j * mpf(2) ** (-k - 54)
+                    y = _reference_g(params, root)
+                    _same_as_reference(params, y, u_star(params), False)
+    # the fallback: a_0 next to the watershed has no certificate
+    params = CascadeParams(2, 0.49)
+    g = _G(params)
+    assert _enclosure(g, fone, from_float(u_star(params))) is None
+    _same_as_reference(params, 1, u_star(params), True)
+
+
+def _reference_cells(length=None):
+    """``(params, y, hi)`` of the REFERENCE_CHAINS cells, in chain order."""
+    for n, theta, full in REFERENCE_CHAINS:
+        params = CascadeParams(n, theta)
+        with mp.workprec(53):
+            y, hi = mpf(1), mpf(u_star(params))
+            for _ in range(length or full):
+                yield params, y._mpf_, hi._mpf_
+                y = hi = _reference_preimage(params, y, hi)[0]
+
+
+def _next_float(t, up):
+    """The 53-bit float next to the positive tuple ``t``, above or below."""
+    _, _, exp, bc = t
+    half = from_man_exp(1 if up else -1, exp + bc - 54)
+    return mpf_add(t, half, 53, "u" if up else "d")
+
+
+def test_enclosure_certificate_holds_beside_its_ends():
+    refused = {}
+    for params, y, hi in _reference_cells():
+        g = _G(params)
+        bounds = _enclosure(g, y, hi)
+        if bounds is None:
+            key = (params.N, params.theta)
+            refused[key] = refused.get(key, 0) + 1
+            continue
+        low, high, top = bounds
+        assert mpf_le(high, top) and mpf_lt(top, hi)
+        for _ in range(65):  # each end and the 64 floats beyond it
+            assert mpf_lt(g(low), y)
+            assert mpf_ge(g(high), y)
+            low, high = _next_float(low, False), _next_float(high, True)
+    assert refused == {key: len(cells) for key, cells in REFUSED_CELLS.items()}
+
+
+@pytest.mark.parametrize("factor", [1 + 2.0**-30, 1 - 2.0**-30])
+def test_perturbed_newton_is_refused_not_misdecided(monkeypatch, factor):
+    newton = cascade._newton_root
+    scale = from_float(factor)
+    monkeypatch.setattr(cascade, "_newton_root",
+                        lambda g, y: mpf_mul(newton(g, y), scale, 80, "n"))
+    for params, y, hi in _reference_cells(length=3):
+        assert _enclosure(_G(params), y, hi) is None
+        with mp.workprec(53):
+            _same_as_reference(params, mp.make_mpf(y), mp.make_mpf(hi), True)
+
+
+def test_enclosure_end_at_the_root_is_refused(monkeypatch):
+    # Place L, then U, on each float within 16 ulps of an exact preimage: at
+    # N = 8 about eight adjacent floats share its image y, so an end there
+    # has g(end) == y and only the margin refuses it.
+    params = CascadeParams(8, 0.5)
+    with mp.workprec(53):
+        y = _reference_preimage(params, 1, u_star(params))[0]
+        root, ok = _reference_preimage(params, y, y)
+    assert ok
+    half_width = from_man_exp(8, -45)
+    for factor in (mpf_sub(fone, half_width), mpf_add(fone, half_width)):
+        end = root._mpf_
+        for _ in range(16):
+            end = _next_float(end, False)
+        for _ in range(33):
+            x = mpf_div(end, factor, 200, "n")
+            monkeypatch.setattr(cascade, "_newton_root", lambda g, y, x=x: x)
+            assert _enclosure(_G(params), y._mpf_, y._mpf_) is None
+            end = _next_float(end, True)
+
+
+def test_below_peak_is_exact():
+    # SUPER has its peak at (2 * 3/4)^-2 = 4/9 and CRIT at exactly 1.
+    g = _G(SUPER)
+    assert _below_peak(g, mpf_div(from_int(4), from_int(9), 53, "d"))
+    assert not _below_peak(g, mpf_div(from_int(4), from_int(9), 53, "u"))
+    assert _below_peak(_G(CRIT), fone)
+    assert not _below_peak(_G(CRIT), _next_float(fone, True))
+    # the certificate is refused when hi lies past the peak
+    with mp.workprec(53):
+        y = mpf("0.3")._mpf_
+    assert _enclosure(g, y, from_float(u_star(SUPER))) is not None
+    assert _enclosure(g, y, from_float(2 * u_star(SUPER))) is None
+
+
+def test_nthroot_within_one_ulp():
+    # the error bound E of the certificate assumes a 53-bit nthroot within
+    # one ulp of the true root
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        u = from_man_exp(rng.getrandbits(53) | 1 << 52, rng.randint(-400, 0))
+        got = mp.make_mpf(mpf_nthroot(u, n, 53, "n"))
+        with mp.workprec(200):
+            true = mp.root(mp.make_mpf(u), n)
+            assert abs(got - true) <= true * mpf(2) ** -52
+
+
 def test_chain_g_evaluations_repeat():
     params = CascadeParams(8, 0.5)
     one = explicit_solution(params, scale=1.0, depth=30)
     two = explicit_solution(params, scale=2.5, depth=30)
     assert all(one.exact_flags)
     assert one.g_evaluations == two.g_evaluations > 0
-    # each exact cell stops its scan at the first hit: far fewer than the
-    # 129 evaluations per cell of a full 64-step scan
-    assert one.g_evaluations < 129 * len(one.exact_flags)
+    assert one.certified_steps == two.certified_steps > 0
+    # the enclosure decides most bisection mids, and each exact cell stops
+    # its scan at the first hit: 403 evaluations for these 31 cells
+    assert one.g_evaluations < 20 * len(one.exact_flags)
 
 
 # ---------------------------------------------------------------------------
