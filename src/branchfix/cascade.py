@@ -222,8 +222,7 @@ def _ulp_scan(g: _G, y: tuple, center: tuple):
     return None
 
 
-# Certificate margin m = 2^-47 on y, Newton enclosure half-width N 2^-45 on
-# x, and the upper decisions stop 2^-40 (relative) below hi.
+# 1 -+ m for the certificate margin m = 2^-47 of :func:`_enclosure`.
 _MARGIN_BELOW = from_man_exp((1 << 47) - 1, -47)
 _MARGIN_ABOVE = from_man_exp((1 << 47) + 1, -47)
 _NEWTON_PREC = 80

@@ -430,15 +430,14 @@ def test_replay_sweep_matches_reference():
     _same_as_reference(params, 1, u_star(params), True)
 
 
-def _reference_cells(length=None):
+def _chain_cells(length=None):
     """``(params, y, hi)`` of the REFERENCE_CHAINS cells, in chain order."""
     for n, theta, full in REFERENCE_CHAINS:
         params = CascadeParams(n, theta)
-        with mp.workprec(53):
-            y, hi = mpf(1), mpf(u_star(params))
-            for _ in range(length or full):
-                yield params, y._mpf_, hi._mpf_
-                y = hi = _reference_preimage(params, y, hi)[0]
+        chain, _ = exact_threshold_chain(params, (length or full) - 2)
+        yield params, fone, from_float(u_star(params))
+        for a in chain:
+            yield params, a._mpf_, a._mpf_
 
 
 def _next_float(t, up):
@@ -449,13 +448,14 @@ def _next_float(t, up):
 
 
 def test_enclosure_certificate_holds_beside_its_ends():
-    refused = {}
-    for params, y, hi in _reference_cells():
+    seen, refused = {}, {}
+    for params, y, hi in _chain_cells():
+        key = (params.N, params.theta)
+        cell = seen[key] = seen.get(key, -1) + 1
         g = _G(params)
         bounds = _enclosure(g, y, hi)
         if bounds is None:
-            key = (params.N, params.theta)
-            refused[key] = refused.get(key, 0) + 1
+            refused.setdefault(key, []).append(cell)
             continue
         low, high, top = bounds
         assert mpf_le(high, top) and mpf_lt(top, hi)
@@ -463,7 +463,7 @@ def test_enclosure_certificate_holds_beside_its_ends():
             assert mpf_lt(g(low), y)
             assert mpf_ge(g(high), y)
             low, high = _next_float(low, False), _next_float(high, True)
-    assert refused == {key: len(cells) for key, cells in REFUSED_CELLS.items()}
+    assert refused == REFUSED_CELLS
 
 
 @pytest.mark.parametrize("factor", [1 + 2.0**-30, 1 - 2.0**-30])
@@ -472,7 +472,7 @@ def test_perturbed_newton_is_refused_not_misdecided(monkeypatch, factor):
     scale = from_float(factor)
     monkeypatch.setattr(cascade, "_newton_root",
                         lambda g, y: mpf_mul(newton(g, y), scale, 80, "n"))
-    for params, y, hi in _reference_cells(length=3):
+    for params, y, hi in _chain_cells(length=3):
         assert _enclosure(_G(params), y, hi) is None
         with mp.workprec(53):
             _same_as_reference(params, mp.make_mpf(y), mp.make_mpf(hi), True)
