@@ -299,10 +299,11 @@ def _enclosure(g: _G, y: tuple, hi: tuple):
     peak; ``top = hi (1 - 2^-40)`` rounded down.  Newton's accuracy decides
     only how often the certificate is refused, never a comparison.
 
-    *Error bound.*  Let ``r = u^(1/N)``.  Up to the peak ``u* = (N c)^(-N/(N-1))``
-    of ``g``, ``c u <= r / N``.  ``G`` rounds ``r`` within one ulp (``sqrt``
-    correctly; ``nthroot`` rounds a Newton root carried with ten guard
-    bits), a relative ``2^-52``, and ``c u``, the ``sub`` and the ``div`` each
+    *Error bound.*  Let ``r = u^(1/N)``.  Up to the peak
+    ``u* = (N c)^(-N/(N-1))`` of ``g``, ``c u <= r / N``.  ``G`` rounds ``r``
+    within one ulp, a relative ``2^-52`` (``sqrt`` correctly; ``nthroot``
+    rounds a root computed with ten guard bits, by Newton's method or, for
+    ``N > 20``, by ``pow``), and ``c u``, the ``sub`` and the ``div`` each
     within half an ulp, ``2^-53``.  The rounded ``r - c u`` errs by at most
     ``(r + c u) / (r - c u) 2^-52 <= (N+1)/(N-1) 2^-52 <= 3 2^-52``
     relative, so on ``[0, u*]``, ``|G/g - 1| <= E`` with

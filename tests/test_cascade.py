@@ -515,10 +515,10 @@ def test_below_peak_is_exact():
 
 def test_nthroot_within_one_ulp():
     # the error bound E of the certificate assumes a 53-bit nthroot within
-    # one ulp of the true root
+    # one ulp of the true root; above N = 20 mpmath takes it through pow
     rng = random.Random(7)
     for _ in range(300):
-        n = rng.randint(3, 12)
+        n = rng.randint(3, 40)
         u = from_man_exp(rng.getrandbits(53) | 1 << 52, rng.randint(-400, 0))
         got = mp.make_mpf(mpf_nthroot(u, n, 53, "n"))
         with mp.workprec(200):
