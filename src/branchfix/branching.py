@@ -20,19 +20,17 @@ engines for the additive statistics
 and the exact per-generation increment distribution with the associated
 drift/divergence verdict.
 
-A generation is built by one of two steps, each a small object that owns
-its buffers and writes children into two reused output slots
-(:class:`_Slots`): :class:`_CascadeStep` on the cascade's exact integer
-levels, and :class:`_AtomStep` for every other model (explicit atoms and
-fixed vectors), which reads tables built once per call
-(:class:`_AtomColumns`).  The atom step draws every parent's atom before it
-builds any child, so the node budget is checked on exact child counts and a
-generation over budget is never allocated.  With a fixed fan-out (the
-cascade, and any model whose atoms all have the same number of positive
-weights) a replicate's generation is a contiguous block of equal size and
-the engines need no per-vertex index arrays beyond the ``np.bincount``
-labels of the atom sums.  Steps are handed from batch to batch, one per
-running thread.
+Trees grow in one generation loop, :func:`_grow`, which draws every
+parent's child count, checks the node budget on those exact counts (so a
+generation over budget is never allocated) and builds the generation; it
+feeds both :func:`simulate_tree` and the batch engine.  Each tree's
+generation is a contiguous block, so the engines need no per-vertex index
+arrays beyond the ``np.bincount`` labels of the float sums.  A generation
+step (contract in :class:`_Slots`) owns its buffers; :func:`_step_maker`, the
+engine's one type dispatch, picks :class:`_CascadeStep` on the cascade's
+exact integer levels or :class:`_AtomStep` for every other model, which
+reads tables built once per call (:class:`_AtomColumns`).  Steps are handed
+from batch to batch, one per running thread.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import queue
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -89,16 +87,29 @@ def _unit_threshold(theta: float) -> int:
 
 
 class _Slots:
-    """Two output slots, ``(S, seeds)`` pairs, that a step writes in turn.
+    """Base of a generation step: its contract, two output slots and scratch.
 
-    Each slot grows to the largest generation it has held: a call reads the
-    previous call's slot while it writes the other, and a run of batches on
-    one step touches no fresh memory after the first.  An output is
-    overwritten by the call after next, so a caller that keeps a generation
-    copies it.
+    A step has a ``width`` (the most children of one parent), the ``dtype``
+    of its ``S`` values, ``draw(seeds) -> (atoms, ends)``, where ``ends``
+    holds each parent's cumulative child count or is None when every parent
+    has ``width`` children, and a call ``(S, seeds, atoms, ends) -> (S,
+    seeds)`` that builds the children parent-major.  Outputs go to two slots
+    in turn, each grown to the largest generation it has held: a call reads
+    the previous call's slot while it writes the other, so a run of batches
+    touches no fresh memory after the first, and a caller that keeps a
+    generation copies it.  Work goes in blocks of ``parents`` parents through
+    the ``scratch``, ``bits`` and ``hit`` buffers.  A step owns its buffers,
+    so one instance serves one thread.
     """
 
-    def __init__(self, dtype):
+    def __init__(self, dtype, width):
+        self.dtype = np.dtype(dtype)
+        self.width = width
+        self.parents = max(1, seeding._BLOCK // width)
+        size = max(seeding._BLOCK, self.parents * width)
+        self.scratch = np.empty(size, dtype=np.uint64)
+        self.bits = np.empty(size, dtype=np.uint64)
+        self.hit = np.empty(size, dtype=bool)
         self.slots = [(np.empty(0, dtype=dtype), np.empty(0, dtype=np.uint64))] * 2
         self.turn = 0
 
@@ -114,6 +125,7 @@ class _Slots:
 class _CascadeStep(_Slots):
     """Cascade generation step on exact integer levels ``S(v) = sum B``.
 
+    Every parent has ``N`` children, so :meth:`draw` has nothing to pick.
     Calling the step on ``(levels, seeds)`` of one generation returns those
     of the children in parent-major order: the ``N`` children of parent
     ``i`` sit at ``i*N .. i*N + N-1``, as the broadcast ``seeds[:, None] ^
@@ -122,26 +134,19 @@ class _CascadeStep(_Slots):
     >> 11`` and adds ``bits < ceil(theta * 2^53)`` to the parent level.  That
     integer test is exactly ``u < theta`` for ``u = bits * 2^-53`` (both
     sides scale by the power of two exactly), so the draws are those of
-    :func:`seeding.unit_uniforms_np`.
-
-    Levels are int64.  The step owns its buffers, so one instance serves one
-    thread, and writes its outputs to two :class:`_Slots` in turn.
+    :func:`seeding.unit_uniforms_np`.  Levels are int64.
     """
 
     def __init__(self, model: BernoulliCascade):
-        n = model.N
-        self.n = n
-        self.salts = (np.arange(n, dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
+        super().__init__(np.int64, model.N)
+        self.salts = (np.arange(model.N, dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
         self.thr = np.uint64(_unit_threshold(model.theta))
-        self.parents = max(1, seeding._BLOCK // n)
-        width = self.parents * n
-        self.scratch = np.empty(width, dtype=np.uint64)
-        self.bits = np.empty(width, dtype=np.uint64)
-        self.hit = np.empty(width, dtype=bool)
-        super().__init__(np.int64)
 
-    def __call__(self, levels, seeds):
-        n = self.n
+    def draw(self, seeds):
+        return None, None
+
+    def __call__(self, levels, seeds, atoms=None, ends=None):
+        n = self.width
         v = len(levels)
         out, child = self._outputs(v * n)
         out, child = out.reshape(v, n), child.reshape(v, n)
@@ -218,26 +223,20 @@ class _AtomStep(_Slots):
     row-major compress by the atoms' ``valid`` rows moves to the output.
     The child seeds are then mixed in place.
 
-    The tables are shared; the buffers are the step's own, so one instance
-    serves one thread, and it writes its outputs to two :class:`_Slots` in
-    turn.  The atom buffer returned by :meth:`draw` is overwritten by the
-    next draw.
+    The tables are shared by every step of a run.  The atom buffer returned
+    by :meth:`draw` is overwritten by the next draw.
     """
 
     def __init__(self, columns: _AtomColumns):
+        super().__init__(np.float64, columns.width)
         self.cols = columns
-        self.parents = max(1, seeding._BLOCK // columns.width)
-        self.scratch = np.empty(seeding._BLOCK, dtype=np.uint64)
-        self.bits = np.empty(seeding._BLOCK, dtype=np.uint64)
-        self.hit = np.empty(seeding._BLOCK, dtype=bool)
         self.salt = np.empty(self.parents, dtype=np.uint64)
-        self.step = np.empty(self.parents)
+        self.inc = np.empty(self.parents)
         if not columns.fixed:
             self.full_s = np.empty((self.parents, columns.width))
             self.full_seeds = np.empty((self.parents, columns.width), dtype=np.uint64)
             self.keep = np.empty((self.parents, columns.width), dtype=bool)
         self.atoms = np.empty(0, dtype=np.intp)
-        super().__init__(np.float64)
 
     def draw(self, seeds):
         """``(atoms, ends)``: each parent's atom and, unless the fan-out is
@@ -271,7 +270,7 @@ class _AtomStep(_Slots):
 
     def __call__(self, S, seeds, atoms, ends=None):
         cols = self.cols
-        width = cols.width
+        width = self.width
         v = len(S)
         out, child = self._outputs(v * width if ends is None else int(ends[-1]))
         for lo in range(0, v, self.parents):
@@ -283,12 +282,12 @@ class _AtomStep(_Slots):
                 full_seeds = child[lo * width : hi * width].reshape(m, width)
             else:
                 full_s, full_seeds = self.full_s[:m], self.full_seeds[:m]
-            salt, step = self.salt[:m], self.step[:m]
+            salt, inc = self.salt[:m], self.inc[:m]
             for j in range(width):
                 np.take(cols.salts[j], k, out=salt, mode="clip")
                 np.bitwise_xor(seeds[lo:hi], salt, out=full_seeds[:, j])
-                np.take(cols.neglog[j], k, out=step, mode="clip")
-                np.add(S[lo:hi], step, out=full_s[:, j])
+                np.take(cols.neglog[j], k, out=inc, mode="clip")
+                np.add(S[lo:hi], inc, out=full_s[:, j])
             if ends is None:
                 c = child[lo * width : hi * width]
             else:
@@ -300,6 +299,46 @@ class _AtomStep(_Slots):
                 np.take(full_seeds.reshape(-1), idx, out=c, mode="clip")
             seeding._mix64_inplace(c, self.scratch)
         return out, child
+
+
+def _step_maker(model: WeightModel):
+    """Step factory for ``model``, the engine's one type dispatch; its steps
+    share the model's tables, built here once."""
+    if isinstance(model, BernoulliCascade):
+        return functools.partial(_CascadeStep, model)
+    return functools.partial(_AtomStep, _AtomColumns(model))
+
+
+def _grow(step, state, seeds, depth, node_cap, rep_indices=None):
+    """Grow trees generation by generation: the engine's one generation loop.
+
+    ``(state, seeds)`` holds one root per tree.  Yields ``(n, state, seeds,
+    sizes, ends)`` for ``n = 1 .. depth``: generation ``n`` of every tree,
+    tree ``i``'s a contiguous block of ``sizes[i]`` vertices after those of
+    trees ``0 .. i-1``, and the draw's ``ends`` (None for a fixed fan-out).
+    The yielded arrays live in the step's slots (see :class:`_Slots`).
+
+    Every parent's child count is drawn before the node budget is checked,
+    and the check precedes the build: when a tree's node count, root
+    included, would pass ``node_cap``, :class:`NodeCapError` names the
+    first such tree as ``rep_indices[i]`` (None for a single tree), and the
+    generation is never allocated.
+    """
+    sizes = np.ones(len(state), dtype=np.int64)
+    totals = sizes.copy()
+    for n in range(1, depth + 1):
+        atoms, ends = step.draw(seeds)
+        if ends is None:
+            sizes = sizes * step.width
+        else:
+            sizes = np.diff(ends[np.cumsum(sizes) - 1], prepend=0)
+        totals += sizes
+        if totals.max() > node_cap:
+            i = int(np.argmax(totals > node_cap))
+            raise NodeCapError(n, int(totals[i]),
+                               None if rep_indices is None else int(rep_indices[i]))
+        state, seeds = step(state, seeds, atoms, ends)
+        yield n, state, seeds, sizes, ends
 
 
 # ---------------------------------------------------------------------------
@@ -339,36 +378,18 @@ def simulate_tree(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    cascade = isinstance(model, BernoulliCascade)
-    if cascade:
-        step = _CascadeStep(model)
-        s = np.zeros(1, dtype=np.int64)
-    else:
-        step = _AtomStep(_AtomColumns(model))
-        s = np.zeros(1)
+    step = _step_maker(model)()
+    s = np.zeros(1, dtype=step.dtype)
     seeds = np.array([seed & _M64], dtype=np.uint64)
     gens = [s.astype(np.float64)]
     parents = [np.array([-1], dtype=np.int64)]
     vseeds = [seeds.copy()]
-    count = 1
-    for n in range(1, depth + 1):
-        # Every parent's child count is known before the budget check, and
-        # the check precedes the allocation.
-        if cascade:
-            counts = np.full(len(s), model.N)
-        else:
-            atoms, ends = step.draw(seeds)
-            counts = (np.full(len(s), step.cols.width) if ends is None
-                      else np.diff(ends, prepend=0))
-        kids = int(counts.sum())
-        if count + kids > node_cap:
-            raise NodeCapError(n, count + kids)
-        s, seeds = step(s, seeds) if cascade else step(s, seeds, atoms, ends)
-        count += kids
+    for _, s, seeds, _, ends in _grow(step, s, seeds, depth, node_cap):
+        counts = step.width if ends is None else np.diff(ends, prepend=0)
+        parents.append(np.repeat(np.arange(len(vseeds[-1]), dtype=np.int64), counts))
         gens.append(s.astype(np.float64))
-        parents.append(np.repeat(np.arange(len(counts), dtype=np.int64), counts))
         vseeds.append(seeds.copy())
-    return WeightedTree(depth, seed, count, gens, parents, vseeds)
+    return WeightedTree(depth, seed, sum(map(len, gens)), gens, parents, vseeds)
 
 
 @dataclass(frozen=True)
@@ -416,8 +437,8 @@ class ReplicateTraces:
 def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, step):
     """Traces for one batch of replicates; pure function of its arguments.
 
-    ``step`` is a :class:`_CascadeStep` or an :class:`_AtomStep` of the
-    model; either raises :class:`NodeCapError` before it builds the first
+    ``step`` is a generation step of the model (see :func:`_step_maker`);
+    :func:`_grow` raises :class:`NodeCapError` before it builds the first
     generation over budget, with the fields of the first replicate over it.
     """
     nrep = len(rep_indices)
@@ -431,61 +452,35 @@ def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, st
         a, b = interval
         if a - 1e-9 <= 0.0 <= b + 1e-9:
             ren += 1.0
-    if isinstance(step, _CascadeStep):
-        # Fixed fan-out N: replicate i's generation n is the contiguous block
-        # i*N^n .. (i+1)*N^n - 1 and every replicate has sum_k N^k nodes.
-        # Levels carry the replicate as an offset, i*(depth+1) + S(v), so one
-        # exact integer bincount is every replicate's level histogram, which
-        # dotted with the alpha-geometric weights gives W_n (no per-vertex exp).
-        base = np.arange(nrep, dtype=np.int64) * (depth + 1)
-        state = base.copy()
-        rho = np.exp(-alpha * np.arange(depth + 1))
-        width = total = 1
-        for n in range(1, depth + 1):
-            width *= step.n
-            if total + width > node_cap:
-                raise NodeCapError(n, total + width, replicate=int(rep_indices[0]))
-            total += width
-            state, seeds = step(state, seeds)
+    # Integer levels carry the replicate as an offset, i*(depth+1) + S(v), so
+    # one exact bincount is every replicate's level histogram, which dotted
+    # with the alpha-geometric weights gives W_n (no per-vertex exp).  Float
+    # S(v) add sequentially per replicate in np.bincount, so those bits do
+    # not depend on how the step cuts its blocks.  The two summation orders
+    # give different bits, so each model keeps its own.
+    levels = step.dtype.kind == "i"
+    offset = np.arange(nrep, dtype=np.int64) * (depth + 1) if levels else np.zeros(nrep)
+    rho = np.exp(-alpha * np.arange(depth + 1))
+    reps = np.arange(nrep, dtype=np.int64)
+    for n, state, _, sizes, _ in _grow(step, offset, seeds, depth, node_cap, rep_indices):
+        r[:, n] = np.exp(offset - np.minimum.reduceat(state, np.cumsum(sizes) - sizes))
+        if levels:
             hist = np.bincount(state, minlength=nrep * (depth + 1))
             lvl = np.ascontiguousarray(hist.reshape(nrep, depth + 1)[:, : n + 1])
             w[:, n] = lvl @ rho[: n + 1]
-            kmin = state.reshape(nrep, width).min(axis=1) - base
-            r[:, n] = np.exp(-1.0 * kmin)
             if interval is not None:
                 ks = np.arange(n + 1)
                 mask = (ks >= a - 1e-9) & (ks <= b + 1e-9)
                 if np.any(mask):
                     ren += lvl[:, mask] @ rho[: n + 1][mask]
-        return w, r, ren
-    # Replicates stay contiguous and in order: replicate i's generation n is
-    # a block of sizes[i] vertices after those of replicates 0 .. i-1.  W_n
-    # and the renewal sums add sequentially per replicate in np.bincount, so
-    # their bits do not depend on how the step cuts its blocks.
-    sizes = np.ones(nrep, dtype=np.int64)
-    totals = np.ones(nrep, dtype=np.int64)
-    state = np.zeros(nrep)
-    reps = np.arange(nrep, dtype=np.int64)
-    for n in range(1, depth + 1):
-        atoms, ends = step.draw(seeds)
-        if ends is None:
-            sizes *= step.cols.width
         else:
-            sizes = np.diff(ends[np.cumsum(sizes) - 1], prepend=0)
-        totals += sizes
-        bad = totals > node_cap
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise NodeCapError(n, int(totals[i]), replicate=int(rep_indices[i]))
-        state, seeds = step(state, seeds, atoms, ends)
-        rep = np.repeat(reps, sizes)
-        wv = np.multiply(state, -alpha)
-        np.exp(wv, out=wv)
-        w[:, n] = np.bincount(rep, weights=wv, minlength=nrep)
-        r[:, n] = np.exp(-np.minimum.reduceat(state, np.cumsum(sizes) - sizes))
-        if interval is not None:
-            mask = (state >= a - 1e-9) & (state <= b + 1e-9)
-            ren += np.bincount(rep, weights=wv * mask, minlength=nrep)
+            rep = np.repeat(reps, sizes)
+            wv = np.multiply(state, -alpha)
+            np.exp(wv, out=wv)
+            w[:, n] = np.bincount(rep, weights=wv, minlength=nrep)
+            if interval is not None:
+                mask = (state >= a - 1e-9) & (state <= b + 1e-9)
+                ren += np.bincount(rep, weights=wv * mask, minlength=nrep)
     return w, r, ren
 
 
@@ -517,11 +512,8 @@ def replicate_traces(
     ]
 
     # One step per running batch, handed from batch to batch so that its
-    # buffers are reused.  Atom steps share one set of tables.
-    if isinstance(model, BernoulliCascade):
-        make_step = functools.partial(_CascadeStep, model)
-    else:
-        make_step = functools.partial(_AtomStep, _AtomColumns(model))
+    # buffers are reused.
+    make_step = _step_maker(model)
     steps = queue.SimpleQueue()
     for _ in range(max(threads, 1)):
         steps.put(make_step())

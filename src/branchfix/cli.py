@@ -579,10 +579,7 @@ def _run_weights_analyze(config: RunConfig, em: _Emitter, threads: int) -> int:
     if res.alpha is not None:
         em.say(f"characteristic exponent: {format_number(res.alpha)}")
     elif isinstance(model, BernoulliCascade):
-        try:
-            regime = casc.classify(casc.CascadeParams(model.N, model.theta))
-        except ValueError:
-            regime = "degenerate"
+        regime = casc.classify(_cascade_params(config))
         em.say(f"no characteristic exponent; {regime} regime")
     else:
         em.say(f"no characteristic exponent; {res.reason}")

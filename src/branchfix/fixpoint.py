@@ -449,7 +449,6 @@ def regularity_diagnostic(
             dcol = d_mat[below, col]
             take = dcol[:window][::-1]  # deepest first -> ascending toward deep
             sequences.append((float(curve.residues[col]), take))
-        step = math.log(curve.r)
     else:
         if grid[0] > 1e-6 * (1.0 + 1e-12):
             raise GridDepthError(
@@ -458,9 +457,6 @@ def regularity_diagnostic(
         sel = grid <= grid[0] * 100.0
         dsel = d_all[sel][::-1]  # ascending toward deep
         sequences.append((None, dsel))
-        step = math.log(10.0) / max(
-            1, int(round((len(dsel) - 1) / max(np.log10(100.0), 1e-9)))
-        )
 
     window_pts = sum(len(s) for _, s in sequences)
     flat = np.concatenate([s for _, s in sequences])

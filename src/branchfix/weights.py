@@ -309,14 +309,7 @@ def characteristic_exponent(
         if len(pos_after) == 0:
             return ExponentResult(None, "m(beta) < 1 on the whole interval")
         k = int(pos_after[0]) + j
-        a, b = float(grid[k - 1]), float(grid[k])
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if _m_minus_one(model, mid) < 0.0:
-                a = mid
-            else:
-                b = mid
-        return ExponentResult(0.5 * (a + b))
+        return _bisect_unit_root(model, float(grid[k - 1]), float(grid[k]), tol, -1.0)
 
     # Zeros immediately before the first negative are exact root hits of the
     # decreasing crossing; the leftmost of that run is the minimal root.
@@ -325,10 +318,16 @@ def characteristic_exponent(
 
     # Strict bracket f(a) > 0 > f(b); m is convex so {m <= 1} is an interval
     # and this first crossing is the minimal root.
-    a, b = float(grid[i]), float(grid[j])
+    return _bisect_unit_root(model, float(grid[i]), float(grid[j]), tol, 1.0)
+
+
+def _bisect_unit_root(model: WeightModel, a: float, b: float, tol: float,
+                      sign: float) -> ExponentResult:
+    """Bisect ``[a, b]`` to width ``tol`` on a root of ``m - 1``: a mid where
+    ``sign * (m - 1) > 0`` replaces ``a``, any other mid replaces ``b``."""
     while b - a > tol:
         mid = 0.5 * (a + b)
-        if _m_minus_one(model, mid) > 0.0:
+        if sign * _m_minus_one(model, mid) > 0.0:
             a = mid
         else:
             b = mid
@@ -345,10 +344,6 @@ class LatticeInfo:
 
     kind: str
     r: Optional[float] = None
-
-    @property
-    def log_step(self) -> Optional[float]:
-        return None if self.r is None else math.log(self.r)
 
 
 _LATTICE_RTOL = 1e-9

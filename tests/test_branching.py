@@ -323,21 +323,32 @@ def test_sup_weight_deterministic():
 
 def test_replicate_traces_match_single_trees():
     # Replicate i is the tree rooted at replicate_root(master, i); the batch
-    # engines aggregate W_n by level histogram (cascade) or by a sequential
-    # per-replicate sum (atoms), so values agree with the per-vertex sum up
-    # to summation order only.  R_n is exact: the engines and
-    # sup_weight_trace all take np.exp of the exact minimum.
+    # engines aggregate W_n and the renewal sums by level histogram (cascade)
+    # or by a sequential per-replicate sum (atoms), so values agree with the
+    # per-vertex sum up to summation order only.  R_n is exact: the engines
+    # and sup_weight_trace all take np.exp of the exact minimum.  The renewal
+    # sum is sum_n sum_v exp(-alpha S(v)) 1{S(v) in [a, b]}, with the engines'
+    # 1e-9 slack at the ends, on an interval with 0 and one without;
+    # ATOMS_VARIABLE's weights 1.5 and 1.0 also put S(v) at and below 0.
     cascade = BernoulliCascade(2, 0.75)
     for model, alpha in ((cascade, LN3), (ATOMS_FIXED, 1.0), (ATOMS_VARIABLE, 1.0)):
-        traces = replicate_traces(model, alpha, depth=5, replicates=8, seed=2024)
-        for i in range(8):
-            tree = simulate_tree(model, depth=5, seed=replicate_root(2024, i))
-            np.testing.assert_allclose(
-                traces.W[i], martingale_trace(tree, alpha).values, rtol=1e-12
-            )
-            mins = np.array([s.min() for s in tree.generations])
-            np.testing.assert_array_equal(traces.R_sup[i], np.exp(-mins))
-            np.testing.assert_array_equal(traces.R_sup[i], sup_weight_trace(tree))
+        for a, b in ((-0.5, 1.5), (0.5, 2.5)):
+            traces = replicate_traces(model, alpha, depth=5, replicates=8, seed=2024,
+                                      renewal_interval=(a, b))
+            assert np.all(traces.renewal_sums > 0.0)
+            for i in range(8):
+                tree = simulate_tree(model, depth=5, seed=replicate_root(2024, i))
+                np.testing.assert_allclose(
+                    traces.W[i], martingale_trace(tree, alpha).values, rtol=1e-12
+                )
+                mins = np.array([s.min() for s in tree.generations])
+                np.testing.assert_array_equal(traces.R_sup[i], np.exp(-mins))
+                np.testing.assert_array_equal(traces.R_sup[i], sup_weight_trace(tree))
+                occupation = sum(
+                    float(np.sum(np.exp(-alpha * s)[(s >= a - 1e-9) & (s <= b + 1e-9)]))
+                    for s in tree.generations
+                )
+                np.testing.assert_allclose(traces.renewal_sums[i], occupation, rtol=1e-12)
 
 
 def test_replicate_traces_thread_invariant():

@@ -1,0 +1,105 @@
+"""Source hygiene over ``src/branchfix``: no unused imports, no dead locals.
+
+Both checks read the syntax tree only (``ast``), so they need no linter.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "branchfix"
+# __init__.py imports in order to re-export.
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _loaded_names(node):
+    """Names read anywhere below ``node``, including the base of ``a.b``."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, (ast.Load, ast.Del))}
+
+
+def unused_imports(tree):
+    """Module-level imported names that the module never reads."""
+    bound = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = stmt.lineno
+    used = _loaded_names(tree)
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func):
+    """Nodes of ``func``'s own scope: nested functions and classes excluded."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(tree):
+    """``(line, function, name)`` for each local a function assigns and
+    never reads (itself or in a nested scope); ``_``-prefixed names and
+    ``global``/``nonlocal`` names are exempt.  ``x += 1`` reads ``x``."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, declared = {}, set()
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno, stored.get(node.id, node.lineno))
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        read = _loaded_names(func) | {
+            n.target.id for n in ast.walk(func)
+            if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)
+        }
+        for name, line in stored.items():
+            if name.startswith("_") or name in declared or name in read:
+                continue
+            found.append((line, func.name, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_locals(path):
+    assert dead_locals(_tree(path)) == []
+
+
+def test_checks_catch_what_they_look_for():
+    src = (
+        "import os\n"
+        "from typing import Optional, Sequence\n"
+        "def f(x: Optional[int]):\n"
+        "    unused = 1\n"
+        "    _ignored = 2\n"
+        "    count = 0\n"
+        "    count += 1\n"
+        "    seen = x\n"
+        "    def g():\n"
+        "        return seen\n"
+        "    a, b = g(), 3\n"
+        "    return a\n"
+    )
+    tree = ast.parse(src)
+    assert unused_imports(tree) == [(1, "os"), (2, "Sequence")]
+    assert dead_locals(tree) == [(4, "f", "unused"), (11, "f", "b")]
