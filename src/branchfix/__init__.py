@@ -90,6 +90,7 @@ from .cascade import (
     EscapeReport,
     SeedFunction,
     StepIdentityReport,
+    ThresholdChain,
     a_sequence,
     classify,
     curve_step_residuals,

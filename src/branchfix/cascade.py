@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from mpmath import mp, mpf
@@ -65,7 +65,7 @@ from mpmath.libmp import (
     mpf_sub,
 )
 
-from .curves import SurvivalCurve
+from .curves import LatticeSpec, PeriodicModulation, SurvivalCurve
 from .weights import BernoulliCascade
 
 SUBCRITICAL = "subcritical"
@@ -413,20 +413,25 @@ def _mp_preimage(g: _G, y, hi, want_exact: bool = True):
         return mp.make_mpf(hit), True
 
 
-def exact_threshold_chain(params: CascadeParams, n: int):
+class ThresholdChain(NamedTuple):
+    """The exact threshold chain and the work that found it."""
+
+    values: list
+    flags: list
+    g_evaluations: int
+    certified_steps: int
+
+
+def exact_threshold_chain(params: CascadeParams, n: int) -> ThresholdChain:
     """Thresholds ``a_0 .. a_n`` as 53-bit unbounded-exponent floats.
 
     ``a_0`` is the preimage of 1 on the increasing branch and each further
     ``a_{k+1}`` the preimage of ``a_k``; the per-step ``exact`` flags state
-    whether ``g(a_{k+1})`` reproduces ``a_k`` bit for bit.  Supercritical
-    parameters only.
+    whether ``g(a_{k+1})`` reproduces ``a_k`` bit for bit.
+    ``g_evaluations`` counts the chain's ``g`` evaluations and
+    ``certified_steps`` its bisection comparisons decided by a certified root
+    enclosure without one.  Supercritical parameters only.
     """
-    values, flags, _ = _threshold_chain(params, n)
-    return values, flags
-
-
-def _threshold_chain(params: CascadeParams, n: int):
-    """:func:`exact_threshold_chain` plus the evaluator that counted its work."""
     if classify(params) != SUPERCRITICAL:
         raise ValueError("threshold sequence exists only in the supercritical regime")
     if n < 0:
@@ -445,7 +450,7 @@ def _threshold_chain(params: CascadeParams, n: int):
             flags.append(ok)
             target = x
             hi = x  # g is increasing on [0, a_k] and a_{k+1} < a_k
-        return values, flags, g
+    return ThresholdChain(values, flags, g.calls, g.certified)
 
 
 def a_sequence(params: CascadeParams, n: int, tol: float = 1e-13) -> np.ndarray:
@@ -455,7 +460,7 @@ def a_sequence(params: CascadeParams, n: int, tol: float = 1e-13) -> np.ndarray:
     strictly decreasing and satisfies ``|g(a_k) - a_{k-1}| <= tol`` (it is
     bit-exact whenever an exact preimage exists).
     """
-    values, flags = exact_threshold_chain(params, n)
+    values, flags, _, _ = exact_threshold_chain(params, n)
     g = _G(params)
     with mp.workprec(53):
         for k, (v, ok) in enumerate(zip(values, flags)):
@@ -537,8 +542,8 @@ def explicit_solution(
         raise ValueError("scale must be positive and finite")
     if depth < 0 or below < 1:
         raise ValueError("need depth >= 0 and below >= 1")
-    values_mp, flags, g = _threshold_chain(params, depth)
-    floats = np.array([float(v) for v in values_mp])
+    chain = exact_threshold_chain(params, depth)
+    floats = np.array([float(v) for v in chain.values])
     under = np.nonzero(floats == 0.0)[0]
     underflow_index = int(under[0]) if len(under) else None
 
@@ -558,14 +563,11 @@ def explicit_solution(
     curve = SurvivalCurve(
         grid=residue * math.e ** (np.arange(m_lo, m_hi + 1, dtype=np.float64) + kappa),
         values=cell_values,
-        mode="lattice-step",
-        r=math.e,
-        residues=np.array([residue]),
-        n_lo=m_lo + kappa,
+        lattice=LatticeSpec(math.e, (residue,), m_lo + kappa, m_hi + kappa),
     )
     return CascadeSolution(
-        params, scale, depth, below, floats, values_mp, flags, underflow_index, curve,
-        g.calls, g.certified,
+        params, scale, depth, below, floats, chain.values, chain.flags, underflow_index,
+        curve, chain.g_evaluations, chain.certified_steps,
     )
 
 
@@ -715,45 +717,42 @@ def extend_from_seed(
         np.add.outer(np.arange(n_lo, n_hi + 1, dtype=np.float64), np.log(residues))
     ).reshape(-1)
     return SurvivalCurve(
-        grid=grid,
-        values=values,
-        mode="lattice-step",
-        r=math.e,
-        residues=residues,
-        n_lo=n_lo,
+        grid=grid, values=values, lattice=LatticeSpec(math.e, residues, n_lo, n_hi)
     )
 
 
 def restrict_to_seed(curve: SurvivalCurve) -> SeedFunction:
     """Restriction of a lattice-step curve (r = e) to the seed window (1, e]."""
-    if curve.mode != "lattice-step" or curve.r is None or abs(curve.r - math.e) > 1e-12:
+    lat = curve.lattice
+    if lat is None or abs(lat.r - math.e) > 1e-12:
         raise ValueError("seed restriction needs a lattice-step curve with ratio e")
-    if abs(curve.residues[0] - 1.0) > 1e-12:
+    if abs(lat.residues[0] - 1.0) > 1e-12:
         raise ValueError("seed restriction needs residue 1 on the curve lattice")
-    q = len(curve.residues)
-    n0 = -curve.n_lo  # row index of exponent 0
+    q = len(lat.residues)
+    n0 = -lat.n_lo  # row index of exponent 0
     rows = len(curve.grid) // q
     if n0 < 0 or n0 + 1 >= rows:
         raise ValueError("curve must cover exponents 0 and 1 to restrict")
     interior_vals = curve.values[n0 * q + 1 : (n0 + 1) * q]
     e_val = curve.values[(n0 + 1) * q]  # residue 1 at exponent 1 is the point e
-    grid = np.concatenate([curve.residues[1:], [math.e]])
+    grid = np.concatenate([lat.residues[1:], [math.e]])
     vals = np.concatenate([interior_vals, [e_val]])
     return SeedFunction(grid, vals)
 
 
 def curve_step_residuals(params: CascadeParams, curve: SurvivalCurve) -> StepIdentityReport:
     """Float64 one-step residuals ``|v(t/e) - g(v(t)))`` across a lattice curve."""
-    if curve.mode != "lattice-step" or curve.r is None or abs(curve.r - math.e) > 1e-12:
+    lat = curve.lattice
+    if lat is None or abs(lat.r - math.e) > 1e-12:
         raise ValueError("step residuals need a lattice-step curve with ratio e")
-    q = len(curve.residues)
+    q = len(lat.residues)
     rows = len(curve.grid) // q
     vals = curve.values.reshape(rows, q)
     res = np.empty(((rows - 1), q))
     for i in range(rows - 1):
         for j in range(q):
             res[i, j] = abs(vals[i, j] - g_eval(params, vals[i + 1, j]))
-    cells = np.arange(curve.n_lo, curve.n_lo + rows - 1)
+    cells = np.arange(lat.n_lo, lat.n_hi)
     flat = res.reshape(-1)
     mx = float(np.max(flat)) if len(flat) else 0.0
     return StepIdentityReport(cells, flat, mx, mx == 0.0)
@@ -819,27 +818,26 @@ def extract_modulation(params, curve: SurvivalCurve, phi, alpha: float):
     curve (``h(s) = φ̂^{-1}(F̄(s)) s^{-alpha}``) by monotone bisection.
     Requires every queried value strictly inside (0, 1).
     """
-    from .curves import PeriodicModulation  # local import to avoid cycle noise
-
     if isinstance(params, CascadeParams) and classify(params) != SUBCRITICAL:
         raise ValueError("modulation recovery applies to the subcritical regime")
-    if curve.mode != "lattice-step":
+    lat = curve.lattice
+    if lat is None:
         raise ValueError("modulation recovery needs a lattice-step curve")
-    q = len(curve.residues)
-    n0 = -curve.n_lo
+    q = len(lat.residues)
+    n0 = -lat.n_lo
     rows = len(curve.grid) // q
     if n0 < 0 or n0 >= rows:
         raise ValueError("curve must cover exponent 0 to read residue values")
     res_vals = curve.values[n0 * q : (n0 + 1) * q]
     hs = np.empty(q)
-    for j, (s, v) in enumerate(zip(curve.residues, res_vals)):
+    for j, (s, v) in enumerate(zip(lat.residues, res_vals)):
         if not (0.0 < v < 1.0):
             raise ValueError(
                 f"curve value {v!r} at residue {s!r} is not strictly inside (0, 1)"
             )
         x = _invert_laplace(phi, float(v))
-        hs[j] = x * float(s) ** (-alpha)
-    return PeriodicModulation(curve.r, curve.residues.copy(), hs)
+        hs[j] = x * s ** (-alpha)
+    return PeriodicModulation(lat.r, lat.residues, hs)
 
 
 def _invert_laplace(phi, v: float, tol: float = 1e-12, max_expand: int = 200) -> float:

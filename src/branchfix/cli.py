@@ -794,8 +794,10 @@ def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
     em.say(
         f"seed points: {len(seed.grid)}, extension cells n in [{n_lo}, {n_hi}]"
     )
-    cell, residue = np.divmod(np.arange(len(curve.grid)), len(curve.residues))
-    em.csv("extension", {"n": curve.n_lo + cell, "residue": curve.residues[residue],
+    lat = curve.lattice
+    residues = np.array(lat.residues)
+    cell, residue = np.divmod(np.arange(len(curve.grid)), len(residues))
+    em.csv("extension", {"n": lat.n_lo + cell, "residue": residues[residue],
                          "t": curve.grid, "value": curve.values})
     rep = casc.curve_step_residuals(params, curve)
     em.say(f"step-identity residual: max = {format_number(rep.max_residual)}")

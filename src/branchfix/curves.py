@@ -4,16 +4,17 @@ Two curve types share one representation: :class:`SurvivalCurve` for
 ``t -> P(X > t)`` (nonincreasing, values in [0, 1], value 1 at 0+) and
 :class:`LaplaceCurve` for ``x -> E exp(-x X)`` (additionally convex).
 
-Two grid/interpolation modes are supported:
+A curve interpolates unless it carries a :class:`LatticeSpec`:
 
-* ``interp-loglinear`` — values interpolated linearly in ``log t`` between
-  grid points, clamped to the end values outside the grid (clamping is
+* without one, values are interpolated linearly in ``log t`` between grid
+  points and clamped to the end values outside the grid (clamping is
   always reported to the caller);
-* ``lattice-step`` — the curve is piecewise constant on the multiplicative
-  lattice ``{s * r^n}`` (left-continuous: the stored value at a lattice
-  point is the value on the cell ending there).  Lookups must hit a lattice
-  point within relative tolerance 1e-9; anything else is an error, because
-  off-lattice evaluation of a step curve would silently invent data.
+* with one, the curve is piecewise constant on the multiplicative lattice
+  ``{s * r^n}`` the spec names, and its grid is that lattice's points
+  (left-continuous: the stored value at a lattice point is the value on
+  the cell ending there).  Lookups must hit a lattice point within relative
+  tolerance 1e-9; anything else is an error, because off-lattice evaluation
+  of a step curve would silently invent data.
 
 Curves may carry an optional ``tail`` array holding ``1 - value`` at full
 relative accuracy, which matters when values are within float rounding
@@ -28,9 +29,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-MODE_INTERP = "interp-loglinear"
-MODE_LATTICE = "lattice-step"
-
 _LOOKUP_TOL = 1e-9
 
 
@@ -43,7 +41,7 @@ class CurveShapeError(ValueError):
 
 
 def log_grid(lo: float = 1e-6, hi: float = 1e6, points: int = 512) -> np.ndarray:
-    """Geometrically spaced grid for interp-loglinear curves."""
+    """Geometrically spaced grid for interpolated curves."""
     if not (0.0 < lo < hi) or points < 2:
         raise ValueError("need 0 < lo < hi and points >= 2")
     return np.geomspace(lo, hi, points)
@@ -82,7 +80,11 @@ def _residues(residues, period: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Grid specification for a lattice-step curve: points ``s * r^n``."""
+    """The lattice of a lattice-step curve: points ``s * r^n``.
+
+    Checked: ``r > 1``; residues nonempty, strictly increasing, finite and
+    in ``[1, r)``, stored as a tuple of floats; integers ``n_lo <= n_hi``.
+    """
 
     r: float
     residues: tuple = (1.0,)
@@ -90,7 +92,16 @@ class LatticeSpec:
     n_hi: int = 40
 
     def __post_init__(self) -> None:
-        _residues(self.residues, self.r)
+        if not self.r > 1.0:
+            raise CurveShapeError("lattice ratio r must exceed 1")
+        res = _residues(self.residues, self.r)
+        object.__setattr__(self, "residues", tuple(float(s) for s in res))
+        ends = (self.n_lo, self.n_hi)
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in ends):
+            raise CurveShapeError("lattice exponents n_lo and n_hi must be integers")
+        if self.n_lo > self.n_hi:
+            raise CurveShapeError("lattice exponents need n_lo <= n_hi")
 
     def points(self) -> np.ndarray:
         return lattice_points(self.r, self.residues, self.n_lo, self.n_hi)
@@ -128,10 +139,7 @@ def _validate_values(values: np.ndarray, grid: np.ndarray, tail) -> None:
 class _MonotoneCurve:
     grid: np.ndarray
     values: np.ndarray
-    mode: str = MODE_INTERP
-    r: Optional[float] = None
-    residues: Optional[np.ndarray] = None
-    n_lo: Optional[int] = None
+    lattice: Optional[LatticeSpec] = None
     tail: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -141,38 +149,20 @@ class _MonotoneCurve:
             self.tail = np.asarray(self.tail, dtype=np.float64)
         _validate_grid(self.grid)
         _validate_values(self.values, self.grid, self.tail)
-        if self.mode not in (MODE_INTERP, MODE_LATTICE):
-            raise CurveShapeError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_LATTICE:
-            if self.r is None or self.residues is None or self.n_lo is None:
-                raise CurveShapeError("lattice-step curves need r, residues, n_lo")
-            if self.r <= 1.0:
-                raise CurveShapeError("lattice ratio r must exceed 1")
-            self.residues = _residues(self.residues, self.r)
-            q = len(self.residues)
-            if len(self.grid) % q != 0:
-                raise CurveShapeError("lattice grid length must be a multiple of len(residues)")
-            expect = lattice_points(
-                self.r, self.residues, self.n_lo, self.n_lo + len(self.grid) // q - 1
-            )
-            if np.max(np.abs(np.log(self.grid) - np.log(expect))) > _LOOKUP_TOL:
-                raise CurveShapeError("grid points do not match the declared lattice")
         self._log_grid = np.log(self.grid)
-        if self.mode == MODE_LATTICE:
-            self._log_r = math.log(self.r)
-            self._log_res = np.log(self.residues)
-
-    @property
-    def n_hi(self) -> Optional[int]:
-        if self.mode != MODE_LATTICE:
-            return None
-        return self.n_lo + len(self.grid) // len(self.residues) - 1
+        if self.lattice is not None:
+            expect = np.log(self.lattice.points())
+            if (expect.shape != self.grid.shape
+                    or np.max(np.abs(self._log_grid - expect)) > _LOOKUP_TOL):
+                raise CurveShapeError("grid points do not match the declared lattice")
+            self._log_r = math.log(self.lattice.r)
+            self._log_res = np.log(self.lattice.residues)
 
     # -- evaluation -----------------------------------------------------
 
     def _lattice_index(self, log_t: np.ndarray):
         """Map log-arguments to flat lattice indices; raise when off-lattice."""
-        q = len(self.residues)
+        q = len(self._log_res)
         rel = (log_t[:, None] - self._log_res[None, :]) / self._log_r
         m = np.round(rel)
         err = np.abs(log_t[:, None] - (self._log_res[None, :] + m * self._log_r))
@@ -187,7 +177,7 @@ class _MonotoneCurve:
                 f"(log-distance {float(err_best[i])!r})"
             )
         n = m[rows, best].astype(np.int64)
-        flat = (n - self.n_lo) * q + best
+        flat = (n - self.lattice.n_lo) * q + best
         clamped = (flat < 0) | (flat >= len(self.grid))
         return np.clip(flat, 0, len(self.grid) - 1), clamped
 
@@ -201,7 +191,7 @@ class _MonotoneCurve:
         pos = ~zero
         if np.any(pos):
             log_t = np.log(ts[pos])
-            if self.mode == MODE_INTERP:
+            if self.lattice is None:
                 out_pos = np.interp(log_t, self._log_grid, arr)
                 cl = (log_t < self._log_grid[0]) | (log_t > self._log_grid[-1])
             else:

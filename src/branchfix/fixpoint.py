@@ -113,14 +113,7 @@ def apply_operator(curve, model: WeightModel) -> OperatorResult:
             f"{frac:.1%} of grid points needed clamped lookups "
             f"(threshold {_CLAMP_WARN:.1%}); widen the grid"
         )
-    image = type(curve)(
-        grid=ts.copy(),
-        values=out,
-        mode=curve.mode,
-        r=curve.r,
-        residues=None if curve.residues is None else curve.residues.copy(),
-        n_lo=curve.n_lo,
-    )
+    image = type(curve)(grid=ts.copy(), values=out, lattice=curve.lattice)
     return OperatorResult(image, clamped, frac, warnings)
 
 
@@ -201,16 +194,9 @@ def _mixture_arguments(h: PeriodicModulation, alpha: float, ts: np.ndarray) -> n
 
 def _mixture_curve(phi: EmpiricalLaplace, h, alpha, grid, cls):
     if isinstance(grid, LatticeSpec):
-        ts = grid.points()
-        mode_kwargs = dict(
-            mode="lattice-step",
-            r=grid.r,
-            residues=np.asarray(grid.residues, dtype=np.float64),
-            n_lo=grid.n_lo,
-        )
+        lattice, ts = grid, grid.points()
     else:
-        ts = np.asarray(grid, dtype=np.float64)
-        mode_kwargs = dict(mode="interp-loglinear")
+        lattice, ts = None, np.asarray(grid, dtype=np.float64)
     xs = _mixture_arguments(h, alpha, ts)
     if np.any(np.diff(xs) < 0.0):
         raise CurveShapeError(
@@ -219,7 +205,7 @@ def _mixture_curve(phi: EmpiricalLaplace, h, alpha, grid, cls):
         )
     tail = phi._tail_mean(xs)
     values = 1.0 - tail
-    return cls(grid=ts, values=values, tail=tail, **mode_kwargs)
+    return cls(grid=ts, values=values, lattice=lattice, tail=tail)
 
 
 def build_weibull_mixture(
@@ -434,8 +420,9 @@ def regularity_diagnostic(
     d_all = tail * np.exp(-alpha * logt)
 
     sequences = []  # (label, index array ascending toward deep, D values)
-    if curve.mode == "lattice-step":
-        q = len(curve.residues)
+    if curve.lattice is not None:
+        residues = curve.lattice.residues
+        q = len(residues)
         rows = len(grid) // q
         d_mat = d_all.reshape(rows, q)
         t_mat = grid.reshape(rows, q)
@@ -443,12 +430,12 @@ def regularity_diagnostic(
             below = t_mat[:, col] < 1.0
             if int(below.sum()) < window:
                 raise GridDepthError(
-                    f"residue {curve.residues[col]!r} has {int(below.sum())} lattice "
+                    f"residue {residues[col]!r} has {int(below.sum())} lattice "
                     f"points below 1; need >= {window}"
                 )
             dcol = d_mat[below, col]
             take = dcol[:window][::-1]  # deepest first -> ascending toward deep
-            sequences.append((float(curve.residues[col]), take))
+            sequences.append((residues[col], take))
     else:
         if grid[0] > 1e-6 * (1.0 + 1e-12):
             raise GridDepthError(

@@ -1,5 +1,6 @@
 """Tree simulation, martingale traces, increment law, and renewal checks."""
 
+import itertools
 import math
 import sys
 import threading
@@ -29,7 +30,8 @@ from branchfix.seeding import (
     replicate_root,
     unit_uniforms_np,
 )
-from branchfix.weights import BernoulliCascade, Deterministic, FiniteAtoms, atom_table
+from branchfix.weights import (BernoulliCascade, Deterministic, FiniteAtoms, atom_table,
+                               characteristic_exponent)
 
 LN3 = math.log(3.0)
 # Every atom has two positive weights: a fixed fan-out of 2.
@@ -519,6 +521,26 @@ def test_renewal_deterministic_walk_exact():
     assert rep.exact == pytest.approx(3.0, abs=1e-12)
     assert rep.empirical_mean == pytest.approx(3.0, abs=1e-12)
     assert rep.z_score == 0.0
+
+
+@pytest.mark.parametrize("depth", [3, 5])
+def test_renewal_non_lattice_series_matches_brute_force(depth):
+    # A non-lattice model takes the dense convolution path.  Recompute the
+    # series sum_{n<=depth} mu^{*n}([a, b]) by enumerating every sequence of
+    # n increments -log w with mass p w^alpha, straight from the atoms.
+    atoms = [(0.3, (0.6, 0.5)), (0.5, (0.9, 0.35)), (0.2, (0.7, 0.8))]
+    model = FiniteAtoms(atoms)
+    alpha = characteristic_exponent(model).alpha
+    steps = [(-math.log(w), p * w**alpha) for p, ws in atoms for w in ws]
+    a, b = 0.5, 2.0
+    want = 0.0
+    for n in range(depth + 1):
+        for seq in itertools.product(steps, repeat=n):
+            if a <= sum(x for x, _ in seq) <= b:
+                want += math.prod(m for _, m in seq)
+    rep = renewal_measure_check(model, alpha, (a, b), depth=depth, replicates=4, seed=3)
+    assert want > 0.0
+    np.testing.assert_allclose(rep.exact, want, rtol=1e-12)
 
 
 def test_renewal_negative_interval_is_empty():

@@ -167,13 +167,32 @@ def test_a0_equals_skeleton_extinction():
     )
 
 
+@pytest.mark.parametrize("n, theta, depth, cell", [(3, 0.4, 20, 14), (2, 0.3, 25, 13)])
+def test_a_sequence_checks_cells_without_exact_preimage(n, theta, depth, cell):
+    # The one cell with no exact preimage is held to tol instead.
+    params = CascadeParams(n, theta)
+    flags = exact_threshold_chain(params, depth).flags
+    assert [k for k, ok in enumerate(flags) if not ok] == [cell]
+    assert len(a_sequence(params, depth)) == depth + 1
+    with pytest.raises(RuntimeError, match=f"threshold a_{cell} missed"):
+        a_sequence(params, depth, tol=0.0)
+
+
+def test_threshold_chain_is_the_solution_chain():
+    chain = exact_threshold_chain(SUPER, 12)
+    sol = explicit_solution(SUPER, depth=12)
+    assert chain.values == sol.a_exact and chain.flags == sol.exact_flags
+    assert chain.g_evaluations == sol.g_evaluations > 0
+    assert chain.certified_steps == sol.certified_steps
+
+
 def test_a_sequence_requires_supercritical():
     with pytest.raises(ValueError):
         a_sequence(CRIT, 3)
 
 
 def test_exact_threshold_chain_flags():
-    chain, flags = exact_threshold_chain(SUPER, 8)
+    chain, flags, _, _ = exact_threshold_chain(SUPER, 8)
     assert len(chain) == 9
     assert all(isinstance(f, bool) for f in flags)
     # the chain decreases strictly and projects to the float sequence
@@ -434,7 +453,7 @@ def _chain_cells(length=None):
     """``(params, y, hi)`` of the REFERENCE_CHAINS cells, in chain order."""
     for n, theta, full in REFERENCE_CHAINS:
         params = CascadeParams(n, theta)
-        chain, _ = exact_threshold_chain(params, (length or full) - 2)
+        chain = exact_threshold_chain(params, (length or full) - 2).values
         yield params, fone, from_float(u_star(params))
         for a in chain:
             yield params, a._mpf_, a._mpf_
@@ -632,7 +651,7 @@ def test_extension_reproduces_mixture_curve():
     curve = build_weibull_mixture(phi, 1.0, LN3, spec)
     own_residual = curve_step_residuals(SUB, curve).max_residual
     ext = extend_from_seed(SUB, restrict_to_seed(curve), n_lo=-8, n_hi=8)
-    assert ext.n_lo == curve.n_lo and len(ext.values) == len(curve.values)
+    assert ext.lattice == curve.lattice and len(ext.values) == len(curve.values)
     gap = float(np.max(np.abs(curve.values - ext.values)))
     # the input curve satisfies the one-step recursion only to Monte Carlo
     # accuracy, which caps how closely any exact extension can match it
@@ -698,11 +717,10 @@ def test_extract_two_value_modulation():
 
 
 def test_extract_rejects_saturated_cells():
-    grid = LatticeSpec(r=math.e, residues=(1.0,), n_lo=-2, n_hi=2).points()
+    spec = LatticeSpec(r=math.e, residues=(1.0,), n_lo=-2, n_hi=2)
     # the exponent-0 cell is pinned at exactly 1, so no h value can be read
     vals = np.array([1.0, 1.0, 1.0, 0.2, 0.1])
-    curve = SurvivalCurve(grid=grid, values=vals, mode="lattice-step",
-                          r=math.e, residues=np.array([1.0]), n_lo=-2)
+    curve = SurvivalCurve(grid=spec.points(), values=vals, lattice=spec)
     with pytest.raises(ValueError):
         extract_modulation(SUB, curve, _unit_phi(), LN3)
 

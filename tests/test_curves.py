@@ -112,11 +112,7 @@ def test_eval_rejects_negative_argument():
 def _step_curve():
     spec = LatticeSpec(r=math.e, residues=(1.0,), n_lo=-3, n_hi=3)
     pts = spec.points()
-    vals = np.linspace(1.0, 0.2, len(pts))
-    return SurvivalCurve(
-        grid=pts, values=vals, mode="lattice-step",
-        r=math.e, residues=np.array([1.0]), n_lo=-3,
-    )
+    return SurvivalCurve(grid=pts, values=np.linspace(1.0, 0.2, len(pts)), lattice=spec)
 
 
 def test_lattice_lookup_exact():
@@ -143,19 +139,45 @@ def test_lattice_clamps_beyond_range():
 def test_lattice_grid_must_match_declaration():
     spec = LatticeSpec(r=math.e, residues=(1.0,), n_lo=-2, n_hi=2)
     pts = spec.points() * 1.001  # systematic off-lattice distortion
-    with pytest.raises(CurveShapeError):
-        SurvivalCurve(
-            grid=pts, values=np.linspace(1.0, 0.5, len(pts)),
-            mode="lattice-step", r=math.e, residues=np.array([1.0]), n_lo=-2,
-        )
+    with pytest.raises(CurveShapeError, match="do not match the declared lattice"):
+        SurvivalCurve(grid=pts, values=np.linspace(1.0, 0.5, len(pts)), lattice=spec)
+    # on the lattice, but one point short of the spec's range
+    pts = spec.points()[:-1]
+    with pytest.raises(CurveShapeError, match="do not match the declared lattice"):
+        SurvivalCurve(grid=pts, values=np.linspace(1.0, 0.5, len(pts)), lattice=spec)
 
 
 def test_lattice_residues_must_live_in_unit_cell():
-    with pytest.raises(CurveShapeError):
-        SurvivalCurve(
-            grid=np.array([1.0, 3.0]), values=np.array([1.0, 0.5]),
-            mode="lattice-step", r=2.0, residues=np.array([1.0, 3.0]), n_lo=0,
-        )
+    with pytest.raises(CurveShapeError, match=r"lie in \[1, period\)"):
+        LatticeSpec(r=2.0, residues=(1.0, 3.0), n_lo=0, n_hi=0)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, math.nan])
+def test_lattice_spec_rejects_ratio_at_most_one(r):
+    with pytest.raises(CurveShapeError, match="lattice ratio r must exceed 1"):
+        LatticeSpec(r=r, residues=(1.0,))
+
+
+def test_lattice_spec_rejects_empty_exponent_range():
+    # n_lo > n_hi used to give a spec with no points at all
+    with pytest.raises(CurveShapeError, match="n_lo <= n_hi"):
+        LatticeSpec(r=math.e, residues=(1.0,), n_lo=5, n_hi=2)
+    assert len(LatticeSpec(r=math.e, residues=(1.0,), n_lo=2, n_hi=2).points()) == 1
+
+
+@pytest.mark.parametrize("ends", [(0.5, 2.5), (0, 2.0), (False, 2), (0, np.float64(2))])
+def test_lattice_spec_rejects_non_integer_exponents(ends):
+    # fractional exponents used to give points off every residue's lattice
+    with pytest.raises(CurveShapeError, match="must be integers"):
+        LatticeSpec(math.e, (1.0,), *ends)
+
+
+def test_lattice_spec_stores_residues_as_float_tuple():
+    spec = LatticeSpec(math.e, np.array([1.0, 1.5]), np.int64(-1), 1)
+    assert spec.residues == (1.0, 1.5)
+    assert all(type(s) is float for s in spec.residues)
+    same = LatticeSpec(math.e, (1.0, 1.5), -1, 1)
+    assert spec == same and hash(spec) == hash(same)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -167,10 +189,11 @@ def test_lattice_spec_rejects_non_finite_residues(bad):
 @pytest.mark.parametrize("cls", [SurvivalCurve, LaplaceCurve])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_lattice_curve_rejects_non_finite_residues(cls, bad):
+    # a curve's residues are its spec's, which refuses them
     grid = lattice_points(math.e, [1.0, 1.5], 0, 1)
     with pytest.raises(CurveShapeError, match=r"finite and lie in \[1, period\)"):
-        cls(grid=grid, values=np.array([1.0, 0.9, 0.8, 0.7]), mode="lattice-step",
-            r=math.e, residues=np.array([1.0, bad]), n_lo=0)
+        cls(grid=grid, values=np.array([1.0, 0.9, 0.8, 0.7]),
+            lattice=LatticeSpec(math.e, np.array([1.0, bad]), 0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -81,15 +81,24 @@ def test_operator_cascade_matches_hand_formula():
     model = BernoulliCascade(2, theta)
     spec = LatticeSpec(r=math.e, residues=(1.0,), n_lo=-8, n_hi=8)
     g = spec.points()
-    curve = SurvivalCurve(
-        grid=g, values=np.exp(-1.7 * g**0.9), mode="lattice-step",
-        r=math.e, residues=np.array([1.0]), n_lo=-8,
-    )
+    curve = SurvivalCurve(grid=g, values=np.exp(-1.7 * g**0.9), lattice=spec)
     out = apply_operator(curve, model)
     inner_shift, _ = curve.eval_many(g / math.e)
     inner_stay, _ = curve.eval_many(g)
     want = (theta * inner_shift + (1 - theta) * inner_stay) ** 2
     np.testing.assert_allclose(out.curve.values, want, rtol=1e-13)
+
+
+def test_operator_zero_weight_is_a_unit_factor():
+    # A zero weight contributes curve(0) = 1, so it drops out of its atom's
+    # product: E prod = 0.4 F̄(t/2) + 0.6 F̄(0.7 t) F̄(0.9 t).
+    model = FiniteAtoms([(0.4, (0.5, 0.0)), (0.6, (0.7, 0.9, 0.0))])
+    g = log_grid(1e-3, 1e3, 64)
+    curve = SurvivalCurve(grid=g, values=np.exp(-g))
+    out = apply_operator(curve, model)
+    f = {w: curve.eval_many(g * w)[0] for w in (0.5, 0.7, 0.9)}
+    want = 0.4 * f[0.5] + 0.6 * (f[0.7] * f[0.9])
+    np.testing.assert_allclose(out.curve.values, want, rtol=1e-15)
 
 
 def test_operator_preserves_trivial_fixed_points():
@@ -417,10 +426,7 @@ def test_mixture_se_matches_extended_precision(model, t_big):
 def _weibull_lattice_curve(c=1.3, alpha=0.8):
     spec = LatticeSpec(r=math.e, residues=(1.0, math.sqrt(math.e)), n_lo=-16, n_hi=8)
     g = spec.points()
-    return SurvivalCurve(
-        grid=g, values=np.exp(-c * g**alpha), mode="lattice-step",
-        r=math.e, residues=np.array([1.0, math.sqrt(math.e)]), n_lo=-16,
-    )
+    return SurvivalCurve(grid=g, values=np.exp(-c * g**alpha), lattice=spec)
 
 
 def test_regularity_exact_weibull_is_elementary_candidate():
@@ -453,6 +459,33 @@ def test_regularity_needs_deep_grid():
     curve = SurvivalCurve(grid=g, values=np.exp(-g))
     with pytest.raises(GridDepthError):
         regularity_diagnostic(curve, 1.0)
+
+
+@pytest.mark.parametrize("amplitude, label", [(0.3, "regular"), (0.6, "inconclusive")])
+def test_regularity_oscillating_tail(amplitude, label):
+    # D(t) = 1 + a sin(log t) neither settles nor trends: within a factor 2
+    # for a = 0.3 (0.7 .. 1.3), wider for a = 0.6 (0.4 .. 1.6).
+    g = log_grid(1e-8, 1e2, 400)
+    curve = SurvivalCurve(grid=g, values=np.exp(-g * (1.0 + amplitude * np.sin(np.log(g)))))
+    rep = regularity_diagnostic(curve, 1.0)
+    assert rep.classification == label
+    np.testing.assert_allclose(
+        [rep.liminf_estimate, rep.limsup_estimate], [1 - amplitude, 1 + amplitude], atol=1e-3
+    )
+
+
+def test_regularity_bounded_not_away_from_zero():
+    # On a lattice probed at alpha = 10 each step up multiplies t^alpha by
+    # e^10, so D = tail / t^alpha can alternate between 1 and 1/200 while
+    # the tail still increases: bounded above, not away from 0, no trend.
+    spec = LatticeSpec(r=math.e, residues=(1.0,), n_lo=-14, n_hi=-1)
+    g = spec.points()
+    tail = np.where(np.arange(len(g)) % 2 == 0, 1.0, 0.005) * g**10.0
+    curve = SurvivalCurve(grid=g, values=1.0 - tail, lattice=spec, tail=tail)
+    rep = regularity_diagnostic(curve, 10.0)
+    assert rep.classification == "bounded"
+    assert rep.liminf_estimate == pytest.approx(0.005, rel=1e-9)
+    assert rep.limsup_estimate == pytest.approx(1.0, rel=1e-9)
 
 
 def test_regularity_mixture_curve_near_one():

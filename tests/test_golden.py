@@ -278,7 +278,7 @@ def _tree(model=BernoulliCascade(2, 0.75), depth=16):
 
 def _chain(params, n):
     """Digest of the exact chain: each value's sign, mantissa and exponent, and the flags."""
-    values, flags = exact_threshold_chain(params, n)
+    values, flags, _, _ = exact_threshold_chain(params, n)
     words = [f"{s}:{int(m)}:{int(e)}" for s, m, e, _ in (v._mpf_ for v in values)]
     return hashlib.sha256(repr((words, flags)).encode()).hexdigest()
 

@@ -1,6 +1,7 @@
-"""Source hygiene over ``src/branchfix``: no unused imports, no dead locals.
+"""Source hygiene over ``src/branchfix``: no unused imports, no dead locals,
+no unread private names.
 
-Both checks read the syntax tree only (``ast``), so they need no linter.
+The checks read the syntax tree only (``ast``), so they need no linter.
 """
 
 import ast
@@ -37,7 +38,8 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
-_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = (*_FUNCS, ast.Lambda, ast.ClassDef)
 
 
 def _own_nodes(func):
@@ -75,6 +77,42 @@ def dead_locals(tree):
     return sorted(found)
 
 
+def _private_definitions(tree):
+    """``(line, name)`` of each module-level function, class or assigned
+    name, and each method, whose name has one leading underscore."""
+    nodes = []
+    for stmt in tree.body:
+        nodes.append(stmt)
+        if isinstance(stmt, ast.ClassDef):
+            nodes.extend(f for f in stmt.body if isinstance(f, _FUNCS))
+    found = []
+    for node in nodes:
+        if isinstance(node, (*_FUNCS, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def unread_private_names(trees):
+    """``(module, line, name)`` for each private definition (see
+    :func:`_private_definitions`) that no tree in ``trees`` (a mapping of
+    module name to tree) reads as a name or an attribute."""
+    read = set()
+    for tree in trees.values():
+        read |= _loaded_names(tree) | {
+            n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for line, name in _private_definitions(tree) if name not in read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -83,6 +121,11 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_locals(path):
     assert dead_locals(_tree(path)) == []
+
+
+def test_no_unread_private_names():
+    trees = {p.name: _tree(p) for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(trees) == []
 
 
 def test_checks_catch_what_they_look_for():
@@ -103,3 +146,22 @@ def test_checks_catch_what_they_look_for():
     tree = ast.parse(src)
     assert unused_imports(tree) == [(1, "os"), (2, "Sequence")]
     assert dead_locals(tree) == [(4, "f", "unused"), (11, "f", "b")]
+    other = (
+        "_LIMIT = 3\n"
+        "_UNREAD: int = 4\n"
+        "def _helper():\n"
+        "    return _LIMIT\n"
+        "def _orphan():\n"
+        "    return 1\n"
+        "class _Box:\n"
+        "    def _used(self):\n"
+        "        return self._unused\n"
+        "    def _unused(self):\n"
+        "        return _helper()\n"
+        "    def _never(self):\n"
+        "        return _Box()._used()\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+    )
+    assert unread_private_names({"m": ast.parse(other)}) == [
+        ("m", 2, "_UNREAD"), ("m", 5, "_orphan"), ("m", 12, "_never")]

@@ -70,10 +70,7 @@ def _merged(vals, probs, tol):
 def _lattice_curve(n_lo=-12, n_hi=12):
     spec = LatticeSpec(r=math.e, residues=(1.0, math.sqrt(math.e)), n_lo=n_lo, n_hi=n_hi)
     g = spec.points()
-    return SurvivalCurve(
-        grid=g, values=np.exp(-1.3 * g**0.8), mode="lattice-step",
-        r=math.e, residues=np.array([1.0, math.sqrt(math.e)]), n_lo=n_lo,
-    )
+    return SurvivalCurve(grid=g, values=np.exp(-1.3 * g**0.8), lattice=spec)
 
 
 @pytest.mark.parametrize("n,theta", CASES)

@@ -23,7 +23,6 @@ from branchfix.curves import (
     LatticeSpec,
     SurvivalCurve,
     dyadic_grid,
-    lattice_points,
     log_grid,
 )
 from branchfix.fixpoint import (
@@ -235,21 +234,19 @@ def test_scaling_equivariance_randomized_lattice():
     # lattice-step curves shift by whole powers of the ratio: table reads on
     # both sides hit identical cells, so agreement is exact.
     rng = np.random.default_rng(42)
-    n_lo, n_hi = -12, 12
-    grid = lattice_points(math.e, (1.0,), n_lo, n_hi)
+    spec = LatticeSpec(math.e, (1.0,), -12, 12)
+    grid = spec.points()
     for _ in range(20):
         values = np.cumprod(rng.uniform(0.85, 1.0, len(grid)))
         model = BernoulliCascade(int(rng.integers(2, 5)), float(rng.uniform(0.05, 0.95)))
         k = int(rng.integers(1, 4))
         base = apply_operator(
-            SurvivalCurve(grid=grid, values=values, mode="lattice-step",
-                          r=math.e, residues=(1.0,), n_lo=n_lo),
+            SurvivalCurve(grid=grid, values=values, lattice=spec),
             model,
         )
         scaled = apply_operator(
             SurvivalCurve(grid=grid / math.e ** k, values=values.copy(),
-                          mode="lattice-step", r=math.e, residues=(1.0,),
-                          n_lo=n_lo - k),
+                          lattice=LatticeSpec(math.e, (1.0,), -12 - k, 12 - k)),
             model,
         )
         clean = ~(base.point_clamped | scaled.point_clamped)
