@@ -353,6 +353,25 @@ def test_replicate_traces_match_single_trees():
                 np.testing.assert_allclose(traces.renewal_sums[i], occupation, rtol=1e-12)
 
 
+@pytest.mark.parametrize("replicates", [1, 2, 3])
+@pytest.mark.parametrize("model", [ATOMS_FIXED, ATOMS_VARIABLE], ids=["fixed", "variable"])
+def test_float_sums_add_in_vertex_order(model, replicates):
+    # Float W_n and renewal sums add each replicate's generation in vertex
+    # order, as np.cumsum does, bit for bit; a pairwise sum (what numpy does
+    # for one contiguous run of more than 8 values) differs at depth 8.
+    alpha, (a, b) = 1.0, (0.5, 3.0)
+    traces = replicate_traces(model, alpha, depth=8, replicates=replicates, seed=31,
+                              renewal_interval=(a, b))
+    for i in range(replicates):
+        tree = simulate_tree(model, depth=8, seed=replicate_root(31, i))
+        ren = 0.0
+        for n, s in enumerate(tree.generations):
+            wv = np.exp(-alpha * s)
+            assert traces.W[i, n] == np.cumsum(wv)[-1], (i, n)
+            ren += np.cumsum(wv * ((s >= a - 1e-9) & (s <= b + 1e-9)))[-1]
+        assert traces.renewal_sums[i] == ren, i
+
+
 def test_replicate_traces_thread_invariant():
     model = BernoulliCascade(2, 0.75)
     one = replicate_traces(model, LN3, depth=6, replicates=600, seed=7, threads=1)

@@ -49,6 +49,10 @@ ATOMS = {"kind": "atoms",
 HALVES = {"kind": "deterministic", "weights": [0.5, 0.5]}
 # Variable fan-out: unequal atom lengths and a zero weight (no child).
 VARIABLE = [(0.25, (0.2, 0.0, 1.5)), (0.5, (0.8,)), (0.25, (1.0, 0.4, 0.1))]
+# A wide fixed fan-out: 80 positive weights per atom, so one parent's
+# children of a 512-replicate batch span more than one 2^15-value block.
+WIDE = [(0.6, tuple(round(0.004 + 0.0002 * j, 6) for j in range(80))),
+        (0.4, tuple(round(0.02 - 0.0001 * j, 6) for j in range(80)))]
 LATTICE_GRID = {"mode": "lattice-step", "r": math.e, "n_lo": -12, "n_hi": 8}
 LOG_GRID = {"mode": "interp-loglinear", "lo": 1e-7, "hi": 1e3, "points": 96}
 DYADIC_GRID = {"mode": "dyadic", "points": 256, "per_octave": 4}
@@ -264,8 +268,8 @@ def _sha(*arrays) -> str:
     return h.hexdigest()
 
 
-def _traces(model, alpha, depth, threads, interval=None):
-    tr = replicate_traces(model, alpha, depth, replicates=1100, seed=21,
+def _traces(model, alpha, depth, threads, interval=None, replicates=1100):
+    tr = replicate_traces(model, alpha, depth, replicates=replicates, seed=21,
                           threads=threads, renewal_interval=interval)
     extra = () if tr.renewal_sums is None else (tr.renewal_sums,)
     return _sha(tr.W, tr.R_sup, *extra)
@@ -296,12 +300,24 @@ LIBRARY_CASES = {
         BernoulliCascade(2, 0.75), LN3, 8, 1, (0.0, 2.0)),
     "replicate-traces-cascade-t2": lambda: _traces(
         BernoulliCascade(2, 0.75), LN3, 8, 2, (0.0, 2.0)),
+    # A full batch and a one-replicate batch.
+    "replicate-traces-cascade-r513": lambda: _traces(
+        BernoulliCascade(2, 0.75), LN3, 8, 1, (0.0, 2.0), replicates=513),
     "simulate-tree-cascade": _tree,
     "replicate-traces-atoms": lambda: _traces(
         FiniteAtoms(ATOMS["atoms"]), 1.0, 6, 1),
     # Generation 7 of a 512-replicate batch is 2^16 parents: four blocks.
     "replicate-traces-atoms-renewal-t2": lambda: _traces(
         FiniteAtoms(ATOMS["atoms"]), 1.0, 8, 2, (0.5, 3.0)),
+    # One-replicate batches: alone, and after a full batch.  Each sum over
+    # a generation of 128 or 256 vertices adds in vertex order.
+    "replicate-traces-atoms-renewal-r1": lambda: _traces(
+        FiniteAtoms(ATOMS["atoms"]), 1.0, 8, 1, (0.5, 3.0), replicates=1),
+    "replicate-traces-atoms-renewal-r513": lambda: _traces(
+        FiniteAtoms(ATOMS["atoms"]), 1.0, 8, 1, (0.5, 3.0), replicates=513),
+    # 512 x 80 = 40 960 vertices in generation 1, 3.3 M in generation 2.
+    "replicate-traces-wide": lambda: _traces(
+        FiniteAtoms(WIDE), 1.0, 2, 1, (3.0, 9.5), replicates=512),
     # About 512 * 1.75^8 = 45k parents in the last generation of a batch.
     "replicate-traces-variable-t1": lambda: _traces(
         FiniteAtoms(VARIABLE), 1.0, 9, 1, (0.5, 3.0)),
@@ -325,11 +341,15 @@ LIBRARY_GOLDEN = {
     'cascade-extend-n8': 'ac04bbd0319fffeb5632a059cdfca031b5277121caa92301f9215523e34312b1',
     'cascade-solution-n8': 'b492085341452d53bc2f018eef8461a6731d282e12d52a9ffded8c0e19c9bb18',
     'replicate-traces-atoms': '9530f5e9da8076b8d4cd76f1b22b4b2fe81c4e295f7bcc8eebab6a760783590b',
+    'replicate-traces-atoms-renewal-r1': '15939b95178c288ebb8a8780afc5cea88fbaebe809ceba8efe12c707844b80de',
+    'replicate-traces-atoms-renewal-r513': 'a90d3fd8a531a17c81a6dceb8294f2ffb17c45d64f6c8042f437042eacaf19af',
     'replicate-traces-atoms-renewal-t2': 'b47ff48603d58e6ed100ab5def5b0023bb0257762175bd05611d0c9af09e7518',
+    'replicate-traces-cascade-r513': 'a94a66585a4d8c18f828f75b8701f0b0add0e25171a06667ae52f46e3b64da90',
     'replicate-traces-cascade-t1': 'b74d562b27a1e990a64687dcc06a6598534f3209aa7d32d5fd29e1d02c7cc784',
     'replicate-traces-cascade-t2': 'b74d562b27a1e990a64687dcc06a6598534f3209aa7d32d5fd29e1d02c7cc784',
     'replicate-traces-variable-t1': '714902419723c67414ddcff64828e3416566a54e79a80bcbfe26b19191b05dfc',
     'replicate-traces-variable-t2': '714902419723c67414ddcff64828e3416566a54e79a80bcbfe26b19191b05dfc',
+    'replicate-traces-wide': '1dc52f6098ef4ffa541ef19083fbaabd6dc899c98a9cf4e7ac2a83f7c4015113',
     'simulate-tree-atoms': '2ba1279a2c72b23484c0011bacac31dc816d23e456ca5071a64db74d34e28437',
     'simulate-tree-cascade': '0ebe5086a9db6b9c8850a4cb36abd0d59b95badec7a6c083868c4a076bc74f86',
     'simulate-tree-variable': '82663a7bb044077cd457d3e871e5e034616503d2289e7dc6f273bb4666ab00fd',
