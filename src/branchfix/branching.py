@@ -23,14 +23,18 @@ drift/divergence verdict.
 Trees grow in one generation loop, :func:`_grow`, which draws every
 parent's child count, checks the node budget on those exact counts (so a
 generation over budget is never allocated) and builds the generation; it
-feeds both :func:`simulate_tree` and the batch engine.  Each tree's
-generation is a contiguous block, so the engines need no per-vertex index
-arrays beyond the ``np.bincount`` labels of the float sums.  A generation
-step (contract in :class:`_Slots`) owns its buffers; :func:`_step_maker`, the
-engine's one type dispatch, picks :class:`_CascadeStep` on the cascade's
-exact integer levels or :class:`_AtomStep` for every other model, which
-reads tables built once per call (:class:`_AtomColumns`).  Steps are handed
-from batch to batch, one per running thread.
+feeds both :func:`simulate_tree` and the batch engine.  With a fixed fan-out
+a batch's generation ``n`` is a C-contiguous ``(width^n, trees)`` array: row
+``k`` holds vertex ``k`` of every tree, in a single tree's parent-major
+order, so each per-replicate statistic is a reduction down the columns and
+needs no per-vertex labels.  With a variable fan-out each tree's generation
+is a contiguous block, and the float sums go through ``np.bincount`` labels.
+A generation step (contract in :class:`_Slots`) owns its buffers;
+:func:`_step_maker`, the engine's one type dispatch, picks
+:class:`_CascadeStep` on the cascade's exact integer levels or
+:class:`_AtomStep` for every other model, which reads tables built once per
+call (:class:`_AtomColumns`).  Steps are handed from batch to batch, one per
+running thread.
 """
 
 from __future__ import annotations
@@ -87,29 +91,39 @@ def _unit_threshold(theta: float) -> int:
 
 
 class _Slots:
-    """Base of a generation step: its contract, two output slots and scratch.
+    """Base of a generation step: its contract, two output slots and buffers.
 
     A step has a ``width`` (the most children of one parent), the ``dtype``
     of its ``S`` values, ``draw(seeds) -> (atoms, ends)``, where ``ends``
     holds each parent's cumulative child count or is None when every parent
-    has ``width`` children, and a call ``(S, seeds, atoms, ends) -> (S,
-    seeds)`` that builds the children parent-major.  Outputs go to two slots
-    in turn, each grown to the largest generation it has held: a call reads
-    the previous call's slot while it writes the other, so a run of batches
-    touches no fresh memory after the first, and a caller that keeps a
-    generation copies it.  Work goes in blocks of ``parents`` parents through
-    the ``scratch``, ``bits`` and ``hit`` buffers.  A step owns its buffers,
-    so one instance serves one thread.
+    has ``width`` children, and a call ``(S, seeds, atoms, ends, trees=1,
+    leaf=False) -> (S, seeds)`` that builds the children.
+
+    Layout.  With a fixed fan-out the parents of ``trees`` trees come as a
+    flat C-contiguous ``(rows, trees)`` array, row ``k`` holding vertex
+    ``k`` of every tree, and the children of parent row ``p`` fill rows
+    ``p*width .. p*width + width-1`` in child order; with ``trees = 1`` this
+    is a single tree's parent-major order.  With a variable fan-out the
+    parents are tree-major and the children parent-major, each parent's
+    after those of the parents before it, so each tree's vertices stay one
+    block.  ``leaf=True`` says that nothing reads the children's seeds: a
+    step that needs none to draw skips them and returns None for them.
+
+    Outputs go to two slots in turn, each grown to the largest generation it
+    has held: a call reads the previous call's slot while it writes the
+    other, so a run of batches touches no fresh memory after the first, and
+    a caller that keeps a generation copies it.  Work goes in blocks of
+    whole parent rows, at most ``2^15`` children a block unless one row has
+    more, through named buffers (:meth:`_buffer`) grown to the largest
+    block they have held.  A step owns its buffers, so one instance serves
+    one thread.
     """
 
     def __init__(self, dtype, width):
         self.dtype = np.dtype(dtype)
         self.width = width
-        self.parents = max(1, seeding._BLOCK // width)
-        size = max(seeding._BLOCK, self.parents * width)
-        self.scratch = np.empty(size, dtype=np.uint64)
-        self.bits = np.empty(size, dtype=np.uint64)
-        self.hit = np.empty(size, dtype=bool)
+        self.scratch = np.empty(seeding._BLOCK, dtype=np.uint64)
+        self.buffers = {}
         self.slots = [(np.empty(0, dtype=dtype), np.empty(0, dtype=np.uint64))] * 2
         self.turn = 0
 
@@ -121,20 +135,35 @@ class _Slots:
         self.turn ^= 1
         return out[:size], child[:size]
 
+    def _buffer(self, name, size, dtype=np.uint64):
+        """The first ``size`` values of the step's reused buffer ``name``."""
+        buf = self.buffers.get(name)
+        if buf is None or len(buf) < size:
+            buf = self.buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size]
+
+    def _blocks(self, parents, trees):
+        """``(lo, hi, rows)`` per block of whole rows of ``trees`` parents."""
+        step = max(1, seeding._BLOCK // (self.width * trees)) * trees
+        for lo in range(0, parents, step):
+            hi = min(lo + step, parents)
+            yield lo, hi, (hi - lo) // trees
+
 
 class _CascadeStep(_Slots):
     """Cascade generation step on exact integer levels ``S(v) = sum B``.
 
     Every parent has ``N`` children, so :meth:`draw` has nothing to pick.
-    Calling the step on ``(levels, seeds)`` of one generation returns those
-    of the children in parent-major order: the ``N`` children of parent
-    ``i`` sit at ``i*N .. i*N + N-1``, as the broadcast ``seeds[:, None] ^
-    salts`` lays them out.  One fused pass per block of parents builds and
-    mixes the child seeds in place, draws ``bits = mix64(child ^ DRAW_SALT)
-    >> 11`` and adds ``bits < ceil(theta * 2^53)`` to the parent level.  That
-    integer test is exactly ``u < theta`` for ``u = bits * 2^-53`` (both
-    sides scale by the power of two exactly), so the draws are those of
-    :func:`seeding.unit_uniforms_np`.  Levels are int64.
+    Child ``j`` of a parent with seed ``s`` has seed ``mix64(s ^ salt_j)``
+    and level ``parent + (bits < ceil(theta * 2^53))`` with ``bits =
+    mix64(child ^ DRAW_SALT) >> 11``.  That integer test is exactly ``u <
+    theta`` for ``u = bits * 2^-53`` (both sides scale by the power of two
+    exactly), so the draws are those of :func:`seeding.unit_uniforms_np`.
+    Per block of parent rows, one XOR per child position writes each child
+    row, a contiguous slab of ``trees`` values; one fused pass then mixes
+    the block's child seeds in place and draws, and one add per position
+    writes the levels.  The draws need every child seed, the last
+    generation's too, so ``leaf`` changes nothing here.  Levels are int64.
     """
 
     def __init__(self, model: BernoulliCascade):
@@ -145,27 +174,26 @@ class _CascadeStep(_Slots):
     def draw(self, seeds):
         return None, None
 
-    def __call__(self, levels, seeds, atoms=None, ends=None):
+    def __call__(self, levels, seeds, atoms=None, ends=None, trees=1, leaf=False):
         n = self.width
-        v = len(levels)
-        out, child = self._outputs(v * n)
-        out, child = out.reshape(v, n), child.reshape(v, n)
-        for lo in range(0, v, self.parents):
-            hi = min(lo + self.parents, v)
-            m = (hi - lo) * n
-            bits, hit = self.bits[:m], self.hit[:m]
-            # order="C" on the transposed views runs the inner loop over
-            # parents, not over the N (often 2) children of one parent.
-            np.bitwise_xor(seeds[lo:hi], self.salts[:, None], out=child[lo:hi].T,
-                           order="C")
-            c = child[lo:hi].reshape(-1)
+        out, child = self._outputs(len(levels) * n)
+        for lo, hi, rows in self._blocks(len(levels), trees):
+            shape = (rows, trees)
+            c = child[lo * n : hi * n]
+            kid_seeds = c.reshape(rows, n, trees)
+            for j in range(n):
+                np.bitwise_xor(seeds[lo:hi].reshape(shape), self.salts[j], out=kid_seeds[:, j])
             seeding._mix64_inplace(c, self.scratch)
+            bits = self._buffer("bits", len(c))
             np.bitwise_xor(c, seeding._DRAW_NP, out=bits)
             seeding._mix64_inplace(bits, self.scratch)
             bits >>= seeding._UNIT_SHIFT
-            np.less(bits, self.thr, out=hit)
-            np.add(levels[lo:hi], hit.reshape(hi - lo, n).T, out=out[lo:hi].T, order="C")
-        return out.reshape(-1), child.reshape(-1)
+            hit = np.less(bits, self.thr, out=self._buffer("hit", len(c), bool))
+            hit = hit.reshape(rows, n, trees)
+            kid_levels = out[lo * n : hi * n].reshape(rows, n, trees)
+            for j in range(n):
+                np.add(levels[lo:hi].reshape(shape), hit[:, j], out=kid_levels[:, j])
+        return out, child
 
 
 class _AtomColumns:
@@ -214,14 +242,17 @@ class _AtomStep(_Slots):
     :func:`seeding.unit_uniforms_np`.  With a variable fan-out it also
     returns each parent's child end offset, so a caller knows every child
     count before any child is built.  Calling the step then builds the
-    children, parent-major and, within a parent, in ascending position of
-    their weights.  Per block of parents, for each column ``j``, it gathers
-    the atoms' salts and ``-log w`` from the column tables into reused
-    buffers, XORs the salts into the parent seeds and adds the steps to the
-    parent ``S``.  With a fixed fan-out these land straight in the output;
+    children, within a parent in ascending position of their weights.  Per
+    block of parent rows, for each column ``j``, it gathers the atoms'
+    ``-log w`` and salts from the column tables into reused buffers, adds
+    the steps to the parent ``S`` and XORs the salts into the parent seeds.
+    With a fixed fan-out these land straight in the output, child ``j`` of
+    every parent row as one row of ``trees`` values (see :class:`_Slots`);
     otherwise in a block-sized ``(parents, width)`` buffer that one
     row-major compress by the atoms' ``valid`` rows moves to the output.
-    The child seeds are then mixed in place.
+    The child seeds are then mixed in place.  With ``leaf`` set the seeds
+    are not built at all (no gather, XOR or mix) and None is returned for
+    them: the draws of a generation need only the parents' seeds.
 
     The tables are shared by every step of a run.  The atom buffer returned
     by :meth:`draw` is overwritten by the next draw.
@@ -230,27 +261,18 @@ class _AtomStep(_Slots):
     def __init__(self, columns: _AtomColumns):
         super().__init__(np.float64, columns.width)
         self.cols = columns
-        self.salt = np.empty(self.parents, dtype=np.uint64)
-        self.inc = np.empty(self.parents)
-        if not columns.fixed:
-            self.full_s = np.empty((self.parents, columns.width))
-            self.full_seeds = np.empty((self.parents, columns.width), dtype=np.uint64)
-            self.keep = np.empty((self.parents, columns.width), dtype=bool)
-        self.atoms = np.empty(0, dtype=np.intp)
 
     def draw(self, seeds):
         """``(atoms, ends)``: each parent's atom and, unless the fan-out is
         fixed (then None), the cumulative child count up to each parent."""
         v = len(seeds)
-        if len(self.atoms) < v:
-            self.atoms = np.empty(v, dtype=np.intp)
-        atoms = self.atoms[:v]
+        atoms = self._buffer("atoms", v, np.intp)
         if len(self.cols.thr) == 0:         # one atom: nothing to draw
             atoms[:] = 0
         else:
             for lo in range(0, v, seeding._BLOCK):
                 hi = min(lo + seeding._BLOCK, v)
-                bits = self.bits[: hi - lo]
+                bits = self._buffer("bits", hi - lo)
                 np.bitwise_xor(seeds[lo:hi], seeding._DRAW_NP, out=bits)
                 seeding._mix64_inplace(bits, self.scratch)
                 bits >>= seeding._UNIT_SHIFT
@@ -263,42 +285,52 @@ class _AtomStep(_Slots):
         """``k[i] = #{j : bits[i] >= thr[j]}``."""
         thr = self.cols.thr
         np.greater_equal(bits, thr[0], out=k, casting="unsafe")
-        hit = self.hit[: len(bits)]
+        hit = self._buffer("hit", len(bits), bool)
         for t in thr[1:]:
             np.greater_equal(bits, t, out=hit)
             k += hit
 
-    def __call__(self, S, seeds, atoms, ends=None):
+    def __call__(self, S, seeds, atoms, ends=None, trees=1, leaf=False):
         cols = self.cols
         width = self.width
-        v = len(S)
-        out, child = self._outputs(v * width if ends is None else int(ends[-1]))
-        for lo in range(0, v, self.parents):
-            hi = min(lo + self.parents, v)
+        fixed = ends is None
+        trees = trees if fixed else 1
+        out, child = self._outputs(len(S) * width if fixed else int(ends[-1]))
+        for lo, hi, rows in self._blocks(len(S), trees):
             m = hi - lo
+            shape = (rows, trees)
             k = atoms[lo:hi]
-            if ends is None:
-                full_s = out[lo * width : hi * width].reshape(m, width)
-                full_seeds = child[lo * width : hi * width].reshape(m, width)
+            if fixed:
+                full_s, full_seeds = out[lo * width : hi * width], child[lo * width : hi * width]
             else:
-                full_s, full_seeds = self.full_s[:m], self.full_seeds[:m]
-            salt, inc = self.salt[:m], self.inc[:m]
+                full_s = self._buffer("full_s", m * width, np.float64)
+                full_seeds = self._buffer("full_seeds", m * width)
+            kids = full_s.reshape(rows, width, trees)
+            inc = self._buffer("inc", m, np.float64)
             for j in range(width):
-                np.take(cols.salts[j], k, out=salt, mode="clip")
-                np.bitwise_xor(seeds[lo:hi], salt, out=full_seeds[:, j])
                 np.take(cols.neglog[j], k, out=inc, mode="clip")
-                np.add(S[lo:hi], inc, out=full_s[:, j])
-            if ends is None:
-                c = child[lo * width : hi * width]
+                np.add(S[lo:hi].reshape(shape), inc.reshape(shape), out=kids[:, j])
+            if not leaf:
+                kids = full_seeds.reshape(rows, width, trees)
+                salt = self._buffer("salt", m)
+                for j in range(width):
+                    np.take(cols.salts[j], k, out=salt, mode="clip")
+                    np.bitwise_xor(seeds[lo:hi].reshape(shape), salt.reshape(shape),
+                                   out=kids[:, j])
+            if fixed:
+                c = full_seeds
             else:
                 o0, o1 = (int(ends[lo - 1]) if lo else 0), int(ends[hi - 1])
-                keep = np.take(cols.valid, k, axis=0, out=self.keep[:m], mode="clip")
+                keep = np.take(cols.valid, k, axis=0, mode="clip",
+                               out=self._buffer("keep", m * width, bool).reshape(m, width))
                 idx = np.flatnonzero(keep)
-                np.take(full_s.reshape(-1), idx, out=out[o0:o1], mode="clip")
+                np.take(full_s, idx, out=out[o0:o1], mode="clip")
                 c = child[o0:o1]
-                np.take(full_seeds.reshape(-1), idx, out=c, mode="clip")
-            seeding._mix64_inplace(c, self.scratch)
-        return out, child
+                if not leaf:
+                    np.take(full_seeds, idx, out=c, mode="clip")
+            if not leaf:
+                seeding._mix64_inplace(c, self.scratch)
+        return out, (None if leaf else child)
 
 
 def _step_maker(model: WeightModel):
@@ -309,14 +341,18 @@ def _step_maker(model: WeightModel):
     return functools.partial(_AtomStep, _AtomColumns(model))
 
 
-def _grow(step, state, seeds, depth, node_cap, rep_indices=None):
+def _grow(step, state, seeds, depth, node_cap, rep_indices=None, leaf_seeds=True):
     """Grow trees generation by generation: the engine's one generation loop.
 
     ``(state, seeds)`` holds one root per tree.  Yields ``(n, state, seeds,
     sizes, ends)`` for ``n = 1 .. depth``: generation ``n`` of every tree,
-    tree ``i``'s a contiguous block of ``sizes[i]`` vertices after those of
-    trees ``0 .. i-1``, and the draw's ``ends`` (None for a fixed fan-out).
-    The yielded arrays live in the step's slots (see :class:`_Slots`).
+    ``sizes[i]`` vertices of tree ``i``, and the draw's ``ends`` (None for a
+    fixed fan-out).  The step gets the tree count, so a fixed fan-out lays
+    generation ``n`` out as a C-contiguous ``(width^n, trees)`` array and a
+    variable one as tree ``i``'s contiguous block after those of trees ``0
+    .. i-1`` (see :class:`_Slots`).  With ``leaf_seeds`` False the step is
+    told that nothing reads the last generation's seeds, which may then be
+    None.  The yielded arrays live in the step's slots.
 
     Every parent's child count is drawn before the node budget is checked,
     and the check precedes the build: when a tree's node count, root
@@ -324,7 +360,8 @@ def _grow(step, state, seeds, depth, node_cap, rep_indices=None):
     first such tree as ``rep_indices[i]`` (None for a single tree), and the
     generation is never allocated.
     """
-    sizes = np.ones(len(state), dtype=np.int64)
+    trees = len(state)
+    sizes = np.ones(trees, dtype=np.int64)
     totals = sizes.copy()
     for n in range(1, depth + 1):
         atoms, ends = step.draw(seeds)
@@ -337,7 +374,8 @@ def _grow(step, state, seeds, depth, node_cap, rep_indices=None):
             i = int(np.argmax(totals > node_cap))
             raise NodeCapError(n, int(totals[i]),
                                None if rep_indices is None else int(rep_indices[i]))
-        state, seeds = step(state, seeds, atoms, ends)
+        state, seeds = step(state, seeds, atoms, ends, trees=trees,
+                            leaf=n == depth and not leaf_seeds)
         yield n, state, seeds, sizes, ends
 
 
@@ -434,6 +472,22 @@ class ReplicateTraces:
     renewal_sums: Optional[np.ndarray] = None
 
 
+def _replicate_sums(x, nrep, labels=None):
+    """Per-replicate sums of one generation's values, each in vertex order.
+
+    Tree-major blocks (``labels`` given) add sequentially in
+    ``np.bincount``.  The ``(position, replicate)`` layout adds down the
+    columns: numpy adds a C-contiguous ``(rows, nrep)`` array row by row into
+    ``nrep`` running sums, but drops the axis of a single column and sums
+    that one contiguous run pairwise, so one replicate takes ``np.cumsum``.
+    """
+    if labels is not None:
+        return np.bincount(labels, weights=x, minlength=nrep)
+    if nrep == 1:
+        return np.cumsum(x)[-1:]
+    return np.add.reduce(x.reshape(-1, nrep), axis=0)
+
+
 def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, step):
     """Traces for one batch of replicates; pure function of its arguments.
 
@@ -455,15 +509,22 @@ def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, st
     # Integer levels carry the replicate as an offset, i*(depth+1) + S(v), so
     # one exact bincount is every replicate's level histogram, which dotted
     # with the alpha-geometric weights gives W_n (no per-vertex exp).  Float
-    # S(v) add sequentially per replicate in np.bincount, so those bits do
-    # not depend on how the step cuts its blocks.  The two summation orders
-    # give different bits, so each model keeps its own.
+    # S(v) add sequentially per replicate: down the columns of a fixed
+    # fan-out's (position, replicate) layout, in np.bincount over a variable
+    # one's blocks; so those bits depend neither on the layout nor on how
+    # the step cuts its blocks.  The two summation orders give different
+    # bits, so each model keeps its own.
     levels = step.dtype.kind == "i"
     offset = np.arange(nrep, dtype=np.int64) * (depth + 1) if levels else np.zeros(nrep)
     rho = np.exp(-alpha * np.arange(depth + 1))
-    reps = np.arange(nrep, dtype=np.int64)
-    for n, state, _, sizes, _ in _grow(step, offset, seeds, depth, node_cap, rep_indices):
-        r[:, n] = np.exp(offset - np.minimum.reduceat(state, np.cumsum(sizes) - sizes))
+    for n, state, _, sizes, ends in _grow(step, offset, seeds, depth, node_cap,
+                                          rep_indices, leaf_seeds=False):
+        fixed = ends is None
+        if fixed:
+            low = np.minimum.reduce(state.reshape(-1, nrep), axis=0)
+        else:
+            low = np.minimum.reduceat(state, np.cumsum(sizes) - sizes)
+        r[:, n] = np.exp(offset - low)
         if levels:
             hist = np.bincount(state, minlength=nrep * (depth + 1))
             lvl = np.ascontiguousarray(hist.reshape(nrep, depth + 1)[:, : n + 1])
@@ -473,14 +534,14 @@ def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, st
                 mask = (ks >= a - 1e-9) & (ks <= b + 1e-9)
                 if np.any(mask):
                     ren += lvl[:, mask] @ rho[: n + 1][mask]
-        else:
-            rep = np.repeat(reps, sizes)
-            wv = np.multiply(state, -alpha)
-            np.exp(wv, out=wv)
-            w[:, n] = np.bincount(rep, weights=wv, minlength=nrep)
-            if interval is not None:
-                mask = (state >= a - 1e-9) & (state <= b + 1e-9)
-                ren += np.bincount(rep, weights=wv * mask, minlength=nrep)
+            continue
+        labels = None if fixed else np.repeat(np.arange(nrep), sizes)
+        wv = np.multiply(state, -alpha, out=step._buffer("wv", len(state), np.float64))
+        np.exp(wv, out=wv)
+        w[:, n] = _replicate_sums(wv, nrep, labels)
+        if interval is not None:
+            wv *= (state >= a - 1e-9) & (state <= b + 1e-9)
+            ren += _replicate_sums(wv, nrep, labels)
     return w, r, ren
 
 
@@ -552,7 +613,8 @@ class EmpiricalLaplace:
 
     ``evaluate`` returns the empirical Laplace transform with a standard
     error per evaluation point; ``evaluate_tail`` returns ``1 - transform``
-    computed via ``expm1`` so small tails keep full relative accuracy.
+    computed via ``expm1`` so small tails keep full relative accuracy, with
+    its standard error or, for callers that need none, without.
     """
 
     alpha: float
@@ -568,44 +630,44 @@ class EmpiricalLaplace:
             raise ValueError("Laplace arguments must be >= 0")
         return xs
 
-    def _tail_blocks(self, xs: np.ndarray):
-        """``(rows, 1 - exp(-x W))`` over blocks of at most 2^22 elements."""
-        chunk = max(1, (1 << 22) // max(len(self.samples), 1))
-        for lo in range(0, len(xs), chunk):
-            yield slice(lo, lo + chunk), -np.expm1(-np.outer(xs[lo : lo + chunk], self.samples))
-
-    def _tail_mean(self, x) -> np.ndarray:
-        """``evaluate_tail(x)[0]`` on an array, without the variance pass."""
-        xs = self._arguments(x)
-        mean = np.empty(len(xs))
-        for rows, z in self._tail_blocks(xs):
-            mean[rows] = z.mean(axis=1)
-        return mean
-
-    def _tail_moments(self, xs: np.ndarray):
-        n = len(self.samples)
-        mean = np.empty(len(xs))
-        var = np.empty(len(xs))
-        for rows, z in self._tail_blocks(xs):
-            mz = z.mean(axis=1)
-            mean[rows] = mz
-            var[rows] = np.sum((z - mz[:, None]) ** 2, axis=1) / (n - 1)
-        return mean, np.sqrt(var / n)
-
     def evaluate(self, x):
         """Empirical ``phi(x) = mean exp(-x W)`` with its standard error."""
-        tail, se = self._tail_moments(self._arguments(x))
-        val = 1.0 - tail
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(val[0]), float(se[0])
-        return val, se
+        tail, se = self.evaluate_tail(x)
+        return 1.0 - tail, se
 
-    def evaluate_tail(self, x):
-        """``1 - phi(x)`` with full relative accuracy for small arguments."""
-        tail, se = self._tail_moments(self._arguments(x))
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(tail[0]), float(se[0])
-        return tail, se
+    def evaluate_tail(self, x, se=True):
+        """``1 - phi(x)`` with full relative accuracy for small arguments.
+
+        Returns ``(tail, standard error)``, or the tail alone with ``se``
+        False, which skips the variance pass; floats for a scalar ``x``.
+        The terms ``-expm1(-x W)`` go in blocks of at most 2^22 values
+        through one buffer, formed, reduced and overwritten in place.
+        """
+        xs = self._arguments(x)
+        n = len(self.samples)
+        chunk = max(1, (1 << 22) // max(n, 1))
+        buf = np.empty((min(chunk, len(xs)), n))
+        neg = -self.samples
+        mean = np.empty(len(xs))
+        var = np.empty(len(xs)) if se else None
+        for lo in range(0, len(xs), chunk):
+            rows = slice(lo, lo + chunk)
+            z = buf[: len(xs[rows])]
+            np.multiply.outer(xs[rows], neg, out=z)
+            np.expm1(z, out=z)
+            np.negative(z, out=z)
+            mean[rows] = mz = z.mean(axis=1)
+            if se:
+                z -= mz[:, None]
+                np.multiply(z, z, out=z)
+                var[rows] = z.sum(axis=1) / (n - 1)
+        scalar = np.isscalar(x) or np.ndim(x) == 0
+        if not se:
+            return float(mean[0]) if scalar else mean
+        err = np.sqrt(var / n)
+        if scalar:
+            return float(mean[0]), float(err[0])
+        return mean, err
 
 
 def sample_W_limit(

@@ -203,7 +203,7 @@ def _mixture_curve(phi: EmpiricalLaplace, h, alpha, grid, cls):
             "mixture arguments h(t) t^alpha are not nondecreasing along the grid; "
             "the modulation is not admissible"
         )
-    tail = phi._tail_mean(xs)
+    tail = phi.evaluate_tail(xs, se=False)
     values = 1.0 - tail
     return cls(grid=ts, values=values, lattice=lattice, tail=tail)
 
@@ -295,8 +295,8 @@ def mixture_residual_report(
     ``arg(u) = h(u) u^alpha`` comes from the curve builders' own map, on one
     (points x columns) matrix: column 0 is ``t``, then ``t w`` for each
     positive weight of each live atom in atom-table order.  φ̂ is read there
-    sample-side as a tail (the mean of :meth:`EmpiricalLaplace.evaluate_tail`,
-    without its standard error), with no grid interpolation.  The operator
+    sample-side as a tail (:meth:`EmpiricalLaplace.evaluate_tail` without
+    its standard error), with no grid interpolation.  The operator
     value is ``A^copies``, ``A = sum_k p_k prod_{w in atom k} φ̂(arg(t w))``
     over each atom's column slice; its tail
     ``(1 - A)(1 + A + ... + A^(copies-1))`` and its gradient ``copies
@@ -319,7 +319,7 @@ def mixture_residual_report(
     x = _mixture_arguments(hmod, alpha, pts[:, None] * weights)
     # Tail means stay fully accurate near 0, where the value means would
     # quantize at one ulp of 1 and swamp small residuals.
-    tau = phi._tail_mean(x.ravel()).reshape(x.shape)
+    tau = phi.evaluate_tail(x.ravel(), se=False).reshape(x.shape)
     mu = 1.0 - tau
     with np.errstate(divide="ignore"):
         log_mu = np.log1p(-tau)

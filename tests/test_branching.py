@@ -96,9 +96,9 @@ def _count_step_inputs(monkeypatch, step=branching._CascadeStep):
     sizes = []
     original = step.__call__
 
-    def spy(self, S, *args):
+    def spy(self, S, *args, **kwargs):
         sizes.append(len(S))
-        return original(self, S, *args)
+        return original(self, S, *args, **kwargs)
 
     monkeypatch.setattr(step, "__call__", spy)
     return sizes

@@ -238,16 +238,25 @@ def test_tail_mean_matches_evaluate_tail(monkeypatch):
     # 1024 arguments per 2^22-element block: three blocks, the last partial.
     xs = np.concatenate([[0.0, 1e-300, 1e-9], np.geomspace(1e-6, 1e3, 2497)])
     want = phi.evaluate_tail(xs)[0]
-    assert phi._tail_mean(xs).tobytes() == want.tobytes()
+    assert phi.evaluate_tail(xs, se=False).tobytes() == want.tobytes()
+    assert phi.evaluate_tail(xs[5], se=False) == want[5]
     with pytest.raises(ValueError, match=">= 0"):
-        phi._tail_mean([1.0, -1.0])
+        phi.evaluate_tail([1.0, -1.0], se=False)
     grid = xs[3:]
     curve_tail = phi.evaluate_tail(_mixture_arguments(_as_modulation(1.0), LN3, grid))[0]
-    # The mixture builders take the mean-only path: no variance pass runs.
-    monkeypatch.setattr(EmpiricalLaplace, "_tail_moments", None)
+    # The mixture builders skip the variance pass.
+    flags = []
+    original = EmpiricalLaplace.evaluate_tail
+
+    def spy(self, x, se=True):
+        flags.append(se)
+        return original(self, x, se)
+
+    monkeypatch.setattr(EmpiricalLaplace, "evaluate_tail", spy)
     curve = build_weibull_mixture(phi, 1.0, LN3, grid)
     assert curve.tail.tobytes() == curve_tail.tobytes()
     mixture_residual_report(phi, 1.0, LN3, BernoulliCascade(2, 0.75), xs[100:2000:400])
+    assert flags == [False, False]
 
 
 # ---------------------------------------------------------------------------
