@@ -310,26 +310,25 @@ class _AtomStep(_Slots):
             for j in range(width):
                 np.take(cols.neglog[j], k, out=inc, mode="clip")
                 np.add(S[lo:hi].reshape(shape), inc.reshape(shape), out=kids[:, j])
-            if not leaf:
-                kids = full_seeds.reshape(rows, width, trees)
-                salt = self._buffer("salt", m)
-                for j in range(width):
-                    np.take(cols.salts[j], k, out=salt, mode="clip")
-                    np.bitwise_xor(seeds[lo:hi].reshape(shape), salt.reshape(shape),
-                                   out=kids[:, j])
-            if fixed:
-                c = full_seeds
-            else:
+            if not fixed:
                 o0, o1 = (int(ends[lo - 1]) if lo else 0), int(ends[hi - 1])
                 keep = np.take(cols.valid, k, axis=0, mode="clip",
                                out=self._buffer("keep", m * width, bool).reshape(m, width))
                 idx = np.flatnonzero(keep)
                 np.take(full_s, idx, out=out[o0:o1], mode="clip")
+            if leaf:
+                continue
+            kids = full_seeds.reshape(rows, width, trees)
+            salt = self._buffer("salt", m)
+            for j in range(width):
+                np.take(cols.salts[j], k, out=salt, mode="clip")
+                np.bitwise_xor(seeds[lo:hi].reshape(shape), salt.reshape(shape), out=kids[:, j])
+            if fixed:
+                c = full_seeds
+            else:
                 c = child[o0:o1]
-                if not leaf:
-                    np.take(full_seeds, idx, out=c, mode="clip")
-            if not leaf:
-                seeding._mix64_inplace(c, self.scratch)
+                np.take(full_seeds, idx, out=c, mode="clip")
+            seeding._mix64_inplace(c, self.scratch)
         return out, (None if leaf else child)
 
 
