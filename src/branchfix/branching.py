@@ -20,29 +20,43 @@ engines for the additive statistics
 and the exact per-generation increment distribution with the associated
 drift/divergence verdict.
 
-Trees grow in one generation loop, :func:`_grow`, which draws every
-parent's child count, checks the node budget on those exact counts (so a
-generation over budget is never allocated) and builds the generation; it
-feeds both :func:`simulate_tree` and the batch engine.  With a fixed fan-out
-a batch's generation ``n`` is a C-contiguous ``(width^n, trees)`` array: row
-``k`` holds vertex ``k`` of every tree, in a single tree's parent-major
-order, so each per-replicate statistic is a reduction down the columns and
-needs no per-vertex labels.  With a variable fan-out each tree's generation
-is a contiguous block, and the float sums go through ``np.bincount`` labels.
-A generation step (contract in :class:`_Slots`) owns its buffers;
-:func:`_step_maker`, the engine's one type dispatch, picks
-:class:`_CascadeStep` on the cascade's exact integer levels or
-:class:`_AtomStep` for every other model, which reads tables built once per
-call (:class:`_AtomColumns`).  Steps are handed from batch to batch, one per
-running thread.
+Trees grow in one loop, :func:`_grow`, which feeds both
+:func:`simulate_tree` and the batch engine.  Since a subtree is a pure
+function of its root's seed, the vertices can be built in any order without
+changing a bit, so ``_grow`` goes depth first, in chunks of whole parent
+rows with at most ``_CHUNK`` (``seeding._BLOCK``, 2^15) children each, or
+one row when a row has more.  Each chunk takes the parent rows after those
+of the chunk before it, so the chunks of every generation arrive in vertex
+order.  With a fixed fan-out a batch's generation ``n`` is laid out as a
+C-contiguous ``(width^n, trees)`` array: row ``k`` holds vertex ``k`` of
+every tree, in a single tree's parent-major order, and a chunk is a run of
+rows.  With a variable fan-out each tree's generation is a contiguous block,
+so a chunk holds runs of whole or partial trees, which it lists by their
+starts.  The batch engine folds each
+chunk into per-generation accumulators that give the bits of one pass over
+the whole generation (see :func:`_batch_traces`).
+
+Memory.  A running thread works in one :class:`_Workspace`, which holds one
+chunk slot per generation and the step's block buffers: about ``depth *
+2^15 * 16`` bytes of ``S`` values and seeds, plus 8 bytes per slot value for
+the atoms' draws, whatever the replicate count (more when one row passes
+2^15 children).  The module's
+:class:`_WorkspacePool`, empty until first used, lends workspaces to each
+call and keeps them for later ones, so a call after the first touches no
+fresh memory.  A generation step holds only immutable tables, so one step
+serves every thread of a call: :func:`_make_step`, the engine's one type
+dispatch, picks :class:`_CascadeStep` on the cascade's exact integer levels
+or :class:`_AtomStep` for every other model (tables in
+:class:`_AtomColumns`).
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import itertools
 import math
 import queue
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -61,6 +75,8 @@ from .weights import (
 )
 
 _BATCH = 512
+# Most children in one chunk of a generation, unless one parent row has more.
+_CHUNK = seeding._BLOCK
 
 
 class NodeCapError(RuntimeError):
@@ -81,7 +97,62 @@ class NodeCapError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# generation expansion primitives
+# workspaces
+# ---------------------------------------------------------------------------
+
+
+class _Workspace:
+    """The named buffers of one running thread, kept from call to call.
+
+    :meth:`get` returns the first ``size`` values of buffer ``name`` viewed
+    as ``dtype``.  A buffer is raw bytes grown to the largest request it has
+    served, so the cascade's int64 slots and the atoms' float64 ones share
+    memory.  One workspace serves one thread at a time.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def get(self, name, size, dtype=np.uint64):
+        dtype = np.dtype(dtype)
+        nbytes = size * dtype.itemsize
+        buf = self.buffers.get(name)
+        if buf is None or len(buf) < nbytes:
+            buf = self.buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype)
+
+
+class _WorkspacePool:
+    """Idle workspaces, lent to one call at a time and kept for later calls.
+
+    :meth:`take` lends ``k`` workspaces for a ``with`` block, idle ones
+    first, and makes the rest.  Callers in several user threads at once so
+    get distinct workspaces.  On return the pool keeps at most as many as
+    the largest ``k`` it has lent and drops the others.
+    """
+
+    def __init__(self):
+        self.idle = []
+        self.most = 0
+        self.lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def take(self, k):
+        with self.lock:
+            self.most = max(self.most, k)
+            lent = [self.idle.pop() if self.idle else _Workspace() for _ in range(k)]
+        try:
+            yield lent
+        finally:
+            with self.lock:
+                self.idle.extend(lent[: self.most - len(self.idle)])
+
+
+_POOL = _WorkspacePool()
+
+
+# ---------------------------------------------------------------------------
+# generation steps
 # ---------------------------------------------------------------------------
 
 
@@ -90,110 +161,62 @@ def _unit_threshold(theta: float) -> int:
     return math.ceil(theta * 2.0**53)
 
 
-class _Slots:
-    """Base of a generation step: its contract, two output slots and buffers.
-
-    A step has a ``width`` (the most children of one parent), the ``dtype``
-    of its ``S`` values, ``draw(seeds) -> (atoms, ends)``, where ``ends``
-    holds each parent's cumulative child count or is None when every parent
-    has ``width`` children, and a call ``(S, seeds, atoms, ends, trees=1,
-    leaf=False) -> (S, seeds)`` that builds the children.
-
-    Layout.  With a fixed fan-out the parents of ``trees`` trees come as a
-    flat C-contiguous ``(rows, trees)`` array, row ``k`` holding vertex
-    ``k`` of every tree, and the children of parent row ``p`` fill rows
-    ``p*width .. p*width + width-1`` in child order; with ``trees = 1`` this
-    is a single tree's parent-major order.  With a variable fan-out the
-    parents are tree-major and the children parent-major, each parent's
-    after those of the parents before it, so each tree's vertices stay one
-    block.  ``leaf=True`` says that nothing reads the children's seeds: a
-    step that needs none to draw skips them and returns None for them.
-
-    Outputs go to two slots in turn, each grown to the largest generation it
-    has held: a call reads the previous call's slot while it writes the
-    other, so a run of batches touches no fresh memory after the first, and
-    a caller that keeps a generation copies it.  Work goes in blocks of
-    whole parent rows, at most ``2^15`` children a block unless one row has
-    more, through named buffers (:meth:`_buffer`) grown to the largest
-    block they have held.  A step owns its buffers, so one instance serves
-    one thread.
-    """
-
-    def __init__(self, dtype, width):
-        self.dtype = np.dtype(dtype)
-        self.width = width
-        self.scratch = np.empty(seeding._BLOCK, dtype=np.uint64)
-        self.buffers = {}
-        self.slots = [(np.empty(0, dtype=dtype), np.empty(0, dtype=np.uint64))] * 2
-        self.turn = 0
-
-    def _outputs(self, size):
-        out, child = self.slots[self.turn]
-        if len(out) < size:
-            out, child = np.empty(size, dtype=out.dtype), np.empty(size, dtype=np.uint64)
-            self.slots[self.turn] = (out, child)
-        self.turn ^= 1
-        return out[:size], child[:size]
-
-    def _buffer(self, name, size, dtype=np.uint64):
-        """The first ``size`` values of the step's reused buffer ``name``."""
-        buf = self.buffers.get(name)
-        if buf is None or len(buf) < size:
-            buf = self.buffers[name] = np.empty(size, dtype=dtype)
-        return buf[:size]
-
-    def _blocks(self, parents, trees):
-        """``(lo, hi, rows)`` per block of whole rows of ``trees`` parents."""
-        step = max(1, seeding._BLOCK // (self.width * trees)) * trees
-        for lo in range(0, parents, step):
-            hi = min(lo + step, parents)
-            yield lo, hi, (hi - lo) // trees
-
-
-class _CascadeStep(_Slots):
+class _CascadeStep:
     """Cascade generation step on exact integer levels ``S(v) = sum B``.
 
-    Every parent has ``N`` children, so :meth:`draw` has nothing to pick.
+    The contract of a step: ``width`` (the most children of one parent),
+    the ``dtype`` of its ``S`` values, ``counts`` (each atom's child count,
+    None for a fixed fan-out), ``draws`` (whether :meth:`draw` must pick
+    each parent's atom before a build) and a call ``(ws, S, seeds, atoms,
+    out_s, out_seeds, trees=1, leaf=False)``.  The call builds the children
+    of the parents ``(S, seeds)`` into ``(out_s, out_seeds)``, using the
+    buffers of workspace ``ws``.  With a fixed fan-out the parents come as a
+    flat C-contiguous ``(rows, trees)`` array and the children of parent row
+    ``p`` fill rows ``p*width .. p*width + width-1`` in child order.  With a
+    variable fan-out (``trees = 1``) the children follow their parent's,
+    parent by parent.  ``leaf=True`` says that nothing reads the children's
+    seeds: a step that needs none to draw skips them.
+
+    Here every parent has ``N`` children, so there is nothing to draw.
     Child ``j`` of a parent with seed ``s`` has seed ``mix64(s ^ salt_j)``
     and level ``parent + (bits < ceil(theta * 2^53))`` with ``bits =
     mix64(child ^ DRAW_SALT) >> 11``.  That integer test is exactly ``u <
     theta`` for ``u = bits * 2^-53`` (both sides scale by the power of two
     exactly), so the draws are those of :func:`seeding.unit_uniforms_np`.
-    Per block of parent rows, one XOR per child position writes each child
-    row, a contiguous slab of ``trees`` values; one fused pass then mixes
-    the block's child seeds in place and draws, and one add per position
-    writes the levels.  The draws need every child seed, the last
-    generation's too, so ``leaf`` changes nothing here.  Levels are int64.
+    One XOR per child position writes each child row, a contiguous slab of
+    ``trees`` values; one fused pass then mixes the child seeds in place and
+    draws, and one add per position writes the levels.  The draws need every
+    child seed, the last generation's too, so ``leaf`` changes nothing here.
+    Levels are int64.
     """
 
+    dtype = np.dtype(np.int64)
+    counts = None
+    draws = False
+
     def __init__(self, model: BernoulliCascade):
-        super().__init__(np.int64, model.N)
+        self.width = model.N
         self.salts = (np.arange(model.N, dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
         self.thr = np.uint64(_unit_threshold(model.theta))
 
-    def draw(self, seeds):
-        return None, None
-
-    def __call__(self, levels, seeds, atoms=None, ends=None, trees=1, leaf=False):
+    def __call__(self, ws, levels, seeds, atoms, kid_levels, child, trees=1, leaf=False):
         n = self.width
-        out, child = self._outputs(len(levels) * n)
-        for lo, hi, rows in self._blocks(len(levels), trees):
-            shape = (rows, trees)
-            c = child[lo * n : hi * n]
-            kid_seeds = c.reshape(rows, n, trees)
-            for j in range(n):
-                np.bitwise_xor(seeds[lo:hi].reshape(shape), self.salts[j], out=kid_seeds[:, j])
-            seeding._mix64_inplace(c, self.scratch)
-            bits = self._buffer("bits", len(c))
-            np.bitwise_xor(c, seeding._DRAW_NP, out=bits)
-            seeding._mix64_inplace(bits, self.scratch)
-            bits >>= seeding._UNIT_SHIFT
-            hit = np.less(bits, self.thr, out=self._buffer("hit", len(c), bool))
-            hit = hit.reshape(rows, n, trees)
-            kid_levels = out[lo * n : hi * n].reshape(rows, n, trees)
-            for j in range(n):
-                np.add(levels[lo:hi].reshape(shape), hit[:, j], out=kid_levels[:, j])
-        return out, child
+        rows = len(levels) // trees
+        shape = (rows, trees)
+        kid_seeds = child.reshape(rows, n, trees)
+        for j in range(n):
+            np.bitwise_xor(seeds.reshape(shape), self.salts[j], out=kid_seeds[:, j])
+        scratch = ws.get("scratch", seeding._BLOCK)
+        seeding._mix64_inplace(child, scratch)
+        bits = ws.get("bits", len(child))
+        np.bitwise_xor(child, seeding._DRAW_NP, out=bits)
+        seeding._mix64_inplace(bits, scratch)
+        bits >>= seeding._UNIT_SHIFT
+        hit = np.less(bits, self.thr, out=ws.get("hit", len(child), bool))
+        hit = hit.reshape(rows, n, trees)
+        kid_levels = kid_levels.reshape(rows, n, trees)
+        for j in range(n):
+            np.add(levels.reshape(shape), hit[:, j], out=kid_levels[:, j])
 
 
 class _AtomColumns:
@@ -230,152 +253,206 @@ class _AtomColumns:
             arr.flags.writeable = False
 
 
-class _AtomStep(_Slots):
+class _AtomStep:
     """Finite-atom generation step on float ``S(v) = -log L(v)``.
 
-    A generation takes two calls.  :meth:`draw` picks each parent's atom
-    from ``bits = mix64(seed ^ DRAW_SALT) >> 11`` as the count of
-    ``bits >= thr[j]``: ``cum_j <= u`` for ``u = bits * 2^-53`` exactly when
-    ``bits >= ceil(cum_j * 2^53)`` (the power-of-two scaling is exact and
-    ``bits`` is an integer), and with ``cum`` nondecreasing the count over
-    ``j < K-1`` is ``min(searchsorted(cum, u, "right"), K-1)``, the draw of
-    :func:`seeding.unit_uniforms_np`.  With a variable fan-out it also
-    returns each parent's child end offset, so a caller knows every child
-    count before any child is built.  Calling the step then builds the
-    children, within a parent in ascending position of their weights.  Per
-    block of parent rows, for each column ``j``, it gathers the atoms'
-    ``-log w`` and salts from the column tables into reused buffers, adds
-    the steps to the parent ``S`` and XORs the salts into the parent seeds.
-    With a fixed fan-out these land straight in the output, child ``j`` of
-    every parent row as one row of ``trees`` values (see :class:`_Slots`);
-    otherwise in a block-sized ``(parents, width)`` buffer that one
-    row-major compress by the atoms' ``valid`` rows moves to the output.
-    The child seeds are then mixed in place.  With ``leaf`` set the seeds
-    are not built at all (no gather, XOR or mix) and None is returned for
-    them: the draws of a generation need only the parents' seeds.
+    A generation takes two calls (contract in :class:`_CascadeStep`).
+    :meth:`draw` picks each parent's atom from ``bits = mix64(seed ^
+    DRAW_SALT) >> 11`` as the count of ``bits >= thr[j]``: ``cum_j <= u``
+    for ``u = bits * 2^-53`` exactly when ``bits >= ceil(cum_j * 2^53)``
+    (the power-of-two scaling is exact and ``bits`` is an integer), and with
+    ``cum`` nondecreasing the count over ``j < K-1`` is ``min(searchsorted(
+    cum, u, "right"), K-1)``, the draw of :func:`seeding.unit_uniforms_np`.
+    A caller so knows every child count (``counts[atom]``) before any child
+    is built.  Calling the step then builds the children, within a parent
+    in ascending position of their weights.  For each column ``j`` it
+    gathers the atoms' ``-log w`` and salts from the column tables into
+    reused buffers, adds the steps to the parent ``S`` and XORs the salts
+    into the parent seeds.  With a fixed fan-out these land straight in the
+    output, child ``j`` of every parent row as one row of ``trees`` values;
+    otherwise in a ``(parents, width)`` buffer that one row-major compress
+    by the atoms' ``valid`` rows moves to the output.  The child seeds are then mixed in place.  With
+    ``leaf`` set the seeds are not built at all (no gather, XOR or mix): the
+    draws of a generation need only the parents' seeds.
 
-    The tables are shared by every step of a run.  The atom buffer returned
-    by :meth:`draw` is overwritten by the next draw.
+    The tables are shared by every step of a run.
     """
+
+    dtype = np.dtype(np.float64)
+    draws = True
 
     def __init__(self, columns: _AtomColumns):
-        super().__init__(np.float64, columns.width)
         self.cols = columns
+        self.width = columns.width
+        self.counts = None if columns.fixed else columns.counts
 
-    def draw(self, seeds):
-        """``(atoms, ends)``: each parent's atom and, unless the fan-out is
-        fixed (then None), the cumulative child count up to each parent."""
-        v = len(seeds)
-        atoms = self._buffer("atoms", v, np.intp)
-        if len(self.cols.thr) == 0:         # one atom: nothing to draw
-            atoms[:] = 0
-        else:
-            for lo in range(0, v, seeding._BLOCK):
-                hi = min(lo + seeding._BLOCK, v)
-                bits = self._buffer("bits", hi - lo)
-                np.bitwise_xor(seeds[lo:hi], seeding._DRAW_NP, out=bits)
-                seeding._mix64_inplace(bits, self.scratch)
-                bits >>= seeding._UNIT_SHIFT
-                self._count(bits, atoms[lo:hi])
-        if self.cols.fixed:
-            return atoms, None
-        return atoms, np.cumsum(np.take(self.cols.counts, atoms, mode="clip"))
-
-    def _count(self, bits, k):
-        """``k[i] = #{j : bits[i] >= thr[j]}``."""
+    def draw(self, ws, seeds, atoms):
+        """Write each parent's atom to ``atoms``."""
         thr = self.cols.thr
-        np.greater_equal(bits, thr[0], out=k, casting="unsafe")
-        hit = self._buffer("hit", len(bits), bool)
+        if len(thr) == 0:                   # one atom: nothing to draw
+            atoms[:] = 0
+            return
+        bits = ws.get("bits", len(seeds))
+        np.bitwise_xor(seeds, seeding._DRAW_NP, out=bits)
+        seeding._mix64_inplace(bits, ws.get("scratch", seeding._BLOCK))
+        bits >>= seeding._UNIT_SHIFT
+        np.greater_equal(bits, thr[0], out=atoms, casting="unsafe")
+        hit = ws.get("hit", len(bits), bool)
         for t in thr[1:]:
             np.greater_equal(bits, t, out=hit)
-            k += hit
+            atoms += hit
 
-    def __call__(self, S, seeds, atoms, ends=None, trees=1, leaf=False):
+    def __call__(self, ws, S, seeds, atoms, out_s, out_seeds, trees=1, leaf=False):
         cols = self.cols
         width = self.width
-        fixed = ends is None
-        trees = trees if fixed else 1
-        out, child = self._outputs(len(S) * width if fixed else int(ends[-1]))
-        for lo, hi, rows in self._blocks(len(S), trees):
-            m = hi - lo
-            shape = (rows, trees)
-            k = atoms[lo:hi]
-            if fixed:
-                full_s, full_seeds = out[lo * width : hi * width], child[lo * width : hi * width]
-            else:
-                full_s = self._buffer("full_s", m * width, np.float64)
-                full_seeds = self._buffer("full_seeds", m * width)
-            kids = full_s.reshape(rows, width, trees)
-            inc = self._buffer("inc", m, np.float64)
-            for j in range(width):
-                np.take(cols.neglog[j], k, out=inc, mode="clip")
-                np.add(S[lo:hi].reshape(shape), inc.reshape(shape), out=kids[:, j])
-            if not fixed:
-                o0, o1 = (int(ends[lo - 1]) if lo else 0), int(ends[hi - 1])
-                keep = np.take(cols.valid, k, axis=0, mode="clip",
-                               out=self._buffer("keep", m * width, bool).reshape(m, width))
-                idx = np.flatnonzero(keep)
-                np.take(full_s, idx, out=out[o0:o1], mode="clip")
-            if leaf:
-                continue
-            kids = full_seeds.reshape(rows, width, trees)
-            salt = self._buffer("salt", m)
-            for j in range(width):
-                np.take(cols.salts[j], k, out=salt, mode="clip")
-                np.bitwise_xor(seeds[lo:hi].reshape(shape), salt.reshape(shape), out=kids[:, j])
-            if fixed:
-                c = full_seeds
-            else:
-                c = child[o0:o1]
-                np.take(full_seeds, idx, out=c, mode="clip")
-            seeding._mix64_inplace(c, self.scratch)
-        return out, (None if leaf else child)
+        fixed = self.counts is None
+        m = len(S)
+        rows = m // trees
+        shape = (rows, trees)
+        if fixed:
+            full_s, full_seeds = out_s, out_seeds
+        else:
+            full_s = ws.get("full_s", m * width, np.float64)
+            full_seeds = ws.get("full_seeds", m * width)
+        kids = full_s.reshape(rows, width, trees)
+        inc = ws.get("inc", m, np.float64)
+        for j in range(width):
+            np.take(cols.neglog[j], atoms, out=inc, mode="clip")
+            np.add(S.reshape(shape), inc.reshape(shape), out=kids[:, j])
+        if not fixed:
+            keep = np.take(cols.valid, atoms, axis=0, mode="clip",
+                           out=ws.get("keep", m * width, bool).reshape(m, width))
+            idx = np.flatnonzero(keep)
+            np.take(full_s, idx, out=out_s, mode="clip")
+        if leaf:
+            return
+        kids = full_seeds.reshape(rows, width, trees)
+        salt = ws.get("salt", m)
+        for j in range(width):
+            np.take(cols.salts[j], atoms, out=salt, mode="clip")
+            np.bitwise_xor(seeds.reshape(shape), salt.reshape(shape), out=kids[:, j])
+        if not fixed:
+            np.take(full_seeds, idx, out=out_seeds, mode="clip")
+        seeding._mix64_inplace(out_seeds, ws.get("scratch", seeding._BLOCK))
 
 
-def _step_maker(model: WeightModel):
-    """Step factory for ``model``, the engine's one type dispatch; its steps
-    share the model's tables, built here once."""
+def _make_step(model: WeightModel):
+    """The generation step of ``model``, the engine's one type dispatch; it
+    holds the model's tables, built here once per call."""
     if isinstance(model, BernoulliCascade):
-        return functools.partial(_CascadeStep, model)
-    return functools.partial(_AtomStep, _AtomColumns(model))
+        return _CascadeStep(model)
+    return _AtomStep(_AtomColumns(model))
 
 
-def _grow(step, state, seeds, depth, node_cap, rep_indices=None, leaf_seeds=True):
-    """Grow trees generation by generation: the engine's one generation loop.
+# ---------------------------------------------------------------------------
+# the generation loop
+# ---------------------------------------------------------------------------
 
-    ``(state, seeds)`` holds one root per tree.  Yields ``(n, state, seeds,
-    sizes, ends)`` for ``n = 1 .. depth``: generation ``n`` of every tree,
-    ``sizes[i]`` vertices of tree ``i``, and the draw's ``ends`` (None for a
-    fixed fan-out).  The step gets the tree count, so a fixed fan-out lays
-    generation ``n`` out as a C-contiguous ``(width^n, trees)`` array and a
-    variable one as tree ``i``'s contiguous block after those of trees ``0
-    .. i-1`` (see :class:`_Slots`).  With ``leaf_seeds`` False the step is
-    told that nothing reads the last generation's seeds, which may then be
-    None.  The yielded arrays live in the step's slots.
 
-    Every parent's child count is drawn before the node budget is checked,
-    and the check precedes the build: when a tree's node count, root
-    included, would pass ``node_cap``, :class:`NodeCapError` names the
-    first such tree as ``rep_indices[i]`` (None for a single tree), and the
-    generation is never allocated.
+def _grow(step, ws, state, seeds, depth, node_cap, rep_indices=None, leaf_seeds=True):
+    """Grow trees depth first in bounded chunks: the engine's one generation loop.
+
+    ``(state, seeds)`` holds one root per tree.  Yields ``(n, S, seeds,
+    runs, ends)`` per chunk of generation ``n >= 1``: the chunk's ``S``
+    values and seeds and, with a variable fan-out, ``runs = (t, starts)``
+    (the vertices from ``starts[i]`` on belong to tree ``t + i``) and
+    ``ends``, the child offsets of the chunk's parents from 0; both are
+    None for a fixed fan-out.  A chunk holds the children of a run of whole
+    parent rows, at most ``_CHUNK`` of them unless one row has more; a row
+    is one vertex of every tree with a fixed fan-out (the layout in the
+    module docstring and :class:`_CascadeStep`) and one vertex with a
+    variable one.  Descent is depth first, and a chunk's parent rows follow
+    those of the chunk before it, so the chunks of each generation arrive
+    in vertex order.  With ``leaf_seeds`` False nothing reads the last
+    generation's seeds, which are then None.  The yielded arrays live in
+    ``ws``, one slot per generation, and are overwritten by later chunks: a
+    caller that keeps one copies it.
+
+    Node budget.  Every parent's child count is drawn before its children
+    are built.  When a tree's node count, root included, would pass
+    ``node_cap``, :class:`NodeCapError` names the first generation at which
+    any tree passes and the first such tree, as ``rep_indices[i]`` (None
+    for a single tree), as a breadth-first count would.  A fixed fan-out
+    knows every count in advance and checks before it builds anything.  A
+    variable fan-out adds the drawn counts per generation and tree; once a
+    partial total through generation ``n`` passes, no chunk of generation
+    ``n`` or deeper is built, the shallower generations are finished, and
+    the error is raised from their complete counts.
     """
     trees = len(state)
-    sizes = np.ones(trees, dtype=np.int64)
-    totals = sizes.copy()
-    for n in range(1, depth + 1):
-        atoms, ends = step.draw(seeds)
-        if ends is None:
-            sizes = sizes * step.width
+    width = step.width
+    fixed = step.counts is None
+    if fixed:
+        total = 1
+        for n in range(1, depth + 1):
+            total += width**n
+            if total > node_cap:
+                raise NodeCapError(n, total, None if rep_indices is None else int(rep_indices[0]))
+    row = trees if fixed else 1                    # vertices per parent row
+    per = max(1, _CHUNK // (width * row))          # parent rows per chunk
+    size = per * width * row
+    caps = [trees] + [size] * depth
+    gen_s = [state] + [ws.get(("S", n), size, step.dtype) for n in range(1, depth + 1)]
+    gen_seeds = [seeds] + [ws.get(("seeds", n), size) for n in range(1, depth + 1)]
+    gen_atoms = [ws.get(("atoms", n), caps[n], np.intp) if step.draws else None
+                 for n in range(depth)]
+    if not fixed:
+        gen_ends = [ws.get(("ends", n), caps[n] + 1, np.int64) for n in range(depth)]
+        gen_runs = [(0, np.arange(trees))] + [None] * depth
+        counts = np.zeros((depth + 1, trees), dtype=np.int64)
+        counts[0] = 1
+    stop = depth + 1                  # the shallowest generation not to build
+    length = [trees] + [0] * depth    # vertices in each generation's current chunk
+    pos = [0] * (depth + 1)           # next parent row of each current chunk
+    n, fresh = 0, True
+    while n >= 0:
+        m = length[n]
+        if fresh and n < depth:       # a new chunk: draw its child counts
+            if step.draws:
+                step.draw(ws, gen_seeds[n][:m], gen_atoms[n][:m])
+            if not fixed:
+                ends = gen_ends[n]
+                ends[0] = 0
+                per_parent = np.take(step.counts, gen_atoms[n][:m], mode="clip",
+                                     out=ws.get("per_parent", m, np.int64))
+                np.cumsum(per_parent, out=ends[1 : m + 1])
+                t, starts = gen_runs[n]
+                t1 = t + len(starts)
+                counts[n + 1, t:t1] += np.diff(ends[np.append(starts, m)])
+                if counts[: n + 2, t:t1].sum(axis=0).max() > node_cap:
+                    stop = min(stop, n + 1)
+        fresh = False
+        if n + 1 >= stop or pos[n] == m // row:
+            n -= 1
+            continue
+        lo = pos[n]
+        hi = pos[n] = min(lo + per, m // row)
+        if fixed:
+            k, ends = (hi - lo) * width * row, None
         else:
-            sizes = np.diff(ends[np.cumsum(sizes) - 1], prepend=0)
-        totals += sizes
-        if totals.max() > node_cap:
-            i = int(np.argmax(totals > node_cap))
-            raise NodeCapError(n, int(totals[i]),
-                               None if rep_indices is None else int(rep_indices[i]))
-        state, seeds = step(state, seeds, atoms, ends, trees=trees,
-                            leaf=n == depth and not leaf_seeds)
-        yield n, state, seeds, sizes, ends
+            # Every parent has a child (each atom has a positive weight), so
+            # each tree met in the parents [lo, hi) has a run of children.
+            t, starts = gen_runs[n]
+            i0 = int(np.searchsorted(starts, lo, "right")) - 1
+            i1 = int(np.searchsorted(starts, hi))
+            ends = gen_ends[n][lo : hi + 1]
+            k = int(ends[-1] - ends[0])
+            gen_runs[n + 1] = (t + i0, gen_ends[n][np.maximum(starts[i0:i1], lo)] - ends[0])
+        lo, hi = lo * row, hi * row
+        leaf = n + 1 == depth and not leaf_seeds
+        out_s, out_seeds = gen_s[n + 1][:k], gen_seeds[n + 1][:k]
+        step(ws, gen_s[n][lo:hi], gen_seeds[n][lo:hi],
+             None if gen_atoms[n] is None else gen_atoms[n][lo:hi], out_s, out_seeds,
+             trees=row, leaf=leaf)
+        n += 1
+        length[n], pos[n], fresh = k, 0, True
+        yield n, out_s, None if leaf else out_seeds, None if fixed else gen_runs[n], ends
+    if stop <= depth:
+        totals = np.cumsum(counts[: stop + 1], axis=0)
+        n = next(g for g in range(1, stop + 1) if totals[g].max() > node_cap)
+        i = int(np.argmax(totals[n] > node_cap))
+        raise NodeCapError(n, int(totals[n, i]),
+                           None if rep_indices is None else int(rep_indices[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +492,25 @@ def simulate_tree(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    step = _step_maker(model)()
+    step = _make_step(model)
     s = np.zeros(1, dtype=step.dtype)
     seeds = np.array([seed & _M64], dtype=np.uint64)
-    gens = [s.astype(np.float64)]
+    gens = [[s.astype(np.float64)]] + [[] for _ in range(depth)]
+    vseeds = [[seeds.copy()]] + [[] for _ in range(depth)]
+    counts = [[] for _ in range(depth + 1)]
+    with _POOL.take(1) as (ws,):
+        for n, chunk_s, chunk_seeds, _, ends in _grow(step, ws, s, seeds, depth, node_cap):
+            gens[n].append(chunk_s.astype(np.float64))
+            vseeds[n].append(chunk_seeds.copy())
+            if ends is not None:
+                counts[n].append(np.diff(ends))
+    gens = [np.concatenate(g) for g in gens]
     parents = [np.array([-1], dtype=np.int64)]
-    vseeds = [seeds.copy()]
-    for _, s, seeds, _, ends in _grow(step, s, seeds, depth, node_cap):
-        counts = step.width if ends is None else np.diff(ends, prepend=0)
-        parents.append(np.repeat(np.arange(len(vseeds[-1]), dtype=np.int64), counts))
-        gens.append(s.astype(np.float64))
-        vseeds.append(seeds.copy())
-    return WeightedTree(depth, seed, sum(map(len, gens)), gens, parents, vseeds)
+    for n in range(1, depth + 1):
+        per_parent = step.width if step.counts is None else np.concatenate(counts[n])
+        parents.append(np.repeat(np.arange(len(gens[n - 1]), dtype=np.int64), per_parent))
+    return WeightedTree(depth, seed, sum(map(len, gens)), gens, parents,
+                        [np.concatenate(v) for v in vseeds])
 
 
 @dataclass(frozen=True)
@@ -460,88 +544,142 @@ def sup_weight_trace(tree: WeightedTree) -> np.ndarray:
 
 @dataclass
 class ReplicateTraces:
-    """Per-replicate traces of ``W_n`` and ``R_n`` plus optional renewal sums."""
+    """Per-replicate traces of ``W_n`` and ``R_n`` plus optional renewal sums.
+
+    ``vertices[n]`` counts the generation-``n`` vertices of all replicates.
+    """
 
     alpha: float
     depth: int
     master_seed: int
     W: np.ndarray                      # (replicates, depth+1)
     R_sup: np.ndarray                  # (replicates, depth+1)
+    vertices: np.ndarray               # (depth+1,) int64
     renewal_interval: Optional[tuple] = None
     renewal_sums: Optional[np.ndarray] = None
 
 
-def _replicate_sums(x, nrep, labels=None):
-    """Per-replicate sums of one generation's values, each in vertex order.
+def _carry_sums(ws, terms, acc, lab=None):
+    """Add one chunk's terms to the running per-replicate sums ``acc``.
 
-    Tree-major blocks (``labels`` given) add sequentially in
-    ``np.bincount``.  The ``(position, replicate)`` layout adds down the
-    columns: numpy adds a C-contiguous ``(rows, nrep)`` array row by row into
-    ``nrep`` running sums, but drops the axis of a single column and sums
+    ``terms`` holds ``len(acc)`` free places, then the chunk's terms.  The
+    running sums go in front, so each replicate's sum runs on sequentially,
+    bit for bit one sum over the whole generation in vertex order.  With
+    ``lab`` (a variable fan-out) every entry carries its replicate, those in
+    front the replicates of ``acc``, and ``np.bincount`` adds in input
+    order.  Without it the terms are the ``(position, replicate)`` layout:
+    numpy adds a C-contiguous ``(rows, trees)`` array row by row into the
+    ``trees`` running sums, but drops the axis of a single column and sums
     that one contiguous run pairwise, so one replicate takes ``np.cumsum``.
     """
-    if labels is not None:
-        return np.bincount(labels, weights=x, minlength=nrep)
-    if nrep == 1:
-        return np.cumsum(x)[-1:]
-    return np.add.reduce(x.reshape(-1, nrep), axis=0)
+    k = len(acc)
+    terms[:k] = acc
+    if lab is not None:
+        acc[:] = np.bincount(lab, weights=terms)[-k:]
+    elif k == 1:
+        acc[0] = np.cumsum(terms, out=ws.get("cumsum", len(terms), np.float64))[-1]
+    else:
+        np.add.reduce(terms.reshape(-1, k), axis=0, out=acc)
 
 
-def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, step):
-    """Traces for one batch of replicates; pure function of its arguments.
+def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, step, ws,
+                  w, r, ren):
+    """Traces of one batch of replicates, a pure function of the arguments.
 
-    ``step`` is a generation step of the model (see :func:`_step_maker`);
-    :func:`_grow` raises :class:`NodeCapError` before it builds the first
-    generation over budget, with the fields of the first replicate over it.
+    Writes rows of the call's outputs ``w``, ``r`` and ``ren`` (None
+    without an interval) and returns the batch's vertex count per
+    generation.  ``step`` is the model's generation step (see
+    :func:`_make_step`) and ``ws`` the thread's workspace; :func:`_grow`
+    raises :class:`NodeCapError` as it describes.
+
+    Each chunk goes into per-generation accumulators in ``ws``, in the order
+    the chunks arrive, which is vertex order, so each statistic has the bits
+    of one pass over the whole generation.  ``R_n`` keeps a running
+    ``np.minimum`` per replicate.  Integer levels carry the replicate as an
+    offset, ``i*(depth+1) + S(v)``, so the exact bincounts of the chunks sum
+    to every replicate's level histogram, which dotted with the
+    alpha-geometric weights once per generation gives ``W_n`` and the
+    renewal sums (no per-vertex exp).  Float ``W_n`` and renewal sums add
+    each replicate's terms in vertex order through :func:`_carry_sums`: down
+    the columns of a fixed fan-out's layout, in ``np.bincount`` over a
+    variable one's labels.  The two summation orders give different bits,
+    so each layout keeps its own.
     """
     nrep = len(rep_indices)
-    w = np.empty((nrep, depth + 1))
-    r = np.empty((nrep, depth + 1))
-    ren = np.zeros(nrep) if interval is not None else None
+    gens = depth + 1
     seeds = seeding.replicate_roots_np(master_seed, rep_indices)
+    levels = step.dtype.kind == "i"
+    fixed = step.counts is None
+    offset = np.arange(nrep, dtype=np.int64) * gens if levels else np.zeros(nrep)
+    low = ws.get("low", gens * nrep, step.dtype).reshape(gens, nrep)
+    low[...] = np.iinfo(np.int64).max if levels else np.inf
+    if levels:
+        hist = ws.get("hist", gens * nrep * gens, np.int64).reshape(gens, nrep * gens)
+        hist[...] = 0
+    else:
+        sums = ws.get("sums", 2 * gens * nrep, np.float64).reshape(2, gens, nrep)
+        sums[...] = 0.0
+    if interval is not None:
+        a, b = interval[0] - 1e-9, interval[1] + 1e-9
+    vertices = np.zeros(gens, dtype=np.int64)
+    vertices[0] = nrep
+    tree_ids = np.arange(nrep + 1)
+    for n, S, _, runs, _ in _grow(step, ws, offset, seeds, depth, node_cap,
+                                  rep_indices, leaf_seeds=False):
+        m = len(S)
+        vertices[n] += m
+        if fixed:
+            np.minimum(low[n], np.minimum.reduce(S.reshape(-1, nrep), axis=0), out=low[n])
+            if levels:
+                hist[n] += np.bincount(S, minlength=nrep * gens)
+                continue
+            t0, t1, lab = 0, nrep, None
+        else:
+            t0, starts = runs
+            t1 = t0 + len(starts)
+            low_n = low[n, t0:t1]
+            np.minimum(low_n, np.minimum.reduceat(S, starts), out=low_n)
+            # Label each vertex with its tree, after the labels of the sums
+            # carried in front: a cumulative count of the run starts.
+            lab = ws.get("lab", t1 - t0 + m, np.intp)
+            lab[: t1 - t0] = tree_ids[t0:t1]
+            marks = ws.get("marks", m, np.intp)
+            marks[:] = 0
+            marks[starts[1:]] = 1
+            marks[0] = t0
+            np.cumsum(marks, out=lab[t1 - t0 :])
+        head = t1 - t0
+        terms = ws.get("terms", head + m, np.float64)
+        wv = terms[head:]
+        np.multiply(S, -alpha, out=wv)
+        np.exp(wv, out=wv)
+        _carry_sums(ws, terms, sums[0, n, t0:t1], lab)
+        if interval is not None:
+            inside = np.greater_equal(S, a, out=ws.get("inside", m, bool))
+            inside &= np.less_equal(S, b, out=ws.get("below", m, bool))
+            terms_in = ws.get("terms_in", head + m, np.float64)
+            np.multiply(wv, inside, out=terms_in[head:])
+            _carry_sums(ws, terms_in, sums[1, n, t0:t1], lab)
     w[:, 0] = 1.0
     r[:, 0] = 1.0
-    if interval is not None:
-        a, b = interval
-        if a - 1e-9 <= 0.0 <= b + 1e-9:
-            ren += 1.0
-    # Integer levels carry the replicate as an offset, i*(depth+1) + S(v), so
-    # one exact bincount is every replicate's level histogram, which dotted
-    # with the alpha-geometric weights gives W_n (no per-vertex exp).  Float
-    # S(v) add sequentially per replicate: down the columns of a fixed
-    # fan-out's (position, replicate) layout, in np.bincount over a variable
-    # one's blocks; so those bits depend neither on the layout nor on how
-    # the step cuts its blocks.  The two summation orders give different
-    # bits, so each model keeps its own.
-    levels = step.dtype.kind == "i"
-    offset = np.arange(nrep, dtype=np.int64) * (depth + 1) if levels else np.zeros(nrep)
-    rho = np.exp(-alpha * np.arange(depth + 1))
-    for n, state, _, sizes, ends in _grow(step, offset, seeds, depth, node_cap,
-                                          rep_indices, leaf_seeds=False):
-        fixed = ends is None
-        if fixed:
-            low = np.minimum.reduce(state.reshape(-1, nrep), axis=0)
-        else:
-            low = np.minimum.reduceat(state, np.cumsum(sizes) - sizes)
-        r[:, n] = np.exp(offset - low)
-        if levels:
-            hist = np.bincount(state, minlength=nrep * (depth + 1))
-            lvl = np.ascontiguousarray(hist.reshape(nrep, depth + 1)[:, : n + 1])
-            w[:, n] = lvl @ rho[: n + 1]
-            if interval is not None:
-                ks = np.arange(n + 1)
-                mask = (ks >= a - 1e-9) & (ks <= b + 1e-9)
-                if np.any(mask):
-                    ren += lvl[:, mask] @ rho[: n + 1][mask]
+    if ren is not None:
+        ren[:] = 1.0 if a <= 0.0 <= b else 0.0
+    rho = np.exp(-alpha * np.arange(gens))
+    for n in range(1, gens):
+        r[:, n] = np.exp(offset - low[n])
+        if not levels:
+            w[:, n] = sums[0, n]
+            if ren is not None:
+                ren += sums[1, n]
             continue
-        labels = None if fixed else np.repeat(np.arange(nrep), sizes)
-        wv = np.multiply(state, -alpha, out=step._buffer("wv", len(state), np.float64))
-        np.exp(wv, out=wv)
-        w[:, n] = _replicate_sums(wv, nrep, labels)
-        if interval is not None:
-            wv *= (state >= a - 1e-9) & (state <= b + 1e-9)
-            ren += _replicate_sums(wv, nrep, labels)
-    return w, r, ren
+        lvl = np.ascontiguousarray(hist[n].reshape(nrep, gens)[:, : n + 1])
+        w[:, n] = lvl @ rho[: n + 1]
+        if ren is not None:
+            ks = np.arange(n + 1)
+            mask = (ks >= a) & (ks <= b)
+            if np.any(mask):
+                ren += lvl[:, mask] @ rho[: n + 1][mask]
+    return vertices
 
 
 def replicate_traces(
@@ -557,48 +695,46 @@ def replicate_traces(
     """Simulate ``replicates`` independent trees and collect their traces.
 
     Replicate ``i`` is a pure function of ``(model, seed, i)``; the output is
-    bit-identical for every ``threads`` value and batch schedule.
+    bit-identical for every ``threads`` value and batch schedule.  Batches
+    of 512 replicates run on ``threads`` threads, each in a workspace lent
+    by the module's pool (see the module docstring).
     """
     if replicates <= 0:
         raise ValueError("replicates must be >= 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     w = np.empty((replicates, depth + 1))
     r = np.empty((replicates, depth + 1))
     ren = np.zeros(replicates) if renewal_interval is not None else None
-    batches = [
-        np.arange(lo, min(lo + _BATCH, replicates), dtype=np.int64)
-        for lo in range(0, replicates, _BATCH)
-    ]
+    batches = [(lo, min(lo + _BATCH, replicates)) for lo in range(0, replicates, _BATCH)]
+    step = _make_step(model)
+    with _POOL.take(min(threads, len(batches))) as lent:
+        idle = queue.SimpleQueue()
+        for ws in lent:
+            idle.put(ws)
 
-    # One step per running batch, handed from batch to batch so that its
-    # buffers are reused.
-    make_step = _step_maker(model)
-    steps = queue.SimpleQueue()
-    for _ in range(max(threads, 1)):
-        steps.put(make_step())
+        def run(bounds):
+            lo, hi = bounds
+            ws = idle.get()
+            try:
+                return _batch_traces(
+                    alpha, depth, np.arange(lo, hi, dtype=np.int64), seed, node_cap,
+                    renewal_interval, step, ws, w[lo:hi], r[lo:hi],
+                    None if ren is None else ren[lo:hi])
+            finally:
+                idle.put(ws)
 
-    def run(idx):
-        step = steps.get()
-        try:
-            bw, br, bren = _batch_traces(
-                alpha, depth, batches[idx], seed, node_cap, renewal_interval, step
-            )
-        finally:
-            steps.put(step)
-        sl = slice(batches[idx][0], batches[idx][-1] + 1)
-        w[sl] = bw
-        r[sl] = br
-        if ren is not None:
-            ren[sl] = bren
+        if len(lent) > 1:
+            with ThreadPoolExecutor(max_workers=len(lent)) as pool:
+                counts = list(pool.map(run, batches))
+        else:
+            counts = [run(b) for b in batches]
+    return ReplicateTraces(alpha, depth, seed, w, r, np.sum(counts, axis=0),
+                           renewal_interval, ren)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(batches))))
-    else:
-        for i in range(len(batches)):
-            run(i)
-    return ReplicateTraces(alpha, depth, seed, w, r, renewal_interval, ren)
+
 
 
 # ---------------------------------------------------------------------------

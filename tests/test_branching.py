@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,10 @@ ATOMS_FIXED = FiniteAtoms([(0.3, (0.6, 0.5)), (0.5, (0.9, 0.35)), (0.2, (0.7, 0.
 # Unequal atom lengths and a zero weight: fan-out 1, 2 or 3.
 ATOMS_VARIABLE = FiniteAtoms([(0.25, (0.2, 0.0, 1.5)), (0.5, (0.8,)),
                               (0.25, (1.0, 0.4, 0.1))])
+# 80 positive weights per atom: one parent row of a 512-replicate batch has
+# 40 960 children, more than a chunk's 2^15.
+WIDE = FiniteAtoms([(0.6, tuple(round(0.004 + 0.0002 * j, 6) for j in range(80))),
+                    (0.4, tuple(round(0.02 - 0.0001 * j, 6) for j in range(80)))])
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +100,13 @@ def test_node_cap_raises():
 
 
 def _count_step_inputs(monkeypatch, step=branching._CascadeStep):
-    """Record the parent count of every call of a generation step."""
+    """Record the child count of every call of a generation step."""
     sizes = []
     original = step.__call__
 
-    def spy(self, S, *args, **kwargs):
-        sizes.append(len(S))
-        return original(self, S, *args, **kwargs)
+    def spy(self, ws, S, seeds, atoms, out_s, *args, **kwargs):
+        sizes.append(len(out_s))
+        return original(self, ws, S, seeds, atoms, out_s, *args, **kwargs)
 
     monkeypatch.setattr(step, "__call__", spy)
     return sizes
@@ -113,8 +121,8 @@ def test_cascade_node_cap_in_replicate_traces(threads, monkeypatch):
                          seed=5, node_cap=10**4, threads=threads)
     e = err.value
     assert (e.generation, e.node_count, e.replicate) == (13, 16383, 0)
-    # Raised before generation 13 is built: the largest step input is generation 11.
-    assert max(sizes) == 512 * 2**11
+    # A fixed fan-out knows its sizes in advance: nothing is built.
+    assert sizes == []
 
 
 def test_cascade_node_cap_in_simulate_tree(monkeypatch):
@@ -123,7 +131,7 @@ def test_cascade_node_cap_in_simulate_tree(monkeypatch):
         simulate_tree(BernoulliCascade(2, 0.5), depth=30, seed=5, node_cap=10**4)
     e = err.value
     assert (e.generation, e.node_count, e.replicate) == (13, 16383, None)
-    assert max(sizes) == 2**11
+    assert sizes == []
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -135,7 +143,7 @@ def test_fixed_fanout_atom_node_cap_in_replicate_traces(threads, monkeypatch):
                          node_cap=10**4, threads=threads)
     e = err.value
     assert (e.generation, e.node_count, e.replicate) == (13, 16383, 0)
-    assert max(sizes) == 512 * 2**11
+    assert sizes == []
 
 
 def test_fixed_fanout_atom_node_cap_in_simulate_tree(monkeypatch):
@@ -144,7 +152,7 @@ def test_fixed_fanout_atom_node_cap_in_simulate_tree(monkeypatch):
         simulate_tree(ATOMS_FIXED, depth=30, seed=5, node_cap=10**4)
     e = err.value
     assert (e.generation, e.node_count, e.replicate) == (13, 16383, None)
-    assert max(sizes) == 2**11
+    assert sizes == []
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -161,10 +169,8 @@ def test_variable_fanout_node_cap_in_replicate_traces(threads, monkeypatch):
                          node_cap=10**4, threads=threads)
     e = err.value
     assert (e.generation, e.node_count, e.replicate) == (13, 10386, 85)
-    if threads == 1:
-        # Raised before generation 13 is built: the first batch's last step
-        # input is its generation 11.
-        assert sizes == [int(c) for c in per_gen[:, :12].sum(axis=0)]
+    # No step input exceeds the chunk budget.
+    assert 0 < max(sizes) <= branching._CHUNK
 
 
 def test_variable_fanout_node_cap_in_simulate_tree(monkeypatch):
@@ -175,7 +181,7 @@ def test_variable_fanout_node_cap_in_simulate_tree(monkeypatch):
         simulate_tree(ATOMS_VARIABLE, depth=30, seed=5, node_cap=10**4)
     e = err.value
     assert (e.generation, e.node_count, e.replicate) == (16, 10732, None)
-    assert sizes == [len(g) for g in gens[:15]]
+    assert 0 < max(sizes) <= branching._CHUNK
 
 
 @pytest.mark.parametrize("theta", [
@@ -191,17 +197,21 @@ def test_unit_threshold_is_exact(theta):
 
 @pytest.mark.parametrize("theta", [0.0, 2.0**-53, 0.3, 0.75, 1.0 - 2.0**-53, 1.0])
 def test_cascade_step_matches_unit_uniform_reference(theta):
-    # N = 3 leaves a partial block of parents; two chained calls use both
-    # output slots of the step.
+    # N = 3 children of 2^15 // 3 + 7 parents pass one 2^15-value mixing
+    # block; the second of two chained calls reads the first one's output
+    # and reuses the workspace's buffers.
     model = BernoulliCascade(3, theta)
     step = branching._CascadeStep(model)
+    ws = branching._Workspace()
     rng = np.random.default_rng(17)
     seeds = rng.integers(0, 1 << 64, size=(1 << 15) // 3 + 7, dtype=np.uint64)
     levels = rng.integers(0, 5, size=len(seeds), dtype=np.int64)
     for _ in range(2):
         kids = np.stack([child_seeds_np(seeds, j) for j in range(3)], axis=1).reshape(-1)
         want = np.repeat(levels, 3) + (unit_uniforms_np(kids) < theta)
-        got_levels, got_seeds = step(levels, seeds)
+        got_levels = np.empty(3 * len(seeds), dtype=np.int64)
+        got_seeds = np.empty(3 * len(seeds), dtype=np.uint64)
+        step(ws, levels, seeds, None, got_levels, got_seeds)
         np.testing.assert_array_equal(got_seeds, kids)
         np.testing.assert_array_equal(got_levels, want)
         levels, seeds = got_levels, got_seeds
@@ -258,9 +268,10 @@ MANY_ATOMS = FiniteAtoms([(0.25, (0.5, 0.0, 0.7)), (0.05, (1.1,))]
                          ids=["fixed", "variable", "many", "deterministic"])
 def test_atom_step_matches_reference(model):
     step = branching._AtomStep(branching._AtomColumns(model))
+    ws = branching._Workspace()
     rng = np.random.default_rng(23)
     # Draws exactly on each cum_j * 2^53 and one ulp of u either side, at
-    # the head and across the boundary of the first draw block.
+    # the head and across the boundary of the first mixing block.
     cum = np.cumsum(atom_table(model).probs)
     edges = sorted({b for c in cum for f in (math.floor, math.ceil)
                     for b in (f(c * 2.0**53) - 1, f(c * 2.0**53), f(c * 2.0**53) + 1)
@@ -272,19 +283,27 @@ def test_atom_step_matches_reference(model):
     np.testing.assert_array_equal(unit_uniforms_np(seeds[: len(edges)]),
                                   np.array(edges) * 2.0**-53)
     S = rng.uniform(-1.0, 3.0, size=len(seeds))
-    # Two chained calls: the second reads the first one's output slot.
-    outputs = []
+    # Two chained calls: the second reads the first one's output and reuses
+    # the workspace's buffers.  A leaf call builds the same S and no seeds.
     for _ in range(2):
         want_k, want_S, want_seeds = _atom_reference(model, S, seeds)
-        atoms, ends = step.draw(seeds)
+        atoms = np.empty(len(seeds), dtype=np.intp)
+        step.draw(ws, seeds, atoms)
         np.testing.assert_array_equal(atoms, want_k)
-        S, seeds = step(S, seeds, atoms, ends)
-        np.testing.assert_array_equal(S, want_S)
-        np.testing.assert_array_equal(seeds, want_seeds)
-        outputs.append((S.copy(), seeds.copy(), S, seeds))
-    first_S, first_seeds, S1, seeds1 = outputs[0]
-    np.testing.assert_array_equal(S1, first_S)
-    np.testing.assert_array_equal(seeds1, first_seeds)
+        k = len(want_S)
+        if step.counts is None:
+            assert k == step.width * len(seeds)
+        else:
+            assert k == int(step.counts[atoms].sum())
+        leaf_S, leaf_seeds = np.empty(k), np.zeros(k, dtype=np.uint64)
+        step(ws, S, seeds, atoms, leaf_S, leaf_seeds, leaf=True)
+        np.testing.assert_array_equal(leaf_S, want_S)
+        assert not leaf_seeds.any()
+        out_s, out_seeds = np.empty(k), np.empty(k, dtype=np.uint64)
+        step(ws, S, seeds, atoms, out_s, out_seeds)
+        np.testing.assert_array_equal(out_s, want_S)
+        np.testing.assert_array_equal(out_seeds, want_seeds)
+        S, seeds = out_s, out_seeds
 
 
 def test_atom_tables_built_once_per_call(monkeypatch):
@@ -406,6 +425,177 @@ def test_cascade_steps_survive_thread_switches():
 @pytest.mark.parametrize("model", [ATOMS_FIXED, ATOMS_VARIABLE], ids=["fixed", "variable"])
 def test_atom_steps_survive_thread_switches(model):
     _assert_steps_survive_thread_switches(model, 1.0, 7)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_must_be_positive(threads):
+    cascade = BernoulliCascade(2, 0.75)
+    calls = [
+        lambda: replicate_traces(cascade, LN3, depth=3, replicates=4, seed=1, threads=threads),
+        lambda: sample_W_limit(cascade, LN3, depth=3, replicates=4, seed=1, threads=threads),
+        lambda: renewal_measure_check(cascade, LN3, (0.0, 2.0), depth=3, replicates=4,
+                                      seed=1, threads=threads),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            call()
+
+
+# model, alpha, depth of the traces, renewal interval, depth of a single tree
+CHUNK_CASES = {
+    "cascade": (BernoulliCascade(2, 0.75), LN3, 8, (0.0, 2.0), 12),
+    "fixed": (ATOMS_FIXED, 1.0, 7, (0.5, 3.0), 12),
+    "variable": (ATOMS_VARIABLE, 1.0, 4, (0.5, 3.0), 12),
+    "wide": (WIDE, 1.0, 2, (3.0, 9.5), 2),
+}
+
+
+def _chunked_runs(monkeypatch, case, budget):
+    """Traces for 1, 513 and 1 100 replicates on 1 and 2 threads and one
+    tree, with ``budget`` children per chunk (None: the default), and the
+    child count of every step call."""
+    model, alpha, depth, interval, tree_depth = CHUNK_CASES[case]
+    with monkeypatch.context() as patch:
+        if budget is not None:
+            patch.setattr(branching, "_CHUNK", budget)
+        sizes = _count_step_inputs(patch, type(branching._make_step(model)))
+        traces = {(replicates, threads): replicate_traces(
+                      model, alpha, depth, replicates, seed=77, threads=threads,
+                      renewal_interval=interval)
+                  for replicates in (1, 513, 1100) for threads in (1, 2)}
+        tree = simulate_tree(model, tree_depth, seed=78)
+    return traces, tree, sizes
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 512])
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_output_does_not_depend_on_chunk_size(case, budget, monkeypatch):
+    # Budget 1 builds one parent row per chunk; 3 * 512 is no multiple of a
+    # fixed fan-out's row.  Every statistic keeps its bits, and so does a
+    # single tree.
+    want, want_tree, default_sizes = _chunked_runs(monkeypatch, case, None)
+    got, tree, sizes = _chunked_runs(monkeypatch, case, budget)
+    assert len(sizes) > len(default_sizes)
+    for key, t in want.items():
+        for name in ("W", "R_sup", "renewal_sums", "vertices"):
+            assert getattr(got[key], name).tobytes() == getattr(t, name).tobytes(), (key, name)
+        assert t.vertices.tobytes() == want[key[0], 1].vertices.tobytes()
+    for name in ("generations", "parent_index", "vertex_seeds"):
+        for a, b in zip(getattr(tree, name), getattr(want_tree, name), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_vertices_count_each_generation():
+    fixed = replicate_traces(ATOMS_FIXED, 1.0, depth=9, replicates=1100, seed=4, threads=2)
+    assert fixed.vertices.dtype == np.int64
+    np.testing.assert_array_equal(fixed.vertices, 1100 * 2 ** np.arange(10))
+    cascade = replicate_traces(BernoulliCascade(3, 0.5), LN3, depth=6, replicates=600, seed=4)
+    np.testing.assert_array_equal(cascade.vertices, 600 * 3 ** np.arange(7))
+    # W_n at alpha = 0 counts each replicate's generation-n vertices.
+    counted = replicate_traces(ATOMS_VARIABLE, 0.0, depth=9, replicates=1100, seed=4)
+    variable = replicate_traces(ATOMS_VARIABLE, 1.0, depth=9, replicates=1100, seed=4,
+                                threads=2)
+    np.testing.assert_array_equal(variable.vertices, counted.W.sum(axis=0).astype(np.int64))
+
+
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ``branchfix``; returns its standard output."""
+    src = str(Path(branching.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_batch_memory_is_bounded():
+    # 1 024 replicates of a depth-15 binary cascade, about 67 M vertices, on
+    # two threads: each thread's workspace holds one bounded chunk per
+    # generation, so peak memory does not grow as width^depth.
+    growth_kib = int(_run_python("""
+        import math, resource, sys
+        from branchfix import BernoulliCascade, replicate_traces
+        kib = 1024 if sys.platform == "darwin" else 1
+        base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        replicate_traces(BernoulliCascade(2, 0.75), math.log(3.0), depth=15,
+                         replicates=1024, seed=1, threads=2)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) // kib)
+    """))
+    assert growth_kib < 64 * 1024
+
+
+def test_warm_calls_touch_little_fresh_memory():
+    # After a warm-up call, the pooled workspaces serve every buffer; what is
+    # left is the outputs themselves (2 x 180 KB at this size).
+    faults = [int(f) for f in _run_python("""
+        import resource
+        from branchfix import FiniteAtoms, replicate_traces
+        model = FiniteAtoms([(0.3, (0.6, 0.5)), (0.5, (0.9, 0.35)), (0.2, (0.7, 0.8))])
+        replicate_traces(model, 1.6, depth=10, replicates=2048, seed=0, threads=2)
+        for seed in range(1, 6):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            replicate_traces(model, 1.6, depth=10, replicates=2048, seed=seed, threads=2)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """).split()]
+    assert sorted(faults)[len(faults) // 2] < 100, faults
+
+
+def test_workspace_pool_reuses_workspaces(monkeypatch):
+    pool = branching._WorkspacePool()
+    monkeypatch.setattr(branching, "_POOL", pool)
+    replicate_traces(ATOMS_FIXED, 1.0, depth=5, replicates=1100, seed=1, threads=2)
+    kept = list(pool.idle)
+    buffers = [dict(ws.buffers) for ws in kept]
+    assert len(kept) == 2
+    # Fewer threads, more threads than batches, a single tree: the same
+    # workspaces, and a call like the first allocates no buffer.
+    replicate_traces(ATOMS_FIXED, 1.0, depth=5, replicates=100, seed=2, threads=1)
+    replicate_traces(ATOMS_FIXED, 1.0, depth=5, replicates=600, seed=3, threads=8)
+    simulate_tree(ATOMS_FIXED, depth=5, seed=4)
+    replicate_traces(ATOMS_FIXED, 1.0, depth=5, replicates=1100, seed=5, threads=2)
+    assert len(pool.idle) == 2 and all(any(ws is k for k in kept) for ws in pool.idle)
+    for ws, before in zip(kept, buffers):
+        assert all(ws.buffers[name] is buf for name, buf in before.items())
+    # Three threads lend a third workspace; the pool then keeps three.
+    replicate_traces(ATOMS_FIXED, 1.0, depth=5, replicates=1600, seed=6, threads=3)
+    assert len(pool.idle) == pool.most == 3
+
+
+def test_concurrent_callers_get_distinct_workspaces(monkeypatch):
+    pool = branching._WorkspacePool()
+    monkeypatch.setattr(branching, "_POOL", pool)
+    want = {seed: replicate_traces(ATOMS_VARIABLE, 1.0, depth=6, replicates=1100, seed=seed)
+            for seed in (1, 2)}
+    # The first batch of each caller waits for the other's, so both callers
+    # hold their workspaces at once.
+    meet = threading.Barrier(2, timeout=60)
+    used = {1: set(), 2: set()}
+    original = branching._batch_traces
+
+    def spy(alpha, depth, rep_indices, master_seed, node_cap, interval, step, ws, *out):
+        used[master_seed].add(id(ws))
+        if rep_indices[0] == 0:
+            meet.wait()
+        return original(alpha, depth, rep_indices, master_seed, node_cap, interval, step,
+                        ws, *out)
+
+    monkeypatch.setattr(branching, "_batch_traces", spy)
+    got = {}
+    callers = [threading.Thread(target=lambda s=seed: got.update({s: replicate_traces(
+        ATOMS_VARIABLE, 1.0, depth=6, replicates=1100, seed=s, threads=2)}))
+        for seed in (1, 2)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in callers) and len(got) == 2
+    assert len(used[1]) == len(used[2]) == 2 and not used[1] & used[2]
+    for seed in (1, 2):
+        np.testing.assert_array_equal(got[seed].W, want[seed].W)
+        np.testing.assert_array_equal(got[seed].R_sup, want[seed].R_sup)
+    assert len(pool.idle) == pool.most == 2
 
 
 def test_martingale_mean_within_three_se():
