@@ -32,18 +32,17 @@ C-contiguous ``(width^n, trees)`` array: row ``k`` holds vertex ``k`` of
 every tree, in a single tree's parent-major order, and a chunk is a run of
 rows.  With a variable fan-out each tree's generation is a contiguous block,
 so a chunk holds runs of whole or partial trees, which it lists by their
-starts.  The batch engine folds each
-chunk into per-generation accumulators that give the bits of one pass over
-the whole generation (see :func:`_batch_traces`).
+starts.  The batch engine folds each chunk into per-generation accumulators
+that give the bits of one pass over the whole generation (see
+:func:`_batch_traces`).
 
 Memory.  A running thread works in one :class:`_Workspace`, which holds one
 chunk slot per generation and the step's block buffers: about ``depth *
 2^15 * 16`` bytes of ``S`` values and seeds, plus 8 bytes per slot value for
-the atoms' draws, whatever the replicate count (more when one row passes
-2^15 children).  The module's
-:class:`_WorkspacePool`, empty until first used, lends workspaces to each
-call and keeps them for later ones, so a call after the first touches no
-fresh memory.  A generation step holds only immutable tables, so one step
+the atoms' draws and 8 for a variable fan-out's child offsets, whatever the
+replicate count (more when one row passes 2^15 children).  The module's :class:`_WorkspacePool`, empty until first
+used, lends workspaces to each call and keeps them for later ones, so a
+call after the first touches no fresh memory beyond its outputs.  A generation step holds only immutable tables, so one step
 serves every thread of a call: :func:`_make_step`, the engine's one type
 dispatch, picks :class:`_CascadeStep` on the cascade's exact integer levels
 or :class:`_AtomStep` for every other model (tables in
@@ -164,21 +163,8 @@ def _unit_threshold(theta: float) -> int:
 class _CascadeStep:
     """Cascade generation step on exact integer levels ``S(v) = sum B``.
 
-    The contract of a step: ``width`` (the most children of one parent),
-    the ``dtype`` of its ``S`` values, ``counts`` (each atom's child count,
-    None for a fixed fan-out), ``draws`` (whether :meth:`draw` must pick
-    each parent's atom before a build) and a call ``(ws, S, seeds, atoms,
-    out_s, out_seeds, trees=1, leaf=False)``.  The call builds the children
-    of the parents ``(S, seeds)`` into ``(out_s, out_seeds)``, using the
-    buffers of workspace ``ws``.  With a fixed fan-out the parents come as a
-    flat C-contiguous ``(rows, trees)`` array and the children of parent row
-    ``p`` fill rows ``p*width .. p*width + width-1`` in child order.  With a
-    variable fan-out (``trees = 1``) the children follow their parent's,
-    parent by parent.  ``leaf=True`` says that nothing reads the children's
-    seeds: a step that needs none to draw skips them.
-
-    Here every parent has ``N`` children, so there is nothing to draw.
-    Child ``j`` of a parent with seed ``s`` has seed ``mix64(s ^ salt_j)``
+    A step (contract in :func:`_make_step`) in which every parent has
+    ``N`` children, so there is nothing to draw.  Child ``j`` of a parent with seed ``s`` has seed ``mix64(s ^ salt_j)``
     and level ``parent + (bits < ceil(theta * 2^53))`` with ``bits =
     mix64(child ^ DRAW_SALT) >> 11``.  That integer test is exactly ``u <
     theta`` for ``u = bits * 2^-53`` (both sides scale by the power of two
@@ -256,7 +242,7 @@ class _AtomColumns:
 class _AtomStep:
     """Finite-atom generation step on float ``S(v) = -log L(v)``.
 
-    A generation takes two calls (contract in :class:`_CascadeStep`).
+    A generation takes two calls (contract in :func:`_make_step`).
     :meth:`draw` picks each parent's atom from ``bits = mix64(seed ^
     DRAW_SALT) >> 11`` as the count of ``bits >= thr[j]``: ``cum_j <= u``
     for ``u = bits * 2^-53`` exactly when ``bits >= ceil(cum_j * 2^53)``
@@ -271,9 +257,10 @@ class _AtomStep:
     into the parent seeds.  With a fixed fan-out these land straight in the
     output, child ``j`` of every parent row as one row of ``trees`` values;
     otherwise in a ``(parents, width)`` buffer that one row-major compress
-    by the atoms' ``valid`` rows moves to the output.  The child seeds are then mixed in place.  With
-    ``leaf`` set the seeds are not built at all (no gather, XOR or mix): the
-    draws of a generation need only the parents' seeds.
+    by the atoms' ``valid`` rows moves to the output.  The child seeds are
+    then mixed in place.  With ``leaf`` set the seeds are not built at all
+    (no gather, XOR or mix): the draws of a generation need only the
+    parents' seeds.
 
     The tables are shared by every step of a run.
     """
@@ -337,8 +324,22 @@ class _AtomStep:
 
 
 def _make_step(model: WeightModel):
-    """The generation step of ``model``, the engine's one type dispatch; it
-    holds the model's tables, built here once per call."""
+    """The generation step of ``model``, the engine's one type dispatch.
+
+    A step holds only the model's tables, built here once per call, so one
+    step serves every thread.  The contract of a step: ``width`` (the most children of one parent),
+    the ``dtype`` of its ``S`` values, ``counts`` (each atom's child count,
+    None for a fixed fan-out), ``draws`` (whether :meth:`draw` must pick
+    each parent's atom before a build) and a call ``(ws, S, seeds, atoms,
+    out_s, out_seeds, trees=1, leaf=False)``.  The call builds the children
+    of the parents ``(S, seeds)`` into ``(out_s, out_seeds)``, using the
+    buffers of workspace ``ws``.  With a fixed fan-out the parents come as a
+    flat C-contiguous ``(rows, trees)`` array and the children of parent row
+    ``p`` fill rows ``p*width .. p*width + width-1`` in child order.  With a
+    variable fan-out (``trees = 1``) the children follow their parent's,
+    parent by parent.  ``leaf=True`` says that nothing reads the children's
+    seeds: a step that needs none to draw skips them.
+    """
     if isinstance(model, BernoulliCascade):
         return _CascadeStep(model)
     return _AtomStep(_AtomColumns(model))
@@ -360,7 +361,7 @@ def _grow(step, ws, state, seeds, depth, node_cap, rep_indices=None, leaf_seeds=
     None for a fixed fan-out.  A chunk holds the children of a run of whole
     parent rows, at most ``_CHUNK`` of them unless one row has more; a row
     is one vertex of every tree with a fixed fan-out (the layout in the
-    module docstring and :class:`_CascadeStep`) and one vertex with a
+    module docstring and :func:`_make_step`) and one vertex with a
     variable one.  Descent is depth first, and a chunk's parent rows follow
     those of the chunk before it, so the chunks of each generation arrive
     in vertex order.  With ``leaf_seeds`` False nothing reads the last
@@ -488,7 +489,8 @@ def simulate_tree(
 
     Byte-reproducible: the result is a pure function of ``(model, depth,
     seed)``.  Zero weights produce no vertex.  Raises :class:`NodeCapError`
-    as soon as the cumulative node count would exceed ``node_cap``.
+    when the cumulative node count would exceed ``node_cap`` (see
+    :func:`_grow`).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
