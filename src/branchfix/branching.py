@@ -40,10 +40,13 @@ Memory.  A running thread works in one :class:`_Workspace`, which holds one
 chunk slot per generation and the step's block buffers: about ``depth *
 2^15 * 16`` bytes of ``S`` values and seeds, plus 8 bytes per slot value for
 the atoms' draws and 8 for a variable fan-out's child offsets, whatever the
-replicate count (more when one row passes 2^15 children).  The module's :class:`_WorkspacePool`, empty until first
-used, lends workspaces to each call and keeps them for later ones, so a
-call after the first touches no fresh memory beyond its outputs.  A generation step holds only immutable tables, so one step
-serves every thread of a call: :func:`_make_step`, the engine's one type
+replicate count (more when one row passes 2^15 children).  A variable
+fan-out's chunk may hold up to 2^15 parents, so its step's ``(parents,
+width)`` buffers take up to ``2^15 * width`` values.  The module's
+:class:`_WorkspacePool`, empty until first used, lends workspaces to each
+call and keeps them for later ones, so a call after the first touches no
+fresh memory beyond its outputs.  A generation step holds only immutable
+tables, so one step serves every thread of a call: :func:`_make_step`, the engine's one type
 dispatch, picks :class:`_CascadeStep` on the cascade's exact integer levels
 or :class:`_AtomStep` for every other model (tables in
 :class:`_AtomColumns`).
@@ -362,7 +365,8 @@ def _grow(step, ws, state, seeds, depth, node_cap, rep_indices=None, leaf_seeds=
     parent rows, at most ``_CHUNK`` of them unless one row has more; a row
     is one vertex of every tree with a fixed fan-out (the layout in the
     module docstring and :func:`_make_step`) and one vertex with a
-    variable one.  Descent is depth first, and a chunk's parent rows follow
+    variable one.  A fixed chunk takes ``_CHUNK // (width * trees)`` rows;
+    a variable one takes as many parents as its drawn child counts fit.  Descent is depth first, and a chunk's parent rows follow
     those of the chunk before it, so the chunks of each generation arrive
     in vertex order.  With ``leaf_seeds`` False nothing reads the last
     generation's seeds, which are then None.  The yielded arrays live in
@@ -390,8 +394,8 @@ def _grow(step, ws, state, seeds, depth, node_cap, rep_indices=None, leaf_seeds=
             if total > node_cap:
                 raise NodeCapError(n, total, None if rep_indices is None else int(rep_indices[0]))
     row = trees if fixed else 1                    # vertices per parent row
-    per = max(1, _CHUNK // (width * row))          # parent rows per chunk
-    size = per * width * row
+    per = max(1, _CHUNK // (width * row))          # parent rows per fixed chunk
+    size = per * width * row if fixed else max(_CHUNK, width)
     caps = [trees] + [size] * depth
     gen_s = [state] + [ws.get(("S", n), size, step.dtype) for n in range(1, depth + 1)]
     gen_seeds = [seeds] + [ws.get(("seeds", n), size) for n in range(1, depth + 1)]
@@ -427,18 +431,23 @@ def _grow(step, ws, state, seeds, depth, node_cap, rep_indices=None, leaf_seeds=
             n -= 1
             continue
         lo = pos[n]
-        hi = pos[n] = min(lo + per, m // row)
         if fixed:
+            hi = pos[n] = min(lo + per, m // row)
             k, ends = (hi - lo) * width * row, None
         else:
-            # Every parent has a child (each atom has a positive weight), so
-            # each tree met in the parents [lo, hi) has a run of children.
+            # As many parents as have at most _CHUNK children in all, by
+            # their drawn child offsets, and at least one.  Every parent has
+            # a child (each atom has a positive weight), so each tree met in
+            # the parents [lo, hi) has a run of children.
+            offsets = gen_ends[n][: m + 1]
+            fit = int(np.searchsorted(offsets, offsets[lo] + _CHUNK, "right")) - 1
+            hi = pos[n] = max(lo + 1, fit)
             t, starts = gen_runs[n]
             i0 = int(np.searchsorted(starts, lo, "right")) - 1
             i1 = int(np.searchsorted(starts, hi))
-            ends = gen_ends[n][lo : hi + 1]
+            ends = offsets[lo : hi + 1]
             k = int(ends[-1] - ends[0])
-            gen_runs[n + 1] = (t + i0, gen_ends[n][np.maximum(starts[i0:i1], lo)] - ends[0])
+            gen_runs[n + 1] = (t + i0, offsets[np.maximum(starts[i0:i1], lo)] - ends[0])
         lo, hi = lo * row, hi * row
         leaf = n + 1 == depth and not leaf_seeds
         out_s, out_seeds = gen_s[n + 1][:k], gen_seeds[n + 1][:k]

@@ -23,8 +23,10 @@ float almost always exists because ``g`` contracts adjacent-float spacing
 (slope ~ a_k / (N a_{k+1}) against an ulp ratio ~ a_{k+1}/a_k).  The scan
 walks the distinct candidates ``center + j * ulp/2`` (``|j| <= 64``, then
 ``|j| <= 1024``) outward from the bisection limit and stops at the first
-exact hit: the nearest one, the lower on equal distances.  Exactness flags
-record the rare failures.  The bisection is a bit-identical replay of the
+exact hit: the nearest one, the lower on equal distances.  When the first
+pass finds none, a certified window (two ``g`` evaluations) limits the
+second to the candidates that can still hit.  Exactness flags record the
+rare failures.  The bisection is a bit-identical replay of the
 53-bit one: its mids are computed on ``(exponent, float64 mantissa)``
 pairs, which round exactly as the mpmath operations do, and a comparison
 ``g(mid) < y`` is decided without evaluating ``g`` wherever a certified root
@@ -63,6 +65,7 @@ from mpmath.libmp import (
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
+    to_float,
 )
 
 from .curves import LatticeSpec, PeriodicModulation, SurvivalCurve
@@ -186,7 +189,7 @@ def _scan_side(center: tuple, step_exp: int, js: range, last):
             yield abs(j), c
 
 
-def _ulp_scan(g: _G, y: tuple, center: tuple):
+def _ulp_scan(g: _G, y: tuple, center: tuple, window: bool = False):
     """Nearest ``c`` to ``center`` with ``g(c) == y``, lower on a tie; else None.
 
     Two pointers walk the distinct candidates outward: one down from
@@ -198,16 +201,25 @@ def _ulp_scan(g: _G, y: tuple, center: tuple):
     of the rounded values, not by ``|j|``.  The 1024 pass resumes
     both pointers where the 64 pass stopped, so it tries only new candidates.
     Every candidate is positive: ``1024`` steps are far below ``center/2``.
+
+    With ``window`` set (``g`` a :class:`_G`), the 1024 pass first asks
+    :func:`_scan_window` how many steps on each side can still hit and
+    stops each pointer there: no candidate at or beyond a certified end can
+    hit, so the first hit inside the window is the nearest of the whole
+    scan.  A side whose end is refused is scanned in full.
     """
     step_exp = center[2] + center[3] - 54
     last_j = _SCAN_RADII[-1]
     below = _scan_side(center, step_exp, range(0, -last_j - 1, -1), None)
     above = _scan_side(center, step_exp, range(1, last_j + 1), center)
     down, up = next(below, None), next(above, None)
+    reach_down = reach_up = last_j  # steps each side whose candidates can hit
     for radius in _SCAN_RADII:
+        if window and radius > _SCAN_RADII[0]:
+            reach_down, reach_up = _scan_window(g, y, center, step_exp)
         while True:
-            take_down = down is not None and down[0] <= radius
-            take_up = up is not None and up[0] <= radius
+            take_down = down is not None and down[0] <= min(radius, reach_down)
+            take_up = up is not None and up[0] <= min(radius, reach_up)
             if take_down and take_up:
                 take_up = mpf_lt(mpf_sub(up[1], center, _PREC, _RND),
                                  mpf_sub(center, down[1], _PREC, _RND))
@@ -323,6 +335,15 @@ def _enclosure(g: _G, y: tuple, hi: tuple):
     For ``U <= mid <= top``, ``G(mid) >= (1 - E) g(U) >= (1 - E)/(1 + E)
     (1 + m) y > y``, which needs ``m > 2E/(1 - E)``.  ``m >= 4E`` meets both
     with room, so each skipped comparison equals the evaluated one.
+
+    *Scan window.*  :func:`_scan_window` certifies ends ``L < U`` among
+    the ulp scan's candidates by the same two checks, with ``top`` the
+    scan's highest candidate rounded up.  ``_below_peak(top)`` puts every
+    candidate in ``[0, top]``, where ``E`` holds and ``g`` increases, so a
+    candidate ``c <= L`` has ``G(c) <= (1 + E)/(1 - E) G(L) < y`` and a
+    candidate ``U <= c <= top`` has ``G(c) >= (1 - E)/(1 + E) G(U) > y``:
+    neither is a hit ``G(c) = y``.  Each end stands alone, so one whose
+    check fails leaves only its own side unbounded.
     """
     x = _newton_root(g, y)
     low = mpf_mul(x, from_man_exp((1 << 45) - g.n, -45), _PREC, _RND)
@@ -333,6 +354,52 @@ def _enclosure(g: _G, y: tuple, hi: tuple):
             and mpf_ge(g(high), mpf_mul(y, _MARGIN_ABOVE, _PREC, "u"))):
         return low, high, top
     return None
+
+
+def _scan_window(g: _G, y: tuple, center: tuple, step_exp: int):
+    """Steps ``(below, above)`` from ``center`` past which no scan candidate can hit.
+
+    The ends ``L`` and ``U`` are the scan candidates ``center + j
+    2^step_exp`` at ``j = jl < 0 < ju``, about ``m / s`` relative either
+    side of the root estimate ``x`` of :func:`_newton_root`, where ``m =
+    2^-47`` is the margin of :func:`_enclosure` and ``s = x g'(x) / g(x)``
+    the elasticity of ``g`` there, so that ``G`` just clears ``y (1 -+ m)``
+    at them.  The half-width is widened by 1/16 and two steps, room for the
+    rounding of ``G`` (about an ulp, ``m/32``) and of the ends.  Each end is
+    certified as in :func:`_enclosure`, with the scan's top candidate
+    ``center + 1024 2^step_exp`` (rounded up) as ``top``: ``G(L) <= y (1 -
+    m)`` and ``G(U) >= y (1 + m)``, one ``g`` evaluation each, after one
+    :func:`_below_peak` check of ``top``.  Rounding is monotone, so every
+    candidate at ``j <= jl`` lies at or below ``L`` and every one at ``j >=
+    ju`` at or above ``U``: a certified end leaves ``-jl - 1`` steps below
+    and ``ju - 1`` above.  An end whose check fails, or that falls outside
+    the scan, leaves its side's full 1024 steps, and so do both when ``top``
+    passes the peak or ``s <= 0``.  The estimate only places the ends; it
+    never decides a candidate.
+    """
+    n = g.n
+    last = _SCAN_RADII[-1]
+    top = mpf_add(center, from_man_exp(last, step_exp), _PREC, "u")
+    x = _newton_root(g, y)
+    _, man, exp, bc = x
+    log_x = exp + bc - 1 + math.log2(math.ldexp(man, 1 - bc))
+    w = to_float(g.one_minus) * 2.0 ** ((n - 1) / n * log_x)  # c x^((N-1)/N)
+    s = (1.0 / n - w) / (1.0 - w)
+    if not (s > 0.0 and _below_peak(g, top)):
+        return last, last
+    half = 2.0 ** (log_x - step_exp - 47) / s * (17 / 16) + 2.0  # in steps
+    off = to_float(mpf_shift(mpf_sub(x, center, _NEWTON_PREC, _RND), -step_exp))
+    jl, ju = math.floor(off - half), math.ceil(off + half)
+    below = above = last
+    if -last < jl < last:
+        end = mpf_add(center, from_man_exp(jl, step_exp), _PREC, _RND)
+        if mpf_le(g(end), mpf_mul(y, _MARGIN_BELOW, _PREC, "d")):
+            below = -jl - 1
+    if -last < ju < last:
+        end = mpf_add(center, from_man_exp(ju, step_exp), _PREC, _RND)
+        if mpf_ge(g(end), mpf_mul(y, _MARGIN_ABOVE, _PREC, "u")):
+            above = ju - 1
+    return below, above
 
 
 def _mp_preimage(g: _G, y, hi, want_exact: bool = True):
@@ -407,7 +474,7 @@ def _mp_preimage(g: _G, y, hi, want_exact: bool = True):
         center = mp.make_mpf(hi)
         if not want_exact:
             return center, False
-        hit = _ulp_scan(g, y, hi)
+        hit = _ulp_scan(g, y, hi, window=True)
         if hit is None:
             return center, False
         return mp.make_mpf(hit), True
@@ -657,6 +724,20 @@ def extend_from_seed(
     ``g``-iterate (``n < 0``) or ``g``-inverse iterate (``n > 0``) of the
     seed value.  Requires the critical or subcritical regime and an
     admissible seed.
+
+    Each inverse cell is the 53-bit bisection preimage of the cell before
+    it, held to ``|g(y_k) - y_{k-1}| <= tol``.  A seed point's inverse chain
+    stops after the first cell ``k`` whose value projects to ``0.0`` and is
+    itself ``<= tol``; every deeper cell is ``0.0``, with no ``g``
+    evaluated.  Both are what the full chain would give.  A preimage lies in
+    ``[0, y]`` (the bisection starts at ``hi = y`` and only lowers it), so
+    the chain decreases and every deeper value projects to ``0.0`` too.  A
+    deeper cell ``j > k`` has a target ``0 < y_{j-1} <= y_k <= tol``, and the
+    bisection's bracket (relative width ``4 eps``, ``g`` concave with
+    ``g(0) = 0``) puts ``g(y_j)`` within a few ulps of it, so its error is
+    below the target itself and its check passes.  A ``tol`` below every
+    value, ``tol = 0`` for one, never stops a chain: every cell is computed
+    and checked, and the first failed check raises as before.
     """
     regime = classify(params)
     if regime == SUPERCRITICAL:
@@ -701,6 +782,9 @@ def extend_from_seed(
                         f"inverse chain missed its defining identity beyond {tol!r}"
                     )
                 chain[k] = float(y)
+                if chain[k] == 0.0 and y <= tol:  # the stop rule in the docstring
+                    chain.update(dict.fromkeys(range(k + 1, downs + 1), 0.0))
+                    break
             chains.append(chain)
 
     interior = seed.grid[:-1]  # points strictly inside (1, e)

@@ -356,12 +356,22 @@ def format_column(column) -> list:
 
 
 def _float_cells(values: np.ndarray) -> list:
-    """``repr`` of each float64, with the cells below 1e-4 in size found by one mask."""
-    cells = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(np.abs(values) < 1e-4).tolist():
-        x = values[i]
+    """The cell of each float64, each distinct value formatted once.
+
+    ``repr``, or ``format_float_scientific`` below 1e-4 in size, of each
+    value of ``np.unique``, gathered back by its inverse index.  ``np.unique``
+    merges both zeros (each is ``0.0``) and every NaN (each is ``nan``), so
+    the cells are those of a per-value pass.  A column without repeats is
+    formatted in place, which skips the gather.
+    """
+    uniq, inverse = np.unique(values, return_inverse=True)
+    if len(uniq) == len(values):
+        uniq, inverse = values, None
+    cells = list(map(repr, uniq.tolist()))
+    for i in np.flatnonzero(np.abs(uniq) < 1e-4).tolist():
+        x = uniq[i]
         cells[i] = "0.0" if x == 0.0 else np.format_float_scientific(x, unique=True)
-    return cells
+    return cells if inverse is None else list(map(cells.__getitem__, inverse.tolist()))
 
 
 def format_number(x) -> str:

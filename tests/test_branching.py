@@ -441,6 +441,37 @@ def test_threads_must_be_positive(threads):
             call()
 
 
+@pytest.mark.parametrize("budget", [1, 7, 100, None])
+def test_variable_chunks_take_every_parent_that_fits(monkeypatch, budget):
+    # A variable fan-out chunk takes its parents by their drawn child counts:
+    # it holds at most _CHUNK children (or one parent), and it ends before a
+    # parent only where that parent's children would not fit or where the
+    # parents' own chunk ends.
+    if budget is not None:
+        monkeypatch.setattr(branching, "_CHUNK", budget)
+    budget = branching._CHUNK
+    trees, depth = (2048, 10) if budget > 100 else (64, 6)
+    step = branching._make_step(ATOMS_VARIABLE)
+    seeds = np.arange(1, trees + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    chunks = [[] for _ in range(depth + 1)]  # per generation: its chunks' child counts
+    with branching._POOL.take(1) as (ws,):
+        for n, S, _, _, ends in branching._grow(step, ws, np.zeros(trees), seeds, depth, 10**7):
+            chunks[n].append(np.diff(ends))
+            assert len(S) == ends[-1] - ends[0]
+    sizes = [[trees]] + [[c.sum() for c in gen] for gen in chunks[1:]]
+    assert sum(sizes[-1]) > 4 * budget
+    for n in range(1, depth + 1):
+        counts = np.concatenate(chunks[n])  # child counts of generation n - 1
+        assert len(counts) == sum(sizes[n - 1])
+        ends_of_parent_chunks = set(np.cumsum(sizes[n - 1]).tolist())
+        at = 0
+        for chunk in chunks[n]:
+            assert chunk.sum() <= budget or len(chunk) == 1
+            at += len(chunk)
+            if at not in ends_of_parent_chunks:
+                assert chunk.sum() + counts[at] > budget
+
+
 # model, alpha, depth of the traces, renewal interval, depth of a single tree
 CHUNK_CASES = {
     "cascade": (BernoulliCascade(2, 0.75), LN3, 8, (0.0, 2.0), 12),

@@ -390,6 +390,87 @@ def test_ulp_scan_far_hits_and_misses_with_real_g():
                 assert gap > 64 * mpf(2) ** step_exp
 
 
+def _no_hit_cells():
+    """``(params, y, center)`` of every NO_HIT_CELLS cell: its target and bisection limit."""
+    for (n, theta), cells in NO_HIT_CELLS.items():
+        params = CascadeParams(n, theta)
+        values = exact_threshold_chain(params, max(cells)).values
+        for k in cells:
+            y = fone if k == 0 else values[k - 1]._mpf_
+            hi = from_float(u_star(params)) if k == 0 else y
+            center = _mp_preimage(_G(params), y, hi, want_exact=False)[0]._mpf_
+            yield params, y, center
+
+
+def test_scan_window_ends_are_certified():
+    # At each cell with no exact preimage both ends are certified, well
+    # inside the scan, and the 64 floats beyond each end keep g on its side
+    # of y.
+    for params, y, center in _no_hit_cells():
+        g = _G(params)
+        step_exp = center[2] + center[3] - 54
+        below, above = cascade._scan_window(g, y, center, step_exp)
+        assert 64 < below < 512 and 64 < above < 512
+        low = mpf_add(center, from_man_exp(-below - 1, step_exp), 53, "n")
+        high = mpf_add(center, from_man_exp(above + 1, step_exp), 53, "n")
+        for _ in range(65):
+            assert mpf_lt(g(low), y) and mpf_lt(y, g(high))
+            low, high = _next_float(low, False), _next_float(high, True)
+
+
+def test_scan_window_cuts_no_hit_cells_and_keeps_their_bits():
+    for params, y, center in _no_hit_cells():
+        full, windowed = _G(params), _G(params)
+        assert _ulp_scan(full, y, center) is None
+        assert _ulp_scan(windowed, y, center, window=True) is None
+        # the two certificate evaluations, then about 200 of the full ~1030
+        assert windowed.calls < full.calls / 3
+    # the golden chain's one no-hit cell, 14, made 1 036 of its 1 279
+    chain = exact_threshold_chain(CascadeParams(3, 0.4), 20)
+    assert chain.g_evaluations <= 500
+    # N = 8 at depth 30 has no such cell, so its count is unchanged
+    assert exact_threshold_chain(CascadeParams(8, 0.5), 30).g_evaluations == 403
+
+
+def test_refused_window_falls_back_to_the_full_scan(monkeypatch):
+    # A root estimate 2^-30 off puts both ends outside the scan: no end is
+    # certified, and the scan tries every candidate as without a window.
+    newton = cascade._newton_root
+    scale = from_float(1 + 2.0**-30)
+    monkeypatch.setattr(cascade, "_newton_root",
+                        lambda g, y: mpf_mul(newton(g, y), scale, 80, "n"))
+    for params, y, center in _no_hit_cells():
+        full, windowed = _G(params), _G(params)
+        assert _ulp_scan(full, y, center) is None
+        assert _ulp_scan(windowed, y, center, window=True) is None
+        assert windowed.calls == full.calls
+
+
+@pytest.mark.parametrize("shift", [150, -150])
+@pytest.mark.parametrize("misplace", [-700, 700])
+def test_misplaced_window_end_is_refused(monkeypatch, shift, misplace):
+    # The center sits 150 steps off an exact preimage x, so the hit lies past
+    # the 64-step pass.  The root estimate sits 700 steps off x, and the
+    # window's half-width here is about 520 steps: the near end lies inside
+    # the scan but beyond the hit, and its certificate is refused; the far
+    # end falls outside the scan.  The scan still finds the reference's hit.
+    params = CascadeParams(4, 0.5)
+    with mp.workprec(53):
+        y = _reference_preimage(params, 1, u_star(params))[0]
+        x, ok = _reference_preimage(params, y, y)
+        assert ok
+        step_exp = mp.mag(x) - 54
+        center = mpf_add(x._mpf_, from_man_exp(shift, step_exp), 53, "n")
+        estimate = mpf_add(x._mpf_, from_man_exp(misplace, step_exp), 80, "n")
+        want, want_ok = _reference_scan(
+            lambda u: _reference_g(params, u), y, mp.make_mpf(center))
+    assert want_ok
+    monkeypatch.setattr(cascade, "_newton_root", lambda g, y: estimate)
+    g = _G(params)
+    assert cascade._scan_window(g, y._mpf_, center, step_exp) == (1024, 1024)
+    assert _ulp_scan(g, y._mpf_, center, window=True) == want._mpf_
+
+
 # ---------------------------------------------------------------------------
 # the certified bisection replay
 # ---------------------------------------------------------------------------
@@ -625,6 +706,89 @@ def test_two_residue_seed_extension_subcritical():
     assert curve_step_residuals(SUB, curve).max_residual <= 1e-10
     back = restrict_to_seed(curve)
     np.testing.assert_array_equal(back.values, seed.values)
+
+
+def _two_point_seed(params, v_e, frac):
+    v_s = v_e + frac * (g_eval(params, v_e) - v_e)
+    return SeedFunction(np.array([math.exp(0.4), math.e]), np.array([v_s, v_e]))
+
+
+def _inverse_chain(params, v, cells, tol):
+    """Every inverse cell of seed value ``v``: ``(floats, first failed cell or None)``.
+
+    The reference for the extension: a full 53-bit preimage and identity
+    check at every cell, with no stop rule.
+    """
+    g = _G(params)
+    out = []
+    with mp.workprec(53):
+        y = mpf(v)
+        for k in range(1, cells + 1):
+            prev, y = y, _mp_preimage(g, y, y, want_exact=False)[0]
+            if abs(mp.make_mpf(g(y._mpf_)) - prev) > tol:
+                return out, k
+            out.append(float(y))
+    return out, None
+
+
+def _count_preimages(monkeypatch):
+    calls = []
+    preimage = cascade._mp_preimage
+    monkeypatch.setattr(cascade, "_mp_preimage",
+                        lambda *a, **k: calls.append(a[1]) or preimage(*a, **k))
+    return calls
+
+
+EXTENSION_CASES = [(n, theta, n_hi) for n in (2, 3, 8)
+                   for theta, n_hi in ((1.0 - 1.0 / n, 40), (1.0 - 0.5 / n, 25))]
+
+
+@pytest.mark.parametrize("n, theta, n_hi", EXTENSION_CASES)
+def test_extension_equals_every_cell_reference(monkeypatch, n, theta, n_hi):
+    # Each point's inverse chain stops after its first cell that projects to
+    # 0.0: the curve keeps every bit of the full chain, and each point makes
+    # its float-range preimages plus one.
+    params = CascadeParams(n, theta)
+    seed = _two_point_seed(params, 0.5, 0.5)
+    calls = _count_preimages(monkeypatch)
+    curve = extend_from_seed(params, seed, n_lo=-3, n_hi=n_hi)
+    values = curve.values.reshape(-1, 2)[3:]  # rows 0 .. n_hi; column 0 is residue 1
+    want_calls = 0
+    for col, v in ((1, seed.values[0]), (0, seed.values[1])):
+        chain, failed = _inverse_chain(params, v, n_hi, 1e-13)
+        assert failed is None
+        full = np.array([v] + chain)
+        # residue 1 at exponent m carries the point e one cell down
+        got = values[1:, col] if col else values[1:, 0]
+        want = full[1:] if col else full[:-1]
+        assert got.tobytes() == want.tobytes()
+        nonzero = int(np.count_nonzero(full[1:]))
+        assert nonzero < n_hi and np.all(full[nonzero + 1:] == 0.0)
+        want_calls += nonzero + 1
+    assert len(calls) == want_calls
+
+
+@pytest.mark.parametrize("n, theta, v_e", [(8, 0.875, 0.5), (8, 0.9375, 0.6), (3, 1 - 1 / 3, 0.3)])
+def test_extension_with_tol_zero_computes_every_cell(monkeypatch, n, theta, v_e):
+    # No value is <= 0, so no chain stops: every cell is computed and held
+    # to an exact identity until the first that misses it, which raises, as
+    # the full chain does.  The first point's chain passes its first
+    # zero-projecting cell in each case (at (8, 7/8) 23 cells exact, 3 of
+    # them in float range).
+    params = CascadeParams(n, theta)
+    seed = _two_point_seed(params, v_e, 0.5)
+    calls = _count_preimages(monkeypatch)
+    with pytest.raises(RuntimeError, match="inverse chain missed"):
+        extend_from_seed(params, seed, n_lo=-3, n_hi=40, tol=0.0)
+    first, failed = _inverse_chain(params, seed.values[0], 40, 0.0)
+    assert failed > np.count_nonzero(first) + 1
+    want_calls = 0
+    for v in seed.values:
+        _, failed = _inverse_chain(params, v, 40, 0.0)
+        want_calls += failed or 40
+        if failed:
+            break
+    assert len(calls) == want_calls
 
 
 def test_extension_rejects_inadmissible_seed():

@@ -70,6 +70,22 @@ def test_float64_column(values):
     _check_cells(np.array(values, dtype=np.float64))
 
 
+def test_float64_column_with_repeats():
+    # Each distinct value is formatted once and its cell gathered back: both
+    # zeros must come out 0.0, NaNs of either sign or payload nan, and every
+    # repeat in its own place.
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                    dtype=np.uint64).view(np.float64)
+    distinct = np.concatenate([np.array(EDGE_FLOATS, dtype=np.float64), nans,
+                               [np.nextafter(5e-324, 1.0), 0.1, 2.5e-5, -7.0]])
+    rng = np.random.default_rng(5)
+    column = distinct[rng.integers(0, len(distinct), size=2000)]
+    assert len(np.unique(column)) < len(distinct) < len(column)
+    _check_cells(column)
+    assert format_column(nans) == ["nan"] * 3
+    assert format_column(np.array([-0.0, 0.0, -0.0])) == ["0.0"] * 3
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(st.floats(width=32), st.sampled_from(
     [0.0, -0.0, math.inf, math.nan, 1e-4, 1e-45, 9.9e-5, 3.4e38])), max_size=40))
