@@ -46,10 +46,10 @@ width)`` buffers take up to ``2^15 * width`` values.  The module's
 :class:`_WorkspacePool`, empty until first used, lends workspaces to each
 call and keeps them for later ones, so a call after the first touches no
 fresh memory beyond its outputs.  A generation step holds only immutable
-tables, so one step serves every thread of a call: :func:`_make_step`, the engine's one type
-dispatch, picks :class:`_CascadeStep` on the cascade's exact integer levels
-or :class:`_AtomStep` for every other model (tables in
-:class:`_AtomColumns`).
+tables, so one step serves every thread of a call: :func:`_make_step`, the
+engine's one type dispatch, picks :class:`_CascadeStep` on the cascade's
+exact integer levels or :class:`_AtomStep` for every other model (tables
+in :class:`_AtomColumns`).
 """
 
 from __future__ import annotations
@@ -366,9 +366,10 @@ def _grow(step, ws, state, seeds, depth, node_cap, rep_indices=None, leaf_seeds=
     is one vertex of every tree with a fixed fan-out (the layout in the
     module docstring and :func:`_make_step`) and one vertex with a
     variable one.  A fixed chunk takes ``_CHUNK // (width * trees)`` rows;
-    a variable one takes as many parents as its drawn child counts fit.  Descent is depth first, and a chunk's parent rows follow
-    those of the chunk before it, so the chunks of each generation arrive
-    in vertex order.  With ``leaf_seeds`` False nothing reads the last
+    a variable one takes as many parents as its drawn child counts fit.
+    Descent is depth first, and a chunk's parent rows follow those of the
+    chunk before it, so the chunks of each generation arrive in vertex
+    order.  With ``leaf_seeds`` False nothing reads the last
     generation's seeds, which are then None.  The yielded arrays live in
     ``ws``, one slot per generation, and are overwritten by later chunks: a
     caller that keeps one copies it.

@@ -217,9 +217,10 @@ def _ulp_scan(g: _G, y: tuple, center: tuple, window: bool = False):
     for radius in _SCAN_RADII:
         if window and radius > _SCAN_RADII[0]:
             reach_down, reach_up = _scan_window(g, y, center, step_exp)
+        lim_down, lim_up = min(radius, reach_down), min(radius, reach_up)
         while True:
-            take_down = down is not None and down[0] <= min(radius, reach_down)
-            take_up = up is not None and up[0] <= min(radius, reach_up)
+            take_down = down is not None and down[0] <= lim_down
+            take_up = up is not None and up[0] <= lim_up
             if take_down and take_up:
                 take_up = mpf_lt(mpf_sub(up[1], center, _PREC, _RND),
                                  mpf_sub(center, down[1], _PREC, _RND))
@@ -359,21 +360,21 @@ def _enclosure(g: _G, y: tuple, hi: tuple):
 def _scan_window(g: _G, y: tuple, center: tuple, step_exp: int):
     """Steps ``(below, above)`` from ``center`` past which no scan candidate can hit.
 
-    The ends ``L`` and ``U`` are the scan candidates ``center + j
-    2^step_exp`` at ``j = jl < 0 < ju``, about ``m / s`` relative either
-    side of the root estimate ``x`` of :func:`_newton_root`, where ``m =
-    2^-47`` is the margin of :func:`_enclosure` and ``s = x g'(x) / g(x)``
-    the elasticity of ``g`` there, so that ``G`` just clears ``y (1 -+ m)``
-    at them.  The half-width is widened by 1/16 and two steps, room for the
-    rounding of ``G`` (about an ulp, ``m/32``) and of the ends.  Each end is
-    certified as in :func:`_enclosure`, with the scan's top candidate
-    ``center + 1024 2^step_exp`` (rounded up) as ``top``: ``G(L) <= y (1 -
-    m)`` and ``G(U) >= y (1 + m)``, one ``g`` evaluation each, after one
-    :func:`_below_peak` check of ``top``.  Rounding is monotone, so every
-    candidate at ``j <= jl`` lies at or below ``L`` and every one at ``j >=
-    ju`` at or above ``U``: a certified end leaves ``-jl - 1`` steps below
-    and ``ju - 1`` above.  An end whose check fails, or that falls outside
-    the scan, leaves its side's full 1024 steps, and so do both when ``top``
+    The ends ``L`` and ``U`` are the scan candidates at ``j = jl`` and
+    ``j = ju``, about ``m / s`` relative either side of the root estimate
+    ``x`` of :func:`_newton_root`.  Here ``m = 2^-47`` is the margin of
+    :func:`_enclosure` and ``s = x g'(x) / g(x)`` the elasticity of ``g``
+    at ``x``, so ``G`` just clears ``y (1 -+ m)`` at the ends.  The
+    half-width is widened by 1/16 and two steps, room for the rounding of
+    ``G`` (about an ulp, ``m/32``) and of the ends.  Each end is certified
+    as in :func:`_enclosure`, with the scan's top candidate ``center +
+    1024 2^step_exp`` (rounded up) as ``top``: one :func:`_below_peak`
+    check of ``top``, then ``G(L) <= y (1 - m)`` and ``G(U) >= y (1 + m)``,
+    one ``g`` evaluation each.  Rounding is monotone, so every candidate at
+    ``j <= jl`` lies at or below ``L`` and every one at ``j >= ju`` at or
+    above ``U``: a certified end leaves ``-jl - 1`` steps below and
+    ``ju - 1`` above.  An end whose check fails, or that falls outside the
+    scan, leaves its side's full 1024 steps, and so do both when ``top``
     passes the peak or ``s <= 0``.  The estimate only places the ends; it
     never decides a candidate.
     """

@@ -418,7 +418,7 @@ def test_scan_window_ends_are_certified():
             low, high = _next_float(low, False), _next_float(high, True)
 
 
-def test_scan_window_cuts_no_hit_cells_and_keeps_their_bits():
+def test_scan_window_cuts_no_hit_cells():
     for params, y, center in _no_hit_cells():
         full, windowed = _G(params), _G(params)
         assert _ulp_scan(full, y, center) is None
