@@ -60,7 +60,6 @@ from .curves import (
     constant_modulation,
     convexity_defect,
     dyadic_grid,
-    involution_transform,
     lattice_points,
     log_grid,
     pairwise_prod,

@@ -16,26 +16,21 @@ mixture curve.
 
 The threshold sequence decays doubly exponentially (``a_{k+1} ~ (theta
 a_k)^N``), which leaves IEEE double range around k = 8 for small theta.  The
-chain is therefore computed in 53-bit arbitrary-exponent floats (mpmath) and
-each ``a_{k+1}`` is located by bisection followed by a unit-in-last-place
-scan for an argument whose image is *bit-for-bit* equal to ``a_k``; such a
-float almost always exists because ``g`` contracts adjacent-float spacing
-(slope ~ a_k / (N a_{k+1}) against an ulp ratio ~ a_{k+1}/a_k).  The scan
-walks the distinct candidates ``center + j * ulp/2`` (``|j| <= 64``, then
-``|j| <= 1024``) outward from the bisection limit and stops at the first
-exact hit: the nearest one, the lower on equal distances.  When the first
-pass finds none, a certified window (two ``g`` evaluations) limits the
-second to the candidates that can still hit.  Exactness flags record the
-rare failures.  The bisection is a bit-identical replay of the
-53-bit one: its mids are computed on ``(exponent, float64 mantissa)``
-pairs, which round exactly as the mpmath operations do, and a comparison
-``g(mid) < y`` is decided without evaluating ``g`` wherever a certified root
-enclosure (Newton's method, verified by two ``g`` evaluations against a
-proven error bound) decides it; ``g`` is evaluated only inside the
-enclosure, and everywhere when the certificate is refused.  The scan runs
-on raw ``mpmath.libmp`` tuples.  One ``g`` evaluator serves a chain, and
-one each report that checks it.  Float64 projections are provided
-alongside, with the underflow point marked.
+chain is therefore computed in 53-bit arbitrary-exponent floats (mpmath).
+Writing ``G`` for the 53-bit evaluation of ``g``, each ``a_{k+1}`` is the
+transition float of ``a_k``: the ``x`` with ``G(pred x) < a_k <= G(x)``,
+``pred x`` the float just below it, flagged exact when ``G(x) == a_k``.
+Where ``G`` is monotone that is the least float whose image reaches
+``a_k``, so the least exact hit whenever one exists; such a float almost
+always exists because ``g`` contracts adjacent-float spacing (slope ~ a_k /
+(N a_{k+1}) against an ulp ratio ~ a_{k+1}/a_k), and exactness flags record
+the rare failures.  Two ``g`` evaluations check a value, whatever found it.
+It is found on integer float indices: a Newton estimate of the root, a
+gallop in whole ulps until ``G`` crosses the target, and a bisection of the
+bracketing indices.  The seed extension's inverse cells follow the same
+rule.  One ``g`` evaluator serves a chain, and one each report that checks
+it.  Float64 projections are provided alongside, with the underflow point
+marked.
 """
 
 from __future__ import annotations
@@ -52,20 +47,17 @@ from mpmath.libmp import (
     from_man_exp,
     fzero,
     mpf_abs,
-    mpf_add,
-    mpf_cmp,
     mpf_div,
-    mpf_ge,
     mpf_le,
     mpf_lt,
     mpf_mul,
     mpf_mul_int,
     mpf_nthroot,
+    mpf_pos,
     mpf_pow_int,
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
-    to_float,
 )
 
 from .curves import LatticeSpec, PeriodicModulation, SurvivalCurve
@@ -123,20 +115,17 @@ class _G:
     """``g`` on raw 53-bit mpmath tuples, round to nearest.
 
     ``theta`` and ``1 - theta`` are built once per instance; ``calls``
-    counts the evaluations, and ``certified`` the preimage comparisons that
-    a certified root enclosure decided without one.  Each operation is the
-    one the mpf operators apply at 53 bits, so the results equal ``mpf``
-    arithmetic bit for bit.
+    counts the evaluations.  Each operation is the one the mpf operators
+    apply at 53 bits, so the results equal ``mpf`` arithmetic bit for bit.
     """
 
-    __slots__ = ("n", "theta", "one_minus", "calls", "certified")
+    __slots__ = ("n", "theta", "one_minus", "calls")
 
     def __init__(self, params: CascadeParams) -> None:
         self.n = int(params.N)
         self.theta = from_float(params.theta)
         self.one_minus = mpf_sub(fone, self.theta, _PREC, _RND)
         self.calls = 0
-        self.certified = 0
 
     def __call__(self, u: tuple) -> tuple:
         self.calls += 1
@@ -170,105 +159,7 @@ def u_star(params: CascadeParams) -> float:
     return growth ** (-n / (n - 1.0))
 
 
-# Candidates ``center + j * 2^(mag(center) - 54)`` (half an ulp of the
-# center's binade) tried by the ulp scan: |j| <= 64 first, then |j| <= 1024.
-_SCAN_RADII = (64, 1024)
-_DEEP_TARGET = from_float(1e-3)
-
-
-def _scan_side(center: tuple, step_exp: int, js: range, last):
-    """``(|j|, c)`` for each distinct rounded ``c = center + j 2^step_exp``, in ``js`` order.
-
-    A ``j`` whose rounded candidate repeats the previous one (or ``last``)
-    is skipped: it was tried already.
-    """
-    for j in js:
-        c = mpf_add(center, from_man_exp(j, step_exp), _PREC, _RND)
-        if c != last:
-            last = c
-            yield abs(j), c
-
-
-def _ulp_scan(g: _G, y: tuple, center: tuple, window: bool = False):
-    """Nearest ``c`` to ``center`` with ``g(c) == y``, lower on a tie; else None.
-
-    Two pointers walk the distinct candidates outward: one down from
-    ``center`` itself, one up from the first candidate above it.  Each step
-    takes the side whose next candidate is nearer (the lower side on equal
-    distances), so the first hit is the nearest.  The step is half an ulp,
-    and the float spacing halves below a binade boundary, so ``+j`` and
-    ``-j`` can round to unequal distances; the walk orders by the distance
-    of the rounded values, not by ``|j|``.  The 1024 pass resumes
-    both pointers where the 64 pass stopped, so it tries only new candidates.
-    Every candidate is positive: ``1024`` steps are far below ``center/2``.
-
-    With ``window`` set (``g`` a :class:`_G`), the 1024 pass first asks
-    :func:`_scan_window` how many steps on each side can still hit and
-    stops each pointer there: no candidate at or beyond a certified end can
-    hit, so the first hit inside the window is the nearest of the whole
-    scan.  A side whose end is refused is scanned in full.
-    """
-    step_exp = center[2] + center[3] - 54
-    last_j = _SCAN_RADII[-1]
-    below = _scan_side(center, step_exp, range(0, -last_j - 1, -1), None)
-    above = _scan_side(center, step_exp, range(1, last_j + 1), center)
-    down, up = next(below, None), next(above, None)
-    reach_down = reach_up = last_j  # steps each side whose candidates can hit
-    for radius in _SCAN_RADII:
-        if window and radius > _SCAN_RADII[0]:
-            reach_down, reach_up = _scan_window(g, y, center, step_exp)
-        lim_down, lim_up = min(radius, reach_down), min(radius, reach_up)
-        while True:
-            take_down = down is not None and down[0] <= lim_down
-            take_up = up is not None and up[0] <= lim_up
-            if take_down and take_up:
-                take_up = mpf_lt(mpf_sub(up[1], center, _PREC, _RND),
-                                 mpf_sub(center, down[1], _PREC, _RND))
-            if take_up:
-                cand, up = up[1], next(above, None)
-            elif take_down:
-                cand, down = down[1], next(below, None)
-            else:
-                break
-            if g(cand) == y:
-                return cand
-    return None
-
-
-# 1 -+ m for the certificate margin m = 2^-47 of :func:`_enclosure`.
-_MARGIN_BELOW = from_man_exp((1 << 47) - 1, -47)
-_MARGIN_ABOVE = from_man_exp((1 << 47) + 1, -47)
 _NEWTON_PREC = 80
-# An enclosure that decides nothing: every mid is evaluated.
-_NO_ENCLOSURE = ((-math.inf, 0.0), (math.inf, 0.0), (-math.inf, 0.0))
-
-
-def _pair(t: tuple):
-    """A positive libmp tuple as ``(exponent, mantissa in [1, 2))``, the same value."""
-    _, man, exp, bc = t
-    return exp + bc - 1, math.ldexp(man, 1 - bc)
-
-
-def _unpair(p) -> tuple:
-    """The libmp tuple of a pair from :func:`_pair`."""
-    exp, mant = p
-    return from_man_exp(int(math.ldexp(mant, 52)), exp - 52)
-
-
-def _below_peak(g: _G, u: tuple) -> bool:
-    """Whether ``u`` lies at or below the peak ``u*`` of ``g``, decided exactly.
-
-    With ``c`` the rounded ``1 - theta`` of ``g``, ``g'(u) >= 0`` iff
-    ``(N c)^N u^(N-1) <= 1``; the product is taken on integers as
-    ``man 2^-k``, so no rounding enters.
-    """
-    n = g.n
-    _, c_man, c_exp, _ = g.one_minus
-    _, u_man, u_exp, _ = u
-    man = (n * c_man) ** n * u_man ** (n - 1)
-    k = -(n * c_exp + (n - 1) * u_exp)
-    bits = man.bit_length()
-    return bits <= k or (bits == k + 1 and man == 1 << k)
 
 
 def _newton_root(g: _G, y: tuple) -> tuple:
@@ -297,188 +188,74 @@ def _newton_root(g: _G, y: tuple) -> tuple:
     return mpf_pow_int(v, n, prec, _RND)
 
 
-def _enclosure(g: _G, y: tuple, hi: tuple):
-    """Certified enclosure ``(L, U, top)`` of the root of ``g(x) = y``, or None.
+def _index(t: tuple) -> int:
+    """Integer index of a positive 53-bit float; adjacent floats differ by 1.
 
-    Write ``G`` for the 53-bit evaluation of :class:`_G` and ``g`` for the
-    exact function with the same rounded coefficients (``theta`` as given,
-    ``c`` the rounded ``1 - theta``).  The enclosure promises ``G(mid) < y``
-    for every ``mid <= L`` and ``G(mid) > y`` for every ``U <= mid <= top``,
-    so the bisection takes those comparisons without evaluating.  ``None``
-    when the certificate is refused.
-
-    *Candidate.*  ``x`` from :func:`_newton_root`; ``L, U = x (1 -+ N 2^-45)``,
-    wide enough because ``x g'(x) / g(x)`` is about ``1/N`` away from the
-    peak; ``top = hi (1 - 2^-40)`` rounded down.  Newton's accuracy decides
-    only how often the certificate is refused, never a comparison.
-
-    *Error bound.*  Let ``r = u^(1/N)``.  Up to the peak
-    ``u* = (N c)^(-N/(N-1))`` of ``g``, ``c u <= r / N``.  ``G`` rounds ``r``
-    within one ulp, a relative ``2^-52`` (``sqrt`` correctly; ``nthroot``
-    rounds a root computed with ten guard bits, by Newton's method or, for
-    ``N > 20``, by ``pow``), and ``c u``, the ``sub`` and the ``div`` each
-    within half an ulp, ``2^-53``.  The rounded ``r - c u`` errs by at most
-    ``(r + c u) / (r - c u) 2^-52 <= (N+1)/(N-1) 2^-52 <= 3 2^-52``
-    relative, so on ``[0, u*]``, ``|G/g - 1| <= E`` with
-    ``E = (1 + 3 2^-52)(1 + 2^-53)^2 - 1 < 2^-50 (1 + 2^-49)``.
-
-    *Monotonicity.*  ``g`` is concave (a concave root minus a linear term)
-    with its peak at ``u*``.  :func:`_below_peak` checks ``top <= u*``
-    exactly, so ``g`` increases on ``[0, top]``: it is at most ``g(L)`` on
-    ``[0, L]``, and on ``[U, top]`` at least ``min(g(U), g(top)) = g(U)``.
-    Every point that is evaluated or decided lies in ``[0, top]``, where
-    ``E`` holds.
-
-    *Margin.*  The certificate is ``G(L) <= y (1 - m)`` and
-    ``G(U) >= y (1 + m)``, ``m = 2^-47``, with the thresholds rounded down
-    and up.  For ``mid <= L``, ``G(mid) <= (1 + E) g(L) <= (1 + E)/(1 - E)
-    G(L) <= (1 + E)(1 - m)/(1 - E) y < y``, which needs ``m > 2E/(1 + E)``.
-    For ``U <= mid <= top``, ``G(mid) >= (1 - E) g(U) >= (1 - E)/(1 + E)
-    (1 + m) y > y``, which needs ``m > 2E/(1 - E)``.  ``m >= 4E`` meets both
-    with room, so each skipped comparison equals the evaluated one.
-
-    *Scan window.*  :func:`_scan_window` certifies ends ``L < U`` among
-    the ulp scan's candidates by the same two checks, with ``top`` the
-    scan's highest candidate rounded up.  ``_below_peak(top)`` puts every
-    candidate in ``[0, top]``, where ``E`` holds and ``g`` increases, so a
-    candidate ``c <= L`` has ``G(c) <= (1 + E)/(1 - E) G(L) < y`` and a
-    candidate ``U <= c <= top`` has ``G(c) >= (1 - E)/(1 + E) G(U) > y``:
-    neither is a hit ``G(c) = y``.  Each end stands alone, so one whose
-    check fails leaves only its own side unbounded.
+    ``man 2^exp`` with a 53-bit ``man`` maps to ``exp 2^52 + man``, so the
+    top of a binade (``man = 2^53 - 1``) and the bottom of the next
+    (``man = 2^52``, ``exp + 1``) are consecutive.  The exponent is
+    unbounded, and so are the indices, in both directions.
     """
-    x = _newton_root(g, y)
-    low = mpf_mul(x, from_man_exp((1 << 45) - g.n, -45), _PREC, _RND)
-    high = mpf_mul(x, from_man_exp((1 << 45) + g.n, -45), _PREC, _RND)
-    top = mpf_sub(hi, mpf_shift(hi, -40), _PREC, "d")
-    if (mpf_le(high, top) and _below_peak(g, top)
-            and mpf_le(g(low), mpf_mul(y, _MARGIN_BELOW, _PREC, "d"))
-            and mpf_ge(g(high), mpf_mul(y, _MARGIN_ABOVE, _PREC, "u"))):
-        return low, high, top
-    return None
+    _, man, exp, bc = t
+    return ((exp + bc - 53) << 52) + (man << (53 - bc))
 
 
-def _scan_window(g: _G, y: tuple, center: tuple, step_exp: int):
-    """Steps ``(below, above)`` from ``center`` past which no scan candidate can hit.
-
-    The ends ``L`` and ``U`` are the scan candidates at ``j = jl`` and
-    ``j = ju``, about ``m / s`` relative either side of the root estimate
-    ``x`` of :func:`_newton_root`.  Here ``m = 2^-47`` is the margin of
-    :func:`_enclosure` and ``s = x g'(x) / g(x)`` the elasticity of ``g``
-    at ``x``, so ``G`` just clears ``y (1 -+ m)`` at the ends.  The
-    half-width is widened by 1/16 and two steps, room for the rounding of
-    ``G`` (about an ulp, ``m/32``) and of the ends.  Each end is certified
-    as in :func:`_enclosure`, with the scan's top candidate ``center +
-    1024 2^step_exp`` (rounded up) as ``top``: one :func:`_below_peak`
-    check of ``top``, then ``G(L) <= y (1 - m)`` and ``G(U) >= y (1 + m)``,
-    one ``g`` evaluation each.  Rounding is monotone, so every candidate at
-    ``j <= jl`` lies at or below ``L`` and every one at ``j >= ju`` at or
-    above ``U``: a certified end leaves ``-jl - 1`` steps below and
-    ``ju - 1`` above.  An end whose check fails, or that falls outside the
-    scan, leaves its side's full 1024 steps, and so do both when ``top``
-    passes the peak or ``s <= 0``.  The estimate only places the ends; it
-    never decides a candidate.
-    """
-    n = g.n
-    last = _SCAN_RADII[-1]
-    top = mpf_add(center, from_man_exp(last, step_exp), _PREC, "u")
-    x = _newton_root(g, y)
-    _, man, exp, bc = x
-    log_x = exp + bc - 1 + math.log2(math.ldexp(man, 1 - bc))
-    w = to_float(g.one_minus) * 2.0 ** ((n - 1) / n * log_x)  # c x^((N-1)/N)
-    s = (1.0 / n - w) / (1.0 - w)
-    if not (s > 0.0 and _below_peak(g, top)):
-        return last, last
-    half = 2.0 ** (log_x - step_exp - 47) / s * (17 / 16) + 2.0  # in steps
-    off = to_float(mpf_shift(mpf_sub(x, center, _NEWTON_PREC, _RND), -step_exp))
-    jl, ju = math.floor(off - half), math.ceil(off + half)
-    below = above = last
-    if -last < jl < last:
-        end = mpf_add(center, from_man_exp(jl, step_exp), _PREC, _RND)
-        if mpf_le(g(end), mpf_mul(y, _MARGIN_BELOW, _PREC, "d")):
-            below = -jl - 1
-    if -last < ju < last:
-        end = mpf_add(center, from_man_exp(ju, step_exp), _PREC, _RND)
-        if mpf_ge(g(end), mpf_mul(y, _MARGIN_ABOVE, _PREC, "u")):
-            above = ju - 1
-    return below, above
+def _float_at(i: int) -> tuple:
+    """The positive 53-bit float of index ``i`` (the inverse of :func:`_index`)."""
+    exp = (i >> 52) - 1
+    return from_man_exp(i - (exp << 52), exp)
 
 
-def _mp_preimage(g: _G, y, hi, want_exact: bool = True):
-    """Exact-if-possible preimage of ``y`` under the increasing branch of g.
+def _mp_preimage(g: _G, y, hi):
+    """Preimage of ``y`` under the increasing branch of ``g``, at 53 bits.
 
-    Bisects ``[0, hi]`` geometrically down to a relative width of
-    ``4 eps``; its upper limit is the ``center``.  Returns ``(x, exact)``
-    with ``g(x) == y`` bit-exactly at 53-bit precision when such an ``x``
-    lies within 1024 half-ulp steps of ``center``: the hit nearest to
-    ``center`` among the 64-step candidates, else among the 1024-step ones,
-    the lower on equal distances (see :func:`_ulp_scan`).  Otherwise
-    ``(center, False)``.  ``want_exact=False`` skips the scan and settles
-    for the bisection limit (a few ulps), which is all the seed extension
-    needs.
+    With ``G`` the 53-bit evaluation ``g`` makes, returns ``(x, exact)``
+    for the transition float ``x <= hi``: ``G(pred x) < y <= G(x)``, where
+    ``pred x`` is the float just below ``x``, and ``exact`` is
+    ``G(x) == y``.  Where ``G`` is nondecreasing around the root, ``x`` is
+    the least float with ``G(x) >= y``: the least exact hit when one
+    exists, else the float just above the root.  ``(hi, False)`` when
+    ``G(hi) < y``, and ``(0, True)`` for ``y = 0``.
 
-    The bisection is a replay of the 53-bit mpmath one on
-    ``(exponent, mantissa)`` pairs: ``mpf_mul`` and ``mpf_sqrt`` round to
-    nearest, ties to even, and so do IEEE ``*`` and ``math.sqrt`` on
-    mantissas in [1, 4), so every mid has the same bits.  Each comparison
-    ``g(mid) < y`` that the certified enclosure of :func:`_enclosure`
-    decides is counted on ``g.certified``; only the others evaluate ``g``,
-    and every evaluation is counted on ``g.calls``.
+    The search runs on the integer indices of :func:`_index`.  It starts
+    at :func:`_newton_root` rounded to 53 bits (clamped to ``hi``),
+    gallops in 1, 2, 4, ... ulps away from the side it starts on until
+    ``G`` crosses ``y``, then bisects the bracket of indices; each ``G`` is
+    one evaluation, counted on ``g.calls``.  Where ``G`` is monotone the
+    start does not change the result; only near the peak of ``g``, where
+    ``G`` is not, can it decide which transition is found.  Either way
+    ``G`` at ``x`` and ``pred x`` checks the result.
     """
     with mp.workprec(_PREC):
         y = mpf(y)._mpf_
         if y == fzero:
             return mpf(0), True
         hi = mpf(hi)._mpf_
-        bounds = _enclosure(g, y, hi)
-        low, high, top = map(_pair, bounds) if bounds else _NO_ENCLOSURE
-
-        def side(mid):
-            """Sign of ``g(mid) - y``, from the enclosure where it decides."""
-            if mid <= low:
-                g.certified += 1
-                return -1
-            if high <= mid <= top:
-                g.certified += 1
-                return 1
-            return mpf_cmp(g(_unpair(mid)), y)
-
-        lo, hi = None, _pair(hi)  # lo None is 0
-        # Deep targets sit at x ~ (theta y)^N; a verified tight bracket
-        # skips ~1800 halvings across the exponent range.
-        if mpf_lt(y, _DEEP_TARGET):
-            est = mpf_pow_int(mpf_mul(g.theta, y, _PREC, _RND), g.n, _PREC, _RND)
-            exp, mant = _pair(est)
-            blo, bhi = (exp - 4, mant), (exp + 4, mant)
-            if bhi < hi and side(blo) < 0 and side(bhi) > 0:
-                lo, hi = blo, bhi
-        for _ in range(4000):
-            if lo is None:
-                mid = (hi[0] - 1, hi[1])
+        top = _index(hi)
+        start = min(_index(mpf_pos(_newton_root(g, y), _PREC, _RND)), top)
+        value = g(_float_at(start))
+        # G(lo) < y <= G(up); None until the gallop finds that side
+        lo, up = (start, None) if mpf_lt(value, y) else (None, start)
+        exact = value == y
+        step = 1
+        while lo is None or up is None:
+            if up is None and lo == top:
+                return mp.make_mpf(hi), False
+            i = min(lo + step, top) if up is None else up - step
+            value = g(_float_at(i))
+            if mpf_lt(value, y):
+                lo = i
             else:
-                exp, mant = lo[0] + hi[0], lo[1] * hi[1]
-                if mant >= 2.0:
-                    exp, mant = exp + 1, 0.5 * mant
-                mid = (exp >> 1, math.sqrt(mant + mant) if exp & 1 else math.sqrt(mant))
-            if (lo is not None and mid <= lo) or mid >= hi:
-                break
-            if side(mid) < 0:
+                up, exact = i, value == y
+            step += step
+        while up - lo > 1:
+            mid = (lo + up) >> 1
+            value = g(_float_at(mid))
+            if mpf_lt(value, y):
                 lo = mid
             else:
-                hi = mid
-            # hi - lo <= 4 eps hi, with eps = 2^-52, both sides rounded as
-            # mpf_sub does; a gap of two binades is always wider
-            if lo is not None:
-                gap = hi[0] - lo[0]
-                if gap <= 1 and math.ldexp(hi[1], gap) - lo[1] <= math.ldexp(hi[1], gap - 50):
-                    break
-        hi = _unpair(hi)
-        center = mp.make_mpf(hi)
-        if not want_exact:
-            return center, False
-        hit = _ulp_scan(g, y, hi, window=True)
-        if hit is None:
-            return center, False
-        return mp.make_mpf(hit), True
+                up, exact = mid, value == y
+        return mp.make_mpf(_float_at(up)), exact
 
 
 class ThresholdChain(NamedTuple):
@@ -487,7 +264,6 @@ class ThresholdChain(NamedTuple):
     values: list
     flags: list
     g_evaluations: int
-    certified_steps: int
 
 
 def exact_threshold_chain(params: CascadeParams, n: int) -> ThresholdChain:
@@ -496,9 +272,8 @@ def exact_threshold_chain(params: CascadeParams, n: int) -> ThresholdChain:
     ``a_0`` is the preimage of 1 on the increasing branch and each further
     ``a_{k+1}`` the preimage of ``a_k``; the per-step ``exact`` flags state
     whether ``g(a_{k+1})`` reproduces ``a_k`` bit for bit.
-    ``g_evaluations`` counts the chain's ``g`` evaluations and
-    ``certified_steps`` its bisection comparisons decided by a certified root
-    enclosure without one.  Supercritical parameters only.
+    ``g_evaluations`` counts the chain's ``g`` evaluations.  Supercritical
+    parameters only.
     """
     if classify(params) != SUPERCRITICAL:
         raise ValueError("threshold sequence exists only in the supercritical regime")
@@ -518,7 +293,7 @@ def exact_threshold_chain(params: CascadeParams, n: int) -> ThresholdChain:
             flags.append(ok)
             target = x
             hi = x  # g is increasing on [0, a_k] and a_{k+1} < a_k
-    return ThresholdChain(values, flags, g.calls, g.certified)
+    return ThresholdChain(values, flags, g.calls)
 
 
 def a_sequence(params: CascadeParams, n: int, tol: float = 1e-13) -> np.ndarray:
@@ -528,7 +303,7 @@ def a_sequence(params: CascadeParams, n: int, tol: float = 1e-13) -> np.ndarray:
     strictly decreasing and satisfies ``|g(a_k) - a_{k-1}| <= tol`` (it is
     bit-exact whenever an exact preimage exists).
     """
-    values, flags, _, _ = exact_threshold_chain(params, n)
+    values, flags, _ = exact_threshold_chain(params, n)
     g = _G(params)
     with mp.workprec(53):
         for k, (v, ok) in enumerate(zip(values, flags)):
@@ -576,9 +351,7 @@ class CascadeSolution:
     ``(c e^n, c e^{n+1}]``.  ``a`` is the float64 projection of the exact
     53-bit chain ``a_exact``; ``underflow_index`` marks the first threshold
     that is not representable in float64 (``None`` if all are).
-    ``g_evaluations`` counts the chain's ``g`` evaluations and
-    ``certified_steps`` its bisection comparisons decided by a certified root
-    enclosure without one.
+    ``g_evaluations`` counts the chain's ``g`` evaluations.
     """
 
     params: CascadeParams
@@ -591,7 +364,6 @@ class CascadeSolution:
     underflow_index: Optional[int]
     curve: SurvivalCurve
     g_evaluations: int
-    certified_steps: int
 
     def cells(self):
         """Cell indices ``n`` carried by the curve (values ``a_n`` or 1)."""
@@ -635,7 +407,7 @@ def explicit_solution(
     )
     return CascadeSolution(
         params, scale, depth, below, floats, chain.values, chain.flags, underflow_index,
-        curve, chain.g_evaluations, chain.certified_steps,
+        curve, chain.g_evaluations,
     )
 
 
@@ -726,19 +498,22 @@ def extend_from_seed(
     seed value.  Requires the critical or subcritical regime and an
     admissible seed.
 
-    Each inverse cell is the 53-bit bisection preimage of the cell before
-    it, held to ``|g(y_k) - y_{k-1}| <= tol``.  A seed point's inverse chain
-    stops after the first cell ``k`` whose value projects to ``0.0`` and is
-    itself ``<= tol``; every deeper cell is ``0.0``, with no ``g``
-    evaluated.  Both are what the full chain would give.  A preimage lies in
-    ``[0, y]`` (the bisection starts at ``hi = y`` and only lowers it), so
-    the chain decreases and every deeper value projects to ``0.0`` too.  A
-    deeper cell ``j > k`` has a target ``0 < y_{j-1} <= y_k <= tol``, and the
-    bisection's bracket (relative width ``4 eps``, ``g`` concave with
-    ``g(0) = 0``) puts ``g(y_j)`` within a few ulps of it, so its error is
-    below the target itself and its check passes.  A ``tol`` below every
-    value, ``tol = 0`` for one, never stops a chain: every cell is computed
-    and checked, and the first failed check raises as before.
+    Each inverse cell is the transition float of the cell before it (see
+    :func:`_mp_preimage`), held to ``|g(y_k) - y_{k-1}| <= tol``.  A seed
+    point's inverse chain stops after the first cell ``k`` whose value
+    projects to ``0.0`` and is itself ``<= tol``; every deeper cell is
+    ``0.0``, with no ``g`` evaluated.  Both are what the full chain would
+    give.  A preimage lies in ``(0, y]`` (the search is clamped to
+    ``hi = y``), so the chain decreases and every deeper value projects to
+    ``0.0`` too.  A deeper cell ``j > k`` has a target
+    ``0 < t = y_{j-1} <= y_k <= tol``, and its value ``x`` has
+    ``G(pred x) < t <= G(x)`` for the adjacent floats ``pred x < x``, a
+    relative step of at most ``2^-52``.  ``g`` is concave with ``g(0) = 0``,
+    so ``g(x) / g(pred x) <= x / pred x``, and ``G`` adds a few ulps of
+    rounding at each: ``0 <= G(x) - t < G(x) - G(pred x)`` is a few ulps of
+    ``t``, below the target itself, and the check passes.  A ``tol`` below
+    every value, ``tol = 0`` for one, never stops a chain: every cell is
+    computed and checked, and the first failed check raises as before.
     """
     regime = classify(params)
     if regime == SUPERCRITICAL:
@@ -777,7 +552,7 @@ def extend_from_seed(
             y = mpf(float(v))
             for k in range(1, downs + 1):
                 prev = y
-                y = _mp_preimage(g, y, y, want_exact=False)[0]
+                y = _mp_preimage(g, y, y)[0]
                 if abs(mp.make_mpf(g(y._mpf_)) - prev) > tol:
                     raise RuntimeError(
                         f"inverse chain missed its defining identity beyond {tol!r}"

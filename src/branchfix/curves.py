@@ -341,13 +341,3 @@ def pairwise_prod(values: np.ndarray) -> float:
         return 1.0
     return rec(0, len(arr))
 
-
-def involution_transform(coeffs) -> tuple:
-    """Invert the positive entries of a weight vector; zeros stay zero."""
-    out = []
-    for w in coeffs:
-        w = float(w)
-        if w < 0.0 or not math.isfinite(w):
-            raise ValueError("weights must be finite and >= 0")
-        out.append(0.0 if w == 0.0 else 1.0 / w)
-    return tuple(out)

@@ -10,16 +10,10 @@ from mpmath import mp, mpf
 from mpmath.libmp import (
     fone,
     from_float,
-    from_int,
     from_man_exp,
     mpf_add,
-    mpf_div,
-    mpf_ge,
-    mpf_le,
-    mpf_lt,
     mpf_mul,
     mpf_nthroot,
-    mpf_sub,
 )
 
 from branchfix import cascade
@@ -27,10 +21,7 @@ from branchfix.branching import sample_W_limit
 from branchfix.cascade import (
     CascadeParams,
     _G,
-    _below_peak,
-    _enclosure,
     _mp_preimage,
-    _ulp_scan,
     SeedFunction,
     a0,
     a_sequence,
@@ -167,14 +158,18 @@ def test_a0_equals_skeleton_extinction():
     )
 
 
-@pytest.mark.parametrize("n, theta, depth, cell", [(3, 0.4, 20, 14), (2, 0.3, 25, 13)])
-def test_a_sequence_checks_cells_without_exact_preimage(n, theta, depth, cell):
-    # The one cell with no exact preimage is held to tol instead.
+@pytest.mark.parametrize("n, theta, depth, cells", [(3, 0.4, 20, (2,)), (2, 0.3, 25, (6, 13, 25))],
+                         ids=["3-0.4-20-2", "2-0.3-25-6-13-25"])
+def test_a_sequence_checks_cells_without_exact_preimage(n, theta, depth, cells):
+    # The cells with no exact preimage (no hit within 1500 ulps, by the
+    # brute-force walk) are held to tol instead; tol = 0 fails at the first.
     params = CascadeParams(n, theta)
-    flags = exact_threshold_chain(params, depth).flags
-    assert [k for k, ok in enumerate(flags) if not ok] == [cell]
+    chain = exact_threshold_chain(params, depth)
+    assert tuple(k for k, ok in enumerate(chain.flags) if not ok) == cells
+    for k in cells:
+        assert _walk(params, chain.values[k - 1], chain.values[k]) == ([chain.values[k]._mpf_], False)
     assert len(a_sequence(params, depth)) == depth + 1
-    with pytest.raises(RuntimeError, match=f"threshold a_{cell} missed"):
+    with pytest.raises(RuntimeError, match=f"threshold a_{cells[0]} missed"):
         a_sequence(params, depth, tol=0.0)
 
 
@@ -183,7 +178,6 @@ def test_threshold_chain_is_the_solution_chain():
     sol = explicit_solution(SUPER, depth=12)
     assert chain.values == sol.a_exact and chain.flags == sol.exact_flags
     assert chain.g_evaluations == sol.g_evaluations > 0
-    assert chain.certified_steps == sol.certified_steps
 
 
 def test_a_sequence_requires_supercritical():
@@ -192,7 +186,7 @@ def test_a_sequence_requires_supercritical():
 
 
 def test_exact_threshold_chain_flags():
-    chain, flags, _, _ = exact_threshold_chain(SUPER, 8)
+    chain, flags, _ = exact_threshold_chain(SUPER, 8)
     assert len(chain) == 9
     assert all(isinstance(f, bool) for f in flags)
     # the chain decreases strictly and projects to the float sequence
@@ -203,13 +197,13 @@ def test_exact_threshold_chain_flags():
 
 
 # ---------------------------------------------------------------------------
-# the preimage search against the full-scan reference
+# the preimage search: transition floats, checked by brute force
 # ---------------------------------------------------------------------------
 
-# The reference is the search the chain was first defined by: mpf operators
-# throughout, and a scan that evaluates every candidate center + j*step for
-# |j| <= 64, then for |j| <= 1024, keeping the nearest hit (the lower one on
-# a tie, since j ascends).  The library must return the same bits.
+# ``G`` below is the 53-bit g built from the mpf operators, independently
+# of the library's raw-tuple evaluator.  A preimage ``x`` of ``y`` must be
+# a transition float, ``G(pred x) < y <= G(x)``, flagged exact iff
+# ``G(x) == y``.
 
 
 def _reference_g(params, u):
@@ -222,324 +216,6 @@ def _reference_g(params, u):
     return (root - (1 - theta) * u) / theta
 
 
-def _reference_scan(g, y, center):
-    step = mpf(2) ** (mp.mag(center) - 54)
-    best = None
-    for radius in (64, 1024):
-        for j in range(-radius, radius + 1):
-            cand = center + j * step
-            if cand <= 0:
-                continue
-            if g(cand) == y:
-                if best is None or abs(cand - center) < abs(best - center):
-                    best = cand
-        if best is not None:
-            return best, True
-    return center, False
-
-
-def _reference_preimage(params, y, hi, want_exact=True):
-    with mp.workprec(53):
-        y = mpf(y)
-        if y == 0:
-            return mpf(0), True
-        lo = mpf(0)
-        hi = mpf(hi)
-        if y < 1e-3:
-            est = (mpf(params.theta) * y) ** params.N
-            blo, bhi = est / 16, est * 16
-            if bhi < hi and _reference_g(params, blo) < y < _reference_g(params, bhi):
-                lo, hi = blo, bhi
-        for _ in range(4000):
-            mid = mp.sqrt(lo * hi) if lo > 0 else hi / 2
-            if mid <= lo or mid >= hi:
-                break
-            if _reference_g(params, mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if lo > 0 and hi - lo <= mp.eps * hi * 4:
-                break
-        center = hi
-        if not want_exact:
-            return center, False
-        return _reference_scan(lambda c: _reference_g(params, c), y, center)
-
-
-# (N, theta, chain length): supercritical, from near the watershed down.
-# Four cells have no bit-exact preimage: 1 and 6 of (2, 0.45), 3 of
-# (3, 0.2) and 14 of (3, 0.4).
-NO_HIT_CELLS = {(2, 0.45): [1, 6], (3, 0.2): [3], (3, 0.4): [14]}
-REFERENCE_CHAINS = [
-    (2, 0.25, 12), (2, 0.45, 8), (3, 0.2, 8), (3, 0.4, 16),
-    (4, 0.5, 10), (4, 0.7, 8), (8, 0.5, 12), (8, 0.85, 6),
-]
-
-
-@pytest.mark.parametrize("n,theta,length", REFERENCE_CHAINS)
-def test_preimage_matches_full_scan_reference(n, theta, length):
-    params = CascadeParams(n, theta)
-    g = _G(params)
-    y, hi = mpf(1), mpf(u_star(params))
-    flags = []
-    for _ in range(length):
-        want, want_ok = _reference_preimage(params, y, hi)
-        got, ok = _mp_preimage(g, y, hi)
-        assert (got._mpf_, ok) == (want._mpf_, want_ok)
-        # the bisection limit alone, as the seed extension takes it
-        limit, _ = _reference_preimage(params, y, hi, want_exact=False)
-        assert _mp_preimage(g, y, hi, want_exact=False)[0]._mpf_ == limit._mpf_
-        flags.append(ok)
-        y = hi = want
-    assert [k for k, ok in enumerate(flags) if not ok] == NO_HIT_CELLS.get((n, theta), [])
-
-
-class _HitSet:
-    """A g whose image is Y exactly on a chosen set of arguments.
-
-    Takes and returns raw tuples for the library and mpf for the reference,
-    and records every argument it sees.
-    """
-
-    Y = from_man_exp(3, -5)
-    MISS = from_man_exp(5, -5)
-
-    def __init__(self, hits):
-        self.hits = set(hits)
-        self.args = []
-
-    def __call__(self, u):
-        key = getattr(u, "_mpf_", u)
-        self.args.append(key)
-        value = self.Y if key in self.hits else self.MISS
-        return mp.make_mpf(value) if key is not u else value
-
-
-def _scan_both(center, hits):
-    """(library result, reference result, library's arguments) for one hit set."""
-    lib = _HitSet(hits)
-    got = _ulp_scan(lib, _HitSet.Y, center)
-    with mp.workprec(53):
-        want, ok = _reference_scan(_HitSet(hits), mp.make_mpf(_HitSet.Y), mp.make_mpf(center))
-    return got, (want._mpf_ if ok else None), lib.args
-
-
-# Centers with an odd and an even last mantissa bit, at a binade boundary
-# 2^k (finer floats below it), one ulp above and one ulp below it.
-CENTERS = {
-    "odd": from_man_exp(2**52 + 12345, -60),
-    "even": from_man_exp(2**52 + 12346, -60),
-    "binade": from_man_exp(1, -70),
-    "above-binade": from_man_exp(2**52 + 1, -122),
-    "below-binade": from_man_exp(2**53 - 1, -123),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CENTERS))
-def test_ulp_scan_tie_rule_matches_reference(name):
-    center = CENTERS[name]
-    with mp.workprec(53):
-        c = mp.make_mpf(center)
-        step = mpf(2) ** (mp.mag(c) - 54)
-        js = range(-1024, 1025)
-        cands = sorted({(c + j * step)._mpf_ for j in js}, key=mp.make_mpf)
-        first = {}
-        for j in sorted(js, key=abs):
-            first.setdefault((c + j * step)._mpf_, abs(j))
-        by_distance = sorted(cands, key=lambda v: abs(mp.make_mpf(v) - c))
-    near = by_distance[:12]
-    # candidates first reached at the edge of the 64-step pass, both sides
-    edge = [v for v in cands if 63 <= first[v] <= 66]
-    singles = near + edge + [v for v in cands if first[v] in (500, 1024)]
-    hit_sets = [()] + [(v,) for v in singles]
-    for group in (near, edge):
-        hit_sets += [(a, b) for i, a in enumerate(group) for b in group[i + 1:]]
-    assert center in near[:1]
-    for hits in hit_sets:
-        got, want, args = _scan_both(center, hits)
-        assert got == want, (name, hits)
-        # every distinct candidate is tried at most once, and the walk stops
-        # at its first hit
-        assert len(args) == len(set(args))
-        assert args.count(got) == (got is not None)
-        if got is not None:
-            assert args[-1] == got
-    # no hit: all 2049 steps give this many distinct candidates, tried once each
-    assert len(_scan_both(center, ())[2]) == len(cands)
-
-
-def test_ulp_scan_far_hits_and_misses_with_real_g():
-    # Centers moved off a true preimage: 150 steps puts every hit past the
-    # 64-step pass, 3000 steps puts them past the 1024-step one.
-    params = CascadeParams(4, 0.5)
-    g = _G(params)
-    with mp.workprec(53):
-        y = _reference_preimage(params, 1, u_star(params))[0]
-        x, ok = _reference_preimage(params, y, y)
-        assert ok
-        step_exp = mp.mag(x) - 54
-        for shift, found in ((150, True), (-150, True), (3000, False), (-3000, False)):
-            center = mpf_add(x._mpf_, from_man_exp(shift, step_exp), 53, "n")
-            want, want_ok = _reference_scan(
-                lambda u: _reference_g(params, u), y, mp.make_mpf(center))
-            got = _ulp_scan(g, y._mpf_, center)
-            assert want_ok == found
-            assert got == (want._mpf_ if want_ok else None)
-            if found:
-                gap = abs(mp.make_mpf(mpf_sub(got, center, 53, "n")))
-                assert gap > 64 * mpf(2) ** step_exp
-
-
-def _no_hit_cells():
-    """``(params, y, center)`` of every NO_HIT_CELLS cell: its target and bisection limit."""
-    for (n, theta), cells in NO_HIT_CELLS.items():
-        params = CascadeParams(n, theta)
-        values = exact_threshold_chain(params, max(cells)).values
-        for k in cells:
-            y = fone if k == 0 else values[k - 1]._mpf_
-            hi = from_float(u_star(params)) if k == 0 else y
-            center = _mp_preimage(_G(params), y, hi, want_exact=False)[0]._mpf_
-            yield params, y, center
-
-
-def test_scan_window_ends_are_certified():
-    # At each cell with no exact preimage both ends are certified, well
-    # inside the scan, and the 64 floats beyond each end keep g on its side
-    # of y.
-    for params, y, center in _no_hit_cells():
-        g = _G(params)
-        step_exp = center[2] + center[3] - 54
-        below, above = cascade._scan_window(g, y, center, step_exp)
-        assert 64 < below < 512 and 64 < above < 512
-        low = mpf_add(center, from_man_exp(-below - 1, step_exp), 53, "n")
-        high = mpf_add(center, from_man_exp(above + 1, step_exp), 53, "n")
-        for _ in range(65):
-            assert mpf_lt(g(low), y) and mpf_lt(y, g(high))
-            low, high = _next_float(low, False), _next_float(high, True)
-
-
-def test_scan_window_cuts_no_hit_cells():
-    for params, y, center in _no_hit_cells():
-        full, windowed = _G(params), _G(params)
-        assert _ulp_scan(full, y, center) is None
-        assert _ulp_scan(windowed, y, center, window=True) is None
-        # the two certificate evaluations, then about 200 of the full ~1030
-        assert windowed.calls < full.calls / 3
-    # the golden chain's one no-hit cell, 14, made 1 036 of its 1 279
-    chain = exact_threshold_chain(CascadeParams(3, 0.4), 20)
-    assert chain.g_evaluations <= 500
-    # N = 8 at depth 30 has no such cell, so its count is unchanged
-    assert exact_threshold_chain(CascadeParams(8, 0.5), 30).g_evaluations == 403
-
-
-def test_refused_window_falls_back_to_the_full_scan(monkeypatch):
-    # A root estimate 2^-30 off puts both ends outside the scan: no end is
-    # certified, and the scan tries every candidate as without a window.
-    newton = cascade._newton_root
-    scale = from_float(1 + 2.0**-30)
-    monkeypatch.setattr(cascade, "_newton_root",
-                        lambda g, y: mpf_mul(newton(g, y), scale, 80, "n"))
-    for params, y, center in _no_hit_cells():
-        full, windowed = _G(params), _G(params)
-        assert _ulp_scan(full, y, center) is None
-        assert _ulp_scan(windowed, y, center, window=True) is None
-        assert windowed.calls == full.calls
-
-
-@pytest.mark.parametrize("shift", [150, -150])
-@pytest.mark.parametrize("misplace", [-700, 700])
-def test_misplaced_window_end_is_refused(monkeypatch, shift, misplace):
-    # The center sits 150 steps off an exact preimage x, so the hit lies past
-    # the 64-step pass.  The root estimate sits 700 steps off x, and the
-    # window's half-width here is about 520 steps: the near end lies inside
-    # the scan but beyond the hit, and its certificate is refused; the far
-    # end falls outside the scan.  The scan still finds the reference's hit.
-    params = CascadeParams(4, 0.5)
-    with mp.workprec(53):
-        y = _reference_preimage(params, 1, u_star(params))[0]
-        x, ok = _reference_preimage(params, y, y)
-        assert ok
-        step_exp = mp.mag(x) - 54
-        center = mpf_add(x._mpf_, from_man_exp(shift, step_exp), 53, "n")
-        estimate = mpf_add(x._mpf_, from_man_exp(misplace, step_exp), 80, "n")
-        want, want_ok = _reference_scan(
-            lambda u: _reference_g(params, u), y, mp.make_mpf(center))
-    assert want_ok
-    monkeypatch.setattr(cascade, "_newton_root", lambda g, y: estimate)
-    g = _G(params)
-    assert cascade._scan_window(g, y._mpf_, center, step_exp) == (1024, 1024)
-    assert _ulp_scan(g, y._mpf_, center, window=True) == want._mpf_
-
-
-# ---------------------------------------------------------------------------
-# the certified bisection replay
-# ---------------------------------------------------------------------------
-
-# Cells whose certificate is refused, so every mid is evaluated: the a_0 of
-# the chains nearest the watershed, where g flattens toward its peak.
-REFUSED_CELLS = {(2, 0.45): [0], (4, 0.7): [0], (8, 0.85): [0]}
-
-
-def _same_as_reference(params, y, hi, want_exact):
-    """The library's preimage, required to carry the reference's bits and flag."""
-    want, want_ok = _reference_preimage(params, y, hi, want_exact)
-    got, ok = _mp_preimage(_G(params), y, hi, want_exact)
-    assert (got._mpf_, ok) == (want._mpf_, want_ok), (params, y, hi, want_exact)
-    return want
-
-
-def test_replay_sweep_matches_reference():
-    rng = random.Random(20090917)
-    with mp.workprec(53):
-        # supercritical chains, scanned and bisection-only
-        for _ in range(8):
-            n = rng.randint(2, 12)
-            params = CascadeParams(n, rng.uniform(0.05, 0.97 * (1.0 - 1.0 / n)))
-            for want_exact in (True, False):
-                y, hi = mpf(1), mpf(u_star(params))
-                for _ in range(4):
-                    y = hi = _same_as_reference(params, y, hi, want_exact)
-        # critical and subcritical extension chains from random seed values
-        for _ in range(8):
-            n = rng.randint(2, 12)
-            watershed = 1.0 - 1.0 / n
-            theta = watershed if rng.random() < 0.5 else rng.uniform(watershed, 0.99)
-            params = CascadeParams(n, theta)
-            y = mpf(rng.uniform(0.02, 0.98))
-            for _ in range(5):
-                y = _same_as_reference(params, y, y, False)
-        # g_inverse at random targets, shallow and deep, in every regime
-        for _ in range(8):
-            n = rng.randint(2, 12)
-            params = CascadeParams(n, rng.uniform(0.05, 0.95))
-            for y in (rng.random(), 10.0 ** rng.uniform(-30.0, -3.0)):
-                x = _same_as_reference(params, y, u_star(params), True)
-                assert g_inverse(params, y) == float(x)
-        # roots at a power of two, so the last bracket can straddle a binade
-        for n, theta in ((2, 0.25), (5, 0.3), (8, 0.5)):
-            params = CascadeParams(n, theta)
-            for k in (3, 11, 36):
-                for j in (-1, 0, 1):
-                    root = mpf(2) ** -k + j * mpf(2) ** (-k - 54)
-                    y = _reference_g(params, root)
-                    _same_as_reference(params, y, u_star(params), False)
-    # the fallback: a_0 next to the watershed has no certificate
-    params = CascadeParams(2, 0.49)
-    g = _G(params)
-    assert _enclosure(g, fone, from_float(u_star(params))) is None
-    _same_as_reference(params, 1, u_star(params), True)
-
-
-def _chain_cells(length=None):
-    """``(params, y, hi)`` of the REFERENCE_CHAINS cells, in chain order."""
-    for n, theta, full in REFERENCE_CHAINS:
-        params = CascadeParams(n, theta)
-        chain = exact_threshold_chain(params, (length or full) - 2).values
-        yield params, fone, from_float(u_star(params))
-        for a in chain:
-            yield params, a._mpf_, a._mpf_
-
-
 def _next_float(t, up):
     """The 53-bit float next to the positive tuple ``t``, above or below."""
     _, _, exp, bc = t
@@ -547,75 +223,151 @@ def _next_float(t, up):
     return mpf_add(t, half, 53, "u" if up else "d")
 
 
-def test_enclosure_certificate_holds_beside_its_ends():
-    seen, refused = {}, {}
-    for params, y, hi in _chain_cells():
-        key = (params.N, params.theta)
-        cell = seen[key] = seen.get(key, -1) + 1
-        g = _G(params)
-        bounds = _enclosure(g, y, hi)
-        if bounds is None:
-            refused.setdefault(key, []).append(cell)
+def _assert_transition(params, y, x, exact):
+    with mp.workprec(53):
+        y, x = mpf(y), mpf(x)
+        gx = _reference_g(params, x)
+        assert _reference_g(params, mp.make_mpf(_next_float(x._mpf_, False))) < y <= gx
+        assert exact == (gx == y)
+
+
+def _walk(params, y, x, radius=1500):
+    """Brute force over the floats within ``radius`` ulps of ``x``.
+
+    Returns the transition floats among them (``G(c) >= y`` and ``c`` the
+    lowest float of the window or ``G(pred c) < y``) as tuples, and whether
+    any float has ``G == y``.
+    """
+    with mp.workprec(53):
+        y = mpf(y)
+        c = mpf(x)._mpf_
+        for _ in range(radius):
+            c = _next_float(c, False)
+        transitions, hit, below = [], False, True
+        for _ in range(2 * radius + 1):
+            v = _reference_g(params, mp.make_mpf(c))
+            if below and v >= y:
+                transitions.append(c)
+            below, hit = v < y, hit or v == y
+            c = _next_float(c, True)
+    return transitions, hit
+
+
+def _chain_cells(params, n):
+    """``(y, x, exact)`` of each cell of the threshold chain ``a_0 .. a_n``."""
+    chain = exact_threshold_chain(params, n)
+    targets = [mpf(1)] + chain.values[:-1]
+    return list(zip(targets, chain.values, chain.flags))
+
+
+# (N, theta, chain length): supercritical, from near the watershed down.
+# The cells k >= 1 with no bit-exact preimage, by the brute-force walk.
+NO_HIT_CELLS = {(2, 0.45): [1, 4, 7], (3, 0.2): [5], (3, 0.4): [2], (8, 0.85): [4]}
+REFERENCE_CHAINS = [
+    (2, 0.25, 12), (2, 0.45, 8), (3, 0.2, 8), (3, 0.4, 16),
+    (4, 0.5, 10), (4, 0.7, 8), (8, 0.5, 12), (8, 0.85, 6),
+]
+GOLDEN_CHAINS = [(8, 0.5, 31), (3, 0.4, 21)]
+
+
+@pytest.mark.parametrize("n,theta,length", REFERENCE_CHAINS + GOLDEN_CHAINS)
+def test_chain_cells_are_transition_floats(n, theta, length):
+    params = CascadeParams(n, theta)
+    for y, x, exact in _chain_cells(params, length - 1):
+        _assert_transition(params, y, x, exact)
+
+
+@pytest.mark.parametrize("n,theta,length", REFERENCE_CHAINS)
+def test_preimage_matches_full_scan_reference(n, theta, length):
+    # From a_1 on, the window holds one transition, the chain value: the
+    # least float in it whose image reaches the target, so the least exact
+    # hit, or the float just above the root when nothing hits.  At a_0
+    # (y = 1) g flattens toward its peak and G is not monotone; there only
+    # the transition property holds (a hit can lie below a_0).
+    params = CascadeParams(n, theta)
+    no_hit = []
+    for k, (y, x, exact) in enumerate(_chain_cells(params, length - 1)):
+        if k == 0:
             continue
-        low, high, top = bounds
-        assert mpf_le(high, top) and mpf_lt(top, hi)
-        for _ in range(65):  # each end and the 64 floats beyond it
-            assert mpf_lt(g(low), y)
-            assert mpf_ge(g(high), y)
-            low, high = _next_float(low, False), _next_float(high, True)
-    assert refused == REFUSED_CELLS
+        assert _walk(params, y, x) == ([x._mpf_], exact), k
+        if not exact:
+            no_hit.append(k)
+    assert no_hit == NO_HIT_CELLS.get((n, theta), [])
+
+
+def test_float_index_steps_one_ulp():
+    # Across binade boundaries too: 2^k, and the floats either side of it.
+    for t in (fone, from_man_exp(1, -70), from_man_exp(2**53 - 1, -123),
+              from_man_exp(2**52 + 1, -122), from_man_exp(2**52 + 12345, -60)):
+        i = cascade._index(t)
+        assert cascade._float_at(i) == t
+        assert cascade._float_at(i - 1) == _next_float(t, False)
+        assert cascade._float_at(i + 1) == _next_float(t, True)
+
+
+def test_preimage_sweep_gives_transition_floats():
+    rng = random.Random(20090917)
+    # g_inverse at random targets, shallow and deep, in every regime
+    for _ in range(12):
+        n = rng.randint(2, 12)
+        params = CascadeParams(n, rng.uniform(0.05, 0.95))
+        for y in (rng.random(), 10.0 ** rng.uniform(-30.0, -3.0)):
+            x, exact = _mp_preimage(_G(params), y, u_star(params))
+            _assert_transition(params, y, x, exact)
+            assert g_inverse(params, y) == float(x)
+    # critical and subcritical extension chains from random seed values
+    for _ in range(8):
+        n = rng.randint(2, 12)
+        watershed = 1.0 - 1.0 / n
+        params = CascadeParams(n, watershed if rng.random() < 0.5
+                               else rng.uniform(watershed, 0.99))
+        y = mpf(rng.uniform(0.02, 0.98))
+        for _ in range(5):
+            x, exact = _mp_preimage(_G(params), y, y)
+            _assert_transition(params, y, x, exact)
+            y = x
+    # roots at a power of two and one ulp either side, so the search crosses
+    # a binade boundary
+    for n, theta in ((2, 0.25), (5, 0.3), (8, 0.5)):
+        params = CascadeParams(n, theta)
+        for k in (3, 11, 36):
+            for j in (-1, 0, 1):
+                with mp.workprec(53):
+                    y = _reference_g(params, mpf(2) ** -k + j * mpf(2) ** (-k - 54))
+                x, exact = _mp_preimage(_G(params), y, u_star(params))
+                _assert_transition(params, y, x, exact)
 
 
 @pytest.mark.parametrize("factor", [1 + 2.0**-30, 1 - 2.0**-30])
-def test_perturbed_newton_is_refused_not_misdecided(monkeypatch, factor):
+def test_perturbed_newton_start_finds_the_same_float(monkeypatch, factor):
+    # The Newton estimate only places the start: moved about 2^22 ulps off,
+    # the gallop and bisection still end on the window's one transition.
+    cells = [(params, y, x, exact) for n, theta, length in REFERENCE_CHAINS
+             for params in [CascadeParams(n, theta)]
+             for y, x, exact in _chain_cells(params, length - 1)[1:]]
     newton = cascade._newton_root
     scale = from_float(factor)
     monkeypatch.setattr(cascade, "_newton_root",
                         lambda g, y: mpf_mul(newton(g, y), scale, 80, "n"))
-    for params, y, hi in _chain_cells(length=3):
-        assert _enclosure(_G(params), y, hi) is None
-        with mp.workprec(53):
-            _same_as_reference(params, mp.make_mpf(y), mp.make_mpf(hi), True)
+    for params, y, x, exact in cells:
+        assert _mp_preimage(_G(params), y, y) == (x, exact)
 
 
-def test_enclosure_end_at_the_root_is_refused(monkeypatch):
-    # Place L, then U, on each float within 16 ulps of an exact preimage: at
-    # N = 8 about eight adjacent floats share its image y, so an end there
-    # has g(end) == y and only the margin refuses it.
-    params = CascadeParams(8, 0.5)
-    with mp.workprec(53):
-        y = _reference_preimage(params, 1, u_star(params))[0]
-        root, ok = _reference_preimage(params, y, y)
-    assert ok
-    half_width = from_man_exp(8, -45)
-    for factor in (mpf_sub(fone, half_width), mpf_add(fone, half_width)):
-        end = root._mpf_
-        for _ in range(16):
-            end = _next_float(end, False)
-        for _ in range(33):
-            x = mpf_div(end, factor, 200, "n")
-            monkeypatch.setattr(cascade, "_newton_root", lambda g, y, x=x: x)
-            assert _enclosure(_G(params), y._mpf_, y._mpf_) is None
-            end = _next_float(end, True)
-
-
-def test_below_peak_is_exact():
-    # SUPER has its peak at (2 * 3/4)^-2 = 4/9 and CRIT at exactly 1.
+def test_preimage_above_hi_returns_hi(monkeypatch):
+    # The root of g(x) = 1/2 lies near 0.016, far above hi: the search stops
+    # at hi, flagged inexact, whether it starts there (Newton's estimate,
+    # clamped; one evaluation) or about 2^12 ulps below it.
     g = _G(SUPER)
-    assert _below_peak(g, mpf_div(from_int(4), from_int(9), 53, "d"))
-    assert not _below_peak(g, mpf_div(from_int(4), from_int(9), 53, "u"))
-    assert _below_peak(_G(CRIT), fone)
-    assert not _below_peak(_G(CRIT), _next_float(fone, True))
-    # the certificate is refused when hi lies past the peak
-    with mp.workprec(53):
-        y = mpf("0.3")._mpf_
-    assert _enclosure(g, y, from_float(u_star(SUPER))) is not None
-    assert _enclosure(g, y, from_float(2 * u_star(SUPER))) is None
+    assert _mp_preimage(g, 0.5, 1e-6) == (mpf(1e-6), False)
+    assert g.calls == 1
+    below = from_float(1e-6 * (1 - 2.0**-40))
+    monkeypatch.setattr(cascade, "_newton_root", lambda g, y: below)
+    assert _mp_preimage(_G(SUPER), 0.5, 1e-6) == (mpf(1e-6), False)
 
 
 def test_nthroot_within_one_ulp():
-    # the error bound E of the certificate assumes a 53-bit nthroot within
-    # one ulp of the true root; above N = 20 mpmath takes it through pow
+    # the stop rule of extend_from_seed assumes a 53-bit nthroot within one
+    # ulp of the true root; above N = 20 mpmath takes it through pow
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randint(3, 40)
@@ -631,11 +383,9 @@ def test_chain_g_evaluations_repeat():
     one = explicit_solution(params, scale=1.0, depth=30)
     two = explicit_solution(params, scale=2.5, depth=30)
     assert all(one.exact_flags)
-    assert one.g_evaluations == two.g_evaluations > 0
-    assert one.certified_steps == two.certified_steps > 0
-    # the enclosure decides most bisection mids, and each exact cell stops
-    # its scan at the first hit: 403 evaluations for these 31 cells
-    assert one.g_evaluations < 20 * len(one.exact_flags)
+    assert one.g_evaluations == two.g_evaluations == 176
+    # a Newton start within a few ulps, a short gallop and bisection
+    assert one.g_evaluations < 8 * len(one.exact_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -714,20 +464,23 @@ def _two_point_seed(params, v_e, frac):
 
 
 def _inverse_chain(params, v, cells, tol):
-    """Every inverse cell of seed value ``v``: ``(floats, first failed cell or None)``.
+    """Inverse cells of seed value ``v``: ``(values, first failed cell or None)``.
 
-    The reference for the extension: a full 53-bit preimage and identity
-    check at every cell, with no stop rule.
+    The reference for the extension: a full 53-bit preimage, checked to be
+    a transition float, and the identity check at every cell, with no stop
+    rule.  ``values`` holds the mpf cell values up to and including a
+    failed one.
     """
     g = _G(params)
     out = []
     with mp.workprec(53):
         y = mpf(v)
         for k in range(1, cells + 1):
-            prev, y = y, _mp_preimage(g, y, y, want_exact=False)[0]
+            prev, (y, exact) = y, _mp_preimage(g, y, y)
+            _assert_transition(params, prev, y, exact)
+            out.append(y)
             if abs(mp.make_mpf(g(y._mpf_)) - prev) > tol:
                 return out, k
-            out.append(float(y))
     return out, None
 
 
@@ -747,8 +500,9 @@ EXTENSION_CASES = [(n, theta, n_hi) for n in (2, 3, 8)
 @pytest.mark.parametrize("n, theta, n_hi", EXTENSION_CASES)
 def test_extension_equals_every_cell_reference(monkeypatch, n, theta, n_hi):
     # Each point's inverse chain stops after its first cell that projects to
-    # 0.0: the curve keeps every bit of the full chain, and each point makes
-    # its float-range preimages plus one.
+    # 0.0: the curve keeps every bit of the full chain, whose every cell is
+    # a transition float, and each point makes its float-range preimages
+    # plus one.
     params = CascadeParams(n, theta)
     seed = _two_point_seed(params, 0.5, 0.5)
     calls = _count_preimages(monkeypatch)
@@ -758,7 +512,7 @@ def test_extension_equals_every_cell_reference(monkeypatch, n, theta, n_hi):
     for col, v in ((1, seed.values[0]), (0, seed.values[1])):
         chain, failed = _inverse_chain(params, v, n_hi, 1e-13)
         assert failed is None
-        full = np.array([v] + chain)
+        full = np.array([v] + [float(x) for x in chain])
         # residue 1 at exponent m carries the point e one cell down
         want = full[1:] if col else full[:-1]
         assert values[1:, col].tobytes() == want.tobytes()
@@ -768,20 +522,26 @@ def test_extension_equals_every_cell_reference(monkeypatch, n, theta, n_hi):
     assert len(calls) == want_calls
 
 
-@pytest.mark.parametrize("n, theta, v_e", [(8, 0.875, 0.5), (8, 0.9375, 0.6), (3, 1 - 1 / 3, 0.3)])
+# (N, theta, v_e) -> the first cell of the first seed point's inverse chain
+# with no exact preimage, by the brute-force walk
+FIRST_MISS = {(8, 0.875, 0.5): 10, (8, 0.9375, 0.6): 21, (3, 1 - 1 / 3, 0.2): 12}
+
+
+@pytest.mark.parametrize("n, theta, v_e", sorted(FIRST_MISS))
 def test_extension_with_tol_zero_computes_every_cell(monkeypatch, n, theta, v_e):
     # No value is <= 0, so no chain stops: every cell is computed and held
     # to an exact identity until the first that misses it, which raises, as
-    # the full chain does.  The first point's chain passes its first
-    # zero-projecting cell in each case (at (8, 7/8) 23 cells exact, 3 of
-    # them in float range).
+    # the full chain does.  The first point's chain misses past its first
+    # zero-projecting cell in each case.
+    miss = FIRST_MISS[n, theta, v_e]
     params = CascadeParams(n, theta)
     seed = _two_point_seed(params, v_e, 0.5)
     calls = _count_preimages(monkeypatch)
     with pytest.raises(RuntimeError, match="inverse chain missed"):
         extend_from_seed(params, seed, n_lo=-3, n_hi=40, tol=0.0)
     first, failed = _inverse_chain(params, seed.values[0], 40, 0.0)
-    assert failed > np.count_nonzero(first) + 1
+    assert failed == miss > np.count_nonzero([float(x) for x in first]) + 1
+    assert _walk(params, first[-2], first[-1]) == ([first[-1]._mpf_], False)
     want_calls = 0
     for v in seed.values:
         _, failed = _inverse_chain(params, v, 40, 0.0)

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from branchfix.curves import (
     CurveShapeError,
@@ -17,7 +15,6 @@ from branchfix.curves import (
     constant_modulation,
     convexity_defect,
     dyadic_grid,
-    involution_transform,
     lattice_points,
     log_grid,
     pairwise_prod,
@@ -272,7 +269,7 @@ def test_constant_modulation_always_admissible():
 
 
 # ---------------------------------------------------------------------------
-# reductions and the weight involution
+# reductions
 # ---------------------------------------------------------------------------
 
 
@@ -293,25 +290,3 @@ def test_pairwise_prod_block_identity():
     blocks = [pairwise_prod(xs[i : i + 8]) for i in range(0, 32, 8)]
     assert whole == pairwise_prod(np.array(blocks))
 
-
-def test_involution_examples():
-    assert involution_transform((0.5, 0.5)) == (2.0, 2.0)
-    assert involution_transform((0.0, 0.25)) == (0.0, 4.0)
-
-
-@given(
-    st.lists(
-        st.one_of(st.just(0.0), st.floats(1e-100, 1e100)),
-        min_size=1,
-        max_size=6,
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_involution_is_an_involution(ws):
-    once = involution_transform(ws)
-    twice = involution_transform(once)
-    for w, v in zip(ws, twice):
-        if w == 0.0:
-            assert v == 0.0
-        else:
-            assert v == pytest.approx(w, rel=1e-15)

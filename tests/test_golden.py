@@ -156,17 +156,17 @@ GOLDEN = {
         'report.txt': '82317fde95f264203f4fc92bf00c0721dc873a0ae72fb0a21ea9aa4a55e90482',
     },
     'cascade-extend': {
-        'extension.csv': '6f5b73e8dd4ce55c64896521c47647af24ac56e8b9948ad68af592f2cd33f89c',
-        'report.txt': '3414306e3957c8d22382c071f778ec406e8e4de299b70b0eafd750ba234019f9',
+        'extension.csv': '14632dba137f8284ab9f6c0db7a5754e4189556176d0ccf66ed1b8a0e141050a',
+        'report.txt': '0fc98b6b39a222cdd451295354f0c3c1a2f64de61130ae1a9d959ea20b0f3c79',
     },
     'cascade-extend-seed-grid': {
-        'extension.csv': 'd1aa1f2276774cc101f70e098b4882fff5f9711c56fa23d421588825cc7539e3',
+        'extension.csv': 'ef9dbcf31a6a9794213936fe9a9f6de73c4bda480ae66f03f7ebbb5c2fa54f9e',
         'report.txt': 'cfb2f13492312d42b5b1e4d68efa6c2278fc1cf3b31e8f4318f6c55b930e27a2',
     },
     'cascade-solve': {
         'report.txt': '9728f5e9612bfd53ba8f07bfdd1f5fd0e0d8eb8434de805b22f84ba7407953ab',
-        'solution.csv': '19cc9692481899135998ea055ff90b39dc4dd70d3029f41c7376b6eb0ce55ea6',
-        'thresholds.csv': 'c08978a097c26e332a336f15109bae22b9715898cb3f1230fa3fa1146912ba35',
+        'solution.csv': '81942cb9eef26da4ecf78d0be38da8145119095e2f601fb456799a21eb79feda',
+        'thresholds.csv': 'ac941e569f1376f4fd25f75979cf9476483766206556e1bc831d0419f115c7e9',
     },
     'fixpoint-construct-cascade': {
         'curve.csv': '23ad1bc3cd0d6dcbf3c7de05a7dd110dde3870d6e3e2c48154d08350e259d362',
@@ -282,7 +282,7 @@ def _tree(model=BernoulliCascade(2, 0.75), depth=16):
 
 def _chain(params, n):
     """Digest of the exact chain: each value's sign, mantissa and exponent, and the flags."""
-    values, flags, _, _ = exact_threshold_chain(params, n)
+    values, flags, _ = exact_threshold_chain(params, n)
     words = [f"{s}:{int(m)}:{int(e)}" for s, m, e, _ in (v._mpf_ for v in values)]
     return hashlib.sha256(repr((words, flags)).encode()).hexdigest()
 
@@ -327,7 +327,7 @@ LIBRARY_CASES = {
     "simulate-tree-variable": lambda: _tree(FiniteAtoms(VARIABLE), 19),
     # The threshold chain at N = 8 runs far past float64 underflow (a_30 is
     # about 10^(-3.4e27)); the CLI cases pin it only at N = 4 and N = 2.
-    # The N = 3 chain has one cell (14) without a bit-exact preimage.
+    # The N = 3 chain has one cell (2) without a bit-exact preimage.
     "cascade-chain-n8": lambda: _chain(CascadeParams(8, 0.5), 30),
     "cascade-chain-n3": lambda: _chain(CascadeParams(3, 0.4), 20),
     "cascade-solution-n8": lambda: _sha(
@@ -336,10 +336,10 @@ LIBRARY_CASES = {
 }
 
 LIBRARY_GOLDEN = {
-    'cascade-chain-n3': '36d86c54dac338170daeff8c32fc92cd6db6a93cdc4b7584d1e84c23aadbaf6c',
-    'cascade-chain-n8': '3f50b69b404c89df31b4264aaf04d96b558813f9c1ec4612ff9f2c27915dab1c',
-    'cascade-extend-n8': 'ac04bbd0319fffeb5632a059cdfca031b5277121caa92301f9215523e34312b1',
-    'cascade-solution-n8': 'b492085341452d53bc2f018eef8461a6731d282e12d52a9ffded8c0e19c9bb18',
+    'cascade-chain-n3': '0041e49030f6780fe7736625881c86976fa08fd8658530c837cae9101af4f8c0',
+    'cascade-chain-n8': '11dd43cded674a2f84482797a318b5d24a204047229934bec6680690d4cb945a',
+    'cascade-extend-n8': 'c69d8cf5fa9b50449f54c1e915d66907b6cc8f8b56653a363431e9dbad20dd81',
+    'cascade-solution-n8': '7abfeb81c3940a7a96b834730696252def35309c56c1a12172d2192d58a25200',
     'replicate-traces-atoms': '9530f5e9da8076b8d4cd76f1b22b4b2fe81c4e295f7bcc8eebab6a760783590b',
     'replicate-traces-atoms-renewal-r1': '15939b95178c288ebb8a8780afc5cea88fbaebe809ceba8efe12c707844b80de',
     'replicate-traces-atoms-renewal-r513': 'a90d3fd8a531a17c81a6dceb8294f2ffb17c45d64f6c8042f437042eacaf19af',

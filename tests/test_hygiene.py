@@ -1,5 +1,5 @@
-"""Source hygiene over ``src/branchfix``: no unused imports, no dead locals,
-no unread private names.
+"""Source hygiene over ``src/branchfix`` and ``tests``: no unused imports
+and no dead locals in either, no unread private names in the package.
 
 The checks read the syntax tree only (``ast``), so they need no linter.
 """
@@ -9,9 +9,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "branchfix"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "branchfix"
 # __init__.py imports in order to re-export.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CHECKED = MODULES + sorted(TESTS.glob("*.py"))
+
+
+def _file_id(path):
+    return path.name if path.parent == SRC else f"tests/{path.name}"
 
 
 def _tree(path):
@@ -113,12 +119,12 @@ def unread_private_names(trees):
                   for line, name in _private_definitions(tree) if name not in read)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=_file_id)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=_file_id)
 def test_no_dead_locals(path):
     assert dead_locals(_tree(path)) == []
 
