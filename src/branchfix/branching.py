@@ -77,6 +77,8 @@ from .weights import (
 )
 
 _BATCH = 512
+# How far m(alpha) may sit from 1 for W_n to count as a mean-one martingale.
+MEAN_ONE_TOL = 1e-9
 # Most children in one chunk of a generation, unless one parent row has more.
 _CHUNK = seeding._BLOCK
 
@@ -747,8 +749,6 @@ def replicate_traces(
                            renewal_interval, ren)
 
 
-
-
 # ---------------------------------------------------------------------------
 # empirical limit law
 # ---------------------------------------------------------------------------
@@ -758,10 +758,11 @@ def replicate_traces(
 class EmpiricalLaplace:
     """Monte Carlo sample of the martingale limit with Laplace evaluation.
 
-    ``evaluate`` returns the empirical Laplace transform with a standard
-    error per evaluation point; ``evaluate_tail`` returns ``1 - transform``
-    computed via ``expm1`` so small tails keep full relative accuracy, with
-    its standard error or, for callers that need none, without.
+    ``evaluate`` returns the empirical Laplace transform ``mean exp(-x W)``
+    and ``evaluate_tail`` returns ``1 - transform``, computed via ``expm1``
+    so small tails keep full relative accuracy.  Both return sample means
+    only; the mixture residual report propagates its own standard error
+    through the sample.
     """
 
     alpha: float
@@ -770,51 +771,35 @@ class EmpiricalLaplace:
     warnings: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
-    @staticmethod
-    def _arguments(x) -> np.ndarray:
+    def evaluate(self, x):
+        """Empirical ``phi(x) = mean exp(-x W)``; a float for a scalar ``x``."""
+        return 1.0 - self.evaluate_tail(x)
+
+    def evaluate_tail(self, x):
+        """``1 - phi(x)`` with full relative accuracy for small arguments.
+
+        A float for a scalar ``x``, else an array.  The terms ``-expm1(-x
+        W)`` go in blocks of at most 2^22 values through one buffer, formed,
+        reduced and overwritten in place.
+        """
         xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
         if np.any(xs < 0.0):
             raise ValueError("Laplace arguments must be >= 0")
-        return xs
-
-    def evaluate(self, x):
-        """Empirical ``phi(x) = mean exp(-x W)`` with its standard error."""
-        tail, se = self.evaluate_tail(x)
-        return 1.0 - tail, se
-
-    def evaluate_tail(self, x, se=True):
-        """``1 - phi(x)`` with full relative accuracy for small arguments.
-
-        Returns ``(tail, standard error)``, or the tail alone with ``se``
-        False, which skips the variance pass; floats for a scalar ``x``.
-        The terms ``-expm1(-x W)`` go in blocks of at most 2^22 values
-        through one buffer, formed, reduced and overwritten in place.
-        """
-        xs = self._arguments(x)
         n = len(self.samples)
         chunk = max(1, (1 << 22) // max(n, 1))
         buf = np.empty((min(chunk, len(xs)), n))
         neg = -self.samples
         mean = np.empty(len(xs))
-        var = np.empty(len(xs)) if se else None
         for lo in range(0, len(xs), chunk):
             rows = slice(lo, lo + chunk)
             z = buf[: len(xs[rows])]
             np.multiply.outer(xs[rows], neg, out=z)
             np.expm1(z, out=z)
             np.negative(z, out=z)
-            mean[rows] = mz = z.mean(axis=1)
-            if se:
-                z -= mz[:, None]
-                np.multiply(z, z, out=z)
-                var[rows] = z.sum(axis=1) / (n - 1)
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        if not se:
-            return float(mean[0]) if scalar else mean
-        err = np.sqrt(var / n)
-        if scalar:
-            return float(mean[0]), float(err[0])
-        return mean, err
+            mean[rows] = z.mean(axis=1)
+        if np.isscalar(x) or np.ndim(x) == 0:
+            return float(mean[0])
+        return mean
 
 
 def sample_W_limit(
@@ -828,15 +813,16 @@ def sample_W_limit(
 ) -> EmpiricalLaplace:
     """Sample the generation-``depth`` martingale values as a limit proxy.
 
-    Warns (without failing) when ``m(alpha)`` is not 1 within 1e-9 and
-    attaches a depth-halving diagnostic comparing the mean at ``depth`` with
-    the mean at ``depth // 2``.
+    Warns (without failing) when ``m(alpha)`` is not 1 within
+    :data:`MEAN_ONE_TOL` and attaches a depth-halving diagnostic comparing
+    the mean at ``depth`` with the mean at ``depth // 2``.
     """
     warnings = []
     mval = moment_m(model, alpha)
-    if abs(mval - 1.0) > 1e-9:
+    if abs(mval - 1.0) > MEAN_ONE_TOL:
         warnings.append(
-            f"m(alpha) = {mval!r} is not 1 within 1e-9; W_n is not a mean-one martingale"
+            f"m(alpha) = {mval!r} is not 1 within {MEAN_ONE_TOL!r}; "
+            "W_n is not a mean-one martingale"
         )
     traces = replicate_traces(model, alpha, depth, replicates, seed, node_cap, threads)
     samples = traces.W[:, depth].copy()
@@ -946,16 +932,17 @@ def _w1_distribution(model: WeightModel, alpha: float):
     return uniq[keep], merged[keep]
 
 
-def biggins_check(model: WeightModel, alpha: float, tol: float = 1e-9) -> BigginsReport:
+def biggins_check(model: WeightModel, alpha: float) -> BigginsReport:
     """Exact finite-sum verdict for nondegeneracy of the martingale limit.
 
-    Requires ``m(alpha) = 1`` within ``tol``.  Computes the increment drift
-    and ``sum_{u>1} P(W_1 = u) u log(u) / E[min(S^+, log u)]``; the verdict
-    holds when the drift is positive and the sum is finite.
+    Requires ``m(alpha) = 1`` within :data:`MEAN_ONE_TOL`.  Computes the
+    increment drift and ``sum_{u>1} P(W_1 = u) u log(u) / E[min(S^+, log
+    u)]``; the verdict holds when the drift is positive and the sum is
+    finite.
     """
     mval = moment_m(model, alpha)
-    if abs(mval - 1.0) > tol:
-        raise ValueError(f"m(alpha) = {mval!r} is not 1 within {tol!r}")
+    if abs(mval - 1.0) > MEAN_ONE_TOL:
+        raise ValueError(f"m(alpha) = {mval!r} is not 1 within {MEAN_ONE_TOL!r}")
     inc = increment_distribution(model, alpha)
     drift = inc.drift
     vals, probs = _w1_distribution(model, alpha)
@@ -1051,15 +1038,16 @@ def renewal_measure_check(
 
     The expected occupation measure of ``[a, b]`` up to ``depth`` equals the
     truncated renewal series ``sum_{n<=depth} mu^{*n}([a, b])`` of the
-    increment distribution ``mu`` when ``m(alpha) = 1``; interval endpoints
-    are matched with absolute slack 1e-9.  Requires positive drift.
+    increment distribution ``mu`` when ``m(alpha) = 1`` (within
+    :data:`MEAN_ONE_TOL`); interval endpoints are matched with absolute
+    slack 1e-9.  Requires positive drift.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b)) or a > b:
         raise ValueError(f"invalid interval {interval!r}")
     mval = moment_m(model, alpha)
-    if abs(mval - 1.0) > 1e-9:
-        raise ValueError(f"m(alpha) = {mval!r} is not 1 within 1e-9")
+    if abs(mval - 1.0) > MEAN_ONE_TOL:
+        raise ValueError(f"m(alpha) = {mval!r} is not 1 within {MEAN_ONE_TOL!r}")
     inc = increment_distribution(model, alpha)
     if inc.drift <= 0.0:
         raise ValueError(f"increment drift {inc.drift!r} is not positive")

@@ -316,24 +316,24 @@ def a_sequence(params: CascadeParams, n: int, tol: float = 1e-13) -> np.ndarray:
     return np.array([float(v) for v in values])
 
 
-def a0(params: CascadeParams, tol: float = 1e-13) -> float:
+def a0(params: CascadeParams) -> float:
     """First threshold: the unique ``a`` in (0,1) with ``g(a) = 1``."""
-    return float(a_sequence(params, 0, tol)[0])
+    return float(a_sequence(params, 0)[0])
 
 
-def g_inverse(params: CascadeParams, y: float, tol: float = 1e-13) -> float:
+def g_inverse(params: CascadeParams, y: float) -> float:
     """Invert ``g`` on its increasing branch ``[0, u*]``.
 
     The float projection of the 53-bit preimage :func:`_mp_preimage` (the
     branch is [0, 1] in the critical/subcritical regimes); raises
-    ``RuntimeError`` unless ``|g(x) - y| <= tol`` in float arithmetic.
+    ``RuntimeError`` unless ``|g(x) - y| <= 1e-13`` in float arithmetic.
     """
     if not (0.0 <= y <= 1.0):
         raise ValueError(f"y = {y!r} outside [0, 1]")
     x = float(_mp_preimage(_G(params), y, u_star(params))[0])
-    if abs(g_eval(params, x) - y) > tol:
+    if abs(g_eval(params, x) - y) > 1e-13:
         raise RuntimeError(
-            f"preimage missed residual {tol!r} inverting g at y = {y!r}"
+            f"preimage missed residual 1e-13 inverting g at y = {y!r}"
         )
     return x
 
@@ -634,15 +634,14 @@ class EscapeReport:
     reached_one: bool
 
 
-def escape_check(
-    params: CascadeParams, x: float, max_iter: int = 100, tol_one: float = 1e-12
-) -> EscapeReport:
+def escape_check(params: CascadeParams, x: float, tol_one: float = 1e-12) -> EscapeReport:
     """Iterate ``g`` from ``x`` until the value escapes above 1 or hits 1.
 
     In the supercritical regime a start strictly between consecutive
     thresholds escapes above 1 (no fixed point can take such a value); a
     start exactly at a threshold walks the chain up to exactly 1 and stays.
-    ``reached_one`` means ``|value - 1| <= tol_one`` before any escape.
+    ``reached_one`` means ``|value - 1| <= tol_one`` before any escape.  At
+    most 100 iterates are taken.
     """
     if classify(params) != SUPERCRITICAL:
         raise ValueError("escape check applies to the supercritical regime")
@@ -653,7 +652,7 @@ def escape_check(
     exceeded = False
     reached = False
     iters = 0
-    for _ in range(max_iter):
+    for _ in range(100):
         cur = g_eval(params, min(cur, 1.0))
         traj.append(cur)
         iters += 1
@@ -700,23 +699,24 @@ def extract_modulation(params, curve: SurvivalCurve, phi, alpha: float):
     return PeriodicModulation(lat.r, lat.residues, hs)
 
 
-def _invert_laplace(phi, v: float, tol: float = 1e-12, max_expand: int = 200) -> float:
-    """Solve ``φ̂(x) = v`` for the monotone empirical transform."""
+def _invert_laplace(phi, v: float) -> float:
+    """Solve ``φ̂(x) = v`` for the monotone empirical transform: double the
+    bracket ``[0, 1]`` at most 200 times, then bisect to within 1e-12."""
     lo, hi = 0.0, 1.0
-    val_hi, _ = phi.evaluate(hi)
+    val_hi = phi.evaluate(hi)
     expand = 0
     while val_hi > v:
         lo, hi = hi, hi * 2.0
-        val_hi, _ = phi.evaluate(hi)
+        val_hi = phi.evaluate(hi)
         expand += 1
-        if expand > max_expand:
+        if expand > 200:
             raise ValueError(
                 f"curve value {v!r} is below the reachable range of the transform"
             )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val, _ = phi.evaluate(mid)
-        if abs(val - v) <= tol:
+        val = phi.evaluate(mid)
+        if abs(val - v) <= 1e-12:
             return mid
         if val > v:
             lo = mid

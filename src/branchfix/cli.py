@@ -11,14 +11,14 @@ The config document is JSON (file path via ``--config``).  Top-level keys:
                         ``{"mode": "lattice-step", "r", "residues", "n_lo", "n_hi"}``
 ``mc``      (optional)  ``{"depth", "replicates", "seed", "node_cap"}``
 ``out``     (optional)  artifact path prefix (``--out`` overrides)
-``options`` (optional)  command-specific settings (see each runner); numeric
-                        settings must be JSON numbers (integers for counts),
-                        anything else is a usage error
+``options`` (optional)  command-specific settings (see each runner)
 
-Unknown keys anywhere are rejected with their full path.  Exit codes: 0 on
-success, 1 on usage/config errors, 2 when a verification quantity (residual,
-z-score) lands beyond its tolerance.  Artifacts are byte-identical for
-identical configs regardless of ``--threads``.
+Numeric settings, list entries included, must be JSON numbers (integers for
+counts); anything else is a usage error.  Unknown keys anywhere are rejected
+with their full path.  Exit codes: 0 on success, 1 on usage/config errors, 2
+when a verification quantity (residual, z-score) lands beyond its tolerance.
+Artifacts are byte-identical for identical configs regardless of
+``--threads``.
 
 CSV conventions: comma separator, one header row, cells as
 :func:`format_column` writes them, and a trailing comment block recording
@@ -41,6 +41,7 @@ import numpy as np
 
 from . import cascade as casc
 from .branching import (
+    MEAN_ONE_TOL,
     EmpiricalLaplace,
     biggins_check,
     increment_distribution,
@@ -107,14 +108,10 @@ class RunConfig:
     raw: dict
     model: object
     alpha: Optional[float]
-    alpha_mode: Optional[str]  # None, "fixed", or "auto"
     grid: object  # np.ndarray, LatticeSpec, or None
     mc: Optional[McSpec]
     out: Optional[str]
     options: dict
-
-    def to_document(self) -> dict:
-        return copy.deepcopy(self.raw)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +133,22 @@ def _check_keys(doc: dict, allowed, path: str, errors) -> None:
             errors.append(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
 
 
+def _is_number_list(value, path: str, errors) -> bool:
+    """Whether ``value`` is a list whose entries, at any depth, are lists or
+    numbers.  Records an error for a value that is no list and for each
+    entry that is neither (booleans and numeric strings included)."""
+    if not isinstance(value, (list, tuple)):
+        errors.append(f"{path}: must be a list")
+        return False
+    before = len(errors)
+    for i, x in enumerate(value):
+        if isinstance(x, (list, tuple)):
+            _is_number_list(x, f"{path}[{i}]", errors)
+        elif not _is_number(x):
+            errors.append(f"{path}[{i}]: must be a number")
+    return len(errors) == before
+
+
 def _parse_model(doc, errors):
     if not isinstance(doc, dict):
         errors.append("model: must be an object")
@@ -152,19 +165,15 @@ def _parse_model(doc, errors):
             errors.append("model.theta: theta must lie in (0,1)")
             ok = False
         return BernoulliCascade(int(n), float(theta)) if ok else None
-    if kind == "atoms":
-        _check_keys(doc, {"kind", "atoms"}, "model", errors)
-        try:
-            return FiniteAtoms(doc.get("atoms") or [])
-        except (ModelError, TypeError, ValueError) as exc:
-            errors.append(f"model.atoms: {exc}")
+    if kind in ("atoms", "deterministic"):
+        key, cls = ("atoms", FiniteAtoms) if kind == "atoms" else ("weights", Deterministic)
+        _check_keys(doc, {"kind", key}, "model", errors)
+        if not _is_number_list(doc.get(key), f"model.{key}", errors):
             return None
-    if kind == "deterministic":
-        _check_keys(doc, {"kind", "weights"}, "model", errors)
         try:
-            return Deterministic(doc.get("weights") or [])
+            return cls(doc[key])
         except (ModelError, TypeError, ValueError) as exc:
-            errors.append(f"model.weights: {exc}")
+            errors.append(f"model.{key}: {exc}")
             return None
     errors.append(
         "model.kind: must be one of 'cascade', 'atoms', 'deterministic'"
@@ -208,6 +217,8 @@ def _parse_grid(doc, errors):
             return None
         if not _is_int(n_lo) or not _is_int(n_hi) or n_lo >= n_hi:
             errors.append("grid.n_lo: need integers n_lo < n_hi")
+            return None
+        if not _is_number_list(residues, "grid.residues", errors):
             return None
         try:
             return LatticeSpec(float(r), tuple(float(s) for s in residues), n_lo, n_hi)
@@ -280,11 +291,9 @@ def parse_config(document) -> RunConfig:
         model = _parse_model(doc["model"], errors)
 
     alpha = None
-    alpha_mode = None
     if "alpha" in doc:
         spec = doc["alpha"]
         if spec == "auto":
-            alpha_mode = "auto"
             if model is not None:
                 res = characteristic_exponent(model)
                 if res.alpha is None:
@@ -294,7 +303,6 @@ def parse_config(document) -> RunConfig:
                 else:
                     alpha = res.alpha
         elif _is_number(spec) and spec > 0.0:
-            alpha_mode = "fixed"
             alpha = float(spec)
         else:
             errors.append("alpha: must be a positive number or \"auto\"")
@@ -314,7 +322,7 @@ def parse_config(document) -> RunConfig:
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(copy.deepcopy(doc), model, alpha, alpha_mode, grid, mc, out, options)
+    return RunConfig(copy.deepcopy(doc), model, alpha, grid, mc, out, options)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +566,7 @@ def _curve_csv(em: _Emitter, curve) -> None:
     em.csv("curve", {"t": curve.grid, "value": curve.values, "tail": tails})
 
 
-def _mixture_residuals(em: _Emitter, config: RunConfig, built: _BuiltCurve, kind: str):
+def _mixture_residuals(em: _Emitter, config: RunConfig, built: _BuiltCurve):
     """Sample-side residual report at ``options.points`` interior grid points.
 
     The points are spread geometrically over the middle half of the grid;
@@ -568,9 +576,10 @@ def _mixture_residuals(em: _Emitter, config: RunConfig, built: _BuiltCurve, kind
     lo = len(grid) // 4
     hi = max(lo + 1, (3 * len(grid)) // 4)
     count = _number(config.options.get("points", 24), "options.points", int)
+    _require(count >= 1, "options.points: must be an integer >= 1")
     idx = np.unique(np.linspace(lo, hi - 1, count).round().astype(int))
     rep = mixture_residual_report(
-        built.phi, built.modulation, built.alpha, config.model, grid[idx], kind
+        built.phi, built.modulation, built.alpha, config.model, grid[idx]
     )
     em.csv("residuals", {"t": rep.points, "residual": rep.residuals, "se": rep.se, "z": rep.z})
     return rep
@@ -635,7 +644,7 @@ def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
     em.csv("traces", {"replicate": replicate, "n": n,
                       "W_n_alpha": traces.W.ravel(), "R_n": traces.R_sup.ravel()})
 
-    mean_one = abs(moment_m(config.model, config.alpha) - 1.0) <= 1e-9
+    mean_one = abs(moment_m(config.model, config.alpha) - 1.0) <= MEAN_ONE_TOL
     worst = 0.0
     for n in range(1, mc.depth + 1):
         col = traces.W[:, n]
@@ -667,7 +676,7 @@ def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
 
     if built.phi is not None:
         z_max = _number(opts.get("z_max", 3.0), "options.z_max")
-        rep = _mixture_residuals(em, config, built, kind)
+        rep = _mixture_residuals(em, config, built)
         em.say(
             f"{kind}-operator residual (sample z-scores at {len(rep.points)} points): "
             f"max |z| = {format_number(rep.max_abs_z)}"
@@ -676,7 +685,7 @@ def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
                           f"limit {format_number(z_max)}")
 
     tol = _number(opts.get("tol", 1e-10), "options.tol")
-    rep = fixed_point_residual(built.curve, config.model, kind=kind)
+    rep = fixed_point_residual(built.curve, config.model)
     em.csv("residuals", {"t": built.curve.grid, "residual": rep.residuals,
                          "clamped": rep.point_clamped})
     for w in rep.warnings:
@@ -715,7 +724,7 @@ def _run_fixpoint_construct(config: RunConfig, em: _Emitter, threads: int) -> in
     )
     _curve_csv(em, built.curve)
     z_max = _number(opts.get("z_max", 3.0), "options.z_max")
-    rep = _mixture_residuals(em, config, built, kind)
+    rep = _mixture_residuals(em, config, built)
     em.say(
         f"{kind}-operator residual: max |z| = {format_number(rep.max_abs_z)} "
         f"at {len(rep.points)} points"

@@ -24,7 +24,7 @@ distance of 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -232,7 +232,7 @@ class LaplaceCurve(_MonotoneCurve):
     the chord through its neighbors; anything above 1e-9 is rejected.
     """
 
-    convexity_defect: float = 0.0
+    convexity_defect: float = field(init=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -315,8 +315,9 @@ class PeriodicModulation:
         return defect
 
 
-def constant_modulation(c: float, period: float = math.e) -> PeriodicModulation:
-    return PeriodicModulation(period, np.array([1.0]), np.array([float(c)]))
+def constant_modulation(c: float) -> PeriodicModulation:
+    """The modulation ``h = c``, on period ``e`` (a constant has every period)."""
+    return PeriodicModulation(math.e, np.array([1.0]), np.array([float(c)]))
 
 
 def pairwise_prod(values: np.ndarray) -> float:

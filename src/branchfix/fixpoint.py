@@ -3,7 +3,9 @@
 The min-type operator sends a survival curve ``F̄`` to ``t -> E prod_i
 F̄(t T_i)``; the sum-type (smoothing) operator sends a Laplace curve ``φ``
 to ``x -> E prod_i φ(x T_i)``.  Over a finite-atom weight model both are the
-same exact finite expectation, evaluated here on the curve's own grid with
+same exact finite expectation, so one function computes both and the class
+of the curve (:class:`SurvivalCurve` or :class:`LaplaceCurve`) is all that
+tells the readings apart.  It is evaluated on the curve's own grid with
 every grid-edge clamp counted and reported.  With ``T`` made of ``copies``
 i.i.d. atom draws (:class:`branchfix.weights.AtomTable`) the expectation
 factorizes into a ``copies``-th power, so its cost does not grow with the
@@ -17,7 +19,8 @@ expectation is evaluated directly through the empirical Laplace transform at
 exact arguments, with a standard error propagated through the shared Monte
 Carlo sample — so mixture verification does not inherit interpolation bias.
 The residual takes its arguments from the builders' own ``h(t) t^α``, reads
-φ̂ as a tail, and takes the grid operators' factorized atom expectation.
+φ̂ as a tail, and takes the grid operators' factorized atom expectation;
+like them, it is one computation for either reading.
 
 The remaining routines classify near-zero regularity (``(1 - F̄(t)) /
 t^alpha``), check the generation-(j+k) disintegration of product
@@ -55,10 +58,10 @@ class GridDepthError(ValueError):
     """The curve grid does not reach deep enough below 1 for the diagnostic."""
 
 
-def _as_modulation(h: Modulation, period: float = math.e) -> PeriodicModulation:
+def _as_modulation(h: Modulation) -> PeriodicModulation:
     if isinstance(h, PeriodicModulation):
         return h
-    return constant_modulation(float(h), period)
+    return constant_modulation(float(h))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,6 @@ class ResidualReport:
     contaminated.
     """
 
-    kind: str
     residuals: np.ndarray
     sup_norm: float
     sup_norm_all: float
@@ -136,10 +138,8 @@ class ResidualReport:
     warnings: list = field(default_factory=list)
 
 
-def fixed_point_residual(curve, model: WeightModel, kind: str = "min") -> ResidualReport:
+def fixed_point_residual(curve, model: WeightModel) -> ResidualReport:
     """Signed residuals ``(operator image - curve)`` on the curve's grid."""
-    if kind not in ("min", "sum"):
-        raise ValueError(f"kind must be 'min' or 'sum', got {kind!r}")
     res = apply_operator(curve, model)
     diff = res.curve.values - curve.values
     clean = ~res.point_clamped
@@ -150,7 +150,7 @@ def fixed_point_residual(curve, model: WeightModel, kind: str = "min") -> Residu
         sup = math.nan
         res.warnings.append("every grid point is clamped; clean sup-norm undefined")
     return ResidualReport(
-        kind, diff, sup, sup_all, res.point_clamped, res.clamp_fraction,
+        diff, sup, sup_all, res.point_clamped, res.clamp_fraction,
         res.curve, res.warnings,
     )
 
@@ -159,28 +159,25 @@ def fixed_point_residual(curve, model: WeightModel, kind: str = "min") -> Residu
 class IterationReport:
     """Residual trajectory of repeated operator application."""
 
-    kind: str
     sup_norms: list
     clamp_fractions: list
     final: object
     warnings: list = field(default_factory=list)
 
 
-def iterate_operator(
-    curve, model: WeightModel, kind: str = "min", n_iter: int = 1
-) -> IterationReport:
+def iterate_operator(curve, model: WeightModel, n_iter: int = 1) -> IterationReport:
     """Apply the operator ``n_iter`` times, recording the residual each step."""
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
     sups, fracs, warnings = [], [], []
     cur = curve
     for _ in range(n_iter):
-        rep = fixed_point_residual(cur, model, kind)
+        rep = fixed_point_residual(cur, model)
         sups.append(rep.sup_norm)
         fracs.append(rep.clamp_fraction)
         warnings.extend(rep.warnings)
         cur = rep.image
-    return IterationReport(kind, sups, fracs, cur, warnings)
+    return IterationReport(sups, fracs, cur, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +200,7 @@ def _mixture_curve(phi: EmpiricalLaplace, h, alpha, grid, cls):
             "mixture arguments h(t) t^alpha are not nondecreasing along the grid; "
             "the modulation is not admissible"
         )
-    tail = phi.evaluate_tail(xs, se=False)
+    tail = phi.evaluate_tail(xs)
     values = 1.0 - tail
     return cls(grid=ts, values=values, lattice=lattice, tail=tail)
 
@@ -274,7 +271,6 @@ class MixtureResidualReport:
     discrepancy statistic.
     """
 
-    kind: str
     points: np.ndarray
     residuals: np.ndarray
     se: np.ndarray
@@ -288,15 +284,14 @@ def mixture_residual_report(
     alpha: float,
     model: WeightModel,
     points: np.ndarray,
-    kind: str = "min",
 ) -> MixtureResidualReport:
     """Residual ``E prod_i φ̂(arg(t T_i)) - φ̂(arg(t))`` with joint-sample SE.
 
     ``arg(u) = h(u) u^alpha`` comes from the curve builders' own map, on one
     (points x columns) matrix: column 0 is ``t``, then ``t w`` for each
     positive weight of each live atom in atom-table order.  φ̂ is read there
-    sample-side as a tail (:meth:`EmpiricalLaplace.evaluate_tail` without
-    its standard error), with no grid interpolation.  The operator
+    sample-side as a tail (:meth:`EmpiricalLaplace.evaluate_tail`), with no
+    grid interpolation.  The operator
     value is ``A^copies``, ``A = sum_k p_k prod_{w in atom k} φ̂(arg(t w))``
     over each atom's column slice; its tail
     ``(1 - A)(1 + A + ... + A^(copies-1))`` and its gradient ``copies
@@ -310,16 +305,18 @@ def mixture_residual_report(
     SE a residual <= 1e-12 also gives ``z = 0`` (products underflow before
     single factors do), and any other residual ``z = inf``.
     """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 1 or len(pts) == 0:
+        raise ValueError("points must be a nonempty 1-d array")
     hmod = _as_modulation(h)
     table = atom_table(model)
-    pts = np.asarray(points, dtype=np.float64)
     live = [(p, [w for w in ws if w != 0.0])
             for p, ws in zip(table.probs, table.full_weights) if p != 0.0]
     weights = np.array([1.0] + [w for _, ws in live for w in ws])
     x = _mixture_arguments(hmod, alpha, pts[:, None] * weights)
     # Tail means stay fully accurate near 0, where the value means would
     # quantize at one ulp of 1 and swamp small residuals.
-    tau = phi.evaluate_tail(x.ravel(), se=False).reshape(x.shape)
+    tau = phi.evaluate_tail(x.ravel()).reshape(x.shape)
     mu = 1.0 - tau
     with np.errstate(divide="ignore"):
         log_mu = np.log1p(-tau)
@@ -359,7 +356,7 @@ def mixture_residual_report(
         z = np.where(ses > 0.0, residuals / ses,
                      np.where(np.abs(residuals) <= 1e-12, 0.0, np.inf))
     z[np.abs(residuals) <= 8.0 * np.finfo(np.float64).eps * scales] = 0.0
-    return MixtureResidualReport(kind, pts, residuals, ses, z, float(np.max(np.abs(z))))
+    return MixtureResidualReport(pts, residuals, ses, z, float(np.max(np.abs(z))))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +408,10 @@ def regularity_diagnostic(
     Requires the grid to reach at least 6 decades (interpolated grids) or 12
     lattice steps (lattice-step grids) below 1; otherwise raises
     :class:`GridDepthError` rather than classifying from too shallow a
-    window.
+    window.  ``window >= 1`` counts the lattice points used per residue.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window!r}")
     notes = []
     grid = curve.grid
     tail, _ = curve.eval_tail_many(grid)

@@ -433,17 +433,13 @@ def check_assumptions(model: WeightModel) -> AssumptionReport:
     )
 
 
-def extinction_probability(
-    pgf_weights: Sequence[float],
-    tol: float = 1e-14,
-    max_iter: int = 10**6,
-) -> float:
+def extinction_probability(pgf_weights: Sequence[float]) -> float:
     """Minimal fixed point of the offspring generating function in [0, 1].
 
     Iterates ``s <- f(s)`` from 0, where ``f(s) = sum_j p_j s^j``, until the
-    step falls below ``tol``.  ``max_iter`` guards against the near-critical
-    regime where the iteration converges like C/k^2; on hitting the guard the
-    current iterate (a lower bound on the fixed point) is returned.
+    step falls below 1e-14.  A cap of 10^6 steps guards against the
+    near-critical regime where the iteration converges like C/k^2; at the
+    cap the current iterate (a lower bound on the fixed point) is returned.
     """
     p = np.asarray(pgf_weights, dtype=np.float64)
     if p.ndim != 1 or len(p) == 0:
@@ -452,9 +448,9 @@ def extinction_probability(
         raise ValueError("pgf_weights must be nonnegative and sum to 1")
     coeffs = p[::-1]  # np.polyval expects highest degree first
     s = 0.0
-    for _ in range(max_iter):
+    for _ in range(10**6):
         s_next = float(np.polyval(coeffs, s))
-        if abs(s_next - s) < tol:
+        if abs(s_next - s) < 1e-14:
             return s_next
         s = s_next
     return s

@@ -140,8 +140,8 @@ def test_criterion_06_fixed_point_closure():
     grid = dyadic_grid(points=512, per_octave=4)
     vals = np.exp(-grid)
     model = Deterministic(0.5, 0.5)
-    rmin = fixed_point_residual(SurvivalCurve(grid=grid, values=vals), model, kind="min")
-    rsum = fixed_point_residual(LaplaceCurve(grid=grid, values=vals), model, kind="sum")
+    rmin = fixed_point_residual(SurvivalCurve(grid=grid, values=vals), model)
+    rsum = fixed_point_residual(LaplaceCurve(grid=grid, values=vals), model)
     ok = rmin.sup_norm <= 1e-12 and rsum.sup_norm <= 1e-12
     _verdict(6, "fixed-point closure", ok,
              f"exp(-t) on 512 points: min residual {rmin.sup_norm:.2e}, "
@@ -152,7 +152,7 @@ def test_criterion_07_weibull_mixture():
     model = BernoulliCascade(2, 0.75)
     phi = sample_W_limit(model, LN3, depth=12, replicates=100_000, seed=42)
     points = np.exp(np.arange(-10, 11, dtype=np.float64))  # 21 lattice points
-    rep = mixture_residual_report(phi, 1.0, LN3, model, points, kind="min")
+    rep = mixture_residual_report(phi, 1.0, LN3, model, points)
     curve = build_weibull_mixture(
         phi, 1.0, LN3, LatticeSpec(r=math.e, residues=(1.0,), n_lo=-25, n_hi=15)
     )
@@ -170,7 +170,7 @@ def test_criterion_08_stable_mixture():
     model = BernoulliCascade(2, 0.9)
     phi = sample_W_limit(model, LN94, depth=12, replicates=20_000, seed=7)
     points = np.geomspace(1e-2, 1e2, 20)
-    rep = mixture_residual_report(phi, 1.0, LN94, model, points, kind="sum")
+    rep = mixture_residual_report(phi, 1.0, LN94, model, points)
     curve = build_stable_mixture(phi, 1.0, LN94, log_grid(1e-2, 1e2, 64))
     rejected = False
     try:

@@ -411,8 +411,8 @@ def test_explicit_solution_scale_shifts_grid():
     scaled = explicit_solution(SUPER, scale=2.5, depth=8, below=1)
     np.testing.assert_allclose(scaled.curve.grid, 2.5 * base.curve.grid, rtol=1e-12)
     np.testing.assert_array_equal(scaled.curve.values, base.curve.values)
-    r1 = fixed_point_residual(base.curve, SUPER.model(), kind="min")
-    r2 = fixed_point_residual(scaled.curve, SUPER.model(), kind="min")
+    r1 = fixed_point_residual(base.curve, SUPER.model())
+    r2 = fixed_point_residual(scaled.curve, SUPER.model())
     assert r2.sup_norm <= max(1e-12, 10.0 * r1.sup_norm + 1e-15)
 
 

@@ -45,7 +45,6 @@ def test_parse_alpha_auto_resolves_exponent():
     cfg = parse_config(
         {"model": {"kind": "cascade", "N": 2, "theta": 0.75}, "alpha": "auto"}
     )
-    assert cfg.alpha_mode == "auto"
     assert abs(cfg.alpha - LN3) <= 1e-9
 
 
@@ -69,6 +68,24 @@ def test_parse_lattice_grid_rejects_nan_residue():
                       "grid": {"mode": "lattice-step", "residues": [1.0, math.nan]}})
     assert exc.value.errors == [
         "grid.residues: residues must be finite and lie in [1, period)"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"model": {"kind": "atoms", "atoms": [[True, [0.5, 0.5]]]}},
+     "model.atoms[0][0]: must be a number"),
+    ({"model": {"kind": "atoms", "atoms": [[0.5, [0.5]], [0.5, ["0.5"]]]}},
+     "model.atoms[1][1][0]: must be a number"),
+    ({"model": {"kind": "deterministic", "weights": [True, 0.5]}},
+     "model.weights[0]: must be a number"),
+    ({"model": {"kind": "deterministic", "weights": "0.5"}}, "model.weights: must be a list"),
+    ({"model": {"kind": "cascade", "N": 2, "theta": 0.75},
+      "grid": {"mode": "lattice-step", "residues": [True]}},
+     "grid.residues[0]: must be a number"),
+])
+def test_parse_rejects_non_numbers_in_lists(doc, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.errors == [message]
 
 
 def test_parse_missing_mc_seed_lists_requirements():
@@ -154,7 +171,7 @@ def test_parse_json_text_and_invalid_json():
     assert any("invalid JSON" in e for e in exc.value.errors)
 
 
-def test_to_document_round_trip_is_lossless_and_isolated():
+def test_raw_document_is_lossless_and_isolated():
     doc = {
         "model": {"kind": "cascade", "N": 2, "theta": 0.75},
         "alpha": "auto",
@@ -162,10 +179,8 @@ def test_to_document_round_trip_is_lossless_and_isolated():
         "options": {"z_max": 5.0},
     }
     cfg = parse_config(doc)
-    out = cfg.to_document()
-    assert out == doc
-    assert out is not doc
-    out["model"]["theta"] = 0.1  # mutating the export must not touch the config
+    assert cfg.raw == doc
+    doc["model"]["theta"] = 0.1  # mutating the input must not touch the config
     assert cfg.raw["model"]["theta"] == 0.75
 
 
@@ -423,6 +438,12 @@ def test_non_numeric_option_is_usage_error(tmp_path, capsys, command, doc, messa
     ("regularity", {**HALVES_DYADIC, "alpha": 1.0, "options": {
         "kind": "max", "curve": {"form": "weibull", "alpha": 1.0}}},
      "options.kind: must be 'min' or 'sum'"),
+    ("regularity", {**HALVES_DYADIC, "alpha": 1.0, "options": {
+        "window": -3, "curve": {"form": "weibull", "alpha": 1.0}}},
+     "window must be >= 1, got -3"),
+    ("fixpoint-verify", {**MIXTURE, "options": {
+        "points": 0, "curve": {"form": "weibull-mixture"}}},
+     "options.points: must be an integer >= 1"),
 ])
 def test_command_requirements_are_usage_errors(tmp_path, capsys, command, doc, message):
     code, err = _usage_error(tmp_path, capsys, doc, command)

@@ -204,6 +204,12 @@ def test_laplace_curve_accepts_exponential():
     assert curve.convexity_defect <= 1e-12
 
 
+def test_laplace_curve_computes_its_convexity_defect():
+    g = log_grid(1e-2, 1e2, 64)
+    with pytest.raises(TypeError):
+        LaplaceCurve(grid=g, values=np.exp(-g), convexity_defect=0.0)
+
+
 def test_laplace_curve_rejects_concave_values():
     g = np.array([1.0, 2.0, 3.0])
     vals = np.array([1.0, 0.9, 0.0])  # middle point far above the chord

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from branchfix.branching import EmpiricalLaplace, sample_W_limit, simulate_tree
+from branchfix.branching import sample_W_limit, simulate_tree
 from branchfix.cascade import CascadeParams, explicit_solution
 from branchfix.curves import (
     CurveShapeError,
@@ -50,7 +50,7 @@ def test_min_operator_exponential_closure():
     # flattened, carries a defect far below the tolerance.
     g = dyadic_grid(points=512, per_octave=4)
     curve = SurvivalCurve(grid=g, values=np.exp(-g))
-    rep = fixed_point_residual(curve, Deterministic(0.5, 0.5), kind="min")
+    rep = fixed_point_residual(curve, Deterministic(0.5, 0.5))
     assert rep.sup_norm <= 1e-12
     assert rep.clamp_fraction < 0.05
 
@@ -60,7 +60,7 @@ def test_sum_operator_exponential_closure():
     vals = np.exp(-g)
     # the LaplaceCurve constructor re-checks convexity on the image too
     curve = LaplaceCurve(grid=g, values=vals)
-    rep = fixed_point_residual(curve, Deterministic(0.5, 0.5), kind="sum")
+    rep = fixed_point_residual(curve, Deterministic(0.5, 0.5))
     assert rep.sup_norm <= 1e-12
 
 
@@ -120,21 +120,14 @@ def test_residual_detects_perturbation():
     k = int(np.argmin(np.abs(g - 1.0)))
     vals[k] += 0.01  # stays monotone: neighbors are ~0.05 apart here
     curve = SurvivalCurve(grid=g, values=vals)
-    rep = fixed_point_residual(curve, Deterministic(0.5, 0.5), kind="min")
+    rep = fixed_point_residual(curve, Deterministic(0.5, 0.5))
     assert rep.sup_norm >= 0.001
 
 
 def test_explicit_cascade_solution_is_operator_fixed_point():
     sol = explicit_solution(CascadeParams(2, 0.25), scale=1.0, depth=30, below=5)
-    rep = fixed_point_residual(sol.curve, BernoulliCascade(2, 0.25), kind="min")
+    rep = fixed_point_residual(sol.curve, BernoulliCascade(2, 0.25))
     assert rep.sup_norm <= 1e-12
-
-
-def test_kind_must_be_min_or_sum():
-    g = log_grid(1e-2, 1e2, 16)
-    curve = SurvivalCurve(grid=g, values=np.exp(-g))
-    with pytest.raises(ValueError):
-        fixed_point_residual(curve, Deterministic(0.5, 0.5), kind="max")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +141,7 @@ def test_iterate_stays_at_fixed_point():
     # keeps that contamination far below the tolerance for four passes.
     g = dyadic_grid(points=1024, per_octave=8)
     curve = SurvivalCurve(grid=g, values=np.exp(-2.0 * g))  # Weib(2, 1)
-    rep = iterate_operator(curve, Deterministic(0.5, 0.5), kind="min", n_iter=4)
+    rep = iterate_operator(curve, Deterministic(0.5, 0.5), n_iter=4)
     assert all(s <= 1e-12 for s in rep.sup_norms)
 
 
@@ -157,7 +150,7 @@ def test_iterate_drifts_to_zero_when_no_fixed_point_exists():
     # curve is pushed toward the zero survival function.
     g = log_grid(1e-3, 1e3, 64)
     start = SurvivalCurve(grid=g, values=np.exp(-g))
-    rep = iterate_operator(start, Deterministic(2.0, 1.0), kind="min", n_iter=6)
+    rep = iterate_operator(start, Deterministic(2.0, 1.0), n_iter=6)
     before = float(start.eval(1.0)[0])
     after = float(rep.final.eval(1.0)[0])
     assert after < 1e-6 * before
@@ -232,31 +225,26 @@ def test_mixture_tail_slope_recovers_mean():
     assert abs(d0 - 1.0) <= band + 1e-9
 
 
-def test_tail_mean_matches_evaluate_tail(monkeypatch):
+def test_tail_mean_matches_evaluate_tail():
     phi = sample_W_limit(BernoulliCascade(2, 0.75), LN3, depth=6,
                          replicates=4096, seed=22)
-    # 1024 arguments per 2^22-element block: three blocks, the last partial.
+    # 1024 arguments per 2^22-element block: three blocks, the last partial,
+    # so the comparison crosses the block boundaries at rows 1024 and 2048.
     xs = np.concatenate([[0.0, 1e-300, 1e-9], np.geomspace(1e-6, 1e3, 2497)])
-    want = phi.evaluate_tail(xs)[0]
-    assert phi.evaluate_tail(xs, se=False).tobytes() == want.tobytes()
-    assert phi.evaluate_tail(xs[5], se=False) == want[5]
+    # One-shot reference: every term in one array, one mean per row.
+    terms = np.multiply.outer(xs, -phi.samples)
+    np.expm1(terms, out=terms)
+    np.negative(terms, out=terms)
+    want = terms.mean(axis=1)
+    assert phi.evaluate_tail(xs).tobytes() == want.tobytes()
+    assert phi.evaluate_tail(xs[5]) == want[5]
+    assert phi.evaluate(xs[5]) == 1.0 - want[5]
     with pytest.raises(ValueError, match=">= 0"):
-        phi.evaluate_tail([1.0, -1.0], se=False)
+        phi.evaluate_tail([1.0, -1.0])
     grid = xs[3:]
-    curve_tail = phi.evaluate_tail(_mixture_arguments(_as_modulation(1.0), LN3, grid))[0]
-    # The mixture builders skip the variance pass.
-    flags = []
-    original = EmpiricalLaplace.evaluate_tail
-
-    def spy(self, x, se=True):
-        flags.append(se)
-        return original(self, x, se)
-
-    monkeypatch.setattr(EmpiricalLaplace, "evaluate_tail", spy)
     curve = build_weibull_mixture(phi, 1.0, LN3, grid)
+    curve_tail = phi.evaluate_tail(_mixture_arguments(_as_modulation(1.0), LN3, grid))
     assert curve.tail.tobytes() == curve_tail.tobytes()
-    mixture_residual_report(phi, 1.0, LN3, BernoulliCascade(2, 0.75), xs[100:2000:400])
-    assert flags == [False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +256,17 @@ def test_weibull_mixture_operator_residual_within_band():
     model = BernoulliCascade(2, 0.75)
     phi = sample_W_limit(model, LN3, depth=10, replicates=20_000, seed=42)
     pts = np.exp(np.arange(-10, 10, dtype=np.float64))
-    rep = mixture_residual_report(phi, 1.0, LN3, model, pts, kind="min")
+    rep = mixture_residual_report(phi, 1.0, LN3, model, pts)
     assert len(rep.points) == 20
     assert np.all(np.isfinite(rep.z))
     assert rep.max_abs_z <= 3.0
+
+
+def test_mixture_residual_needs_points():
+    model = BernoulliCascade(2, 0.75)
+    phi = sample_W_limit(model, LN3, depth=4, replicates=50, seed=3)
+    with pytest.raises(ValueError, match="nonempty"):
+        mixture_residual_report(phi, 1.0, LN3, model, np.array([]))
 
 
 def test_stable_mixture_operator_residual_within_band():
@@ -279,7 +274,7 @@ def test_stable_mixture_operator_residual_within_band():
     alpha = math.log(9.0 / 4.0)
     phi = sample_W_limit(model, alpha, depth=10, replicates=20_000, seed=7)
     pts = np.exp(np.arange(-8, 8, dtype=np.float64))
-    rep = mixture_residual_report(phi, 1.0, alpha, model, pts, kind="sum")
+    rep = mixture_residual_report(phi, 1.0, alpha, model, pts)
     assert rep.max_abs_z <= 3.0
 
 
@@ -290,9 +285,7 @@ def test_mixture_residual_rounding_is_not_a_z_score():
     model = BernoulliCascade(2, 0.9)
     alpha = math.log(9.0 / 4.0)
     phi = sample_W_limit(model, alpha, depth=8, replicates=5000, seed=8)
-    rep = mixture_residual_report(
-        phi, 1.0, alpha, model, np.array([math.e**5]), kind="sum"
-    )
+    rep = mixture_residual_report(phi, 1.0, alpha, model, np.array([math.e**5]))
     eps = np.finfo(np.float64).eps
     assert abs(rep.residuals[0]) <= 8.0 * eps
     assert 0.0 < rep.se[0] < 1e-15
@@ -357,22 +350,22 @@ def _reference_mixture_residuals(phi, h, alpha, model, points):
 ATOMS3 = FiniteAtoms([(0.3, (0.6, 0.5)), (0.5, (0.9, 0.35)), (0.2, (0.7, 0.8))])
 
 
-@pytest.mark.parametrize("model, alpha, h, kind", [
-    (BernoulliCascade(2, 0.75), LN3, 1.0, "min"),
-    (BernoulliCascade(2, 0.9), math.log(9.0 / 4.0), 1.0, "sum"),
-    (ATOMS3, None, 1.0, "min"),
+@pytest.mark.parametrize("model, alpha, h", [
+    (BernoulliCascade(2, 0.75), LN3, 1.0),
+    (BernoulliCascade(2, 0.9), math.log(9.0 / 4.0), 1.0),
+    (ATOMS3, None, 1.0),
     # variable fan-out with a zero weight (no child) and a weight above 1
     (FiniteAtoms([(0.25, (0.2, 0.0, 1.5)), (0.5, (0.8,)), (0.25, (1.0, 0.4, 0.1))]),
-     0.8, 1.0, "min"),
+     0.8, 1.0),
     (BernoulliCascade(2, 0.75), LN3,
-     PeriodicModulation(math.e, np.array([1.0, 1.6]), np.array([1.0, 1.3])), "min"),
+     PeriodicModulation(math.e, np.array([1.0, 1.6]), np.array([1.0, 1.3]))),
 ], ids=["cascade-min", "cascade-sum", "three-atoms", "variable-fan-out", "modulated"])
-def test_mixture_residuals_match_per_point_reference(model, alpha, h, kind):
+def test_mixture_residuals_match_per_point_reference(model, alpha, h):
     if alpha is None:
         alpha = characteristic_exponent(model).alpha
     phi = sample_W_limit(model, alpha, depth=6, replicates=1000, seed=21)
     pts = np.exp(np.linspace(-10.0, 10.0, 21))
-    rep = mixture_residual_report(phi, h, alpha, model, pts, kind=kind)
+    rep = mixture_residual_report(phi, h, alpha, model, pts)
     want, want_se = _reference_mixture_residuals(phi, h, alpha, model, pts)
     np.testing.assert_array_equal(rep.residuals, want)
     # From t = 1 up the reference's value-form influence function is accurate.
@@ -468,6 +461,12 @@ def test_regularity_needs_deep_grid():
     curve = SurvivalCurve(grid=g, values=np.exp(-g))
     with pytest.raises(GridDepthError):
         regularity_diagnostic(curve, 1.0)
+
+
+def test_regularity_window_below_one_is_rejected():
+    sol = explicit_solution(CascadeParams(2, 0.25), scale=1.0, depth=30, below=13)
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        regularity_diagnostic(sol.curve, 1.0, window=0)
 
 
 @pytest.mark.parametrize("amplitude, label", [(0.3, "regular"), (0.6, "inconclusive")])

@@ -1,5 +1,6 @@
 """Source hygiene over ``src/branchfix`` and ``tests``: no unused imports
-and no dead locals in either, no unread private names in the package.
+and no dead locals in either; in the package, no unread private names and no
+private default that no call overrides.
 
 The checks read the syntax tree only (``ast``), so they need no linter.
 """
@@ -119,6 +120,47 @@ def unread_private_names(trees):
                   for line, name in _private_definitions(tree) if name not in read)
 
 
+def unpassed_private_defaults(trees):
+    """``(module, function, parameter)`` for each defaulted parameter of a
+    single-underscore function or method in ``trees`` (a mapping of module
+    name to tree) that no call in ``trees`` passes, by keyword or by
+    position.  Calls match by the name called, ``f(...)`` or ``x.f(...)``;
+    one with ``*args`` or ``**kwargs`` passes every parameter.  A method's
+    first parameter is bound, unless it is a ``staticmethod``."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, _FUNCS)}
+        for func in ast.walk(tree):
+            if (not isinstance(func, _FUNCS) or not func.name.startswith("_")
+                    or func.name.startswith("__")):
+                continue
+            args = func.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if func in methods and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in func.decorator_list):
+                positional = positional[1:]
+            defaulted = [(i, name) for i, name in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for i, name in defaulted:
+                if not any(
+                    any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg in (None, name) for k in call.keywords)
+                    or (i is not None and len(call.args) > i)
+                    for call in calls.get(func.name, ())
+                ):
+                    found.append((module, func.name, name))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", CHECKED, ids=_file_id)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -132,6 +174,11 @@ def test_no_dead_locals(path):
 def test_no_unread_private_names():
     trees = {p.name: _tree(p) for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(trees) == []
+
+
+def test_private_defaults_are_passed_somewhere():
+    trees = {p.name: _tree(p) for p in sorted(SRC.glob("*.py"))}
+    assert unpassed_private_defaults(trees) == []
 
 
 def test_checks_catch_what_they_look_for():
@@ -171,3 +218,23 @@ def test_checks_catch_what_they_look_for():
     )
     assert unread_private_names({"m": ast.parse(other)}) == [
         ("m", 2, "_UNREAD"), ("m", 5, "_orphan"), ("m", 12, "_never")]
+    defaults = (
+        "def _f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return _f(0, 5, e=6)\n"
+        "def _g(x=1):\n"
+        "    return _g(*())\n"
+        "def _never(y=0):\n"
+        "    return 1\n"
+        "def public(z=0):\n"
+        "    return 1\n"
+        "class _C:\n"
+        "    def _m(self, p=0, q=1):\n"
+        "        return self._m(2)\n"
+        "    @staticmethod\n"
+        "    def _s(p=0):\n"
+        "        return _C._s(1)\n"
+        "    def __call__(self, r=0):\n"
+        "        return 1\n"
+    )
+    assert unpassed_private_defaults({"m": ast.parse(defaults)}) == [
+        ("m", "_f", "c"), ("m", "_f", "d"), ("m", "_m", "q"), ("m", "_never", "y")]
