@@ -1,22 +1,20 @@
 """Command-line front end: config ingestion, dispatch, CSV/report emission.
 
 The config document is JSON (file path via ``--config``).  Top-level keys:
+``model`` (required; ``cascade``, ``atoms`` or ``deterministic``), ``alpha``
+(a number, or ``"auto"`` to solve ``m(alpha) = 1``), ``grid``, ``mc``,
+``out`` (artifact path prefix; ``--out`` overrides) and ``options``.
 
-``model``   (required)  ``{"kind": "cascade", "N": 2, "theta": 0.75}`` |
-                        ``{"kind": "atoms", "atoms": [[p, [w, ...]], ...]}`` |
-                        ``{"kind": "deterministic", "weights": [w, ...]}``
-``alpha``   (optional)  number, or ``"auto"`` to solve ``m(alpha) = 1``
-``grid``    (optional)  ``{"mode": "interp-loglinear", "lo", "hi", "points"}`` |
-                        ``{"mode": "dyadic", "points", "per_octave"}`` |
-                        ``{"mode": "lattice-step", "r", "residues", "n_lo", "n_hi"}``
-``mc``      (optional)  ``{"depth", "replicates", "seed", "node_cap"}``
-``out``     (optional)  artifact path prefix (``--out`` overrides)
-``options`` (optional)  command-specific settings (see each runner)
-
-Numeric settings, list entries included, must be JSON numbers (integers for
-counts); anything else is a usage error.  Unknown keys anywhere are rejected
-with their full path.  Exit codes: 0 on success, 1 on usage/config errors, 2
-when a verification quantity (residual, z-score) lands beyond its tolerance.
+Every section but ``model`` is read by :func:`_read` from a table of
+``key: (default, type, bound)``, the one place each default is written:
+``_GRIDS`` per grid mode, ``_MC``, each command's options in ``_RUNNERS``,
+``_CURVES`` per curve form and ``_MODULATION``.  A count is a JSON integer
+``>= bound``, a number a JSON number ``> bound``, a list a flat list of JSON
+numbers; anything else, and any unknown key, is a usage error naming its
+path.  A config section reports every problem; a command's settings
+report a section's problems together.  Exit codes: 0 on success, 1 on
+usage/config errors (a tree past ``mc.node_cap`` included), 2 when a
+verification quantity (residual, z-score) lands beyond its tolerance.
 Artifacts are byte-identical for identical configs regardless of
 ``--threads``.
 
@@ -33,7 +31,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -43,6 +41,7 @@ from . import cascade as casc
 from .branching import (
     MEAN_ONE_TOL,
     EmpiricalLaplace,
+    NodeCapError,
     biggins_check,
     increment_distribution,
     renewal_measure_check,
@@ -95,10 +94,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class McSpec:
+    """The ``mc`` section; its fields are the samplers' keyword arguments."""
+
     depth: int
     replicates: int
     seed: int
-    node_cap: int = 10**7
+    node_cap: int
 
 
 @dataclass
@@ -119,8 +120,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_number(x) -> bool:  # a JSON number that float() can take
+    return isinstance(x, float) or (_is_int(x) and abs(x) <= sys.float_info.max)
 
 
 def _is_int(x) -> bool:
@@ -147,6 +148,75 @@ def _is_number_list(value, path: str, errors) -> bool:
         elif not _is_number(x):
             errors.append(f"{path}[{i}]: must be a number")
     return len(errors) == before
+
+
+REQUIRED = object()  # a table default: the key must be given
+_ANY = (None, None, None)  # an optional value checked by the code that reads it
+
+
+def _typed(value, kind, bound, path: str, errors):
+    """``value`` as ``kind``, or an error for ``path``: ``int`` is a JSON
+    integer ``>= bound``, ``float`` a JSON number ``> bound`` (no bound when
+    ``bound`` is None), ``list`` a flat list of JSON numbers, read as floats."""
+    if kind is list:
+        if not isinstance(value, (list, tuple)):
+            errors.append(f"{path}: must be a list of numbers")
+            return None
+        bad = [f"{path}[{i}]: must be a number" for i, x in enumerate(value)
+               if not _is_number(x)]
+        errors.extend(bad)
+        return None if bad else [float(x) for x in value]
+    if kind is int:
+        ok = _is_int(value) and (bound is None or value >= bound)
+        need, op = "an integer", ">="
+    else:
+        ok = _is_number(value) and (bound is None or value > bound)
+        need, op = "a number", ">"
+    if ok:
+        return kind(value)
+    errors.append(f"{path}: must be {need}" + ("" if bound is None else f" {op} {bound}"))
+    return None
+
+
+def _read(doc, table: dict, path: str, errors, scope=None) -> Optional[dict]:
+    """Read the section ``doc`` at ``path`` by ``table``, ``{key: (default,
+    type, bound)}``: every key of the table, each absent one at its default.
+
+    ``type`` is ``int``, ``float`` or ``list`` (see :func:`_typed`), or None
+    for a value its reader checks.  A ``REQUIRED`` default makes the key
+    required.  Each problem is appended to ``errors`` and makes the result
+    None.  Unknown keys are one error each (``<path>.<key>: unknown key``),
+    or, with a ``scope`` string, one naming them all (``<path>: unknown
+    keys<scope>: a, b``).
+    """
+    if not isinstance(doc, dict):
+        errors.append(f"{path}: must be an object")
+        return None
+    before, unknown = len(errors), sorted(set(doc) - set(table))
+    if scope is None:
+        _check_keys(doc, table, path, errors)
+    elif unknown:
+        errors.append(f"{path}: unknown keys{scope}: {', '.join(unknown)}")
+    values = {}
+    for key, (default, kind, bound) in table.items():
+        if key not in doc:
+            if default is REQUIRED:
+                errors.append(f"{path}.{key}: missing required key")
+            values[key] = default
+        elif kind is None:
+            values[key] = doc[key]
+        else:
+            values[key] = _typed(doc[key], kind, bound, f"{path}.{key}", errors)
+    return values if len(errors) == before else None
+
+
+def _checked(doc, table: dict, path: str, scope: str = "") -> dict:
+    """:func:`_read` for a setting read by a command: every problem of the
+    section in one usage error, joined with ``"; "``."""
+    errors = []
+    values = _read(doc, table, path, errors, scope)
+    _require(not errors, "; ".join(errors))
+    return values
 
 
 def _parse_model(doc, errors):
@@ -181,88 +251,50 @@ def _parse_model(doc, errors):
     return None
 
 
+_MODE = {"mode": (REQUIRED, None, None)}
+_GRID_POINTS = (512, int, 2)
+# grid mode -> its table
+_GRIDS = {
+    "interp-loglinear": {**_MODE, "lo": (1e-6, None, None), "hi": (1e6, None, None),
+                         "points": _GRID_POINTS},
+    "dyadic": {**_MODE, "points": _GRID_POINTS, "per_octave": (12, int, 1)},
+    "lattice-step": {**_MODE, "r": (math.e, float, 1), "residues": ((1.0,), list, None),
+                     "n_lo": (-40, None, None), "n_hi": (40, None, None)},
+}
+
+
 def _parse_grid(doc, errors):
     if not isinstance(doc, dict):
         errors.append("grid: must be an object")
         return None
     mode = doc.get("mode")
-    if mode == "interp-loglinear":
-        _check_keys(doc, {"mode", "lo", "hi", "points"}, "grid", errors)
-        lo = doc.get("lo", 1e-6)
-        hi = doc.get("hi", 1e6)
-        points = doc.get("points", 512)
-        if not (_is_number(lo) and _is_number(hi) and 0.0 < lo < hi):
-            errors.append("grid.lo: need numbers 0 < lo < hi")
-            return None
-        if not _is_int(points) or points < 2:
-            errors.append("grid.points: must be an integer >= 2")
-            return None
-        return log_grid(float(lo), float(hi), int(points))
+    if not isinstance(mode, str) or mode not in _GRIDS:
+        errors.append("grid.mode: must be one of 'interp-loglinear', 'dyadic', 'lattice-step'")
+        return None
+    g = _read(doc, _GRIDS[mode], "grid", errors)
+    if g is None:
+        return None
     if mode == "dyadic":
-        _check_keys(doc, {"mode", "points", "per_octave"}, "grid", errors)
-        points = doc.get("points", 512)
-        per_octave = doc.get("per_octave", 12)
-        if not _is_int(points) or points < 2 or not _is_int(per_octave) or per_octave < 1:
-            errors.append("grid.points: need integers points >= 2, per_octave >= 1")
-            return None
-        return dyadic_grid(int(points), int(per_octave))
-    if mode == "lattice-step":
-        _check_keys(doc, {"mode", "r", "residues", "n_lo", "n_hi"}, "grid", errors)
-        r = doc.get("r", math.e)
-        residues = doc.get("residues", [1.0])
-        n_lo = doc.get("n_lo", -40)
-        n_hi = doc.get("n_hi", 40)
-        if not _is_number(r) or r <= 1.0:
-            errors.append("grid.r: must be a number > 1")
-            return None
-        if not _is_int(n_lo) or not _is_int(n_hi) or n_lo >= n_hi:
-            errors.append("grid.n_lo: need integers n_lo < n_hi")
-            return None
-        if not _is_number_list(residues, "grid.residues", errors):
-            return None
-        try:
-            return LatticeSpec(float(r), tuple(float(s) for s in residues), n_lo, n_hi)
-        except (TypeError, ValueError) as exc:
-            errors.append(f"grid.residues: {exc}")
-            return None
-    errors.append(
-        "grid.mode: must be one of 'interp-loglinear', 'dyadic', 'lattice-step'"
-    )
-    return None
-
-
-_MC_REQUIRED = ("depth", "replicates", "seed")
-
-
-def _parse_mc(doc, errors):
-    if not isinstance(doc, dict):
-        errors.append("mc: must be an object")
+        return dyadic_grid(g["points"], g["per_octave"])
+    if mode == "interp-loglinear":
+        lo, hi = g["lo"], g["hi"]
+        if _is_number(lo) and _is_number(hi) and 0.0 < lo < hi:
+            return log_grid(float(lo), float(hi), g["points"])
+        errors.append("grid.lo: need numbers 0 < lo < hi")
         return None
-    _check_keys(doc, {"depth", "replicates", "seed", "node_cap"}, "mc", errors)
-    missing = [k for k in _MC_REQUIRED if k not in doc]
-    if missing:
-        for k in missing:
-            errors.append(
-                f"mc.{k}: missing required key (mc requires depth, replicates, seed)"
-            )
+    n_lo, n_hi = g["n_lo"], g["n_hi"]
+    if not (_is_int(n_lo) and _is_int(n_hi) and n_lo < n_hi):
+        errors.append("grid.n_lo: need integers n_lo < n_hi")
         return None
-    ok = True
-    if not _is_int(doc["depth"]) or doc["depth"] < 0:
-        errors.append("mc.depth: must be an integer >= 0")
-        ok = False
-    if not _is_int(doc["replicates"]) or doc["replicates"] < 1:
-        errors.append("mc.replicates: must be an integer >= 1")
-        ok = False
-    if not _is_int(doc["seed"]) or doc["seed"] < 0:
-        errors.append("mc.seed: must be an integer >= 0")
-        ok = False
-    node_cap = doc.get("node_cap", 10**7)
-    if not _is_int(node_cap) or node_cap < 1:
-        errors.append("mc.node_cap: must be an integer >= 1")
-        ok = False
-    if not ok:
+    try:
+        return LatticeSpec(g["r"], tuple(g["residues"]), n_lo, n_hi)
+    except (TypeError, ValueError) as exc:
+        errors.append(f"grid.residues: {exc}")
         return None
-    return McSpec(doc["depth"], doc["replicates"], doc["seed"], node_cap)
+
+
+_MC = {"depth": (REQUIRED, int, 0), "replicates": (REQUIRED, int, 1),
+       "seed": (REQUIRED, int, 0), "node_cap": (10**7, int, 1)}
 
 
 def parse_config(document) -> RunConfig:
@@ -308,7 +340,7 @@ def parse_config(document) -> RunConfig:
             errors.append("alpha: must be a positive number or \"auto\"")
 
     grid = _parse_grid(doc["grid"], errors) if "grid" in doc else None
-    mc = _parse_mc(doc["mc"], errors) if "mc" in doc else None
+    mc = _read(doc["mc"], _MC, "mc", errors) if "mc" in doc else None
 
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
@@ -322,7 +354,8 @@ def parse_config(document) -> RunConfig:
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(copy.deepcopy(doc), model, alpha, grid, mc, out, options)
+    return RunConfig(copy.deepcopy(doc), model, alpha, grid, McSpec(**mc) if mc else None, out,
+                     options)
 
 
 # ---------------------------------------------------------------------------
@@ -458,33 +491,16 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _number(value, name: str, cast=float):
-    """A numeric setting as ``cast``; null, booleans, strings and lists are usage errors."""
-    ok = _is_int(value) if cast is int else _is_number(value)
-    _require(ok, f"{name}: must be {'an integer' if cast is int else 'a number'}")
-    return cast(value)
-
-
-def _numbers(value, name: str) -> list:
-    """A list of numbers as floats; each entry is read by ``_number``."""
-    _require(isinstance(value, (list, tuple)), f"{name}: must be a list of numbers")
-    return [_number(x, name) for x in value]
+_MODULATION = {"period": (math.e, float, 1), "residues": ((1.0,), list, None),
+               "values": ((1.0,), list, None)}
 
 
 def _parse_modulation(spec) -> PeriodicModulation:
-    if spec is None:
-        return constant_modulation(1.0)
-    if _is_number(spec):
-        return constant_modulation(float(spec))
-    if isinstance(spec, dict):
-        unknown = sorted(set(spec) - {"period", "residues", "values"})
-        _require(not unknown, f"modulation: unknown keys: {', '.join(unknown)}")
-        return PeriodicModulation(
-            _number(spec.get("period", math.e), "modulation.period"),
-            _numbers(spec.get("residues", [1.0]), "modulation.residues"),
-            _numbers(spec.get("values", [1.0]), "modulation.values"),
-        )
-    raise ValueError("modulation: must be a number or an object")
+    if spec is None or _is_number(spec):
+        return constant_modulation(1.0 if spec is None else float(spec))
+    _require(isinstance(spec, dict), "modulation: must be a number or an object")
+    m = _checked(spec, _MODULATION, "modulation")
+    return PeriodicModulation(m["period"], m["residues"], m["values"])
 
 
 # ---------------------------------------------------------------------------
@@ -498,67 +514,64 @@ class _BuiltCurve:
     phi: Optional[EmpiricalLaplace]
     modulation: Optional[PeriodicModulation]
     alpha: Optional[float]
+    kind: str  # the operator the curve is a fixed point of: "min" or "sum"
 
 
-# curve form -> the keys it accepts besides "form"
-_CURVE_KEYS = {
-    "exponential": {"rate"},
-    "weibull": {"alpha", "modulation"},
-    "weibull-mixture": {"modulation"},
-    "stable-mixture": {"modulation"},
+_FORM = {"form": (REQUIRED, None, None)}
+_MODULATED = {**_FORM, "modulation": _ANY}
+# curve form -> its table
+_CURVES = {
+    "exponential": {**_FORM, "rate": (1.0, float, 0)},
+    "weibull": {**_MODULATED, "alpha": (REQUIRED, float, 0)},
+    "weibull-mixture": _MODULATED,
+    "stable-mixture": _MODULATED,
 }
+# mixture form -> the operator its curve class belongs to
+_MIXTURE_KIND = {"weibull-mixture": "min", "stable-mixture": "sum"}
 
 
-def _build_curve(config: RunConfig, spec, kind: str, threads: int) -> _BuiltCurve:
-    _require(kind in ("min", "sum"), "options.kind: must be 'min' or 'sum'")
+def _build_curve(config: RunConfig, spec, kind, threads: int) -> _BuiltCurve:
+    """The curve ``options.curve`` describes.  A mixture form fixes the
+    operator, and an explicit ``kind`` must agree with it; a closed form
+    takes ``kind``, min when it is None."""
+    _require(kind in (None, "min", "sum"), "options.kind: must be 'min' or 'sum'")
     _require(isinstance(spec, dict), "options.curve: must be an object")
     form = spec.get("form")
     _require(
-        isinstance(form, str) and form in _CURVE_KEYS,
+        isinstance(form, str) and form in _CURVES,
         "options.curve.form: must be one of 'exponential', 'weibull', "
         "'weibull-mixture', 'stable-mixture'",
     )
-    unknown = sorted(set(spec) - _CURVE_KEYS[form] - {"form"})
-    _require(not unknown, f"options.curve: unknown keys: {', '.join(unknown)}")
-    if form in ("weibull-mixture", "stable-mixture"):
+    c = _checked(spec, _CURVES[form], "options.curve")
+    if form in _MIXTURE_KIND:
+        fixed = _MIXTURE_KIND[form]
+        _require(kind in (None, fixed),
+                 f"options.kind: {kind!r} contradicts options.curve.form {form!r}, "
+                 f"a {fixed}-operator curve")
         _require(config.alpha is not None, f"{form} curves need the alpha key")
         _require(config.mc is not None, f"{form} curves need the mc section")
         _require(config.grid is not None, f"{form} curves need a grid section")
-        h = _parse_modulation(spec.get("modulation"))
-        mc = config.mc
-        phi = sample_W_limit(
-            config.model,
-            config.alpha,
-            mc.depth,
-            mc.replicates,
-            mc.seed,
-            node_cap=mc.node_cap,
-            threads=threads,
-        )
-        if form == "weibull-mixture":
-            curve = build_weibull_mixture(phi, h, config.alpha, config.grid)
-        else:
-            curve = build_stable_mixture(phi, h, config.alpha, config.grid)
-        return _BuiltCurve(curve, phi, h, config.alpha)
+        h = _parse_modulation(c["modulation"])
+        phi = sample_W_limit(config.model, config.alpha, **asdict(config.mc), threads=threads)
+        build = build_weibull_mixture if fixed == "min" else build_stable_mixture
+        curve = build(phi, h, config.alpha, config.grid)
+        return _BuiltCurve(curve, phi, h, config.alpha, fixed)
     # Closed forms exp(-args): args = rate t, or h(t) t^alpha.  An exponential
     # curve carries no alpha, so `regularity` still needs the alpha key.
     if form == "exponential":
-        rate = spec.get("rate", 1.0)
-        _require(_is_number(rate) and rate > 0.0, "options.curve.rate: must be > 0")
         h = a = None
     else:
-        a = spec.get("alpha")
-        _require(_is_number(a) and a > 0.0, "options.curve.alpha: must be > 0")
-        a, h = float(a), _parse_modulation(spec.get("modulation"))
+        a, h = c["alpha"], _parse_modulation(c["modulation"])
     grid = config.grid
     _require(
         isinstance(grid, np.ndarray),
         f"{'closed-form ' if form == 'weibull' else ''}{form} curves need an "
         "interpolated grid section",
     )
-    args = float(rate) * grid if h is None else _mixture_arguments(h, a, grid)
+    args = c["rate"] * grid if h is None else _mixture_arguments(h, a, grid)
+    kind = kind or "min"
     cls = LaplaceCurve if kind == "sum" else SurvivalCurve
-    return _BuiltCurve(cls(grid, np.exp(-args), tail=-np.expm1(-args)), None, h, a)
+    return _BuiltCurve(cls(grid, np.exp(-args), tail=-np.expm1(-args)), None, h, a, kind)
 
 
 def _curve_csv(em: _Emitter, curve) -> None:
@@ -570,17 +583,18 @@ def _mixture_residuals(em: _Emitter, config: RunConfig, built: _BuiltCurve):
     """Sample-side residual report at ``options.points`` interior grid points.
 
     The points are spread geometrically over the middle half of the grid;
-    the report is written to the residuals CSV.
+    the report is written to the residuals CSV.  A grid too short for that
+    many distinct points gets a note.
     """
     grid = built.curve.grid
     lo = len(grid) // 4
     hi = max(lo + 1, (3 * len(grid)) // 4)
-    count = _number(config.options.get("points", 24), "options.points", int)
-    _require(count >= 1, "options.points: must be an integer >= 1")
+    count = config.options["points"]
     idx = np.unique(np.linspace(lo, hi - 1, count).round().astype(int))
-    rep = mixture_residual_report(
-        built.phi, built.modulation, built.alpha, config.model, grid[idx]
-    )
+    if len(idx) < count:
+        em.say(f"note: {len(idx)} distinct grid points for options.points = {count}")
+    rep = mixture_residual_report(built.phi, built.modulation, built.alpha, config.model,
+                                  grid[idx])
     em.csv("residuals", {"t": rep.points, "residual": rep.residuals, "se": rep.se, "z": rep.z})
     return rep
 
@@ -625,18 +639,8 @@ def _run_weights_analyze(config: RunConfig, em: _Emitter, threads: int) -> int:
 
 
 def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
-    opts = config.options
-    z_max = _number(opts.get("z_max", 4.0), "options.z_max")
-    mc = config.mc
-    traces = replicate_traces(
-        config.model,
-        config.alpha,
-        mc.depth,
-        mc.replicates,
-        mc.seed,
-        node_cap=mc.node_cap,
-        threads=threads,
-    )
+    z_max, mc = config.options["z_max"], config.mc
+    traces = replicate_traces(config.model, config.alpha, **asdict(mc), threads=threads)
     em.say(f"model: {_describe_model(config.model)}")
     em.say(f"alpha: {format_number(config.alpha)}")
     em.say(f"replicates: {mc.replicates}, depth: {mc.depth}")
@@ -667,15 +671,14 @@ def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
 
 def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
-    kind = opts.get("kind", "min")
-    _require("curve" in opts, "fixpoint-verify requires options.curve")
-    built = _build_curve(config, opts["curve"], kind, threads)
+    _require(opts["curve"] is not None, "fixpoint-verify requires options.curve")
+    built = _build_curve(config, opts["curve"], opts["kind"], threads)
+    kind, z_max, tol = built.kind, opts["z_max"], opts["tol"]
     em.say(f"model: {_describe_model(config.model)}")
     em.say(f"operator: {kind}")
     _curve_csv(em, built.curve)
 
     if built.phi is not None:
-        z_max = _number(opts.get("z_max", 3.0), "options.z_max")
         rep = _mixture_residuals(em, config, built)
         em.say(
             f"{kind}-operator residual (sample z-scores at {len(rep.points)} points): "
@@ -684,17 +687,13 @@ def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
         return em.verdict(f"{kind}-operator", rep.max_abs_z <= z_max,
                           f"limit {format_number(z_max)}")
 
-    tol = _number(opts.get("tol", 1e-10), "options.tol")
     rep = fixed_point_residual(built.curve, config.model)
     em.csv("residuals", {"t": built.curve.grid, "residual": rep.residuals,
                          "clamped": rep.point_clamped})
     for w in rep.warnings:
         em.say(f"warning: {w}")
-    if math.isnan(rep.sup_norm):
-        raise ValueError(
-            "every grid point needed clamped lookups; nothing was verified "
-            "(widen the grid)"
-        )
+    _require(not math.isnan(rep.sup_norm), "every grid point needed clamped lookups; "
+             "nothing was verified (widen the grid)")
     em.say(
         f"{kind}-operator residual: sup-norm {format_number(rep.sup_norm)} over "
         f"clean points (all points: {format_number(rep.sup_norm_all)}, "
@@ -706,11 +705,9 @@ def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
 
 def _run_fixpoint_construct(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
-    kind = opts.get("kind", "min")
-    form = "weibull-mixture" if kind == "min" else "stable-mixture"
-    built = _build_curve(
-        config, {"form": form, "modulation": opts.get("modulation")}, kind, threads
-    )
+    form = "stable-mixture" if opts["kind"] == "sum" else "weibull-mixture"
+    built = _build_curve(config, {"form": form, "modulation": opts["modulation"]},
+                         opts["kind"], threads)
     em.say(f"model: {_describe_model(config.model)}")
     em.say(f"constructed: {form} at alpha = {format_number(built.alpha)}")
     for w in built.phi.warnings:
@@ -723,22 +720,18 @@ def _run_fixpoint_construct(config: RunConfig, em: _Emitter, threads: int) -> in
         f"(se {format_number(diag['se_half_depth'])}) at depth {diag['half_depth']}"
     )
     _curve_csv(em, built.curve)
-    z_max = _number(opts.get("z_max", 3.0), "options.z_max")
     rep = _mixture_residuals(em, config, built)
     em.say(
-        f"{kind}-operator residual: max |z| = {format_number(rep.max_abs_z)} "
+        f"{built.kind}-operator residual: max |z| = {format_number(rep.max_abs_z)} "
         f"at {len(rep.points)} points"
     )
-    return em.verdict("self-consistency", rep.max_abs_z <= z_max,
-                      f"limit {format_number(z_max)}")
+    return em.verdict("self-consistency", rep.max_abs_z <= opts["z_max"],
+                      f"limit {format_number(opts['z_max'])}")
 
 
 def _cascade_params(config: RunConfig) -> casc.CascadeParams:
     model = config.model
-    _require(
-        isinstance(model, BernoulliCascade),
-        "this command needs model.kind = 'cascade'",
-    )
+    _require(isinstance(model, BernoulliCascade), "this command needs model.kind = 'cascade'")
     return casc.CascadeParams(model.N, model.theta)
 
 
@@ -746,15 +739,9 @@ def _run_cascade_solve(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
     params = _cascade_params(config)
     regime = casc.classify(params)
-    _require(
-        regime == casc.SUPERCRITICAL,
-        f"cascade-solve needs the supercritical regime; got {regime} "
-        f"(theta vs 1 - 1/N)",
-    )
-    depth = _number(opts.get("depth", 30), "options.depth", int)
-    scale = _number(opts.get("scale", 1.0), "options.scale")
-    below = _number(opts.get("below", 1), "options.below", int)
-    tol = _number(opts.get("tol", 1e-10), "options.tol")
+    _require(regime == casc.SUPERCRITICAL,
+             f"cascade-solve needs the supercritical regime; got {regime} (theta vs 1 - 1/N)")
+    depth, scale, below, tol = opts["depth"], opts["scale"], opts["below"], opts["tol"]
     sol = casc.explicit_solution(params, scale=scale, depth=depth, below=below)
     em.say(f"model: {_describe_model(config.model)} ({regime})")
     em.say(f"scale: {format_number(scale)}, cells n in [{-below}, {depth}]")
@@ -785,34 +772,20 @@ def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
     params = _cascade_params(config)
     regime = casc.classify(params)
-    if "seed_value" in opts:
-        _require(
-            "seed_grid" not in opts and "seed_values" not in opts,
-            "options.seed_value: give either seed_value or seed_grid/seed_values",
-        )
-        seed = casc.SeedFunction(
-            np.array([math.e]),
-            np.array([_number(opts["seed_value"], "options.seed_value")]),
-        )
+    grid, values, value = opts["seed_grid"], opts["seed_values"], opts["seed_value"]
+    if value is not None:
+        _require(grid is None and values is None,
+                 "options.seed_value: give either seed_value or seed_grid/seed_values")
+        seed = casc.SeedFunction(np.array([math.e]), np.array([value]))
     else:
-        _require(
-            "seed_grid" in opts and "seed_values" in opts,
-            "cascade-extend requires options.seed_value or options.seed_grid "
-            "plus options.seed_values",
-        )
-        seed = casc.SeedFunction(
-            _numbers(opts["seed_grid"], "options.seed_grid"),
-            _numbers(opts["seed_values"], "options.seed_values"),
-        )
-    n_lo = _number(opts.get("n_lo", -20), "options.n_lo", int)
-    n_hi = _number(opts.get("n_hi", 20), "options.n_hi", int)
-    tol = _number(opts.get("tol", 1e-13), "options.tol")
-    check_tol = _number(opts.get("check_tol", 1e-10), "options.check_tol")
-    curve = casc.extend_from_seed(params, seed, n_lo=n_lo, n_hi=n_hi, tol=tol)
+        _require(grid is not None and values is not None,
+                 "cascade-extend requires options.seed_value or options.seed_grid "
+                 "plus options.seed_values")
+        seed = casc.SeedFunction(grid, values)
+    n_lo, n_hi, check_tol = opts["n_lo"], opts["n_hi"], opts["check_tol"]
+    curve = casc.extend_from_seed(params, seed, n_lo=n_lo, n_hi=n_hi, tol=opts["tol"])
     em.say(f"model: {_describe_model(config.model)} ({regime})")
-    em.say(
-        f"seed points: {len(seed.grid)}, extension cells n in [{n_lo}, {n_hi}]"
-    )
+    em.say(f"seed points: {len(seed.grid)}, extension cells n in [{n_lo}, {n_hi}]")
     lat = curve.lattice
     residues = np.array(lat.residues)
     cell, residue = np.divmod(np.arange(len(curve.grid)), len(residues))
@@ -826,13 +799,11 @@ def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
 
 def _run_regularity(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
-    _require("curve" in opts, "regularity requires options.curve")
-    kind = opts.get("kind", "min")
-    built = _build_curve(config, opts["curve"], kind, threads)
+    _require(opts["curve"] is not None, "regularity requires options.curve")
+    built = _build_curve(config, opts["curve"], opts["kind"], threads)
     alpha = config.alpha if config.alpha is not None else built.alpha
     _require(alpha is not None, "regularity requires the alpha key (or a curve form carrying one)")
-    window = _number(opts.get("window", 12), "options.window", int)
-    rep = regularity_diagnostic(built.curve, alpha, window=window)
+    rep = regularity_diagnostic(built.curve, alpha, window=opts["window"])
     em.say(f"model: {_describe_model(config.model)}")
     em.say(f"alpha: {format_number(alpha)}, window points: {rep.window_points}")
     em.say(f"classification: {rep.classification}")
@@ -864,22 +835,10 @@ def _run_biggins(config: RunConfig, em: _Emitter, threads: int) -> int:
 
 def _run_renewal_check(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
-    interval = opts.get("interval")
-    _require(isinstance(interval, (list, tuple)) and len(interval) == 2,
-             "renewal-check requires options.interval = [a, b]")
-    interval = tuple(_numbers(interval, "options.interval"))
-    z_max = _number(opts.get("z_max", 3.0), "options.z_max")
-    mc = config.mc
-    rep = renewal_measure_check(
-        config.model,
-        config.alpha,
-        interval,
-        mc.depth,
-        mc.replicates,
-        mc.seed,
-        node_cap=mc.node_cap,
-        threads=threads,
-    )
+    _require(len(opts["interval"]) == 2, "renewal-check requires options.interval = [a, b]")
+    z_max, mc = opts["z_max"], config.mc
+    rep = renewal_measure_check(config.model, config.alpha, tuple(opts["interval"]),
+                                **asdict(mc), threads=threads)
     em.say(f"model: {_describe_model(config.model)}")
     em.say(
         f"interval: [{format_number(rep.interval[0])}, "
@@ -901,19 +860,33 @@ def _run_renewal_check(config: RunConfig, em: _Emitter, threads: int) -> int:
                       f"limit {format_number(z_max)}")
 
 
-# command -> (runner, option keys it accepts, config parts it requires)
+# Settings shared by several commands.  `kind` stays None unless given: a
+# mixture curve form fixes the operator, and a closed form reads None as min.
+_TOL = (1e-10, float, None)
+_Z_MAX = (3.0, float, None)
+_POINTS = (24, int, 1)
+
+# command -> (runner, its options table, config parts it requires)
 _RUNNERS = {
-    "weights-analyze": (_run_weights_analyze, (), ()),
-    "wbp-simulate": (_run_wbp_simulate, ("z_max",), ("alpha key", "mc section")),
-    "fixpoint-verify": (_run_fixpoint_verify, ("kind", "curve", "tol", "z_max", "points"), ()),
-    "fixpoint-construct": (
-        _run_fixpoint_construct, ("kind", "modulation", "z_max", "points"), ()),
-    "cascade-solve": (_run_cascade_solve, ("depth", "scale", "below", "tol"), ()),
-    "cascade-extend": (_run_cascade_extend, ("seed_grid", "seed_values", "seed_value",
-                                             "n_lo", "n_hi", "tol", "check_tol"), ()),
-    "regularity": (_run_regularity, ("curve", "window", "kind"), ()),
-    "biggins": (_run_biggins, (), ("alpha key",)),
-    "renewal-check": (_run_renewal_check, ("interval", "z_max"), ("alpha key", "mc section")),
+    "weights-analyze": (_run_weights_analyze, {}, ()),
+    "wbp-simulate": (_run_wbp_simulate, {"z_max": (4.0, float, None)},
+                     ("alpha key", "mc section")),
+    "fixpoint-verify": (_run_fixpoint_verify, {
+        "kind": _ANY, "curve": _ANY, "tol": _TOL, "z_max": _Z_MAX, "points": _POINTS}, ()),
+    "fixpoint-construct": (_run_fixpoint_construct, {
+        "kind": _ANY, "modulation": _ANY, "z_max": _Z_MAX, "points": _POINTS}, ()),
+    "cascade-solve": (_run_cascade_solve, {
+        "depth": (30, int, None), "scale": (1.0, float, None), "below": (1, int, None),
+        "tol": _TOL}, ()),
+    "cascade-extend": (_run_cascade_extend, {
+        "seed_grid": (None, list, None), "seed_values": (None, list, None),
+        "seed_value": (None, float, None), "n_lo": (-20, int, None),
+        "n_hi": (20, int, None), "tol": (1e-13, float, None), "check_tol": _TOL}, ()),
+    "regularity": (_run_regularity, {
+        "curve": _ANY, "window": (12, int, None), "kind": _ANY}, ()),
+    "biggins": (_run_biggins, {}, ("alpha key",)),
+    "renewal-check": (_run_renewal_check, {"interval": (REQUIRED, list, None), "z_max": _Z_MAX},
+                      ("alpha key", "mc section")),
 }
 
 
@@ -922,9 +895,9 @@ def run_command(config: RunConfig, command: str, threads: int = 1,
     """Run one command; writes artifacts and returns the exit status."""
     if command not in _RUNNERS:
         raise ValueError(f"unknown command {command!r}")
-    runner, allowed, required = _RUNNERS[command]
-    unknown = sorted(set(config.options) - set(allowed))
-    _require(not unknown, f"options: unknown keys for {command}: {', '.join(unknown)}")
+    runner, table, required = _RUNNERS[command]
+    config = replace(config, options=_checked(config.options, table, "options",
+                                               f" for {command}"))
     for part in required:  # "alpha key" is config.alpha, "mc section" is config.mc
         _require(getattr(config, part.split()[0]) is not None, f"{command} requires the {part}")
     em = _Emitter(config, out or config.out or command)
@@ -978,7 +951,7 @@ def main(argv=None) -> int:
     try:
         return run_command(config, args.command, threads=args.threads, out=args.out)
     except (ValueError, ModelError, CurveShapeError, OffLatticeError,
-            GridDepthError) as exc:
+            GridDepthError, NodeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

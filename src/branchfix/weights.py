@@ -249,28 +249,21 @@ class ExponentResult:
     reason: Optional[str] = None
 
 
-def characteristic_exponent(
-    model: WeightModel,
-    search_interval: tuple = (0.0, 50.0),
-    tol: float = 1e-10,
-) -> ExponentResult:
-    """Minimal positive root of ``m(alpha) = 1`` on ``search_interval``.
+# The exponent search interval [0, _ALPHA_MAX] and its bisection width.
+_ALPHA_MAX = 50.0
+_ALPHA_TOL = 1e-10
 
-    The moment function is scanned on a 1024-point geometric grid to bracket
-    the first sign change of ``m - 1`` (convexity of ``m`` makes the sublevel
-    set ``{m <= 1}`` an interval, so the first bracket contains the minimal
-    root), then refined by bisection to absolute tolerance ``tol``.
+
+def characteristic_exponent(model: WeightModel) -> ExponentResult:
+    """Minimal positive root of ``m(alpha) = 1`` on ``[0, 50]``.
+
+    The moment function is scanned at 0 and on a 1024-point geometric grid
+    from ``50e-12`` to 50 to bracket the first sign change of ``m - 1``
+    (convexity of ``m`` makes the sublevel set ``{m <= 1}`` an interval, so
+    the first bracket contains the minimal root), then refined by bisection
+    to absolute tolerance ``1e-10``.
     """
-    lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not (0.0 <= lo < hi) or not math.isfinite(hi):
-        raise ValueError(f"invalid search interval {search_interval!r}")
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
-
-    floor = max(lo, hi * 1e-12)
-    grid = np.geomspace(floor, hi, 1024)
-    if lo < floor:
-        grid = np.concatenate([[lo], grid])
+    grid = np.concatenate([[0.0], np.geomspace(_ALPHA_MAX * 1e-12, _ALPHA_MAX, 1024)])
     f = _m_minus_one_many(model, grid)
     if not np.all(np.isfinite(f)):
         raise ValueError("m is not finite on the search interval")
@@ -299,17 +292,14 @@ def characteristic_exponent(
     while i >= 0 and f[i] == 0.0:
         i -= 1
     if i < 0 or j == 0:
-        # m is <= 1 from the very start of the interval.  A zero exactly at a
-        # positive lower edge is itself the minimal root there; a zero at
-        # beta = 0 is not a *positive* root (m(0) counts children), so the
-        # minimal positive root is where m climbs back through 1.
-        if j > 0 and grid[0] > 0.0:
-            return ExponentResult(float(grid[0]))
+        # m is <= 1 from beta = 0 on.  A zero at beta = 0 is not a *positive*
+        # root (m(0) counts children), so the minimal positive root is where
+        # m climbs back through 1.
         pos_after = np.nonzero(f[j:] > 0.0)[0]
         if len(pos_after) == 0:
             return ExponentResult(None, "m(beta) < 1 on the whole interval")
         k = int(pos_after[0]) + j
-        return _bisect_unit_root(model, float(grid[k - 1]), float(grid[k]), tol, -1.0)
+        return _bisect_unit_root(model, float(grid[k - 1]), float(grid[k]), -1.0)
 
     # Zeros immediately before the first negative are exact root hits of the
     # decreasing crossing; the leftmost of that run is the minimal root.
@@ -318,14 +308,13 @@ def characteristic_exponent(
 
     # Strict bracket f(a) > 0 > f(b); m is convex so {m <= 1} is an interval
     # and this first crossing is the minimal root.
-    return _bisect_unit_root(model, float(grid[i]), float(grid[j]), tol, 1.0)
+    return _bisect_unit_root(model, float(grid[i]), float(grid[j]), 1.0)
 
 
-def _bisect_unit_root(model: WeightModel, a: float, b: float, tol: float,
-                      sign: float) -> ExponentResult:
-    """Bisect ``[a, b]`` to width ``tol`` on a root of ``m - 1``: a mid where
-    ``sign * (m - 1) > 0`` replaces ``a``, any other mid replaces ``b``."""
-    while b - a > tol:
+def _bisect_unit_root(model: WeightModel, a: float, b: float, sign: float) -> ExponentResult:
+    """Bisect ``[a, b]`` to width ``_ALPHA_TOL`` on a root of ``m - 1``: a mid
+    where ``sign * (m - 1) > 0`` replaces ``a``, any other mid replaces ``b``."""
+    while b - a > _ALPHA_TOL:
         mid = 0.5 * (a + b)
         if sign * _m_minus_one(model, mid) > 0.0:
             a = mid

@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from branchfix.cli import (
+    _RUNNERS,
     ConfigError,
     config_digest,
     format_number,
@@ -96,10 +98,7 @@ def test_parse_missing_mc_seed_lists_requirements():
                 "mc": {"depth": 4, "replicates": 100},
             }
         )
-    assert (
-        "mc.seed: missing required key (mc requires depth, replicates, seed)"
-        in exc.value.errors
-    )
+    assert exc.value.errors == ["mc.seed: missing required key"]
 
 
 def test_parse_unknown_keys_rejected_with_paths():
@@ -379,15 +378,15 @@ def _usage_error(tmp_path, capsys, doc, command):
                       "options": {"z_max": None}}, "options.z_max: must be a number"),
     ("fixpoint-verify", {**HALVES_DYADIC, "options": {"curve": {
         "form": "weibull", "alpha": 1.0, "modulation": {"residues": [1.0, None]}}}},
-     "modulation.residues: must be a number"),
+     "modulation.residues[1]: must be a number"),
     ("fixpoint-verify", {**HALVES_DYADIC, "options": {
         "tol": "1e-10", "curve": {"form": "exponential"}}}, "options.tol: must be a number"),
     ("fixpoint-verify", {**HALVES_DYADIC, "options": {"curve": {
         "form": "weibull", "alpha": 1.0, "modulation": {"period": None}}}},
-     "modulation.period: must be a number"),
+     "modulation.period: must be a number > 1"),
     ("fixpoint-verify", {**MIXTURE, "options": {
         "points": 8.5, "curve": {"form": "weibull-mixture"}}},
-     "options.points: must be an integer"),
+     "options.points: must be an integer >= 1"),
     ("fixpoint-construct", {**MIXTURE, "options": {"z_max": [3.0]}},
      "options.z_max: must be a number"),
     ("cascade-solve", {"model": {"kind": "cascade", "N": 2, "theta": 0.25},
@@ -403,18 +402,18 @@ def _usage_error(tmp_path, capsys, doc, command):
         "window": 12.5, "curve": {"form": "weibull", "alpha": 1.0}}},
      "options.window: must be an integer"),
     ("renewal-check", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
-                       "options": {"interval": [None, 2]}}, "options.interval: must be a number"),
+                       "options": {"interval": [None, 2]}}, "options.interval[0]: must be a number"),
     ("renewal-check", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
                        "options": {"interval": [0.0, 2.0], "z_max": False}},
      "options.z_max: must be a number"),
     ("fixpoint-construct", {**MIXTURE, "options": {"modulation": {
-        "residues": [1.0, 1.6], "values": [1.0, None]}}}, "modulation.values: must be a number"),
+        "residues": [1.0, 1.6], "values": [1.0, None]}}}, "modulation.values[1]: must be a number"),
     ("cascade-extend", {"model": {"kind": "cascade", "N": 2, "theta": 0.6}, "options": {
         "seed_grid": [None, math.e], "seed_values": [0.45, 0.4]}},
-     "options.seed_grid: must be a number"),
+     "options.seed_grid[0]: must be a number"),
     ("cascade-extend", {"model": {"kind": "cascade", "N": 2, "theta": 0.6}, "options": {
         "seed_grid": [math.exp(0.4), math.e], "seed_values": [None, 0.4]}},
-     "options.seed_values: must be a number"),
+     "options.seed_values[0]: must be a number"),
 ])
 def test_non_numeric_option_is_usage_error(tmp_path, capsys, command, doc, message):
     code, err = _usage_error(tmp_path, capsys, doc, command)
@@ -428,7 +427,8 @@ def test_non_numeric_option_is_usage_error(tmp_path, capsys, command, doc, messa
     ("renewal-check", {"model": CASCADE, "alpha": "auto", "options": {"interval": [0, 2]}},
      "renewal-check requires the mc section"),
     ("biggins", {"model": CASCADE}, "biggins requires the alpha key"),
-    ("renewal-check", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC},
+    ("renewal-check", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
+                       "options": {"interval": [0.0, 1.0, 2.0]}},
      "renewal-check requires options.interval = [a, b]"),
     ("weights-analyze", {"model": CASCADE, "options": {"z_max": 1.0, "depth": 2}},
      "options: unknown keys for weights-analyze: depth, z_max"),
@@ -444,11 +444,109 @@ def test_non_numeric_option_is_usage_error(tmp_path, capsys, command, doc, messa
     ("fixpoint-verify", {**MIXTURE, "options": {
         "points": 0, "curve": {"form": "weibull-mixture"}}},
      "options.points: must be an integer >= 1"),
+    ("renewal-check", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC},
+     "options.interval: missing required key"),
 ])
 def test_command_requirements_are_usage_errors(tmp_path, capsys, command, doc, message):
     code, err = _usage_error(tmp_path, capsys, doc, command)
     assert code == 1
     assert err == f"error: {message}\n"
+
+
+# A valid config per command that takes options; each case below puts one
+# bad value into it.
+VALID = {
+    "wbp-simulate": {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC},
+    "fixpoint-verify": {**MIXTURE, "options": {"curve": {"form": "weibull-mixture"}}},
+    "fixpoint-construct": MIXTURE,
+    "cascade-solve": {"model": {"kind": "cascade", "N": 2, "theta": 0.25}},
+    "cascade-extend": {"model": {"kind": "cascade", "N": 2, "theta": 0.6},
+                       "options": {"seed_value": 0.4}},
+    "regularity": {**HALVES_DYADIC, "alpha": 1.0,
+                   "options": {"curve": {"form": "weibull", "alpha": 1.0}}},
+    "renewal-check": {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
+                      "options": {"interval": [0.0, 2.0]}},
+}
+BAD_BY_TYPE = {
+    int: [True, 2.5, "3", None, [1]],
+    float: [True, "1.0", None, [1.0], 10**400],
+    list: [5, "1.0", [[1.0]], [1.0, True]],
+}
+# options whose table leaves the check to the code that reads them
+BAD_BY_KEY = {
+    "kind": ["max", ["min"], 1],
+    "curve": [5, [], {"form": "weibull", "alpha": 1.0, "rate": 2.0}],
+    "modulation": ["x", [1.0], {"period": True}, {"residues": [[1.0]]},
+                   {"values": [1.0, False]}],
+}
+
+
+def _bad_options():
+    for command, (_, table, _) in _RUNNERS.items():
+        for key, (_, kind, bound) in table.items():
+            bad = BAD_BY_KEY[key] if kind is None else list(BAD_BY_TYPE[kind])
+            if kind is int and bound is not None:
+                bad.append(bound - 1)
+            for value in bad:
+                yield pytest.param(command, key, value, id=f"{command}-{key}-{value!r:.20}")
+
+
+@pytest.mark.parametrize("command, key, value", list(_bad_options()))
+def test_every_option_rejects_a_bad_value(tmp_path, capsys, command, key, value):
+    doc = json.loads(json.dumps(VALID[command]))
+    doc.setdefault("options", {})[key] = value
+    code, err = _usage_error(tmp_path, capsys, doc, command)
+    path = "modulation" if key == "modulation" else f"options.{key}"
+    assert code == 1
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+
+
+def test_readme_lists_every_option():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullets = re.findall(r"^  \* (`.*?)(?=^  \* |^\S)", text, re.M | re.S)
+    for command, (_, table, _) in _RUNNERS.items():
+        bullet = next(b for b in bullets if f"`{command}`" in b.split(":")[0])
+        assert [k for k in table if f"`{k}`" not in bullet] == [], command
+
+
+@pytest.mark.parametrize("command", ["wbp-simulate", "fixpoint-construct", "renewal-check"])
+def test_node_budget_is_a_usage_error(tmp_path, capsys, command):
+    doc = {**MIXTURE, "mc": {**SMALL_MC, "depth": 8, "node_cap": 100}}
+    if command == "renewal-check":
+        doc["options"] = {"interval": [0.0, 2.0]}
+    code, err = _usage_error(tmp_path, capsys, doc, command)
+    assert code == 1
+    assert err == "error: node budget exceeded at generation 6: 127 nodes (replicate 0)\n"
+
+
+@pytest.mark.parametrize("command", ["fixpoint-verify", "regularity"])
+def test_kind_must_agree_with_a_mixture_curve(tmp_path, capsys, command):
+    doc = {**MIXTURE, "options": {"kind": "sum", "curve": {"form": "weibull-mixture"}}}
+    code, err = _usage_error(tmp_path, capsys, doc, command)
+    assert code == 1
+    assert err == ("error: options.kind: 'sum' contradicts options.curve.form "
+                   "'weibull-mixture', a min-operator curve\n")
+
+
+def test_mixture_curve_sets_the_operator_label(tmp_path):
+    # a stable mixture is a Laplace curve: checked against the sum operator
+    cfg = parse_config({**MIXTURE, "model": {"kind": "cascade", "N": 2, "theta": 0.9},
+                        "options": {"z_max": 50.0, "curve": {"form": "stable-mixture"}}})
+    assert run_command(cfg, "fixpoint-verify", out=str(tmp_path / "fv")) == 0
+    report = (tmp_path / "fv-report.txt").read_text(encoding="utf-8")
+    assert "operator: sum" in report and "sum-operator check: PASS" in report
+
+
+@pytest.mark.parametrize("points, note", [
+    (24, "note: 10 distinct grid points for options.points = 24"), (8, None)])
+def test_short_grid_notes_fewer_mixture_points(tmp_path, points, note):
+    # 21 grid points: the middle half has 10 distinct indices
+    cfg = parse_config({**MIXTURE, "options": {"points": points, "z_max": 50.0}})
+    run_command(cfg, "fixpoint-construct", out=str(tmp_path / "fc"))
+    report = (tmp_path / "fc-report.txt").read_text(encoding="utf-8")
+    notes = [ln for ln in report.splitlines() if ln.startswith("note: ")]
+    assert notes == ([note] if note else [])
+    assert f"at {min(points, 10)} points" in report
 
 
 # ---------------------------------------------------------------------------

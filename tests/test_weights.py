@@ -133,7 +133,7 @@ def test_moment_dual_route_atoms_vs_cascade():
 
 
 def test_exponent_cascade_ln3():
-    res = characteristic_exponent(BernoulliCascade(2, 0.75), (0.0, 10.0), 1e-10)
+    res = characteristic_exponent(BernoulliCascade(2, 0.75))
     np.testing.assert_allclose(res.alpha, math.log(3.0), atol=1e-10)
 
 
@@ -144,14 +144,14 @@ def test_exponent_cascade_log_nine_fourths():
 
 
 def test_exponent_deterministic_half_half():
-    res = characteristic_exponent(Deterministic(0.5, 0.5), (0.0, 10.0), 1e-10)
+    res = characteristic_exponent(Deterministic(0.5, 0.5))
     np.testing.assert_allclose(res.alpha, 1.0, atol=1e-10)
 
 
 def test_exponent_none_for_critical_cascade():
     # m(beta) = e^{-beta} + 1 > 1 for every beta: there is no root, and the
     # search must not mistake the asymptotic approach to 1 for a crossing.
-    res = characteristic_exponent(BernoulliCascade(2, 0.5), (0.0, 50.0))
+    res = characteristic_exponent(BernoulliCascade(2, 0.5))
     assert res.alpha is None
     assert "m(beta) > 1" in res.reason
 
@@ -170,13 +170,6 @@ def test_exponent_skips_trivial_root_at_zero():
     res = characteristic_exponent(model)
     want = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
     np.testing.assert_allclose(res.alpha, want, atol=1e-9)
-
-
-def test_exponent_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        characteristic_exponent(Deterministic(0.5, 0.5), (3.0, 1.0))
-    with pytest.raises(ValueError):
-        characteristic_exponent(Deterministic(0.5, 0.5), (0.0, 10.0), tol=0.0)
 
 
 # ---------------------------------------------------------------------------
