@@ -48,8 +48,7 @@ call and keeps them for later ones, so a call after the first touches no
 fresh memory beyond its outputs.  A generation step holds only immutable
 tables, so one step serves every thread of a call: :func:`_make_step`, the
 engine's one type dispatch, picks :class:`_CascadeStep` on the cascade's
-exact integer levels or :class:`_AtomStep` for every other model (tables
-in :class:`_AtomColumns`).
+exact integer levels or :class:`_AtomStep` for every other model.
 """
 
 from __future__ import annotations
@@ -210,40 +209,6 @@ class _CascadeStep:
             np.add(levels.reshape(shape), hit[:, j], out=kid_levels[:, j])
 
 
-class _AtomColumns:
-    """Immutable draw and child tables of a finite-atom model.
-
-    ``thr[j] = ceil(cum_j * 2^53)`` for the cumulative atom probabilities
-    ``cum_j``, ``j < K-1``.  Column ``j`` of ``salts`` and ``neglog`` holds,
-    per atom, the child salt and ``-log w`` of the atom's ``j``-th positive
-    weight ``w``; the salt is that of the weight's position in
-    ``full_weights``, so zero weights keep their place in the seed chain.
-    ``valid[k, j]`` tells whether atom ``k`` has a ``j``-th positive weight
-    and ``counts[k]`` how many it has.  The fan-out is fixed when every atom
-    has the same count.  Built once per run; any number of steps share it.
-    """
-
-    def __init__(self, model: WeightModel):
-        table = atom_table(model)
-        cum = np.cumsum(table.probs)
-        k = len(cum)
-        self.thr = np.array([_unit_threshold(c) for c in cum[:-1]], dtype=np.uint64)
-        self.counts = table.positive_counts
-        self.width = width = int(self.counts.max())
-        self.fixed = bool(np.all(self.counts == width))
-        self.salts = np.zeros((width, k), dtype=np.uint64)
-        self.neglog = np.zeros((width, k))
-        self.valid = np.zeros((k, width), dtype=bool)
-        for a, ws in enumerate(table.full_weights):
-            positions = [i for i, w in enumerate(ws) if w > 0.0]
-            for j, i in enumerate(positions):
-                self.salts[j, a] = ((i + 1) * GOLDEN) & _M64
-                self.neglog[j, a] = -float(table.log_weights[a][j])
-                self.valid[a, j] = True
-        for arr in (self.thr, self.counts, self.salts, self.neglog, self.valid):
-            arr.flags.writeable = False
-
-
 class _AtomStep:
     """Finite-atom generation step on float ``S(v) = -log L(v)``.
 
@@ -267,20 +232,43 @@ class _AtomStep:
     (no gather, XOR or mix): the draws of a generation need only the
     parents' seeds.
 
-    The tables are shared by every step of a run.
+    The tables, built once per call and read-only for every thread:
+    ``thr[j] = ceil(cum_j * 2^53)`` for the cumulative atom probabilities
+    ``cum_j``, ``j < K-1``.  Column ``j`` of ``salts`` and ``neglog`` holds,
+    per atom, the child salt and ``-log w`` of the atom's ``j``-th positive
+    weight ``w``; the salt is that of the weight's position in
+    ``full_weights``, so zero weights keep their place in the seed chain.
+    ``valid[k, j]`` tells whether atom ``k`` has a ``j``-th positive weight
+    and ``counts[k]`` how many it has, None when every atom has the same
+    count (a fixed fan-out).
     """
 
     dtype = np.dtype(np.float64)
     draws = True
 
-    def __init__(self, columns: _AtomColumns):
-        self.cols = columns
-        self.width = columns.width
-        self.counts = None if columns.fixed else columns.counts
+    def __init__(self, model: WeightModel):
+        table = atom_table(model)
+        cum = np.cumsum(table.probs)
+        k = len(cum)
+        self.thr = np.array([_unit_threshold(c) for c in cum[:-1]], dtype=np.uint64)
+        counts = table.positive_counts
+        self.width = width = int(counts.max())
+        self.counts = None if np.all(counts == width) else counts
+        self.salts = np.zeros((width, k), dtype=np.uint64)
+        self.neglog = np.zeros((width, k))
+        self.valid = np.zeros((k, width), dtype=bool)
+        for a, ws in enumerate(table.full_weights):
+            positions = [i for i, w in enumerate(ws) if w > 0.0]
+            for j, i in enumerate(positions):
+                self.salts[j, a] = ((i + 1) * GOLDEN) & _M64
+                self.neglog[j, a] = -float(table.log_weights[a][j])
+                self.valid[a, j] = True
+        for arr in (self.thr, counts, self.salts, self.neglog, self.valid):
+            arr.flags.writeable = False
 
     def draw(self, ws, seeds, atoms):
         """Write each parent's atom to ``atoms``."""
-        thr = self.cols.thr
+        thr = self.thr
         if len(thr) == 0:                   # one atom: nothing to draw
             atoms[:] = 0
             return
@@ -295,7 +283,6 @@ class _AtomStep:
             atoms += hit
 
     def __call__(self, ws, S, seeds, atoms, out_s, out_seeds, trees=1, leaf=False):
-        cols = self.cols
         width = self.width
         fixed = self.counts is None
         m = len(S)
@@ -309,10 +296,10 @@ class _AtomStep:
         kids = full_s.reshape(rows, width, trees)
         inc = ws.get("inc", m, np.float64)
         for j in range(width):
-            np.take(cols.neglog[j], atoms, out=inc, mode="clip")
+            np.take(self.neglog[j], atoms, out=inc, mode="clip")
             np.add(S.reshape(shape), inc.reshape(shape), out=kids[:, j])
         if not fixed:
-            keep = np.take(cols.valid, atoms, axis=0, mode="clip",
+            keep = np.take(self.valid, atoms, axis=0, mode="clip",
                            out=ws.get("keep", m * width, bool).reshape(m, width))
             idx = np.flatnonzero(keep)
             np.take(full_s, idx, out=out_s, mode="clip")
@@ -321,7 +308,7 @@ class _AtomStep:
         kids = full_seeds.reshape(rows, width, trees)
         salt = ws.get("salt", m)
         for j in range(width):
-            np.take(cols.salts[j], atoms, out=salt, mode="clip")
+            np.take(self.salts[j], atoms, out=salt, mode="clip")
             np.bitwise_xor(seeds.reshape(shape), salt.reshape(shape), out=kids[:, j])
         if not fixed:
             np.take(full_seeds, idx, out=out_seeds, mode="clip")
@@ -347,7 +334,7 @@ def _make_step(model: WeightModel):
     """
     if isinstance(model, BernoulliCascade):
         return _CascadeStep(model)
-    return _AtomStep(_AtomColumns(model))
+    return _AtomStep(model)
 
 
 # ---------------------------------------------------------------------------

@@ -395,15 +395,9 @@ def explicit_solution(
     if residue >= math.e:  # log rounding at the boundary
         residue = 1.0
         kappa += 1
-    m_lo = -below + 1
-    m_hi = depth + 1
-    cell_values = np.concatenate(
-        [np.ones(below), floats]
-    )
+    spec = LatticeSpec(math.e, (residue,), kappa - below + 1, kappa + depth + 1)
     curve = SurvivalCurve(
-        grid=residue * math.e ** (np.arange(m_lo, m_hi + 1, dtype=np.float64) + kappa),
-        values=cell_values,
-        lattice=LatticeSpec(math.e, (residue,), m_lo + kappa, m_hi + kappa),
+        grid=spec.points(), values=np.concatenate([np.ones(below), floats]), lattice=spec
     )
     return CascadeSolution(
         params, scale, depth, below, floats, chain.values, chain.flags, underflow_index,
@@ -413,7 +407,7 @@ def explicit_solution(
 
 @dataclass(frozen=True)
 class StepIdentityReport:
-    """Per-cell residuals of the one-step recursion on a solution/extension."""
+    """One-step recursion residuals, ``residuals[i]`` on the cell ``cells[i]``."""
 
     cells: np.ndarray
     residuals: np.ndarray
@@ -563,22 +557,17 @@ def extend_from_seed(
                     break
             chains.append(chain)
 
-    interior = seed.grid[:-1]  # points strictly inside (1, e)
-    residues = np.concatenate([[1.0], interior])
-    q = len(residues)
-    rows = n_hi - n_lo + 1
-    values = np.empty(rows * q)
-    for row, m in enumerate(range(n_lo, n_hi + 1)):
-        # residue 1.0 at exponent m is the seed point e one cell down
-        values[row * q] = chains[-1][m - 1]
-        for col, _s in enumerate(interior, start=1):
-            values[row * q + col] = chains[col - 1][m]
+    residues = np.concatenate([[1.0], seed.grid[:-1]])  # 1, then the seed points inside (1, e)
+    spec = LatticeSpec(math.e, residues, n_lo, n_hi)
+    # exp(n + log s), not spec.points(): the two differ by an ulp at some points
     grid = np.exp(
         np.add.outer(np.arange(n_lo, n_hi + 1, dtype=np.float64), np.log(residues))
     ).reshape(-1)
-    return SurvivalCurve(
-        grid=grid, values=values, lattice=LatticeSpec(math.e, residues, n_lo, n_hi)
-    )
+    values = np.empty(len(grid))
+    # a row per exponent m; residue 1.0 at exponent m is the seed point e one cell down
+    spec.table(values)[:] = [[chains[-1][m - 1]] + [chain[m] for chain in chains[:-1]]
+                             for m in range(n_lo, n_hi + 1)]
+    return SurvivalCurve(grid=grid, values=values, lattice=spec)
 
 
 def restrict_to_seed(curve: SurvivalCurve) -> SeedFunction:
@@ -588,16 +577,10 @@ def restrict_to_seed(curve: SurvivalCurve) -> SeedFunction:
         raise ValueError("seed restriction needs a lattice-step curve with ratio e")
     if abs(lat.residues[0] - 1.0) > 1e-12:
         raise ValueError("seed restriction needs residue 1 on the curve lattice")
-    q = len(lat.residues)
-    n0 = -lat.n_lo  # row index of exponent 0
-    rows = len(curve.grid) // q
-    if n0 < 0 or n0 + 1 >= rows:
-        raise ValueError("curve must cover exponents 0 and 1 to restrict")
-    interior_vals = curve.values[n0 * q + 1 : (n0 + 1) * q]
-    e_val = curve.values[(n0 + 1) * q]  # residue 1 at exponent 1 is the point e
-    grid = np.concatenate([lat.residues[1:], [math.e]])
-    vals = np.concatenate([interior_vals, [e_val]])
-    return SeedFunction(grid, vals)
+    values = lat.table(curve.values)
+    # the interior residues at exponent 0, then residue 1 at exponent 1: the point e
+    vals = np.concatenate([values[lat.row(0), 1:], [values[lat.row(1), 0]]])
+    return SeedFunction(np.concatenate([lat.residues[1:], [math.e]]), vals)
 
 
 def curve_step_residuals(params: CascadeParams, curve: SurvivalCurve) -> StepIdentityReport:
@@ -605,17 +588,12 @@ def curve_step_residuals(params: CascadeParams, curve: SurvivalCurve) -> StepIde
     lat = curve.lattice
     if lat is None or abs(lat.r - math.e) > 1e-12:
         raise ValueError("step residuals need a lattice-step curve with ratio e")
-    q = len(lat.residues)
-    rows = len(curve.grid) // q
-    vals = curve.values.reshape(rows, q)
-    res = np.empty(((rows - 1), q))
-    for i in range(rows - 1):
-        for j in range(q):
-            res[i, j] = abs(vals[i, j] - g_eval(params, vals[i + 1, j]))
-    cells = np.arange(lat.n_lo, lat.n_hi)
-    flat = res.reshape(-1)
-    mx = float(np.max(flat)) if len(flat) else 0.0
-    return StepIdentityReport(cells, flat, mx, mx == 0.0)
+    vals = lat.table(curve.values)
+    res = np.array([abs(v - g_eval(params, w)) for v, w in zip(vals[:-1].flat, vals[1:].flat)])
+    # one residual per (exponent, residue), labelled with its lower exponent
+    cells = np.repeat(np.arange(lat.n_lo, lat.n_hi), len(lat.residues))
+    mx = float(np.max(res)) if len(res) else 0.0
+    return StepIdentityReport(cells, res, mx, mx == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -682,13 +660,8 @@ def extract_modulation(params, curve: SurvivalCurve, phi, alpha: float):
     lat = curve.lattice
     if lat is None:
         raise ValueError("modulation recovery needs a lattice-step curve")
-    q = len(lat.residues)
-    n0 = -lat.n_lo
-    rows = len(curve.grid) // q
-    if n0 < 0 or n0 >= rows:
-        raise ValueError("curve must cover exponent 0 to read residue values")
-    res_vals = curve.values[n0 * q : (n0 + 1) * q]
-    hs = np.empty(q)
+    res_vals = lat.table(curve.values)[lat.row(0)]
+    hs = np.empty(len(res_vals))
     for j, (s, v) in enumerate(zip(lat.residues, res_vals)):
         if not (0.0 < v < 1.0):
             raise ValueError(

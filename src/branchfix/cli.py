@@ -752,7 +752,7 @@ def _run_cascade_solve(config: RunConfig, em: _Emitter, threads: int) -> int:
         "n": cells,
         "lower_t": [scale * math.e**n for n in cells],
         "upper_t": [scale * math.e ** (n + 1) for n in cells],
-        "survival_value": [1.0 if n < 0 else float(sol.a[n]) for n in cells],
+        "survival_value": sol.curve.values,
     })
     if sol.underflow_index is not None:
         em.say(
@@ -787,9 +787,8 @@ def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
     em.say(f"model: {_describe_model(config.model)} ({regime})")
     em.say(f"seed points: {len(seed.grid)}, extension cells n in [{n_lo}, {n_hi}]")
     lat = curve.lattice
-    residues = np.array(lat.residues)
-    cell, residue = np.divmod(np.arange(len(curve.grid)), len(residues))
-    em.csv("extension", {"n": lat.n_lo + cell, "residue": residues[residue],
+    n, residue = np.meshgrid(range(lat.n_lo, lat.n_hi + 1), lat.residues, indexing="ij")
+    em.csv("extension", {"n": n.ravel(), "residue": residue.ravel(),
                          "t": curve.grid, "value": curve.values})
     rep = casc.curve_step_residuals(params, curve)
     em.say(f"step-identity residual: max = {format_number(rep.max_residual)}")
@@ -876,14 +875,14 @@ _RUNNERS = {
     "fixpoint-construct": (_run_fixpoint_construct, {
         "kind": _ANY, "modulation": _ANY, "z_max": _Z_MAX, "points": _POINTS}, ()),
     "cascade-solve": (_run_cascade_solve, {
-        "depth": (30, int, None), "scale": (1.0, float, None), "below": (1, int, None),
+        "depth": (30, int, 0), "scale": (1.0, float, 0), "below": (1, int, 1),
         "tol": _TOL}, ()),
     "cascade-extend": (_run_cascade_extend, {
         "seed_grid": (None, list, None), "seed_values": (None, list, None),
         "seed_value": (None, float, None), "n_lo": (-20, int, None),
         "n_hi": (20, int, None), "tol": (1e-13, float, None), "check_tol": _TOL}, ()),
     "regularity": (_run_regularity, {
-        "curve": _ANY, "window": (12, int, None), "kind": _ANY}, ()),
+        "curve": _ANY, "window": (12, int, 1), "kind": _ANY}, ()),
     "biggins": (_run_biggins, {}, ("alpha key",)),
     "renewal-check": (_run_renewal_check, {"interval": (REQUIRED, list, None), "z_max": _Z_MAX},
                       ("alpha key", "mc section")),

@@ -16,6 +16,11 @@ A curve interpolates unless it carries a :class:`LatticeSpec`:
   tolerance 1e-9; anything else is an error, because off-lattice evaluation
   of a step curve would silently invent data.
 
+The spec owns the layout of a step curve's values: they follow
+:meth:`LatticeSpec.points`, a row per exponent ``n_lo..n_hi`` and a column
+per residue.  :meth:`LatticeSpec.table` reads them as that table and
+:meth:`LatticeSpec.row` gives the row of an exponent.
+
 Curves may carry an optional ``tail`` array holding ``1 - value`` at full
 relative accuracy, which matters when values are within float rounding
 distance of 1.
@@ -105,6 +110,18 @@ class LatticeSpec:
 
     def points(self) -> np.ndarray:
         return lattice_points(self.r, self.residues, self.n_lo, self.n_hi)
+
+    def table(self, values) -> np.ndarray:
+        """``values`` in :meth:`points` order as an exponent × residue table:
+        row ``i`` holds exponent ``n_lo + i``, column ``j`` residue ``j``."""
+        return np.asarray(values).reshape(self.n_hi - self.n_lo + 1, len(self.residues))
+
+    def row(self, n: int) -> int:
+        """The :meth:`table` row of exponent ``n``; ``ValueError`` off the spec."""
+        if not self.n_lo <= n <= self.n_hi:
+            raise ValueError(f"the lattice must cover exponent {n}; "
+                             f"it has n in [{self.n_lo}, {self.n_hi}]")
+        return n - self.n_lo
 
 
 def _validate_grid(grid: np.ndarray) -> None:

@@ -421,11 +421,9 @@ def regularity_diagnostic(
     sequences = []  # (label, index array ascending toward deep, D values)
     if curve.lattice is not None:
         residues = curve.lattice.residues
-        q = len(residues)
-        rows = len(grid) // q
-        d_mat = d_all.reshape(rows, q)
-        t_mat = grid.reshape(rows, q)
-        for col in range(q):
+        d_mat = curve.lattice.table(d_all)
+        t_mat = curve.lattice.table(grid)
+        for col in range(len(residues)):
             below = t_mat[:, col] < 1.0
             if int(below.sum()) < window:
                 raise GridDepthError(

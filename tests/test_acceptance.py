@@ -15,7 +15,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from branchfix import branching
 from branchfix.branching import (
     biggins_check,
     increment_distribution,
@@ -87,13 +89,33 @@ def test_criterion_02_supercritical_exactness():
              f"step residual={rep.max_residual!r} over 32 cells, {elapsed:.2f}s")
 
 
-def test_criterion_03_martingale_mean():
+@pytest.fixture(scope="module")
+def cascade_run():
+    """Criteria 03 and 07 share one single-threaded run of cascade(2, 3/4)
+    at depth 12, 1e5 replicates, seed 42: ``sample_W_limit``'s own
+    ``replicate_traces`` call, timed.  Returns ``(traces, seconds, phi)``."""
+    runs = []
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        traces = replicate_traces(*args)
+        runs.append((traces, time.perf_counter() - t0))
+        return traces
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(branching, "replicate_traces", timed)
+        phi = sample_W_limit(BernoulliCascade(2, 0.75), LN3, depth=12,
+                             replicates=100_000, seed=42, threads=1)
+    [(traces, seconds)] = runs
+    return traces, seconds, phi
+
+
+def test_criterion_03_martingale_mean(cascade_run):
+    traces, seconds, _ = cascade_run
     t0 = time.perf_counter()
-    traces = replicate_traces(BernoulliCascade(2, 0.75), LN3, depth=12,
-                              replicates=100_000, seed=42, threads=1)
     means = traces.W.mean(axis=0)
     ses = traces.W.std(axis=0, ddof=1) / math.sqrt(traces.W.shape[0])
-    elapsed = time.perf_counter() - t0
+    elapsed = seconds + time.perf_counter() - t0
     # W_0 = 1 identically: zero variance, mean must be exactly 1
     in_band = [
         abs(m - 1.0) <= 3.0 * s if s > 0.0 else m == 1.0
@@ -148,9 +170,9 @@ def test_criterion_06_fixed_point_closure():
              f"sum residual {rsum.sup_norm:.2e}")
 
 
-def test_criterion_07_weibull_mixture():
+def test_criterion_07_weibull_mixture(cascade_run):
     model = BernoulliCascade(2, 0.75)
-    phi = sample_W_limit(model, LN3, depth=12, replicates=100_000, seed=42)
+    phi = cascade_run[2]
     points = np.exp(np.arange(-10, 11, dtype=np.float64))  # 21 lattice points
     rep = mixture_residual_report(phi, 1.0, LN3, model, points)
     curve = build_weibull_mixture(

@@ -267,7 +267,7 @@ MANY_ATOMS = FiniteAtoms([(0.25, (0.5, 0.0, 0.7)), (0.05, (1.1,))]
                                    Deterministic(0.5, 0.0, 0.25)],
                          ids=["fixed", "variable", "many", "deterministic"])
 def test_atom_step_matches_reference(model):
-    step = branching._AtomStep(branching._AtomColumns(model))
+    step = branching._AtomStep(model)
     ws = branching._Workspace()
     rng = np.random.default_rng(23)
     # Draws exactly on each cum_j * 2^53 and one ulp of u either side, at

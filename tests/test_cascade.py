@@ -458,6 +458,27 @@ def test_two_residue_seed_extension_subcritical():
     np.testing.assert_array_equal(back.values, seed.values)
 
 
+def test_step_residuals_label_every_residual():
+    # two residues: one residual per (exponent, residue), each with its cell
+    seed = SeedFunction(np.array([1.5, math.e]), np.array([0.5, 0.3]))
+    rep = curve_step_residuals(CRIT, extend_from_seed(CRIT, seed, n_lo=-5, n_hi=5))
+    assert len(rep.residuals) == 20
+    np.testing.assert_array_equal(rep.cells, np.repeat(np.arange(-5, 5), 2))
+
+
+@pytest.mark.parametrize("read, n_lo, n_hi, missing", [
+    (restrict_to_seed, 1, 3, 0),
+    (restrict_to_seed, -3, 0, 1),
+    (lambda curve: extract_modulation(SUB, curve, _unit_phi(), LN3), 1, 3, 0),
+], ids=["restrict-0", "restrict-1", "extract-0"])
+def test_curve_reads_need_their_exponents(read, n_lo, n_hi, missing):
+    spec = LatticeSpec(r=math.e, residues=(1.0,), n_lo=n_lo, n_hi=n_hi)
+    values = np.linspace(0.9, 0.1, n_hi - n_lo + 1)
+    curve = SurvivalCurve(grid=spec.points(), values=values, lattice=spec)
+    with pytest.raises(ValueError, match=f"must cover exponent {missing};"):
+        read(curve)
+
+
 def _two_point_seed(params, v_e, frac):
     v_s = v_e + frac * (g_eval(params, v_e) - v_e)
     return SeedFunction(np.array([math.exp(0.4), math.e]), np.array([v_s, v_e]))

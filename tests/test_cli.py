@@ -390,9 +390,9 @@ def _usage_error(tmp_path, capsys, doc, command):
     ("fixpoint-construct", {**MIXTURE, "options": {"z_max": [3.0]}},
      "options.z_max: must be a number"),
     ("cascade-solve", {"model": {"kind": "cascade", "N": 2, "theta": 0.25},
-                       "options": {"depth": None}}, "options.depth: must be an integer"),
+                       "options": {"depth": None}}, "options.depth: must be an integer >= 0"),
     ("cascade-solve", {"model": {"kind": "cascade", "N": 2, "theta": 0.25},
-                       "options": {"scale": True}}, "options.scale: must be a number"),
+                       "options": {"scale": True}}, "options.scale: must be a number > 0"),
     ("cascade-extend", {"model": {"kind": "cascade", "N": 2, "theta": 0.6},
                         "options": {"seed_value": 0.4, "n_lo": None}},
      "options.n_lo: must be an integer"),
@@ -400,7 +400,7 @@ def _usage_error(tmp_path, capsys, doc, command):
                         "options": {"seed_value": None}}, "options.seed_value: must be a number"),
     ("regularity", {**HALVES_DYADIC, "alpha": 1.0, "options": {
         "window": 12.5, "curve": {"form": "weibull", "alpha": 1.0}}},
-     "options.window: must be an integer"),
+     "options.window: must be an integer >= 1"),
     ("renewal-check", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
                        "options": {"interval": [None, 2]}}, "options.interval[0]: must be a number"),
     ("renewal-check", {"model": CASCADE, "alpha": "auto", "mc": SMALL_MC,
@@ -440,7 +440,7 @@ def test_non_numeric_option_is_usage_error(tmp_path, capsys, command, doc, messa
      "options.kind: must be 'min' or 'sum'"),
     ("regularity", {**HALVES_DYADIC, "alpha": 1.0, "options": {
         "window": -3, "curve": {"form": "weibull", "alpha": 1.0}}},
-     "window must be >= 1, got -3"),
+     "options.window: must be an integer >= 1"),
     ("fixpoint-verify", {**MIXTURE, "options": {
         "points": 0, "curve": {"form": "weibull-mixture"}}},
      "options.points: must be an integer >= 1"),
@@ -485,8 +485,8 @@ def _bad_options():
     for command, (_, table, _) in _RUNNERS.items():
         for key, (_, kind, bound) in table.items():
             bad = BAD_BY_KEY[key] if kind is None else list(BAD_BY_TYPE[kind])
-            if kind is int and bound is not None:
-                bad.append(bound - 1)
+            if bound is not None:  # an int must be >= bound, a float > bound
+                bad.append(bound - 1 if kind is int else bound)
             for value in bad:
                 yield pytest.param(command, key, value, id=f"{command}-{key}-{value!r:.20}")
 

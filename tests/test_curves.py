@@ -46,6 +46,18 @@ def test_lattice_points_layout():
     np.testing.assert_allclose(pts[2], 1.0, rtol=1e-15)
 
 
+def test_lattice_spec_table_and_row():
+    spec = LatticeSpec(math.e, (1.0, math.sqrt(math.e)), -1, 1)
+    table = spec.table(spec.points())
+    assert table.shape == (3, 2)
+    # row i holds exponent n_lo + i, column j residue j
+    np.testing.assert_allclose(table[spec.row(1)], [math.e, math.e**1.5], rtol=1e-15)
+    np.testing.assert_allclose(table[:, 1], math.e ** np.arange(-0.5, 2.0), rtol=1e-15)
+    for n in (-2, 2):
+        with pytest.raises(ValueError, match=f"must cover exponent {n};"):
+            spec.row(n)
+
+
 # ---------------------------------------------------------------------------
 # interp-loglinear curves
 # ---------------------------------------------------------------------------

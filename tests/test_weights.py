@@ -148,12 +148,17 @@ def test_exponent_deterministic_half_half():
     np.testing.assert_allclose(res.alpha, 1.0, atol=1e-10)
 
 
-def test_exponent_none_for_critical_cascade():
+@pytest.mark.parametrize("model, reason", [
     # m(beta) = e^{-beta} + 1 > 1 for every beta: there is no root, and the
     # search must not mistake the asymptotic approach to 1 for a crossing.
-    res = characteristic_exponent(BernoulliCascade(2, 0.5))
+    (BernoulliCascade(2, 0.5), "m(beta) > 1"),
+    (Deterministic(1.0), "m(beta) = 1 identically"),  # one child of weight 1
+    (Deterministic(0.5), "m(beta) < 1 on the whole interval"),  # m = 2^-beta
+], ids=["critical-cascade", "degenerate", "below-one"])
+def test_exponent_none_names_the_reason(model, reason):
+    res = characteristic_exponent(model)
     assert res.alpha is None
-    assert "m(beta) > 1" in res.reason
+    assert reason in res.reason
 
 
 def test_exponent_none_when_m_exceeds_one():
