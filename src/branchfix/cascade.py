@@ -149,14 +149,13 @@ def u_star(params: CascadeParams) -> float:
     """Location of the interior maximum of ``g`` in the supercritical regime.
 
     Solves ``g'(u) = 0``: ``u* = (N (1-theta))^(-N/(N-1))``.  For critical or
-    subcritical parameters ``g`` is increasing throughout and 1.0 is
-    returned.
+    subcritical parameters, as :func:`classify` decides them, ``g`` is
+    increasing throughout and 1.0 is returned.
     """
-    n = params.N
-    growth = n * (1.0 - params.theta)
-    if growth <= 1.0:
+    if classify(params) != SUPERCRITICAL:
         return 1.0
-    return growth ** (-n / (n - 1.0))
+    n = params.N
+    return (n * (1.0 - params.theta)) ** (-n / (n - 1.0))
 
 
 _NEWTON_PREC = 80
@@ -567,6 +566,11 @@ def extend_from_seed(
     # a row per exponent m; residue 1.0 at exponent m is the seed point e one cell down
     spec.table(values)[:] = [[chains[-1][m - 1]] + [chain[m] for chain in chains[:-1]]
                              for m in range(n_lo, n_hi + 1)]
+    # Forward iterates near 1 can stall an ulp below 1.0 in one column while
+    # the next column reaches 1.0; such a one-ulp rise is clamped to the
+    # nonincreasing order, and a larger one still fails the curve's check.
+    floor = np.minimum.accumulate(values)
+    np.copyto(values, floor, where=values <= np.nextafter(floor, 2.0))
     return SurvivalCurve(grid=grid, values=values, lattice=spec)
 
 

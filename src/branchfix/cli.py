@@ -575,8 +575,7 @@ def _build_curve(config: RunConfig, spec, kind, threads: int) -> _BuiltCurve:
 
 
 def _curve_csv(em: _Emitter, curve) -> None:
-    tails = curve.tail if curve.tail is not None else 1.0 - curve.values
-    em.csv("curve", {"t": curve.grid, "value": curve.values, "tail": tails})
+    em.csv("curve", {"t": curve.grid, "value": curve.values, "tail": curve.tail})
 
 
 def _mixture_residuals(em: _Emitter, config: RunConfig, built: _BuiltCurve):

@@ -21,9 +21,10 @@ The spec owns the layout of a step curve's values: they follow
 per residue.  :meth:`LatticeSpec.table` reads them as that table and
 :meth:`LatticeSpec.row` gives the row of an exponent.
 
-Curves may carry an optional ``tail`` array holding ``1 - value`` at full
-relative accuracy, which matters when values are within float rounding
-distance of 1.
+Every curve stores a ``tail`` array holding ``1 - value``.  A caller may
+pass one computed at full relative accuracy, which matters when values are
+within float rounding distance of 1; without one the curve stores
+``1 - values``.  Either way it is checked against the values.
 """
 
 from __future__ import annotations
@@ -142,14 +143,12 @@ def _validate_values(values: np.ndarray, grid: np.ndarray, tail) -> None:
         raise CurveShapeError("values must lie in [0, 1]")
     if np.any(np.diff(values) > 0.0):
         raise CurveShapeError("values must be nonincreasing")
-    if tail is not None:
-        tail = np.asarray(tail)
-        if tail.shape != grid.shape:
-            raise CurveShapeError("tail and grid must have the same shape")
-        if np.any(tail < 0.0) or np.any(tail > 1.0) or np.any(np.diff(tail) < 0.0):
-            raise CurveShapeError("tail must be nondecreasing in [0, 1]")
-        if np.max(np.abs((1.0 - values) - tail)) > 1e-12:
-            raise CurveShapeError("tail is inconsistent with 1 - values")
+    if tail.shape != grid.shape:
+        raise CurveShapeError("tail and grid must have the same shape")
+    if np.any(tail < 0.0) or np.any(tail > 1.0) or np.any(np.diff(tail) < 0.0):
+        raise CurveShapeError("tail must be nondecreasing in [0, 1]")
+    if np.max(np.abs((1.0 - values) - tail)) > 1e-12:
+        raise CurveShapeError("tail is inconsistent with 1 - values")
 
 
 @dataclass
@@ -162,8 +161,8 @@ class _MonotoneCurve:
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.tail is not None:
-            self.tail = np.asarray(self.tail, dtype=np.float64)
+        self.tail = np.asarray(1.0 - self.values if self.tail is None else self.tail,
+                               dtype=np.float64)
         _validate_grid(self.grid)
         _validate_values(self.values, self.grid, self.tail)
         self._log_grid = np.log(self.grid)
@@ -198,8 +197,9 @@ class _MonotoneCurve:
         clamped = (flat < 0) | (flat >= len(self.grid))
         return np.clip(flat, 0, len(self.grid) - 1), clamped
 
-    def _eval_many(self, ts: np.ndarray, arr: np.ndarray, at_zero: float):
-        ts = np.asarray(ts, dtype=np.float64)
+    def eval_many(self, ts):
+        """Vectorized evaluation: returns ``(values, clamped_mask)``."""
+        ts = np.asarray(np.atleast_1d(ts), dtype=np.float64)
         if np.any(ts < 0.0) or not np.all(np.isfinite(ts)):
             raise ValueError("arguments must be finite and >= 0")
         out = np.empty(ts.shape)
@@ -209,31 +209,20 @@ class _MonotoneCurve:
         if np.any(pos):
             log_t = np.log(ts[pos])
             if self.lattice is None:
-                out_pos = np.interp(log_t, self._log_grid, arr)
+                out_pos = np.interp(log_t, self._log_grid, self.values)
                 cl = (log_t < self._log_grid[0]) | (log_t > self._log_grid[-1])
             else:
                 idx, cl = self._lattice_index(log_t)
-                out_pos = arr[idx]
+                out_pos = self.values[idx]
             out[pos] = out_pos
             clamped[pos] = cl
-        out[zero] = at_zero
+        out[zero] = 1.0
         return out, clamped
-
-    def eval_many(self, ts):
-        """Vectorized evaluation: returns ``(values, clamped_mask)``."""
-        return self._eval_many(np.atleast_1d(ts), self.values, 1.0)
 
     def eval(self, t: float):
         """Evaluate at one point: returns ``(value, clamped)``; ``t = 0`` gives 1."""
         vals, cl = self.eval_many(np.array([float(t)]))
         return float(vals[0]), bool(cl[0])
-
-    def eval_tail_many(self, ts):
-        """Vectorized ``1 - value`` using the accurate tail when available."""
-        if self.tail is not None:
-            return self._eval_many(np.atleast_1d(ts), self.tail, 0.0)
-        vals, cl = self._eval_many(np.atleast_1d(ts), self.values, 1.0)
-        return 1.0 - vals, cl
 
 
 @dataclass

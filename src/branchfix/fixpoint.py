@@ -414,9 +414,8 @@ def regularity_diagnostic(
         raise ValueError(f"window must be >= 1, got {window!r}")
     notes = []
     grid = curve.grid
-    tail, _ = curve.eval_tail_many(grid)
     logt = np.log(grid)
-    d_all = tail * np.exp(-alpha * logt)
+    d_all = curve.tail * np.exp(-alpha * logt)
 
     sequences = []  # (label, index array ascending toward deep, D values)
     if curve.lattice is not None:
@@ -508,12 +507,21 @@ def regularity_diagnostic(
 # ---------------------------------------------------------------------------
 
 
-def _ancestors(tree: WeightedTree, level: int, target: int) -> np.ndarray:
-    """Index of each level-``level`` vertex's ancestor at ``target <= level``."""
-    anc = np.arange(len(tree.generations[level]), dtype=np.int64)
-    for lvl in range(level, target, -1):
+def _subtree_walk(curve, tree: WeightedTree, t_log, level: int, top: int):
+    """Curve values at the generation-``level`` arguments ``e^t_log L(v)``,
+    the same values with each argument rebased through its generation-``top``
+    ancestor ``u`` as ``(t_log - S(u)) - (S(v) - S(u))``, and each ancestor's
+    block ``(start, count)`` of the generation-``level`` vertices."""
+    s_leaf = tree.generations[level]
+    vals, _ = curve.eval_many(np.exp(t_log - s_leaf))
+    anc = np.arange(len(s_leaf), dtype=np.int64)
+    for lvl in range(level, top, -1):
         anc = tree.parent_index[lvl][anc]
-    return anc
+    s_anc = tree.generations[top][anc]
+    rebased, _ = curve.eval_many(np.exp((t_log - s_anc) - (s_leaf - s_anc)))
+    counts = np.bincount(anc, minlength=len(tree.generations[top]))
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return vals, rebased, list(zip(starts, counts))
 
 
 @dataclass(frozen=True)
@@ -541,21 +549,9 @@ def disintegration_check(
     """
     if j < 0 or k < 0 or j + k > tree.depth:
         raise ValueError(f"need 0 <= j, 0 <= k, j+k <= depth={tree.depth}")
-    s_leaf = tree.generations[j + k]
-    vals, _ = curve.eval_many(np.exp(np.log(t) - s_leaf))
+    vals, vals2, blocks = _subtree_walk(curve, tree, np.log(t), j + k, j)
     lhs = pairwise_prod(vals)
-    anc = _ancestors(tree, j + k, j)
-    s_anc = tree.generations[j][anc]
-    rebased = np.exp((np.log(t) - s_anc) - (s_leaf - s_anc))
-    vals2, _ = curve.eval_many(rebased)
-    counts = np.bincount(anc, minlength=len(tree.generations[j]))
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    per_sub = np.array(
-        [
-            pairwise_prod(vals2[s : s + c])
-            for s, c in zip(starts, counts)
-        ]
-    )
+    per_sub = np.array([pairwise_prod(vals2[s : s + c]) for s, c in blocks])
     rhs = pairwise_prod(per_sub)
     return DisintegrationReport(t, j, k, lhs, rhs, abs(lhs - rhs))
 
@@ -584,25 +580,14 @@ def psi_transform(
     depth = tree.depth
     if not (0 <= n <= depth):
         raise ValueError(f"need 0 <= n <= depth={depth}")
-    s_leaf = tree.generations[depth]
-    vals, _ = curve.eval_many(np.exp(t_log - s_leaf))
-    if np.any(vals <= 0.0):
+    vals, vals2, blocks = _subtree_walk(curve, tree, t_log, depth, n)
+    if np.any(vals <= 0.0) or np.any(vals2 <= 0.0):
         raise ValueError("curve value 0 inside the log transform")
-    logs = np.log(vals)
-    value = math.exp(-alpha * t_log) * float(-np.sum(logs))
-
-    anc = _ancestors(tree, depth, n)
-    s_anc = tree.generations[n][anc]
-    rebased = np.exp((t_log - s_anc) - (s_leaf - s_anc))
-    vals2, _ = curve.eval_many(rebased)
-    if np.any(vals2 <= 0.0):
-        raise ValueError("curve value 0 inside the log transform")
+    value = math.exp(-alpha * t_log) * float(-np.sum(np.log(vals)))
     logs2 = np.log(vals2)
-    counts = np.bincount(anc, minlength=len(tree.generations[n]))
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     s_n = tree.generations[n]
     contribs = np.empty(len(s_n))
-    for u, (st, c) in enumerate(zip(starts, counts)):
+    for u, (st, c) in enumerate(blocks):
         inner = math.exp(-alpha * (t_log - float(s_n[u]))) * float(
             -np.sum(logs2[st : st + c])
         )

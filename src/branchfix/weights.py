@@ -1,24 +1,24 @@
 """Weight-vector models and their exact analysis.
 
 A weight model describes the distribution of a finite nonnegative weight
-vector ``T = (T_1, ..., T_n)``.  Three variants are supported, all of them
+vector ``T = (T_1, ..., T_n)``.  Two variants are supported, both of them
 atom-representable (finitely many possible realizations), which is what makes
 every operation in this module exact:
 
 * :class:`FiniteAtoms` — an explicit list of ``(probability, weights)`` atoms;
+  a fixed vector is the one-atom law, built by :class:`Deterministic`;
 * :class:`BernoulliCascade` — ``N`` weights ``T_i = exp(-B_i)`` with
-  ``B_i`` i.i.d. Bernoulli(theta);
-* :class:`Deterministic` — a single fixed weight vector.
+  ``B_i`` i.i.d. Bernoulli(theta).
 
 Infinite or continuously distributed weight vectors are out of scope.
 
 Every analysis routine reads one form of a model, its :class:`AtomTable`:
-``T`` is ``copies`` i.i.d. draws from a finite atom law.  Explicit atoms and
-fixed vectors are one draw; the cascade is ``N`` draws of ``{exp(-1): theta,
-1: 1 - theta}``.  Expected products over the coordinates are then ``copies``-th
-powers and expected sums scale by ``copies``, so nothing enumerates the
-``2^N`` cascade patterns.  Of the analysis, only :func:`atom_table` reads
-a model's type.
+``T`` is ``copies`` i.i.d. draws from a finite atom law.  Explicit atoms,
+fixed vectors among them, are one draw; the cascade is ``N`` draws of
+``{exp(-1): theta, 1: 1 - theta}``.  Expected products over the coordinates
+are then ``copies``-th powers and expected sums scale by ``copies``, so
+nothing enumerates the ``2^N`` cascade patterns.  Of the analysis, only
+:func:`atom_table` reads a model's type.
 
 The module computes the moment function ``m(beta) = E sum_i T_i^beta``, its
 minimal positive unit root (the characteristic exponent), the multiplicative
@@ -101,27 +101,20 @@ class BernoulliCascade:
             raise ModelError("theta must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Deterministic:
-    """A single fixed weight vector (degenerate distribution)."""
-
-    weights: tuple
+class Deterministic(FiniteAtoms):
+    """A single fixed weight vector: the one-atom law ``[(1.0, weights)]``."""
 
     def __init__(self, *weights) -> None:
         if len(weights) == 1 and isinstance(weights[0], (tuple, list, np.ndarray)):
-            weights = tuple(weights[0])
-        ws = tuple(float(w) for w in weights)
-        if not ws:
-            raise ModelError("empty weight vector")
-        for w in ws:
-            if not math.isfinite(w) or w < 0.0:
-                raise ModelError("weights must be finite and >= 0")
-        if max(ws) <= 0.0:
-            raise ModelError("at least one strictly positive weight is required")
-        object.__setattr__(self, "weights", ws)
+            weights = weights[0]
+        super().__init__([(1.0, weights)])
+
+    @property
+    def weights(self) -> tuple:
+        return self.atoms[0][1]
 
 
-WeightModel = Union[FiniteAtoms, BernoulliCascade, Deterministic]
+WeightModel = Union[FiniteAtoms, BernoulliCascade]
 
 
 @dataclass(frozen=True)
@@ -150,10 +143,6 @@ class AtomTable:
 
 def atom_table(model: WeightModel) -> AtomTable:
     """The :class:`AtomTable` of ``model``; the analysis' one type dispatch."""
-    if isinstance(model, Deterministic):
-        ws = model.weights
-        lw = np.log(np.array([w for w in ws if w > 0.0]))
-        return AtomTable(np.array([1.0]), (ws,), (lw,))
     if isinstance(model, FiniteAtoms):
         probs = np.array([p for p, _ in model.atoms])
         full = tuple(ws for _, ws in model.atoms)
@@ -202,7 +191,7 @@ def moment_m(model: WeightModel, beta: float) -> float:
     total = 0.0
     for p, lw in zip(table.probs, table.log_weights):
         total += p * float(np.sum(np.exp(beta * lw)))
-    return table.copies * total
+    return float(table.copies * total)
 
 
 def _m_minus_one_many(model: WeightModel, betas: np.ndarray) -> np.ndarray:

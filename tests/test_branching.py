@@ -441,6 +441,25 @@ def test_threads_must_be_positive(threads):
             call()
 
 
+HALVES = Deterministic(0.5, 0.5)  # m(beta) = 2^(1 - beta)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: simulate_tree(HALVES, depth=-1, seed=1), "depth must be >= 0"),
+    (lambda: replicate_traces(HALVES, 1.0, depth=3, replicates=0, seed=1),
+     "replicates must be >= 1"),
+    (lambda: replicate_traces(HALVES, 1.0, depth=-1, replicates=4, seed=1), "depth must be >= 0"),
+    (lambda: renewal_measure_check(HALVES, 1.0, (2.0, 1.0), depth=3, replicates=4, seed=1),
+     "invalid interval (2.0, 1.0)"),
+    (lambda: renewal_measure_check(HALVES, 2.0, (0.0, 1.0), depth=3, replicates=4, seed=1),
+     "m(alpha) = 0.5 is not 1 within 1e-09"),
+])
+def test_branching_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("budget", [1, 7, 100, None])
 def test_variable_chunks_take_every_parent_that_fits(monkeypatch, budget):
     # A variable fan-out chunk takes its parents by their drawn child counts:

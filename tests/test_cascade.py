@@ -103,6 +103,22 @@ def test_u_star_closed_form():
     np.testing.assert_allclose(g_eval(SUPER, u_star(SUPER)), 4.0 / 3.0, rtol=1e-15)
 
 
+def test_u_star_follows_classify_near_the_watershed():
+    # N (1 - theta) <= 1 and theta >= 1 - 1/N disagree within a few ulps of
+    # the watershed, e.g. (9, 1 - 1/9) is critical; u_star reads classify
+    for n in range(2, 200):
+        theta = 1.0 - 1.0 / n
+        for _ in range(4):
+            theta = np.nextafter(theta, 0.0)
+        for _ in range(9):
+            params = CascadeParams(n, float(theta))
+            if classify(params) == "supercritical":
+                assert 0.0 < u_star(params) <= 1.0, params
+            else:
+                assert u_star(params) == 1.0, params
+            theta = np.nextafter(theta, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # inversion and the threshold sequence
 # ---------------------------------------------------------------------------
@@ -466,6 +482,20 @@ def test_step_residuals_label_every_residual():
     np.testing.assert_array_equal(rep.cells, np.repeat(np.arange(-5, 5), 2))
 
 
+def test_every_admissible_two_point_seed_extends():
+    # forward iterates near 1 stall an ulp below 1.0 in one residue column
+    # while the next reaches 1.0; that one-ulp rise is clamped, not rejected
+    levels = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
+    seeds = [SeedFunction(np.array([1.5, math.e]), np.array([a, b]))
+             for a in levels for b in levels if b <= a]
+    seeds = [seed for seed in seeds if seed_defect(CRIT, seed) == 0.0]
+    assert len(seeds) == 28
+    for seed in seeds:
+        curve = extend_from_seed(CRIT, seed, n_lo=-5, n_hi=5)
+        assert curve_step_residuals(CRIT, curve).max_residual <= 2.0**-52
+        np.testing.assert_array_equal(restrict_to_seed(curve).values, seed.values)
+
+
 @pytest.mark.parametrize("read, n_lo, n_hi, missing", [
     (restrict_to_seed, 1, 3, 0),
     (restrict_to_seed, -3, 0, 1),
@@ -676,3 +706,59 @@ def test_extract_rejects_supercritical():
     curve = build_weibull_mixture(phi, 1.0, LN3, spec)
     with pytest.raises(ValueError):
         extract_modulation(SUPER, curve, phi, LN3)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+def _seed(grid, values):
+    return SeedFunction(np.array(grid), np.array(values))
+
+
+def _step(r, residues):
+    spec = LatticeSpec(r=r, residues=residues, n_lo=-1, n_hi=1)
+    return SurvivalCurve(grid=spec.points(), values=np.linspace(1.0, 0.5, 3 * len(residues)),
+                         lattice=spec)
+
+
+_PLAIN = SurvivalCurve(grid=np.array([1.0, 2.0]), values=np.array([0.5, 0.4]))
+_E_SEED = SeedFunction(np.array([math.e]), np.array([0.3]))
+
+
+# The RuntimeErrors of exact_threshold_chain (a chain that fails to
+# decrease) and g_inverse (a missed residual) are defensive: no parameter
+# set is known to reach them, so no case here does.
+@pytest.mark.parametrize("call, message", [
+    (lambda: _seed([[1.5, math.e]], [[0.5, 0.4]]), "seed grid must be a nonempty 1-d array"),
+    (lambda: _seed([1.5, math.e], [0.5]), "seed values and grid must have the same shape"),
+    (lambda: _seed([1.5, 1.2, math.e], [0.5, 0.4, 0.3]), "seed grid must be strictly increasing"),
+    (lambda: _seed([1.0, math.e], [0.5, 0.4]), "seed grid must lie in (1, e]"),
+    (lambda: _seed([1.5, 2.5], [0.5, 0.4]),
+     "seed grid must end at e (the value f(e) anchors the extension)"),
+    (lambda: _seed([1.5, math.e], [1.0, 0.4]), "seed values must lie strictly inside (0, 1)"),
+    (lambda: _seed([1.5, math.e], [0.3, 0.4]), "seed values must be nonincreasing"),
+    (lambda: extend_from_seed(CRIT, _E_SEED, n_lo=1, n_hi=5),
+     "need n_lo <= 0 <= n_hi with n_lo < n_hi"),
+    (lambda: explicit_solution(SUPER, scale=math.inf), "scale must be positive and finite"),
+    (lambda: explicit_solution(SUPER, depth=-1), "need depth >= 0 and below >= 1"),
+    (lambda: explicit_solution(SUPER, below=0), "need depth >= 0 and below >= 1"),
+    (lambda: restrict_to_seed(_step(2.0, (1.0,))),
+     "seed restriction needs a lattice-step curve with ratio e"),
+    (lambda: restrict_to_seed(_step(math.e, (1.5,))),
+     "seed restriction needs residue 1 on the curve lattice"),
+    (lambda: curve_step_residuals(CRIT, _PLAIN),
+     "step residuals need a lattice-step curve with ratio e"),
+    (lambda: escape_check(SUPER, 1.0), "x must lie strictly inside (0, 1)"),
+    (lambda: g_eval(CRIT, 1.5), "u = 1.5 outside [0, 1]"),
+    (lambda: g_eval_mp(CRIT, -0.5), "u = -0.5 outside [0, 1]"),
+    (lambda: exact_threshold_chain(SUPER, -1), "n must be >= 0"),
+    (lambda: g_inverse(CRIT, 1.5), "y = 1.5 outside [0, 1]"),
+    (lambda: extract_modulation(SUB, _PLAIN, None, LN3),
+     "modulation recovery needs a lattice-step curve"),
+])
+def test_cascade_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -9,6 +9,10 @@ import numpy as np
 import pytest
 
 from branchfix.cli import (
+    _CURVES,
+    _GRIDS,
+    _MC,
+    _MODULATION,
     _RUNNERS,
     ConfigError,
     config_digest,
@@ -502,11 +506,18 @@ def test_every_option_rejects_a_bad_value(tmp_path, capsys, command, key, value)
 
 
 def test_readme_lists_every_option():
+    # every key of every settings table, named in the README bullet of its table
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    bullets = re.findall(r"^  \* (`.*?)(?=^  \* |^\S)", text, re.M | re.S)
-    for command, (_, table, _) in _RUNNERS.items():
-        bullet = next(b for b in bullets if f"`{command}`" in b.split(":")[0])
-        assert [k for k in table if f"`{k}`" not in bullet] == [], command
+    bullets = re.findall(r"^ *\* (`.*?)(?=^ *\* |^\S|\Z)", text, re.M | re.S)
+    tables = [(f"`{command}`", table) for command, (_, table, _) in _RUNNERS.items()]
+    tables += [("`mc`", _MC), ('"form": "weibull"', _MODULATION)]
+    tables += [(f'"mode": "{mode}"', table) for mode, table in _GRIDS.items()]
+    tables += [(f'"form": "{form}"', table) for form, table in _CURVES.items()]
+    for name, table in tables:
+        # a bullet's head is its leading code spans, e.g. `weights-analyze`, `biggins`
+        bullet = next(b for b in bullets
+                      if name in re.match(r"(?:`[^`]*`(?:, | / )?)+", b).group(0))
+        assert [k for k in table if not re.search(f'[`"]{k}\\b', bullet)] == [], name
 
 
 @pytest.mark.parametrize("command", ["wbp-simulate", "fixpoint-construct", "renewal-check"])

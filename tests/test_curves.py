@@ -106,6 +106,44 @@ def test_curve_validation_rejects_bad_data():
         SurvivalCurve(grid=g[::-1], values=np.full(8, 0.5))  # decreasing grid
 
 
+@pytest.mark.parametrize("cls", [SurvivalCurve, LaplaceCurve])
+def test_curve_without_a_tail_stores_one_minus_values(cls):
+    g = log_grid(0.1, 10.0, 8)
+    curve = cls(grid=g, values=np.exp(-g))
+    assert curve.tail.dtype == np.float64
+    assert curve.tail.tobytes() == (1.0 - np.exp(-g)).tobytes()
+
+
+_G2 = np.array([1.0, 2.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: log_grid(1.0, 1.0), "need 0 < lo < hi and points >= 2"),
+    (lambda: LatticeSpec(r=math.e, residues=()), "residues must be a nonempty 1-d array"),
+    (lambda: LatticeSpec(r=math.e, residues=(1.5, 1.2)), "residues must be strictly increasing"),
+    (lambda: SurvivalCurve(grid=np.array([]), values=np.array([])),
+     "grid must be a nonempty 1-d array"),
+    (lambda: SurvivalCurve(grid=np.array([0.0, 1.0]), values=np.array([1.0, 0.5])),
+     "grid must be positive and finite"),
+    (lambda: SurvivalCurve(grid=_G2, values=np.array([1.0])),
+     "values and grid must have the same shape"),
+    (lambda: SurvivalCurve(grid=_G2, values=np.array([1.0, math.nan])), "values must be finite"),
+    (lambda: SurvivalCurve(grid=_G2, values=np.array([1.0, 0.5]), tail=np.array([0.0])),
+     "tail and grid must have the same shape"),
+    (lambda: SurvivalCurve(grid=_G2, values=np.array([1.0, 0.5]), tail=np.array([0.5, 0.0])),
+     "tail must be nondecreasing in [0, 1]"),
+    (lambda: SurvivalCurve(grid=_G2, values=np.array([1.0, 0.5]), tail=np.array([0.0, 0.4])),
+     "tail is inconsistent with 1 - values"),
+    (lambda: PeriodicModulation(math.e, np.array([1.0, 2.0]), np.array([1.0])),
+     "values and residues must have the same shape"),
+    (lambda: constant_modulation(1.0).eval_many([0.0]), "modulation arguments must be > 0"),
+])
+def test_curves_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_eval_rejects_negative_argument():
     g = log_grid(0.1, 10.0, 8)
     curve = SurvivalCurve(grid=g, values=np.exp(-g))

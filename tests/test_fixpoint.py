@@ -583,3 +583,30 @@ def test_psi_rejects_zero_curve_values():
     tree = simulate_tree(Deterministic(0.5, 0.5), depth=2, seed=1)
     with pytest.raises(ValueError):
         psi_transform(curve, tree, math.log(g[-1]), 1.0, n=1)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+def _shallow_step_curve():
+    spec = LatticeSpec(r=math.e, residues=(1.0,), n_lo=-3, n_hi=3)
+    return SurvivalCurve(grid=spec.points(), values=np.linspace(1.0, 0.2, 7), lattice=spec)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_weibull_mixture(_unit_phi(), 1.0, 0.0, log_grid(1e-2, 1e2, 8)),
+     "alpha must be > 0"),
+    (lambda: build_stable_mixture(_unit_phi(), 1.0, -0.5, log_grid(1e-2, 1e2, 8)),
+     "alpha must be > 0"),
+    (lambda: psi_transform(_shallow_step_curve(),
+                           simulate_tree(Deterministic(0.5, 0.5), depth=2, seed=1), 0.0, 1.0, n=3),
+     "need 0 <= n <= depth=2"),
+    (lambda: regularity_diagnostic(_shallow_step_curve(), 1.0),
+     "residue 1.0 has 3 lattice points below 1; need >= 12"),
+])
+def test_fixpoint_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -59,6 +59,35 @@ def test_finite_atoms_validation():
         BernoulliCascade(2, 1.5)  # theta in [0, 1]
 
 
+def test_deterministic_is_the_one_atom_law():
+    for model in (Deterministic(0.5, 0.5), Deterministic([0.5, 0.5]),
+                  Deterministic(np.array([0.5, 0.5]))):
+        assert isinstance(model, FiniteAtoms)
+        assert model.atoms == ((1.0, (0.5, 0.5)),) and model.weights == (0.5, 0.5)
+
+
+# The 2^20-atom cap is left out: reaching it builds a million atoms.
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FiniteAtoms([]), ModelError, "at least one atom is required"),
+    (lambda: FiniteAtoms([(math.nan, (1.0,))]), ModelError,
+     "atom 0: probability must be finite and >= 0"),
+    (lambda: FiniteAtoms([(0.5, (1.0,)), (0.5, ())]), ModelError, "atom 1: empty weight vector"),
+    (lambda: FiniteAtoms([(1.0, (0.0, 0.0))]), ModelError,
+     "atom 0: needs at least one strictly positive weight"),
+    (lambda: Deterministic(), ModelError, "atom 0: empty weight vector"),
+    (lambda: Deterministic(0.5, math.inf), ModelError, "atom 0: weights must be finite and >= 0"),
+    (lambda: Deterministic([0.0]), ModelError,
+     "atom 0: needs at least one strictly positive weight"),
+    (lambda: moment_m(Deterministic(0.5, 0.5), -1.0), ValueError,
+     "beta must be finite and >= 0"),
+    (lambda: atom_table("cascade"), TypeError, "not a weight model: 'cascade'"),
+])
+def test_weights_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_atom_table_cascade_two_atom_law():
     # N i.i.d. copies of {exp(-1): theta, 1: 1 - theta}; exp(-1) comes first
     # so that a uniform u < theta draws it, and its log-weight is exactly -1.
