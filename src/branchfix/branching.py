@@ -683,6 +683,14 @@ def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, st
     return vertices
 
 
+def _interval(interval) -> tuple:
+    """``interval`` as floats ``(a, b)``: finite ends with ``a <= b``."""
+    a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b)) or a > b:
+        raise ValueError(f"invalid interval {interval!r}")
+    return a, b
+
+
 def replicate_traces(
     model: WeightModel,
     alpha: float,
@@ -708,7 +716,9 @@ def replicate_traces(
         raise ValueError("threads must be >= 1")
     w = np.empty((replicates, depth + 1))
     r = np.empty((replicates, depth + 1))
-    ren = np.zeros(replicates) if renewal_interval is not None else None
+    ren = None
+    if renewal_interval is not None:
+        renewal_interval, ren = _interval(renewal_interval), np.zeros(replicates)
     batches = [(lo, min(lo + _BATCH, replicates)) for lo in range(0, replicates, _BATCH)]
     step = _make_step(model)
     with _POOL.take(min(threads, len(batches))) as lent:
@@ -1029,9 +1039,7 @@ def renewal_measure_check(
     :data:`MEAN_ONE_TOL`); interval endpoints are matched with absolute
     slack 1e-9.  Requires positive drift.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b)) or a > b:
-        raise ValueError(f"invalid interval {interval!r}")
+    a, b = _interval(interval)
     mval = moment_m(model, alpha)
     if abs(mval - 1.0) > MEAN_ONE_TOL:
         raise ValueError(f"m(alpha) = {mval!r} is not 1 within {MEAN_ONE_TOL!r}")

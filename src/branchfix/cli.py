@@ -5,13 +5,15 @@ The config document is JSON (file path via ``--config``).  Top-level keys:
 (a number, or ``"auto"`` to solve ``m(alpha) = 1``), ``grid``, ``mc``,
 ``out`` (artifact path prefix; ``--out`` overrides) and ``options``.
 
-Every section but ``model`` is read by :func:`_read` from a table of
-``key: (default, type, bound)``, the one place each default is written:
-``_GRIDS`` per grid mode, ``_MC``, each command's options in ``_RUNNERS``,
-``_CURVES`` per curve form and ``_MODULATION``.  A count is a JSON integer
-``>= bound``, a number a JSON number ``> bound``, a list a flat list of JSON
-numbers; anything else, and any unknown key, is a usage error naming its
-path.  A config section reports every problem; a command's settings
+Every section is read by :func:`_read` from a table of ``key: (default,
+type, bound)``, the one place each default is written: ``_TOP``,
+``_MODELS`` per model kind, ``_GRIDS`` per grid mode, ``_MC``, each
+command's options in ``_RUNNERS``, ``_CURVES`` per curve form and
+``_MODULATION``.  A tagged section (``model.kind``, ``grid.mode``,
+``options.curve.form``) names its table, and :func:`_tagged` reads it.  A
+count is a JSON integer ``>= bound``, a number a JSON number ``> bound``, a
+list a flat list of JSON numbers; anything else, and any unknown key, is a
+usage error naming its path.  A config section reports every problem; a command's settings
 report a section's problems together.  Exit codes: 0 on success, 1 on
 usage/config errors (a tree past ``mc.node_cap`` included), 2 when a
 verification quantity (residual, z-score) lands beyond its tolerance.
@@ -128,12 +130,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_keys(doc: dict, allowed, path: str, errors) -> None:
-    for key in doc:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
-
-
 def _is_number_list(value, path: str, errors) -> bool:
     """Whether ``value`` is a list whose entries, at any depth, are lists or
     numbers.  Records an error for a value that is no list and for each
@@ -187,27 +183,42 @@ def _read(doc, table: dict, path: str, errors, scope=None) -> Optional[dict]:
     required.  Each problem is appended to ``errors`` and makes the result
     None.  Unknown keys are one error each (``<path>.<key>: unknown key``),
     or, with a ``scope`` string, one naming them all (``<path>: unknown
-    keys<scope>: a, b``).
+    keys<scope>: a, b``).  The top level is the section at path ``""``.
     """
     if not isinstance(doc, dict):
         errors.append(f"{path}: must be an object")
         return None
-    before, unknown = len(errors), sorted(set(doc) - set(table))
+    before, at = len(errors), f"{path}." if path else ""
+    unknown = [key for key in doc if key not in table]
     if scope is None:
-        _check_keys(doc, table, path, errors)
+        errors.extend(f"{at}{key}: unknown key" for key in unknown)
     elif unknown:
-        errors.append(f"{path}: unknown keys{scope}: {', '.join(unknown)}")
+        errors.append(f"{path}: unknown keys{scope}: {', '.join(sorted(unknown))}")
     values = {}
     for key, (default, kind, bound) in table.items():
         if key not in doc:
             if default is REQUIRED:
-                errors.append(f"{path}.{key}: missing required key")
+                errors.append(f"{at}{key}: missing required key")
             values[key] = default
         elif kind is None:
             values[key] = doc[key]
         else:
-            values[key] = _typed(doc[key], kind, bound, f"{path}.{key}", errors)
+            values[key] = _typed(doc[key], kind, bound, f"{at}{key}", errors)
     return values if len(errors) == before else None
+
+
+def _tagged(doc, tables: dict, path: str, tag: str, errors) -> Optional[dict]:
+    """:func:`_read` for a section whose ``tag`` key names its table in
+    ``tables``: the section must be an object and the tag one of the
+    tables' names."""
+    if not isinstance(doc, dict):
+        errors.append(f"{path}: must be an object")
+        return None
+    name = doc.get(tag)
+    if not isinstance(name, str) or name not in tables:
+        errors.append(f"{path}.{tag}: must be one of {', '.join(map(repr, tables))}")
+        return None
+    return _read(doc, tables[name], path, errors)
 
 
 def _checked(doc, table: dict, path: str, scope: str = "") -> dict:
@@ -219,36 +230,34 @@ def _checked(doc, table: dict, path: str, scope: str = "") -> dict:
     return values
 
 
+_KIND = {"kind": (REQUIRED, None, None)}
+# model kind -> its table; the model's own rules check the values
+_MODELS = {
+    "cascade": {**_KIND, "N": (REQUIRED, None, None), "theta": (REQUIRED, None, None)},
+    "atoms": {**_KIND, "atoms": (REQUIRED, None, None)},
+    "deterministic": {**_KIND, "weights": (REQUIRED, None, None)},
+}
+
+
 def _parse_model(doc, errors):
-    if not isinstance(doc, dict):
-        errors.append("model: must be an object")
+    m = _tagged(doc, _MODELS, "model", "kind", errors)
+    if m is None:
         return None
-    kind = doc.get("kind")
-    if kind == "cascade":
-        _check_keys(doc, {"kind", "N", "theta"}, "model", errors)
-        n, theta = doc.get("N"), doc.get("theta")
-        ok = True
-        if not _is_int(n) or n < 2:
+    if m["kind"] == "cascade":  # both values are checked, and both reported
+        n, theta, before = m["N"], m["theta"], len(errors)
+        if not (_is_int(n) and n >= 2):
             errors.append("model.N: must be an integer >= 2")
-            ok = False
-        if not _is_number(theta) or not (0.0 < theta < 1.0):
+        if not (_is_number(theta) and 0.0 < theta < 1.0):
             errors.append("model.theta: theta must lie in (0,1)")
-            ok = False
-        return BernoulliCascade(int(n), float(theta)) if ok else None
-    if kind in ("atoms", "deterministic"):
-        key, cls = ("atoms", FiniteAtoms) if kind == "atoms" else ("weights", Deterministic)
-        _check_keys(doc, {"kind", key}, "model", errors)
-        if not _is_number_list(doc.get(key), f"model.{key}", errors):
-            return None
-        try:
-            return cls(doc[key])
-        except (ModelError, TypeError, ValueError) as exc:
-            errors.append(f"model.{key}: {exc}")
-            return None
-    errors.append(
-        "model.kind: must be one of 'cascade', 'atoms', 'deterministic'"
-    )
-    return None
+        return BernoulliCascade(n, float(theta)) if len(errors) == before else None
+    key, cls = ("atoms", FiniteAtoms) if m["kind"] == "atoms" else ("weights", Deterministic)
+    if not _is_number_list(m[key], f"model.{key}", errors):
+        return None
+    try:
+        return cls(m[key])
+    except (ModelError, TypeError, ValueError) as exc:
+        errors.append(f"model.{key}: {exc}")
+        return None
 
 
 _MODE = {"mode": (REQUIRED, None, None)}
@@ -264,16 +273,10 @@ _GRIDS = {
 
 
 def _parse_grid(doc, errors):
-    if not isinstance(doc, dict):
-        errors.append("grid: must be an object")
-        return None
-    mode = doc.get("mode")
-    if not isinstance(mode, str) or mode not in _GRIDS:
-        errors.append("grid.mode: must be one of 'interp-loglinear', 'dyadic', 'lattice-step'")
-        return None
-    g = _read(doc, _GRIDS[mode], "grid", errors)
+    g = _tagged(doc, _GRIDS, "grid", "mode", errors)
     if g is None:
         return None
+    mode = g["mode"]
     if mode == "dyadic":
         return dyadic_grid(g["points"], g["per_octave"])
     if mode == "interp-loglinear":
@@ -295,6 +298,8 @@ def _parse_grid(doc, errors):
 
 _MC = {"depth": (REQUIRED, int, 0), "replicates": (REQUIRED, int, 1),
        "seed": (REQUIRED, int, 0), "node_cap": (10**7, int, 1)}
+_TOP = {"model": (REQUIRED, None, None), "alpha": _ANY, "grid": _ANY, "mc": _ANY,
+        "out": _ANY, "options": _ANY}
 
 
 def parse_config(document) -> RunConfig:
@@ -314,13 +319,8 @@ def parse_config(document) -> RunConfig:
         raise ConfigError(["<config>: top level must be an object"])
 
     errors = []
-    _check_keys(doc, {"model", "alpha", "grid", "mc", "out", "options"}, "", errors)
-
-    if "model" not in doc:
-        errors.append("model: missing required key")
-        model = None
-    else:
-        model = _parse_model(doc["model"], errors)
+    _read(doc, _TOP, "", errors)  # unknown keys and a missing model; each section reads its own
+    model = _parse_model(doc["model"], errors) if "model" in doc else None
 
     alpha = None
     if "alpha" in doc:
@@ -504,7 +504,7 @@ def _parse_modulation(spec) -> PeriodicModulation:
 
 
 # ---------------------------------------------------------------------------
-# curve construction shared by verify / construct / regularity
+# curve construction shared by verify (and so construct) and regularity
 # ---------------------------------------------------------------------------
 
 
@@ -530,19 +530,16 @@ _CURVES = {
 _MIXTURE_KIND = {"weibull-mixture": "min", "stable-mixture": "sum"}
 
 
-def _build_curve(config: RunConfig, spec, kind, threads: int) -> _BuiltCurve:
+def _build_curve(config: RunConfig, em: _Emitter, spec, kind, threads: int) -> _BuiltCurve:
     """The curve ``options.curve`` describes.  A mixture form fixes the
     operator, and an explicit ``kind`` must agree with it; a closed form
-    takes ``kind``, min when it is None."""
+    takes ``kind``, min when it is None.  A mixture's report lines (its
+    sample's warnings and depth-halving diagnostics) are said here."""
     _require(kind in (None, "min", "sum"), "options.kind: must be 'min' or 'sum'")
-    _require(isinstance(spec, dict), "options.curve: must be an object")
-    form = spec.get("form")
-    _require(
-        isinstance(form, str) and form in _CURVES,
-        "options.curve.form: must be one of 'exponential', 'weibull', "
-        "'weibull-mixture', 'stable-mixture'",
-    )
-    c = _checked(spec, _CURVES[form], "options.curve")
+    errors = []
+    c = _tagged(spec, _CURVES, "options.curve", "form", errors)
+    _require(not errors, "; ".join(errors))
+    form = c["form"]
     if form in _MIXTURE_KIND:
         fixed = _MIXTURE_KIND[form]
         _require(kind in (None, fixed),
@@ -555,6 +552,16 @@ def _build_curve(config: RunConfig, spec, kind, threads: int) -> _BuiltCurve:
         phi = sample_W_limit(config.model, config.alpha, **asdict(config.mc), threads=threads)
         build = build_weibull_mixture if fixed == "min" else build_stable_mixture
         curve = build(phi, h, config.alpha, config.grid)
+        em.say(f"constructed: {form} at alpha = {format_number(config.alpha)}")
+        for w in phi.warnings:
+            em.say(f"warning: {w}")
+        diag = phi.diagnostics
+        em.say(
+            f"sample diagnostics: mean W = {format_number(diag['mean_depth'])} "
+            f"(se {format_number(diag['se_depth'])}) at depth {diag['depth']}, "
+            f"mean W = {format_number(diag['mean_half_depth'])} "
+            f"(se {format_number(diag['se_half_depth'])}) at depth {diag['half_depth']}"
+        )
         return _BuiltCurve(curve, phi, h, config.alpha, fixed)
     # Closed forms exp(-args): args = rate t, or h(t) t^alpha.  An exponential
     # curve carries no alpha, so `regularity` still needs the alpha key.
@@ -576,26 +583,6 @@ def _build_curve(config: RunConfig, spec, kind, threads: int) -> _BuiltCurve:
 
 def _curve_csv(em: _Emitter, curve) -> None:
     em.csv("curve", {"t": curve.grid, "value": curve.values, "tail": curve.tail})
-
-
-def _mixture_residuals(em: _Emitter, config: RunConfig, built: _BuiltCurve):
-    """Sample-side residual report at ``options.points`` interior grid points.
-
-    The points are spread geometrically over the middle half of the grid;
-    the report is written to the residuals CSV.  A grid too short for that
-    many distinct points gets a note.
-    """
-    grid = built.curve.grid
-    lo = len(grid) // 4
-    hi = max(lo + 1, (3 * len(grid)) // 4)
-    count = config.options["points"]
-    idx = np.unique(np.linspace(lo, hi - 1, count).round().astype(int))
-    if len(idx) < count:
-        em.say(f"note: {len(idx)} distinct grid points for options.points = {count}")
-    rep = mixture_residual_report(built.phi, built.modulation, built.alpha, config.model,
-                                  grid[idx])
-    em.csv("residuals", {"t": rep.points, "residual": rep.residuals, "se": rep.se, "z": rep.z})
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -671,14 +658,24 @@ def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
 def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
     _require(opts["curve"] is not None, "fixpoint-verify requires options.curve")
-    built = _build_curve(config, opts["curve"], opts["kind"], threads)
-    kind, z_max, tol = built.kind, opts["z_max"], opts["tol"]
     em.say(f"model: {_describe_model(config.model)}")
+    built = _build_curve(config, em, opts["curve"], opts["kind"], threads)
+    kind, grid = built.kind, built.curve.grid
     em.say(f"operator: {kind}")
     _curve_csv(em, built.curve)
 
     if built.phi is not None:
-        rep = _mixture_residuals(em, config, built)
+        # sample-side residuals at `points` grid points over the middle half
+        lo = len(grid) // 4
+        hi = max(lo + 1, (3 * len(grid)) // 4)
+        count, z_max = opts["points"], opts["z_max"]
+        idx = np.unique(np.linspace(lo, hi - 1, count).round().astype(int))
+        if len(idx) < count:
+            em.say(f"note: {len(idx)} distinct grid points for options.points = {count}")
+        rep = mixture_residual_report(built.phi, built.modulation, built.alpha, config.model,
+                                      grid[idx])
+        em.csv("residuals", {"t": rep.points, "residual": rep.residuals, "se": rep.se,
+                             "z": rep.z})
         em.say(
             f"{kind}-operator residual (sample z-scores at {len(rep.points)} points): "
             f"max |z| = {format_number(rep.max_abs_z)}"
@@ -686,9 +683,9 @@ def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
         return em.verdict(f"{kind}-operator", rep.max_abs_z <= z_max,
                           f"limit {format_number(z_max)}")
 
+    tol = opts["tol"]
     rep = fixed_point_residual(built.curve, config.model)
-    em.csv("residuals", {"t": built.curve.grid, "residual": rep.residuals,
-                         "clamped": rep.point_clamped})
+    em.csv("residuals", {"t": grid, "residual": rep.residuals, "clamped": rep.point_clamped})
     for w in rep.warnings:
         em.say(f"warning: {w}")
     _require(not math.isnan(rep.sup_norm), "every grid point needed clamped lookups; "
@@ -703,29 +700,11 @@ def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
 
 
 def _run_fixpoint_construct(config: RunConfig, em: _Emitter, threads: int) -> int:
+    """``fixpoint-verify`` on the mixture that ``options.kind`` names."""
     opts = config.options
     form = "stable-mixture" if opts["kind"] == "sum" else "weibull-mixture"
-    built = _build_curve(config, {"form": form, "modulation": opts["modulation"]},
-                         opts["kind"], threads)
-    em.say(f"model: {_describe_model(config.model)}")
-    em.say(f"constructed: {form} at alpha = {format_number(built.alpha)}")
-    for w in built.phi.warnings:
-        em.say(f"warning: {w}")
-    diag = built.phi.diagnostics
-    em.say(
-        f"sample diagnostics: mean W = {format_number(diag['mean_depth'])} "
-        f"(se {format_number(diag['se_depth'])}) at depth {diag['depth']}, "
-        f"mean W = {format_number(diag['mean_half_depth'])} "
-        f"(se {format_number(diag['se_half_depth'])}) at depth {diag['half_depth']}"
-    )
-    _curve_csv(em, built.curve)
-    rep = _mixture_residuals(em, config, built)
-    em.say(
-        f"{built.kind}-operator residual: max |z| = {format_number(rep.max_abs_z)} "
-        f"at {len(rep.points)} points"
-    )
-    return em.verdict("self-consistency", rep.max_abs_z <= opts["z_max"],
-                      f"limit {format_number(opts['z_max'])}")
+    curve = {"form": form, "modulation": opts["modulation"]}
+    return _run_fixpoint_verify(replace(config, options={**opts, "curve": curve}), em, threads)
 
 
 def _cascade_params(config: RunConfig) -> casc.CascadeParams:
@@ -798,11 +777,11 @@ def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
 def _run_regularity(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
     _require(opts["curve"] is not None, "regularity requires options.curve")
-    built = _build_curve(config, opts["curve"], opts["kind"], threads)
+    em.say(f"model: {_describe_model(config.model)}")
+    built = _build_curve(config, em, opts["curve"], opts["kind"], threads)
     alpha = config.alpha if config.alpha is not None else built.alpha
     _require(alpha is not None, "regularity requires the alpha key (or a curve form carrying one)")
     rep = regularity_diagnostic(built.curve, alpha, window=opts["window"])
-    em.say(f"model: {_describe_model(config.model)}")
     em.say(f"alpha: {format_number(alpha)}, window points: {rep.window_points}")
     em.say(f"classification: {rep.classification}")
     em.say(

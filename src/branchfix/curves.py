@@ -60,6 +60,8 @@ def dyadic_grid(points: int = 512, per_octave: int = 12) -> np.ndarray:
     one octave below the bottom), which keeps operator lookups for dyadic
     weight models interpolation-free.
     """
+    if points < 2 or per_octave < 1:
+        raise ValueError("need points >= 2 and per_octave >= 1")
     j = np.arange(points) - points // 2
     return np.exp2(j / per_octave)
 

@@ -451,6 +451,12 @@ HALVES = Deterministic(0.5, 0.5)  # m(beta) = 2^(1 - beta)
     (lambda: replicate_traces(HALVES, 1.0, depth=-1, replicates=4, seed=1), "depth must be >= 0"),
     (lambda: renewal_measure_check(HALVES, 1.0, (2.0, 1.0), depth=3, replicates=4, seed=1),
      "invalid interval (2.0, 1.0)"),
+    (lambda: replicate_traces(HALVES, 1.0, depth=3, replicates=4, seed=1,
+                              renewal_interval=(3.0, -1.0)), "invalid interval (3.0, -1.0)"),
+    (lambda: replicate_traces(HALVES, 1.0, depth=3, replicates=4, seed=1,
+                              renewal_interval=(0.0, math.nan)), "invalid interval (0.0, nan)"),
+    (lambda: renewal_measure_check(HALVES, 1.0, (math.inf, 1.0), depth=3, replicates=4, seed=1),
+     "invalid interval (inf, 1.0)"),
     (lambda: renewal_measure_check(HALVES, 2.0, (0.0, 1.0), depth=3, replicates=4, seed=1),
      "m(alpha) = 0.5 is not 1 within 1e-09"),
 ])

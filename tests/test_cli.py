@@ -12,6 +12,7 @@ from branchfix.cli import (
     _CURVES,
     _GRIDS,
     _MC,
+    _MODELS,
     _MODULATION,
     _RUNNERS,
     ConfigError,
@@ -511,6 +512,7 @@ def test_readme_lists_every_option():
     bullets = re.findall(r"^ *\* (`.*?)(?=^ *\* |^\S|\Z)", text, re.M | re.S)
     tables = [(f"`{command}`", table) for command, (_, table, _) in _RUNNERS.items()]
     tables += [("`mc`", _MC), ('"form": "weibull"', _MODULATION)]
+    tables += [(f'"kind": "{kind}"', table) for kind, table in _MODELS.items()]
     tables += [(f'"mode": "{mode}"', table) for mode, table in _GRIDS.items()]
     tables += [(f'"form": "{form}"', table) for form, table in _CURVES.items()]
     for name, table in tables:
@@ -558,6 +560,51 @@ def test_short_grid_notes_fewer_mixture_points(tmp_path, points, note):
     notes = [ln for ln in report.splitlines() if ln.startswith("note: ")]
     assert notes == ([note] if note else [])
     assert f"at {min(points, 10)} points" in report
+
+
+# cascade(2, 3/4) at alpha = 1: m(alpha) = 1.0518..., so W_n is no martingale
+NOT_MEAN_ONE = {**MIXTURE, "alpha": 1.0}
+MEAN_ONE_WARNING = ("warning: m(alpha) = 1.0518191617571635 is not 1 within 1e-09; "
+                    "W_n is not a mean-one martingale")
+
+
+@pytest.mark.parametrize("command, options", [
+    ("fixpoint-verify", {"curve": {"form": "weibull-mixture"}}),
+    ("regularity", {"curve": {"form": "weibull-mixture"}}),
+    ("fixpoint-construct", {}),
+])
+def test_every_mixture_report_names_its_sample(tmp_path, command, options):
+    cfg = parse_config({**NOT_MEAN_ONE, "options": options})
+    run_command(cfg, command, out=str(tmp_path / "r"))
+    lines = (tmp_path / "r-report.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "model: cascade(N=2, theta=0.75)"
+    assert lines[2] == "constructed: weibull-mixture at alpha = 1.0"
+    assert lines[3] == MEAN_ONE_WARNING
+    assert lines[4].startswith("sample diagnostics: mean W = ")
+
+
+@pytest.mark.parametrize("kind, form", [("min", "weibull-mixture"), ("sum", "stable-mixture")])
+def test_construct_is_verify_on_its_mixture(tmp_path, kind, form):
+    model = {"kind": "cascade", "N": 2, "theta": 0.9} if kind == "sum" else CASCADE
+    modulation = {"residues": [1.0, 1.6], "values": [1.0, 1.2]}
+    opts = {"kind": kind, "z_max": 50.0, "points": 8}
+    runs = {
+        "construct": ("fixpoint-construct", {**opts, "modulation": modulation}),
+        "verify": ("fixpoint-verify", {**opts, "curve": {"form": form, "modulation": modulation}}),
+    }
+    reports, rows = {}, {}
+    for name, (command, options) in runs.items():
+        cfg = parse_config({**MIXTURE, "model": model, "options": options})
+        prefix = tmp_path / name / "out"
+        assert run_command(cfg, command, out=str(prefix)) == 0
+        text = (tmp_path / name / "out-report.txt").read_text(encoding="utf-8")
+        reports[name] = [ln for ln in text.replace(str(tmp_path / name), "").splitlines()
+                         if not ln.startswith(("command: ", "config sha256: "))]
+        rows[name] = [_read_csv(tmp_path / name / f"out-{a}.csv")[:2]
+                      for a in ("curve", "residuals")]
+    assert reports["construct"] == reports["verify"]
+    assert rows["construct"] == rows["verify"]
+    assert f"{kind}-operator check: PASS (limit 50.0)" in reports["verify"]
 
 
 # ---------------------------------------------------------------------------

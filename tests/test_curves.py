@@ -119,6 +119,8 @@ _G2 = np.array([1.0, 2.0])
 
 @pytest.mark.parametrize("call, message", [
     (lambda: log_grid(1.0, 1.0), "need 0 < lo < hi and points >= 2"),
+    (lambda: dyadic_grid(4, 0), "need points >= 2 and per_octave >= 1"),
+    (lambda: dyadic_grid(1, 4), "need points >= 2 and per_octave >= 1"),
     (lambda: LatticeSpec(r=math.e, residues=()), "residues must be a nonempty 1-d array"),
     (lambda: LatticeSpec(r=math.e, residues=(1.5, 1.2)), "residues must be strictly increasing"),
     (lambda: SurvivalCurve(grid=np.array([]), values=np.array([])),

@@ -170,17 +170,17 @@ GOLDEN = {
     },
     'fixpoint-construct-cascade': {
         'curve.csv': '23ad1bc3cd0d6dcbf3c7de05a7dd110dde3870d6e3e2c48154d08350e259d362',
-        'report.txt': '8eb95322bdf1b9a930d09645d2df4fe45def4f737d48848ac8c4b2f494d8f395',
+        'report.txt': '7b92c874cc31355f8d722ac2017831e0ef8585d61bf74945b8bf7b4e8ca06933',
         'residuals.csv': '5e040654a7801b9634500f1fd980505339d6441906601cbcb1da4d7e2aa6b0b7',
     },
     'fixpoint-construct-cascade-sum': {
         'curve.csv': '2203bb3f0eadac02866d24e1406fb69367b73ee4850e208572dd5917334ac0b3',
-        'report.txt': 'e9e292eb364793c24c06c36e372c9783a2df24aa81e9c3ebf9029037d392ba0d',
+        'report.txt': '4e72d4ce432d5c76c884027fab6fc4d16bafc09703da1d15afa80da0e7ccae4b',
         'residuals.csv': '1e4ef42ddbb86b1d45dc01913da991b0022c0bf301ff879cb7429279eb167e1c',
     },
     'fixpoint-verify-atoms-mixture': {
         'curve.csv': 'd85a6af3d3cefdae2bc855d1e43a92b1f283f5210b150fbf67f030fe79f41e30',
-        'report.txt': '3174e2317007b032307a85c8add21b741a1fcaac2bb141d56316d7aae65148a0',
+        'report.txt': 'b8f4368ccad47c4f7e6e4b692957596e6ed1ad50371b3b263bb07050027c91ba',
         'residuals.csv': '65b707a8394e65b9a6bc77c63faca5d2c79d638c8b645b4ea9e2baa35b5c6b4d',
     },
     'fixpoint-verify-cascade': {
@@ -211,7 +211,7 @@ GOLDEN = {
     'regularity-mixture-residues': {
         'curve.csv': '14e0c96589b183569e4beb1f28fb3fab2dc517adbe5c44432cbb09fb1985a970',
         'regularity.csv': '32a12b2456e5fc1e2ca89d283d44941f120be02a5e24e1a80ce9d2f5fe43bdbd',
-        'report.txt': '46f2b2209ed19070a5125882ec7df569f5380797cdc153608ede9ef3fbfeb7b0',
+        'report.txt': '8b14ae5ce4758aef0a02a82732ebe7e83e9f6b681ef36adb3412233b102f8530',
     },
     'regularity-vanishing-tail': {
         'curve.csv': '7082832e404bc8319fe901f9be572bd2f630ccaebfa044235823ef9ceef0e139',
