@@ -32,8 +32,9 @@ C-contiguous ``(width^n, trees)`` array: row ``k`` holds vertex ``k`` of
 every tree, in a single tree's parent-major order, and a chunk is a run of
 rows.  With a variable fan-out each tree's generation is a contiguous block,
 so a chunk holds runs of whole or partial trees, which it lists by their
-starts.  The batch engine folds each chunk into per-generation accumulators
-that give the bits of one pass over the whole generation (see
+starts.  The batch engine folds each chunk into per-generation accumulators,
+every model's sums through the one fold :func:`_carry_sums`, with the bits
+of one pass over the whole generation and no BLAS product (see
 :func:`_batch_traces`).
 
 Memory.  A running thread works in one :class:`_Workspace`, which holds one
@@ -596,44 +597,36 @@ def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, st
     Each chunk goes into per-generation accumulators in ``ws``, in the order
     the chunks arrive, which is vertex order, so each statistic has the bits
     of one pass over the whole generation.  ``R_n`` keeps a running
-    ``np.minimum`` per replicate.  Integer levels carry the replicate as an
-    offset, ``i*(depth+1) + S(v)``, so the exact bincounts of the chunks sum
-    to every replicate's level histogram, which dotted with the
-    alpha-geometric weights once per generation gives ``W_n`` and the
-    renewal sums (no per-vertex exp).  Float ``W_n`` and renewal sums add
-    each replicate's terms in vertex order through :func:`_carry_sums`: down
-    the columns of a fixed fan-out's layout, in ``np.bincount`` over a
-    variable one's labels.  The two summation orders give different bits,
-    so each layout keeps its own.
+    ``np.minimum`` per replicate.  ``W_n`` and the renewal sums add each
+    replicate's terms in vertex order through :func:`_carry_sums`: down the
+    columns of a fixed fan-out's layout, in ``np.bincount`` over a variable
+    one's labels.  A vertex's term is ``exp(-alpha * S(v))``; on integer
+    levels it is read from the table ``rho[k] = exp(-alpha * k)``, one
+    ``math.exp`` per level per batch, instead of one exp per vertex.  No sum
+    goes through BLAS, so the bits do not depend on its kernel.
     """
     nrep = len(rep_indices)
     gens = depth + 1
     seeds = seeding.replicate_roots_np(master_seed, rep_indices)
     levels = step.dtype.kind == "i"
     fixed = step.counts is None
-    offset = np.arange(nrep, dtype=np.int64) * gens if levels else np.zeros(nrep)
     low = ws.get("low", gens * nrep, step.dtype).reshape(gens, nrep)
     low[...] = np.iinfo(np.int64).max if levels else np.inf
+    sums = ws.get("sums", 2 * gens * nrep, np.float64).reshape(2, gens, nrep)
+    sums[...] = 0.0
     if levels:
-        hist = ws.get("hist", gens * nrep * gens, np.int64).reshape(gens, nrep * gens)
-        hist[...] = 0
-    else:
-        sums = ws.get("sums", 2 * gens * nrep, np.float64).reshape(2, gens, nrep)
-        sums[...] = 0.0
+        rho = np.array([math.exp(-alpha * k) for k in range(gens)])
     if interval is not None:
         a, b = interval[0] - 1e-9, interval[1] + 1e-9
     vertices = np.zeros(gens, dtype=np.int64)
     vertices[0] = nrep
     tree_ids = np.arange(nrep + 1)
-    for n, S, _, runs, _ in _grow(step, ws, offset, seeds, depth, node_cap,
-                                  rep_indices, leaf_seeds=False):
+    for n, S, _, runs, _ in _grow(step, ws, np.zeros(nrep, step.dtype), seeds, depth,
+                                  node_cap, rep_indices, leaf_seeds=False):
         m = len(S)
         vertices[n] += m
         if fixed:
             np.minimum(low[n], np.minimum.reduce(S.reshape(-1, nrep), axis=0), out=low[n])
-            if levels:
-                hist[n] += np.bincount(S, minlength=nrep * gens)
-                continue
             t0, t1, lab = 0, nrep, None
         else:
             t0, starts = runs
@@ -652,8 +645,11 @@ def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, st
         head = t1 - t0
         terms = ws.get("terms", head + m, np.float64)
         wv = terms[head:]
-        np.multiply(S, -alpha, out=wv)
-        np.exp(wv, out=wv)
+        if levels:
+            np.take(rho, S, out=wv, mode="clip")
+        else:
+            np.multiply(S, -alpha, out=wv)
+            np.exp(wv, out=wv)
         _carry_sums(ws, terms, sums[0, n, t0:t1], lab)
         if interval is not None:
             inside = np.greater_equal(S, a, out=ws.get("inside", m, bool))
@@ -665,21 +661,11 @@ def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, st
     r[:, 0] = 1.0
     if ren is not None:
         ren[:] = 1.0 if a <= 0.0 <= b else 0.0
-    rho = np.exp(-alpha * np.arange(gens))
     for n in range(1, gens):
-        r[:, n] = np.exp(offset - low[n])
-        if not levels:
-            w[:, n] = sums[0, n]
-            if ren is not None:
-                ren += sums[1, n]
-            continue
-        lvl = np.ascontiguousarray(hist[n].reshape(nrep, gens)[:, : n + 1])
-        w[:, n] = lvl @ rho[: n + 1]
+        r[:, n] = np.exp(-low[n])
+        w[:, n] = sums[0, n]
         if ren is not None:
-            ks = np.arange(n + 1)
-            mask = (ks >= a) & (ks <= b)
-            if np.any(mask):
-                ren += lvl[:, mask] @ rho[: n + 1][mask]
+            ren += sums[1, n]
     return vertices
 
 
@@ -799,6 +785,17 @@ class EmpiricalLaplace:
         return mean
 
 
+def _mean_one_defect(model: WeightModel, alpha: float) -> Optional[str]:
+    """Why ``W_n`` is not a mean-one martingale at ``alpha``, or None if it is.
+
+    It is when ``m(alpha)`` is 1 within :data:`MEAN_ONE_TOL`.
+    """
+    mval = moment_m(model, alpha)
+    if abs(mval - 1.0) > MEAN_ONE_TOL:
+        return f"m(alpha) = {mval!r} is not 1 within {MEAN_ONE_TOL!r}"
+    return None
+
+
 def sample_W_limit(
     model: WeightModel,
     alpha: float,
@@ -814,13 +811,8 @@ def sample_W_limit(
     :data:`MEAN_ONE_TOL` and attaches a depth-halving diagnostic comparing
     the mean at ``depth`` with the mean at ``depth // 2``.
     """
-    warnings = []
-    mval = moment_m(model, alpha)
-    if abs(mval - 1.0) > MEAN_ONE_TOL:
-        warnings.append(
-            f"m(alpha) = {mval!r} is not 1 within {MEAN_ONE_TOL!r}; "
-            "W_n is not a mean-one martingale"
-        )
+    defect = _mean_one_defect(model, alpha)
+    warnings = [] if defect is None else [f"{defect}; W_n is not a mean-one martingale"]
     traces = replicate_traces(model, alpha, depth, replicates, seed, node_cap, threads)
     samples = traces.W[:, depth].copy()
     half = depth // 2
@@ -937,9 +929,9 @@ def biggins_check(model: WeightModel, alpha: float) -> BigginsReport:
     u)]``; the verdict holds when the drift is positive and the sum is
     finite.
     """
-    mval = moment_m(model, alpha)
-    if abs(mval - 1.0) > MEAN_ONE_TOL:
-        raise ValueError(f"m(alpha) = {mval!r} is not 1 within {MEAN_ONE_TOL!r}")
+    defect = _mean_one_defect(model, alpha)
+    if defect is not None:
+        raise ValueError(defect)
     inc = increment_distribution(model, alpha)
     drift = inc.drift
     vals, probs = _w1_distribution(model, alpha)
@@ -1040,9 +1032,9 @@ def renewal_measure_check(
     slack 1e-9.  Requires positive drift.
     """
     a, b = _interval(interval)
-    mval = moment_m(model, alpha)
-    if abs(mval - 1.0) > MEAN_ONE_TOL:
-        raise ValueError(f"m(alpha) = {mval!r} is not 1 within {MEAN_ONE_TOL!r}")
+    defect = _mean_one_defect(model, alpha)
+    if defect is not None:
+        raise ValueError(defect)
     inc = increment_distribution(model, alpha)
     if inc.drift <= 0.0:
         raise ValueError(f"increment drift {inc.drift!r} is not positive")

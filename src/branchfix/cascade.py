@@ -558,10 +558,7 @@ def extend_from_seed(
 
     residues = np.concatenate([[1.0], seed.grid[:-1]])  # 1, then the seed points inside (1, e)
     spec = LatticeSpec(math.e, residues, n_lo, n_hi)
-    # exp(n + log s), not spec.points(): the two differ by an ulp at some points
-    grid = np.exp(
-        np.add.outer(np.arange(n_lo, n_hi + 1, dtype=np.float64), np.log(residues))
-    ).reshape(-1)
+    grid = spec.points()
     values = np.empty(len(grid))
     # a row per exponent m; residue 1.0 at exponent m is the seed point e one cell down
     spec.table(values)[:] = [[chains[-1][m - 1]] + [chain[m] for chain in chains[:-1]]

@@ -41,9 +41,9 @@ import numpy as np
 
 from . import cascade as casc
 from .branching import (
-    MEAN_ONE_TOL,
     EmpiricalLaplace,
     NodeCapError,
+    _mean_one_defect,
     biggins_check,
     increment_distribution,
     renewal_measure_check,
@@ -634,7 +634,7 @@ def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
     em.csv("traces", {"replicate": replicate, "n": n,
                       "W_n_alpha": traces.W.ravel(), "R_n": traces.R_sup.ravel()})
 
-    mean_one = abs(moment_m(config.model, config.alpha) - 1.0) <= MEAN_ONE_TOL
+    mean_one = _mean_one_defect(config.model, config.alpha) is None
     worst = 0.0
     for n in range(1, mc.depth + 1):
         col = traces.W[:, n]

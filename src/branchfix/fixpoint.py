@@ -349,7 +349,9 @@ def mixture_residual_report(
             small = np.broadcast_to(tau[rows, :, None] <= 0.5, terms.shape)
             np.expm1(terms, out=terms, where=small)
             np.exp(terms, out=terms, where=~small)
-            infl = np.matmul(grad[rows, None, :], terms)[:, 0]
+            # the gradient-weighted sum over the columns, in column order (no BLAS)
+            terms *= grad[rows, :, None]
+            infl = np.add.reduce(terms, axis=1)
             ses[rows] = infl.std(axis=1, ddof=1) / math.sqrt(n)
     scales = np.maximum(tau[:, 0], op_tail)
     with np.errstate(divide="ignore", invalid="ignore"):

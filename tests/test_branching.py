@@ -344,8 +344,8 @@ def test_sup_weight_deterministic():
 
 def test_replicate_traces_match_single_trees():
     # Replicate i is the tree rooted at replicate_root(master, i); the batch
-    # engines aggregate W_n and the renewal sums by level histogram (cascade)
-    # or by a sequential per-replicate sum (atoms), so values agree with the
+    # engines add W_n and the renewal sums sequentially per replicate, the
+    # cascade's terms from its per-level table, so values agree with the
     # per-vertex sum up to summation order only.  R_n is exact: the engines
     # and sup_weight_trace all take np.exp of the exact minimum.  The renewal
     # sum is sum_n sum_v exp(-alpha S(v)) 1{S(v) in [a, b]}, with the engines'
@@ -373,19 +373,25 @@ def test_replicate_traces_match_single_trees():
 
 
 @pytest.mark.parametrize("replicates", [1, 2, 3])
-@pytest.mark.parametrize("model", [ATOMS_FIXED, ATOMS_VARIABLE], ids=["fixed", "variable"])
+@pytest.mark.parametrize("model", [ATOMS_FIXED, ATOMS_VARIABLE, BernoulliCascade(2, 0.75)],
+                         ids=["fixed", "variable", "cascade"])
 def test_float_sums_add_in_vertex_order(model, replicates):
-    # Float W_n and renewal sums add each replicate's generation in vertex
-    # order, as np.cumsum does, bit for bit; a pairwise sum (what numpy does
-    # for one contiguous run of more than 8 values) differs at depth 8.
+    # W_n and renewal sums add each replicate's generation in vertex order,
+    # as np.cumsum does, bit for bit; a pairwise sum (what numpy does for one
+    # contiguous run of more than 8 values) differs at depth 8.  The
+    # cascade's terms come from its per-level table exp(-alpha k).
     alpha, (a, b) = 1.0, (0.5, 3.0)
     traces = replicate_traces(model, alpha, depth=8, replicates=replicates, seed=31,
                               renewal_interval=(a, b))
+    rho = np.array([math.exp(-alpha * k) for k in range(9)])
     for i in range(replicates):
         tree = simulate_tree(model, depth=8, seed=replicate_root(31, i))
         ren = 0.0
         for n, s in enumerate(tree.generations):
-            wv = np.exp(-alpha * s)
+            if isinstance(model, BernoulliCascade):
+                wv = rho[s.astype(np.int64)]
+            else:
+                wv = np.exp(-alpha * s)
             assert traces.W[i, n] == np.cumsum(wv)[-1], (i, n)
             ren += np.cumsum(wv * ((s >= a - 1e-9) & (s <= b + 1e-9)))[-1]
         assert traces.renewal_sums[i] == ren, i

@@ -12,6 +12,11 @@ enough rows to span several CSV write chunks.  The library cases below grow
 generations over several blocks, with a partial last batch of replicates,
 and pin the raw array bytes.
 
+No artifact sum goes through BLAS, so the digests are the same under every
+OpenBLAS kernel: one check reruns every case in a fresh interpreter under
+``OPENBLAS_CORETYPE=Haswell`` and again under ``Prescott`` and compares the
+same pinned tables.
+
 To print the digests of the current code::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,6 +33,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -35,6 +42,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import branchfix
 from branchfix.branching import replicate_traces, simulate_tree
 from branchfix.cascade import (CascadeParams, SeedFunction, exact_threshold_chain,
                                explicit_solution, extend_from_seed, g_eval)
@@ -156,11 +164,11 @@ GOLDEN = {
         'report.txt': '82317fde95f264203f4fc92bf00c0721dc873a0ae72fb0a21ea9aa4a55e90482',
     },
     'cascade-extend': {
-        'extension.csv': '14632dba137f8284ab9f6c0db7a5754e4189556176d0ccf66ed1b8a0e141050a',
+        'extension.csv': 'e29b0bdbd77819e528c49bc92d181a6c68df764dd48e72300fbf510945d5d5bb',
         'report.txt': '0fc98b6b39a222cdd451295354f0c3c1a2f64de61130ae1a9d959ea20b0f3c79',
     },
     'cascade-extend-seed-grid': {
-        'extension.csv': 'ef9dbcf31a6a9794213936fe9a9f6de73c4bda480ae66f03f7ebbb5c2fa54f9e',
+        'extension.csv': 'c839548445bcb666867d3d0de5fccf5538d98f4d5d6e9d1e15847f5c09980e8e',
         'report.txt': 'cfb2f13492312d42b5b1e4d68efa6c2278fc1cf3b31e8f4318f6c55b930e27a2',
     },
     'cascade-solve': {
@@ -169,19 +177,19 @@ GOLDEN = {
         'thresholds.csv': 'ac941e569f1376f4fd25f75979cf9476483766206556e1bc831d0419f115c7e9',
     },
     'fixpoint-construct-cascade': {
-        'curve.csv': '23ad1bc3cd0d6dcbf3c7de05a7dd110dde3870d6e3e2c48154d08350e259d362',
-        'report.txt': '7b92c874cc31355f8d722ac2017831e0ef8585d61bf74945b8bf7b4e8ca06933',
-        'residuals.csv': '5e040654a7801b9634500f1fd980505339d6441906601cbcb1da4d7e2aa6b0b7',
+        'curve.csv': '2e928971a5007f212cff376f4563a3c079d7d3d480391bf16beb4541ce512039',
+        'report.txt': '7c6ef3efdd10eab78dac869ea9eabab2cff6ce6051b9eac5bf729d5002347cc0',
+        'residuals.csv': 'd66cb429a4f13e51cacfb517587f17e2c05d38f552dc811b59a00509d6e1677c',
     },
     'fixpoint-construct-cascade-sum': {
-        'curve.csv': '2203bb3f0eadac02866d24e1406fb69367b73ee4850e208572dd5917334ac0b3',
-        'report.txt': '4e72d4ce432d5c76c884027fab6fc4d16bafc09703da1d15afa80da0e7ccae4b',
-        'residuals.csv': '1e4ef42ddbb86b1d45dc01913da991b0022c0bf301ff879cb7429279eb167e1c',
+        'curve.csv': '1d92244f18b8fa66c768850c2a24d7f02fe59446d5782526233ef168f664e236',
+        'report.txt': 'a807d0d6cbef499b40b4c389c83800660b64af1037a40c276f54411053dc0db6',
+        'residuals.csv': '3bbbe47f9962e3f122287e5282232c7d04030335cc5c2cd124b0f983b345ebf1',
     },
     'fixpoint-verify-atoms-mixture': {
         'curve.csv': 'd85a6af3d3cefdae2bc855d1e43a92b1f283f5210b150fbf67f030fe79f41e30',
-        'report.txt': 'b8f4368ccad47c4f7e6e4b692957596e6ed1ad50371b3b263bb07050027c91ba',
-        'residuals.csv': '65b707a8394e65b9a6bc77c63faca5d2c79d638c8b645b4ea9e2baa35b5c6b4d',
+        'report.txt': 'f7ee65354bc603d7190a4d48c5683f0ec3eed3ed9a5a620b3d73aa3047fb26c0',
+        'residuals.csv': 'f1cd2eb41e4fd2ff670c81f2882eec5ae6e129f85435c4fd23e6d10a08f5c2c5',
     },
     'fixpoint-verify-cascade': {
         'curve.csv': '30d30057f834653b45567fb8b9db7f52d3c0bf793bed79b9729f96f5b891121a',
@@ -209,9 +217,9 @@ GOLDEN = {
         'report.txt': '66b48e64e5cbafade52b6fdace6a493e1ce8d71a60c282031eb32cd45bef2a6c',
     },
     'regularity-mixture-residues': {
-        'curve.csv': '14e0c96589b183569e4beb1f28fb3fab2dc517adbe5c44432cbb09fb1985a970',
+        'curve.csv': '15842f2535add6f795664d78285a92d79ba4040036a16542bba9a24595365aa5',
         'regularity.csv': '32a12b2456e5fc1e2ca89d283d44941f120be02a5e24e1a80ce9d2f5fe43bdbd',
-        'report.txt': '8b14ae5ce4758aef0a02a82732ebe7e83e9f6b681ef36adb3412233b102f8530',
+        'report.txt': '9df9e0ad6531ab4c557e8b02f7e64703903a199cfc23078500c808aea5755a03',
     },
     'regularity-vanishing-tail': {
         'curve.csv': '7082832e404bc8319fe901f9be572bd2f630ccaebfa044235823ef9ceef0e139',
@@ -227,16 +235,16 @@ GOLDEN = {
         'traces.csv': '22acd12eaa8028c68def4e3a5b178a5c410eade2b32328d34ca58484fbff203b',
     },
     'wbp-simulate-cascade': {
-        'report.txt': '5c78d0854f54b326643ba81089ba471c70c709cdad288ef4566fa04ddfaba5a0',
-        'traces.csv': 'd1d959ca6ce26abb4f5b46bc03bd7e4e2144af78852571124fd6a700ac110bf5',
+        'report.txt': '3b93daa1199d9c75fabdb87baef677a7ccdb182c96c8b74bca52f70dcda74153',
+        'traces.csv': '7e4376eeffeae97435720572db22123f1b6fc87381e7c9c863250fa9989873b3',
     },
     'wbp-simulate-chunks': {
         'report.txt': '13f3c850d37c9fc8d2aebcf23ef7b0575ed32357b5e340e5c1fcc6439c75082e',
         'traces.csv': '03dc2b563333ebab3e1585ae8a0c693e181d63e3033d0b7fd44bf5d57c72595e',
     },
     'wbp-simulate-renewal-unnormalized': {
-        'report.txt': '9dd148ddea60a72a58f974556f47023ec9d361e8c3252c44ffa84d4157db966b',
-        'traces.csv': '209dd745f6c37a59261bd6318c3ab8eaad20c7177bacf18eda110cd6b15f6a29',
+        'report.txt': '2ccedbcf7459c647d9f0a4a9aa8c9ea26873c3dc3101233fd177bc0701f8a70b',
+        'traces.csv': '8b1043067214d90ee86f9a5d9a65e0e76e8130c08abf6b02d83f7bb5f339e204',
     },
     'weights-analyze-atoms': {
         'moments.csv': '6bb30281a35651ef35944af560613194e40906d4f9a2e718b32a4afd00bd3e72',
@@ -338,15 +346,15 @@ LIBRARY_CASES = {
 LIBRARY_GOLDEN = {
     'cascade-chain-n3': '0041e49030f6780fe7736625881c86976fa08fd8658530c837cae9101af4f8c0',
     'cascade-chain-n8': '11dd43cded674a2f84482797a318b5d24a204047229934bec6680690d4cb945a',
-    'cascade-extend-n8': 'c69d8cf5fa9b50449f54c1e915d66907b6cc8f8b56653a363431e9dbad20dd81',
+    'cascade-extend-n8': 'efc9d12bc89e77d3ee150808311d3dc5c4268359e8a72dec437e76799372d854',
     'cascade-solution-n8': '7abfeb81c3940a7a96b834730696252def35309c56c1a12172d2192d58a25200',
     'replicate-traces-atoms': '9530f5e9da8076b8d4cd76f1b22b4b2fe81c4e295f7bcc8eebab6a760783590b',
     'replicate-traces-atoms-renewal-r1': '15939b95178c288ebb8a8780afc5cea88fbaebe809ceba8efe12c707844b80de',
     'replicate-traces-atoms-renewal-r513': 'a90d3fd8a531a17c81a6dceb8294f2ffb17c45d64f6c8042f437042eacaf19af',
     'replicate-traces-atoms-renewal-t2': 'b47ff48603d58e6ed100ab5def5b0023bb0257762175bd05611d0c9af09e7518',
-    'replicate-traces-cascade-r513': 'a94a66585a4d8c18f828f75b8701f0b0add0e25171a06667ae52f46e3b64da90',
-    'replicate-traces-cascade-t1': 'b74d562b27a1e990a64687dcc06a6598534f3209aa7d32d5fd29e1d02c7cc784',
-    'replicate-traces-cascade-t2': 'b74d562b27a1e990a64687dcc06a6598534f3209aa7d32d5fd29e1d02c7cc784',
+    'replicate-traces-cascade-r513': 'f3ddfae1a70d32543b2620f79d3666cc9d99b60f12a82d8173f3d60156f51c6b',
+    'replicate-traces-cascade-t1': 'eb94b8177518b8deba9ab06333f75f5bdb4cfb5e25ead473f8c8fd34ed950887',
+    'replicate-traces-cascade-t2': 'eb94b8177518b8deba9ab06333f75f5bdb4cfb5e25ead473f8c8fd34ed950887',
     'replicate-traces-variable-t1': '714902419723c67414ddcff64828e3416566a54e79a80bcbfe26b19191b05dfc',
     'replicate-traces-variable-t2': '714902419723c67414ddcff64828e3416566a54e79a80bcbfe26b19191b05dfc',
     'replicate-traces-wide': '1dc52f6098ef4ffa541ef19083fbaabd6dc899c98a9cf4e7ac2a83f7c4015113',
@@ -373,6 +381,17 @@ def artifact_digests(command: str, doc: dict, workdir: Path):
     return code, digests
 
 
+def all_digests():
+    """``({case: (exit code, {artifact: sha256})}, {library case: sha256})``
+    for every case."""
+    cli = {}
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            command, doc, _ = CASES[case]
+            cli[case] = artifact_digests(command, doc, Path(tmp))
+    return cli, {case: LIBRARY_CASES[case]() for case in sorted(LIBRARY_CASES)}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_artifacts(name, tmp_path):
     command, doc, want_code = CASES[name]
@@ -386,18 +405,42 @@ def test_golden_library(name):
     assert LIBRARY_CASES[name]() == LIBRARY_GOLDEN[name]
 
 
+def _cpu_flags() -> set:
+    """The CPU feature flags listed in ``/proc/cpuinfo``; empty where it is absent."""
+    info = Path("/proc/cpuinfo")
+    text = info.read_text() if info.exists() else ""
+    return {f for line in text.splitlines() if line.startswith("flags")
+            for f in line.split(":", 1)[1].split()}
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_golden_digests_under_other_blas_kernels(core):
+    # The pinned digests again, every case, in a fresh interpreter whose
+    # OpenBLAS runs the named kernel instead of the one it detects.
+    if core == "Haswell" and not {"avx2", "fma"} <= _cpu_flags():
+        pytest.skip("the Haswell kernel needs avx2 and fma")
+    src = str(Path(branchfix.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            "import test_golden; print(json.dumps(test_golden.all_digests()))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    cli, lib = json.loads(proc.stdout.splitlines()[-1])
+    want = {case: [CASES[case][2], GOLDEN[case]] for case in CASES}
+    assert sorted(c for c in CASES if cli[c] != want[c]) == []
+    assert sorted(c for c in LIBRARY_CASES if lib[c] != LIBRARY_GOLDEN[c]) == []
+
+
 if __name__ == "__main__":
-    out = {}
-    for case in sorted(CASES):
-        with tempfile.TemporaryDirectory() as tmp:
-            command, doc, _ = CASES[case]
-            out[case] = artifact_digests(command, doc, Path(tmp))
-    for case, (code, digests) in out.items():
+    cli, lib = all_digests()
+    for case, (code, digests) in cli.items():
         print(f"    {case!r}: {{  # exit {code}")
         for art, dig in digests.items():
             print(f"        {art!r}: {dig!r},")
         print("    },")
     print("# LIBRARY_GOLDEN")
-    for case in sorted(LIBRARY_CASES):
-        print(f"    {case!r}: {LIBRARY_CASES[case]()!r},")
+    for case, dig in lib.items():
+        print(f"    {case!r}: {dig!r},")
     sys.exit(0)
