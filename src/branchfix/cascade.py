@@ -16,21 +16,24 @@ mixture curve.
 
 The threshold sequence decays doubly exponentially (``a_{k+1} ~ (theta
 a_k)^N``), which leaves IEEE double range around k = 8 for small theta.  The
-chain is therefore computed in 53-bit arbitrary-exponent floats (mpmath).
-Writing ``G`` for the 53-bit evaluation of ``g``, each ``a_{k+1}`` is the
-transition float of ``a_k``: the ``x`` with ``G(pred x) < a_k <= G(x)``,
-``pred x`` the float just below it, flagged exact when ``G(x) == a_k``.
-Where ``G`` is monotone that is the least float whose image reaches
-``a_k``, so the least exact hit whenever one exists; such a float almost
-always exists because ``g`` contracts adjacent-float spacing (slope ~ a_k /
-(N a_{k+1}) against an ulp ratio ~ a_{k+1}/a_k), and exactness flags record
-the rare failures.  Two ``g`` evaluations check a value, whatever found it.
-It is found on integer float indices: a Newton estimate of the root, a
-gallop in whole ulps until ``G`` crosses the target, and a bisection of the
-bracketing indices.  The seed extension's inverse cells follow the same
-rule.  One ``g`` evaluator serves a chain, and one each report that checks
-it.  Float64 projections are provided alongside, with the underflow point
-marked.
+chain is therefore computed in 53-bit floats with unbounded exponents, and
+its values are mpmath floats.  ``G``, the 53-bit evaluation of ``g`` with
+each operation rounded as mpmath rounds it, runs on pairs of a float
+mantissa and an integer exponent; it calls mpmath for an N-th root next to
+a rounding midpoint, and throughout for N > 20 (see ``_G``).  Each
+``a_{k+1}`` is the transition float of ``a_k``: the ``x`` with ``G(pred x)
+< a_k <= G(x)``, ``pred x`` the float just below it, flagged exact when
+``G(x) == a_k``.  Where ``G`` is monotone that is the least float whose
+image reaches ``a_k``, so the least exact hit whenever one exists; such a
+float almost always exists because ``g`` contracts adjacent-float
+spacing (slope ~ a_k / (N a_{k+1}) against an ulp ratio ~ a_{k+1}/a_k), and
+exactness flags record the rare failures.  Two ``g`` evaluations check a
+value, whatever found it.  It is found on integer float indices: a Newton
+estimate of the root, a gallop in whole ulps until ``G`` crosses the
+target, and a bisection of the bracketing indices.  The seed extension's
+inverse cells follow the same rule.  One ``g`` evaluator serves a chain,
+and one each report that checks it.  Float64 projections are provided
+alongside, with the underflow point marked.
 """
 
 from __future__ import annotations
@@ -110,31 +113,142 @@ def g_eval(params: CascadeParams, u: float) -> float:
 _PREC = 53
 _RND = "n"
 
+# A pair ``(m, e)`` is the positive 53-bit float ``m 2^e``: a float
+# mantissa ``m`` in [1, 2) and an unbounded Python-int exponent ``e``.
+_MASK = (1 << 52) - 1
+_ULP = 2.0**-52
+_TWO52 = 2.0**52
+# mpmath takes an N-th root above this N through ``mpf_pow``, whose error
+# grows with the argument's exponent; the pair kernel keeps mpmath there.
+_ROOT_MAX_N = 20
+# beyond this alignment shift the subtrahend is under a quarter ulp
+_SHIFT_CLAMP = 64
+
+
+def _pair(t: tuple) -> tuple:
+    """The pair of a positive mpmath tuple (``bc <= 53``)."""
+    _, man, exp, bc = t
+    return math.ldexp(man, 1 - bc), exp + bc - 1
+
+
+def _tuple(m: float, e: int) -> tuple:
+    """The mpmath tuple of a pair; ``m = 0`` gives zero."""
+    return from_man_exp(int(m * _TWO52), e - 52)
+
 
 class _G:
-    """``g`` on raw 53-bit mpmath tuples, round to nearest.
+    """``G``, the 53-bit round-to-nearest ``g``, on pairs and on mpmath tuples.
 
-    ``theta`` and ``1 - theta`` are built once per instance; ``calls``
-    counts the evaluations.  Each operation is the one the mpf operators
-    apply at 53 bits, so the results equal ``mpf`` arithmetic bit for bit.
+    ``G`` is ``g`` with each of its operations rounded as the mpf
+    operators round them at 53 bits (``mpf_sqrt``/``mpf_nthroot``,
+    ``mpf_mul``, ``mpf_sub``, ``mpf_div``).  :meth:`_mp` evaluates it so;
+    :meth:`pair` gets the same bits on ``u`` in (0, 1] from IEEE
+    arithmetic on mantissas, and ``__call__`` takes a tuple through
+    :meth:`pair` wherever it may.
+
+    - ``(1 - theta) u`` and ``/ theta`` are one IEEE operation each on
+      mantissas in [1, 2): no overflow or underflow, correctly rounded.
+    - ``root - (1 - theta) u``: on (0, 1] the root is at least ``u`` and
+      the product below it, so one ``ldexp`` aligns the product with the
+      root, the shift clamped at ``_SHIFT_CLAMP``: beyond it the product is
+      under a quarter ulp of the root and the difference rounds to the root
+      either way.
+    - N = 2: ``math.sqrt`` (correctly rounded, as ``mpf_sqrt`` is) of the
+      mantissa with the exponent made even.
+    - 2 < N <= 20: ``u = a 2^(qN)`` with ``a`` in [1, 2^N), and the float
+      ``a ** (1/N)`` is a candidate mantissa ``M 2^-52``.  The exact integer
+      test ``(2M-1)^N < 2^(53N) a < (2M+1)^N`` (equality cannot occur) moves
+      ``M`` to the correctly rounded root.  ``mpf_nthroot`` rounds an
+      integer estimate with ``p = prec2 + 10`` fraction bits (67 at N = 3,
+      74 at N = 8), one Newton step from a 50-bit float start.  Its error
+      is under 1.5 units of that last place: the step's quadratic term
+      (``(N-1)/2 eps^2`` for a start within ``eps < 2^-47``) and three
+      floor divisions.  That is under ``2^(2-p)`` of the root, so mpmath
+      rounds correctly unless the root lies within ``2^(3-p)`` of a
+      midpoint.  There the kernel calls ``mpf_nthroot`` itself, and counts
+      it on ``fallbacks``: mpmath does round some of those the wrong way.
+    - N > 20: ``mpf_nthroot`` goes through ``mpf_pow`` with a 63-bit
+      ``1/N``, an error that grows with the exponent and admits no fixed
+      band, so the whole evaluation stays :meth:`_mp`.
+
+    ``calls`` counts the evaluations, whichever path makes them.
     """
 
-    __slots__ = ("n", "theta", "one_minus", "calls")
+    __slots__ = ("n", "theta", "one_minus", "calls", "fallbacks",
+                 "_tm", "_te", "_cm", "_ce", "_inv", "_shift", "_band")
 
     def __init__(self, params: CascadeParams) -> None:
-        self.n = int(params.N)
+        n = self.n = int(params.N)
         self.theta = from_float(params.theta)
         self.one_minus = mpf_sub(fone, self.theta, _PREC, _RND)
         self.calls = 0
+        self.fallbacks = 0
+        self._tm, self._te = _pair(self.theta)
+        self._cm, self._ce = _pair(self.one_minus)
+        self._inv = 1.0 / n
+        self._shift = 53 * n - 52  # 2^(53N) a = M_a << (k + _shift), a = M_a 2^(k-52)
+        # mpf_nthroot's working precision at 53 bits
+        prec2 = 53 + 2 * n - 53 % n
+        if n > 10:
+            prec2 += prec2 // 10
+            prec2 -= prec2 % n
+        # A root within 2^(3-p) of a midpoint, p = prec2 + 10, puts t = 2^(53N) a
+        # within N 2^(3-p) of the midpoint's N-th power, under t >> _band.
+        self._band = prec2 + 10 - 3 - n.bit_length()
 
-    def __call__(self, u: tuple) -> tuple:
-        self.calls += 1
+    def _mp(self, u: tuple) -> tuple:
+        """``G`` through the mpf operators, for any nonnegative tuple."""
         if self.n == 2:
             root = mpf_sqrt(u, _PREC, _RND)
         else:
             root = mpf_nthroot(u, self.n, _PREC, _RND)
         diff = mpf_sub(root, mpf_mul(self.one_minus, u, _PREC, _RND), _PREC, _RND)
         return mpf_div(diff, self.theta, _PREC, _RND)
+
+    def __call__(self, u: tuple) -> tuple:
+        """``G`` of a nonnegative 53-bit tuple, through :meth:`pair` where it may."""
+        _, man, exp, bc = u
+        if man and (exp + bc < 1 or u == fone):
+            return _tuple(*self.pair(*_pair(u)))
+        self.calls += 1
+        return self._mp(u)
+
+    def pair(self, m: float, e: int) -> tuple:
+        """``G(m 2^e)`` as a pair, for ``m 2^e`` in (0, 1]."""
+        self.calls += 1
+        n = self.n
+        if n > _ROOT_MAX_N:
+            return _pair(self._mp(_tuple(m, e)))
+        if n == 2:
+            r = math.sqrt(m + m) if e & 1 else math.sqrt(m)
+            re = e >> 1
+        else:
+            re, k = divmod(e, n)
+            a = int(m * _TWO52)
+            t = a << (k + self._shift)
+            man = int(math.ldexp(m, k) ** self._inv * _TWO52)
+            while True:
+                lo = (man + man - 1) ** n
+                if t < lo:
+                    man -= 1
+                    continue
+                hi = (man + man + 1) ** n
+                if t >= hi:
+                    man += 1
+                    continue
+                break
+            near = t >> self._band
+            if hi - t <= near or t - lo <= near:
+                self.fallbacks += 1
+                r, re = _pair(mpf_nthroot(from_man_exp(a, e - 52), n, _PREC, _RND))
+            elif man >> 53:
+                r, re = 1.0, re + 1
+            else:
+                r = man * _ULP
+        # (1 - theta) u is (m cm) 2^(re + d) with m cm in [1, 4), d <= 0
+        d = max(e + self._ce - re, -_SHIFT_CLAMP)
+        q, k = math.frexp((r - math.ldexp(m * self._cm, d)) / self._tm)
+        return q + q, re - self._te + k - 1
 
 
 def g_eval_mp(params: CascadeParams, u) -> mpf:
@@ -169,10 +283,20 @@ def _newton_root(g: _G, y: tuple) -> tuple:
     the iterates rise monotonically to the root on the increasing branch.
     Stops on a step below 2^-70 relative, a slope that is not positive (no
     root below the peak), or after 64 steps; returns ``v^N``.
+
+    Where ``c (theta y)^N`` is below a quarter ulp of ``theta y``, as it is
+    on every deep cell, ``v - c v^N`` rounds to ``v``, so the first step is
+    exactly 0 (or the slope stops the loop) and ``v`` stays ``theta y``;
+    that step is skipped.  ``c v^N`` rounded three times at 80 bits is
+    under ``2^(ce + 2 + N top)`` for ``c < 2^(ce+1)`` and ``theta y <
+    2^top``, and a quarter ulp of ``theta y`` is at least ``2^(top - 82)``.
     """
     prec = _NEWTON_PREC
     n = g.n
     ty = mpf_mul(g.theta, y, prec, _RND)
+    top = ty[2] + ty[3]
+    if g._ce + 2 + n * top <= top - 82:
+        return mpf_pow_int(ty, n, prec, _RND)
     v = ty
     for _ in range(64):
         cw = mpf_mul(g.one_minus, mpf_pow_int(v, n - 1, prec, _RND), prec, _RND)
@@ -205,6 +329,14 @@ def _float_at(i: int) -> tuple:
     return from_man_exp(i - (exp << 52), exp)
 
 
+def _rounded(x) -> tuple:
+    """The tuple of ``mpf(x)`` at 53 bits, round to nearest."""
+    if isinstance(x, mpf):
+        return mpf_pos(x._mpf_, _PREC, _RND)
+    with mp.workprec(_PREC):
+        return mpf(x)._mpf_
+
+
 def _mp_preimage(g: _G, y, hi):
     """Preimage of ``y`` under the increasing branch of ``g``, at 53 bits.
 
@@ -223,38 +355,44 @@ def _mp_preimage(g: _G, y, hi):
     one evaluation, counted on ``g.calls``.  Where ``G`` is monotone the
     start does not change the result; only near the peak of ``g``, where
     ``G`` is not, can it decide which transition is found.  Either way
-    ``G`` at ``x`` and ``pred x`` checks the result.
+    ``G`` at ``x`` and ``pred x`` checks the result.  ``G`` runs on pairs
+    (:meth:`_G.pair`), so the only tuples are the ends of the search.
     """
-    with mp.workprec(_PREC):
-        y = mpf(y)._mpf_
-        if y == fzero:
-            return mpf(0), True
-        hi = mpf(hi)._mpf_
-        top = _index(hi)
-        start = min(_index(mpf_pos(_newton_root(g, y), _PREC, _RND)), top)
-        value = g(_float_at(start))
-        # G(lo) < y <= G(up); None until the gallop finds that side
-        lo, up = (start, None) if mpf_lt(value, y) else (None, start)
-        exact = value == y
-        step = 1
-        while lo is None or up is None:
-            if up is None and lo == top:
-                return mp.make_mpf(hi), False
-            i = min(lo + step, top) if up is None else up - step
-            value = g(_float_at(i))
-            if mpf_lt(value, y):
-                lo = i
-            else:
-                up, exact = i, value == y
-            step += step
-        while up - lo > 1:
-            mid = (lo + up) >> 1
-            value = g(_float_at(mid))
-            if mpf_lt(value, y):
-                lo = mid
-            else:
-                up, exact = mid, value == y
-        return mp.make_mpf(_float_at(up)), exact
+    y, hi = _rounded(y), _rounded(hi)
+    if y == fzero:
+        return mpf(0), True
+    top = _index(hi)
+    start = min(_index(mpf_pos(_newton_root(g, y), _PREC, _RND)), top)
+    ym, ye = _pair(y)
+    pair = g.pair
+
+    def below(i: int) -> tuple:
+        """``(G(x_i) < y, G(x_i) == y)`` for the float ``x_i`` of index ``i``."""
+        vm, ve = pair(1.0 + (i & _MASK) * _ULP, (i >> 52) + 51)  # the pair of x_i
+        return ve < ye or (ve == ye and vm < ym), ve == ye and vm == ym
+
+    under, exact = below(start)
+    # G(lo) < y <= G(up); None until the gallop finds that side
+    lo, up = (start, None) if under else (None, start)
+    step = 1
+    while lo is None or up is None:
+        if up is None and lo == top:
+            return mp.make_mpf(hi), False
+        i = min(lo + step, top) if up is None else up - step
+        under, hit = below(i)
+        if under:
+            lo = i
+        else:
+            up, exact = i, hit
+        step += step
+    while up - lo > 1:
+        mid = (lo + up) >> 1
+        under, hit = below(mid)
+        if under:
+            lo = mid
+        else:
+            up, exact = mid, hit
+    return mp.make_mpf(_float_at(up)), exact
 
 
 class ThresholdChain(NamedTuple):
@@ -427,7 +565,8 @@ def step_identity_residual(solution: CascadeSolution) -> StepIdentityReport:
         for i, n in enumerate(cells):
             v_n = solution.a_exact[n] if n >= 0 else mpf(1)
             v_prev = solution.a_exact[n - 1] if n >= 1 else mpf(1)
-            res[i] = float(abs(v_prev - mp.make_mpf(g(v_n._mpf_))))
+            image = g(v_n._mpf_)
+            res[i] = 0.0 if image == v_prev._mpf_ else float(abs(v_prev - mp.make_mpf(image)))
     mx = float(np.max(res)) if len(res) else 0.0
     return StepIdentityReport(cells, res, mx, mx == 0.0)
 
@@ -546,7 +685,9 @@ def extend_from_seed(
             for k in range(1, downs + 1):
                 prev = y
                 y = _mp_preimage(g, y, y)[0]
-                if abs(mp.make_mpf(g(y._mpf_)) - prev) > tol:
+                image = g(y._mpf_)
+                miss = 0 if image == prev._mpf_ else abs(mp.make_mpf(image) - prev)
+                if miss > tol:
                     raise RuntimeError(
                         f"inverse chain missed its defining identity beyond {tol!r}"
                     )

@@ -783,7 +783,12 @@ def _run_regularity(config: RunConfig, em: _Emitter, threads: int) -> int:
     _require(alpha is not None, "regularity requires the alpha key (or a curve form carrying one)")
     rep = regularity_diagnostic(built.curve, alpha, window=opts["window"])
     em.say(f"alpha: {format_number(alpha)}, window points: {rep.window_points}")
-    em.say(f"classification: {rep.classification}")
+    # a mixture sampled where W_n is no mean-one martingale is no fixed point
+    defect = None if built.phi is None else _mean_one_defect(config.model, built.alpha)
+    if defect is None:
+        em.say(f"classification: {rep.classification}")
+    else:
+        em.say(f"not classified: {defect}; the mixture is not a fixed point")
     em.say(
         f"normalized tail range: [{format_number(rep.liminf_estimate)}, "
         f"{format_number(rep.limsup_estimate)}]"
@@ -794,7 +799,7 @@ def _run_regularity(config: RunConfig, em: _Emitter, threads: int) -> int:
     em.csv("regularity", {"residue": ["all" if k is None else k for k, _ in limits],
                           "stabilized_limit": [v for _, v in limits]})
     _curve_csv(em, built.curve)
-    return EXIT_OK
+    return EXIT_OK if defect is None else EXIT_VERIFY
 
 
 def _run_biggins(config: RunConfig, em: _Emitter, threads: int) -> int:

@@ -6,14 +6,25 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import (
     fone,
     from_float,
     from_man_exp,
+    fzero,
+    mpf_abs,
     mpf_add,
+    mpf_div,
+    mpf_le,
+    mpf_lt,
     mpf_mul,
+    mpf_mul_int,
     mpf_nthroot,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sub,
 )
 
 from branchfix import cascade
@@ -22,6 +33,8 @@ from branchfix.cascade import (
     CascadeParams,
     _G,
     _mp_preimage,
+    _pair,
+    _tuple,
     SeedFunction,
     a0,
     a_sequence,
@@ -394,6 +407,36 @@ def test_nthroot_within_one_ulp():
             assert abs(got - true) <= true * mpf(2) ** -52
 
 
+def _reference_newton(g, y):
+    """The 80-bit Newton start with every step taken."""
+    prec, n = 80, g.n
+    ty = mpf_mul(g.theta, y, prec, "n")
+    v = ty
+    for _ in range(64):
+        cw = mpf_mul(g.one_minus, mpf_pow_int(v, n - 1, prec, "n"), prec, "n")
+        slope = mpf_sub(fone, mpf_mul_int(cw, n, prec, "n"), prec, "n")
+        if not mpf_lt(fzero, slope):
+            break
+        p = mpf_sub(mpf_sub(v, mpf_mul(cw, v, prec, "n"), prec, "n"), ty, prec, "n")
+        step = mpf_div(p, slope, prec, "n")
+        v = mpf_sub(v, step, prec, "n")
+        if mpf_le(mpf_abs(step), mpf_shift(v, -70)):
+            break
+    return mpf_pow_int(v, n, prec, "n")
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 12, 40])
+def test_newton_start_skips_only_a_zero_step(n):
+    # targets from 1 down to 2^-400, across the point where c (theta y)^N
+    # falls under a quarter ulp of theta y and the first step is skipped
+    rng = random.Random(n)
+    for theta in (0.05, 0.5, 0.875):
+        g = _G(CascadeParams(n, theta))
+        for k in range(0, 400, 3):
+            y = from_man_exp(rng.getrandbits(53) | 1 << 52, -53 - k)
+            assert cascade._newton_root(g, y) == _reference_newton(g, y), (theta, k)
+
+
 def test_chain_g_evaluations_repeat():
     params = CascadeParams(8, 0.5)
     one = explicit_solution(params, scale=1.0, depth=30)
@@ -402,6 +445,134 @@ def test_chain_g_evaluations_repeat():
     assert one.g_evaluations == two.g_evaluations == 176
     # a Newton start within a few ulps, a short gallop and bisection
     assert one.g_evaluations < 8 * len(one.exact_flags)
+
+
+# (calls, fallbacks) of the evaluator each golden chain builds
+GOLDEN_CHAIN_COUNTS = {(8, 0.5): (176, 0), (3, 0.4): (74, 0)}
+
+
+@pytest.mark.parametrize("n,theta,length", GOLDEN_CHAINS)
+def test_golden_chain_counts_repeat(monkeypatch, n, theta, length):
+    made = []
+    make = cascade._G
+    monkeypatch.setattr(cascade, "_G", lambda params: made.append(make(params)) or made[-1])
+    params = CascadeParams(n, theta)
+    first = exact_threshold_chain(params, length - 1)
+    second = exact_threshold_chain(params, length - 1)
+    assert first == second
+    counts = [(g.calls, g.fallbacks) for g in made]
+    assert counts == [GOLDEN_CHAIN_COUNTS[n, theta]] * 2
+    assert counts[0][0] == first.g_evaluations
+
+
+# ---------------------------------------------------------------------------
+# the pair kernel of G, bit for bit against the mpf operators
+# ---------------------------------------------------------------------------
+
+# N = 2 (sqrt), 3..20 (the integer rounding test), 21 and 40 (mpmath's root)
+KERNEL_NS = [2, 3, 4, 5, 8, 12, 20, 21, 40]
+KERNEL_THETAS = (0.5, 0.3, 0.875, 0.01)
+
+
+def _assert_kernel_matches(params, args):
+    """``G`` on each tuple and on its pair equals the mpmath evaluation;
+    returns the evaluator."""
+    g = _G(params)
+    for u in args:
+        want = g._mp(u)
+        assert g(u) == want, (params, u)
+        assert _tuple(*g.pair(*_pair(u))) == want, (params, u)
+    return g
+
+
+@pytest.mark.parametrize("n", KERNEL_NS)
+def test_kernel_matches_mpmath_at_random_exponents(n):
+    # exponents down to -3000, and densely near the top, where the product
+    # (1 - theta) u sits 50 to 70 bits below the root and the alignment
+    # shift meets its clamp
+    rng = random.Random(n)
+    args = [from_man_exp(rng.getrandbits(53) | 1 << 52,
+                         rng.randint(-3000, -53) if i % 2 else rng.randint(-260, -53))
+            for i in range(300)]
+    for theta in KERNEL_THETAS:
+        _assert_kernel_matches(CascadeParams(n, theta), args)
+
+
+def _nearest(power: int, scale: int) -> tuple:
+    """The 53-bit float nearest ``power 2^-scale``, for a positive integer."""
+    shift = power.bit_length() - 53
+    return from_man_exp((power + (1 << (shift - 1))) >> shift, shift - scale)
+
+
+@pytest.mark.parametrize("n", KERNEL_NS)
+def test_kernel_matches_mpmath_at_binade_edges(n):
+    # u at both ends of its binade, at every exponent residue mod N, so the
+    # root's mantissa runs from 1 to its top, 2^53 - 1, and past it to 2,
+    # carrying into the next binade; and u the nearest float to the N-th
+    # power of a root at the top of its binade
+    args = [fone] + [from_man_exp(man, exp) for man in (2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1)
+                     for exp in range(-53 - 2 * n, -52)]
+    args += [_nearest(top**n, 52 * n + 7 * n) for top in (2**53 - 1, 2**53 - 2, 2**52 + 1)]
+    if 2 < n:
+        assert any(mpf_nthroot(u, n, 53, "n")[1] == 1 for u in args)  # a root of 2^k
+    for theta in KERNEL_THETAS:
+        _assert_kernel_matches(CascadeParams(n, theta), args)
+
+
+# u whose N-th root lies so near a rounding midpoint that mpf_nthroot rounds
+# it the wrong way (found by a search over the nearest floats to midpoint
+# powers); the kernel must give mpmath's bits there, not the correct ones
+MISROUNDED_ROOTS = [(3, 8750263067684939, -221), (3, 8490573552234779, -116),
+                    (4, 4930228678451138, -214), (4, 6832871653002633, -200),
+                    (5, 8520093365378162, -153), (5, 7182988018445662, -150)]
+
+
+@pytest.mark.parametrize("n, man, exp", MISROUNDED_ROOTS)
+def test_kernel_takes_mpmath_root_where_mpmath_misrounds(n, man, exp):
+    u = from_man_exp(man, exp)
+    with mp.workprec(300):
+        true = mp.root(mp.make_mpf(u), n)
+    with mp.workprec(53):
+        assert mpf_nthroot(u, n, 53, "n") != (+true)._mpf_
+    g = _assert_kernel_matches(CascadeParams(n, 0.5), [u])
+    assert g.fallbacks == 2
+
+
+@pytest.mark.parametrize("n", KERNEL_NS)
+def test_kernel_matches_mpmath_near_rounding_midpoints(n):
+    # u the nearest float to mid^N for a midpoint mid = (M + 1/2) 2^-52 of
+    # the root's binade: each root lies within about 2^-53/N of a midpoint
+    rng = random.Random(100 + n)
+    args = [_nearest((2 * (rng.getrandbits(52) | 1 << 52) + 1) ** n, 53 * n + n * rng.randint(1, 60))
+            for _ in range(400)]
+    _assert_kernel_matches(CascadeParams(n, 0.5), args)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 20])
+def test_kernel_takes_mpmath_root_next_to_a_midpoint(n):
+    # u = 1 - (N/2)(2i + 1) 2^-53 has the root 1 - (2i + 1) 2^-54 - O(i^2 2^-106),
+    # a midpoint to far closer than mpmath's error: each one falls back
+    args = [from_man_exp(2**53 - n // 2 * (2 * i + 1), -53) for i in range(40)]
+    g = _assert_kernel_matches(CascadeParams(n, 0.5), args)
+    assert g.fallbacks == 2 * len(args)
+
+
+@pytest.mark.parametrize("n", KERNEL_NS)
+def test_kernel_matches_mpmath_where_the_difference_cancels(n):
+    # u near 1 with a small theta: the root and (1 - theta) u share their
+    # leading bits.  At theta = 2^-60, 1 - theta rounds to 1 and G(1) is 0.
+    args = [fone] + [from_man_exp(2**53 - j, -53) for j in range(1, 120)]
+    for theta in (2.0**-60, 2.0**-30, 1e-6, 0.01):
+        _assert_kernel_matches(CascadeParams(n, theta), args)
+    assert _G(CascadeParams(n, 2.0**-60))(fone) == fzero
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from(KERNEL_NS),
+       theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       man=st.integers(2**52, 2**53 - 1), exp=st.integers(-3052, -53))
+def test_kernel_matches_mpmath_property(n, theta, man, exp):
+    _assert_kernel_matches(CascadeParams(n, theta), [from_man_exp(man, exp)])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from branchfix.cli import (
     _MODELS,
     _MODULATION,
     _RUNNERS,
+    EXIT_VERIFY,
     ConfigError,
     config_digest,
     format_number,
@@ -581,6 +582,18 @@ def test_every_mixture_report_names_its_sample(tmp_path, command, options):
     assert lines[2] == "constructed: weibull-mixture at alpha = 1.0"
     assert lines[3] == MEAN_ONE_WARNING
     assert lines[4].startswith("sample diagnostics: mean W = ")
+
+
+def test_regularity_does_not_classify_a_mixture_that_is_no_fixed_point(tmp_path):
+    # the tail diagnostic of this curve reads elementary-candidate, but the
+    # curve is no fixed point; fixpoint-verify fails it too (max |z| 12.4)
+    cfg = parse_config({**NOT_MEAN_ONE, "options": {"curve": {"form": "weibull-mixture"}}})
+    assert run_command(cfg, "regularity", out=str(tmp_path / "r")) == EXIT_VERIFY
+    lines = (tmp_path / "r-report.txt").read_text(encoding="utf-8").splitlines()
+    assert not [ln for ln in lines if ln.startswith("classification: ")]
+    assert ("not classified: m(alpha) = 1.0518191617571635 is not 1 within 1e-09; "
+            "the mixture is not a fixed point") in lines
+    assert (tmp_path / "r-regularity.csv").exists() and (tmp_path / "r-curve.csv").exists()
 
 
 @pytest.mark.parametrize("kind, form", [("min", "weibull-mixture"), ("sum", "stable-mixture")])
