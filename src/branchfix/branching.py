@@ -862,7 +862,7 @@ class IncrementDistribution:
 
     @property
     def drift(self) -> float:
-        return float(np.dot(self.masses, self.locations))
+        return float(np.add.reduce(self.masses * self.locations))
 
 
 def increment_distribution(model: WeightModel, alpha: float) -> IncrementDistribution:
@@ -942,7 +942,7 @@ def biggins_check(model: WeightModel, alpha: float) -> BigginsReport:
         if u <= 1.0 or p == 0.0:
             continue
         logu = math.log(u)
-        denom = float(np.dot(inc.masses, np.minimum(pos, logu)))
+        denom = float(np.add.reduce(inc.masses * np.minimum(pos, logu)))
         if denom <= 0.0:
             finite = False
             integral = math.inf

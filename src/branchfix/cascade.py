@@ -18,22 +18,25 @@ The threshold sequence decays doubly exponentially (``a_{k+1} ~ (theta
 a_k)^N``), which leaves IEEE double range around k = 8 for small theta.  The
 chain is therefore computed in 53-bit floats with unbounded exponents, and
 its values are mpmath floats.  ``G``, the 53-bit evaluation of ``g`` with
-each operation rounded as mpmath rounds it, runs on pairs of a float
-mantissa and an integer exponent; it calls mpmath for an N-th root next to
-a rounding midpoint, and throughout for N > 20 (see ``_G``).  Each
-``a_{k+1}`` is the transition float of ``a_k``: the ``x`` with ``G(pred x)
-< a_k <= G(x)``, ``pred x`` the float just below it, flagged exact when
-``G(x) == a_k``.  Where ``G`` is monotone that is the least float whose
-image reaches ``a_k``, so the least exact hit whenever one exists; such a
-float almost always exists because ``g`` contracts adjacent-float
-spacing (slope ~ a_k / (N a_{k+1}) against an ulp ratio ~ a_{k+1}/a_k), and
-exactness flags record the rare failures.  Two ``g`` evaluations check a
-value, whatever found it.  It is found on integer float indices: a Newton
-estimate of the root, a gallop in whole ulps until ``G`` crosses the
-target, and a bisection of the bracketing indices.  The seed extension's
-inverse cells follow the same rule.  One ``g`` evaluator serves a chain,
-and one each report that checks it.  Float64 projections are provided
-alongside, with the underflow point marked.
+each operation rounded as mpmath rounds it, has one evaluator,
+:meth:`_G.pair`, on pairs of a float mantissa and an integer exponent.
+Each ``a_{k+1}`` is the transition float of ``a_k``: the ``x`` with
+``G(pred x) < a_k <= G(x)``, ``pred x`` the float just below it, flagged
+exact when ``G(x) == a_k``.  Where ``G`` is monotone that is the least float
+whose image reaches ``a_k``, so the least exact hit whenever one exists;
+such a float almost always exists because ``g`` contracts adjacent-float
+spacing (slope ~ a_k / (N a_{k+1}) against an ulp ratio ~ a_{k+1}/a_k),
+and exactness flags record the rare failures.  It is found on integer
+float indices: a Newton estimate of the root, a gallop in whole ulps until
+``G`` crosses the target, and a bisection of the bracketing indices.  The
+seed extension's inverse cells are the same walk (:func:`_inverse_walk`),
+and each check takes a cell's miss from :func:`_miss`.  Float64 projections
+mark the underflow point.
+
+mpmath arithmetic is left in ``_G._mp`` (the reference, and ``G`` for N >
+20), the midpoint fallback, :func:`_newton_root` and one subtraction in
+:func:`_miss`.  Elsewhere values are only converted, rounded explicitly at
+the ends (:func:`_rounded`, ``from_float``, ``mp.make_mpf``, ``to_float``).
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from mpmath.libmp import (
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
+    to_float,
 )
 
 from .curves import LatticeSpec, PeriodicModulation, SurvivalCurve
@@ -137,14 +141,14 @@ def _tuple(m: float, e: int) -> tuple:
 
 
 class _G:
-    """``G``, the 53-bit round-to-nearest ``g``, on pairs and on mpmath tuples.
+    """``G``, the 53-bit round-to-nearest ``g``, on pairs.
 
     ``G`` is ``g`` with each of its operations rounded as the mpf
     operators round them at 53 bits (``mpf_sqrt``/``mpf_nthroot``,
-    ``mpf_mul``, ``mpf_sub``, ``mpf_div``).  :meth:`_mp` evaluates it so;
-    :meth:`pair` gets the same bits on ``u`` in (0, 1] from IEEE
-    arithmetic on mantissas, and ``__call__`` takes a tuple through
-    :meth:`pair` wherever it may.
+    ``mpf_mul``, ``mpf_sub``, ``mpf_div``).  :meth:`_mp` evaluates it so,
+    and is the reference; :meth:`pair`, the evaluator every caller uses,
+    gets the same bits on ``u`` in (0, 1] from IEEE arithmetic on
+    mantissas.
 
     - ``(1 - theta) u`` and ``/ theta`` are one IEEE operation each on
       mantissas in [1, 2): no overflow or underflow, correctly rounded.
@@ -205,14 +209,6 @@ class _G:
         diff = mpf_sub(root, mpf_mul(self.one_minus, u, _PREC, _RND), _PREC, _RND)
         return mpf_div(diff, self.theta, _PREC, _RND)
 
-    def __call__(self, u: tuple) -> tuple:
-        """``G`` of a nonnegative 53-bit tuple, through :meth:`pair` where it may."""
-        _, man, exp, bc = u
-        if man and (exp + bc < 1 or u == fone):
-            return _tuple(*self.pair(*_pair(u)))
-        self.calls += 1
-        return self._mp(u)
-
     def pair(self, m: float, e: int) -> tuple:
         """``G(m 2^e)`` as a pair, for ``m 2^e`` in (0, 1]."""
         self.calls += 1
@@ -253,10 +249,10 @@ class _G:
 
 def g_eval_mp(params: CascadeParams, u) -> mpf:
     """53-bit, unbounded-exponent evaluation of ``g`` (no underflow)."""
-    with mp.workprec(53):
-        if u < 0 or u > 1:
-            raise ValueError(f"u = {u!r} outside [0, 1]")
-        return mp.make_mpf(_G(params)(mpf(u)._mpf_))
+    if u < 0 or u > 1:
+        raise ValueError(f"u = {u!r} outside [0, 1]")
+    t = _rounded(u)
+    return mp.make_mpf(t if t == fzero else _tuple(*_G(params).pair(*_pair(t))))
 
 
 def u_star(params: CascadeParams) -> float:
@@ -395,6 +391,22 @@ def _mp_preimage(g: _G, y, hi):
     return mp.make_mpf(_float_at(up)), exact
 
 
+def _inverse_walk(g: _G, y, hi):
+    """``(target, x, exact)`` per cell, endlessly: :func:`_mp_preimage` of
+    ``y`` under ``hi``, then of each cell under itself."""
+    while True:
+        x, exact = _mp_preimage(g, y, hi)
+        yield y, x, exact
+        y = hi = x
+
+
+def _miss(g: _G, x: mpf, y: mpf) -> mpf:
+    """``|G(x) - y|`` rounded to 53 bits, for positive 53-bit ``x`` and ``y``;
+    zero where ``G(x) == y``."""
+    image, y = _tuple(*g.pair(*_pair(x._mpf_))), y._mpf_
+    return mp.make_mpf(fzero if image == y else mpf_abs(mpf_sub(image, y, _PREC, _RND)))
+
+
 class ThresholdChain(NamedTuple):
     """The exact threshold chain and the work that found it."""
 
@@ -417,19 +429,12 @@ def exact_threshold_chain(params: CascadeParams, n: int) -> ThresholdChain:
     if n < 0:
         raise ValueError("n must be >= 0")
     g = _G(params)
-    with mp.workprec(_PREC):
-        values = []
-        flags = []
-        target = mpf(1)
-        hi = mpf(u_star(params))
-        for _ in range(n + 1):
-            x, ok = _mp_preimage(g, target, hi)
-            if values and not x < values[-1]:
-                raise RuntimeError("threshold chain failed to decrease strictly")
-            values.append(x)
-            flags.append(ok)
-            target = x
-            hi = x  # g is increasing on [0, a_k] and a_{k+1} < a_k
+    values, flags = [], []
+    for _, (_, x, exact) in zip(range(n + 1), _inverse_walk(g, mpf(1), u_star(params))):
+        if values and not x < values[-1]:
+            raise RuntimeError("threshold chain failed to decrease strictly")
+        values.append(x)
+        flags.append(exact)
     return ThresholdChain(values, flags, g.calls)
 
 
@@ -442,14 +447,9 @@ def a_sequence(params: CascadeParams, n: int, tol: float = 1e-13) -> np.ndarray:
     """
     values, flags, _ = exact_threshold_chain(params, n)
     g = _G(params)
-    with mp.workprec(53):
-        for k, (v, ok) in enumerate(zip(values, flags)):
-            if not ok:
-                prev = mpf(1) if k == 0 else values[k - 1]
-                if abs(mp.make_mpf(g(v._mpf_)) - prev) > mpf(tol):
-                    raise RuntimeError(
-                        f"threshold a_{k} missed its defining identity beyond {tol!r}"
-                    )
+    for k, (y, x, ok) in enumerate(zip([mpf(1)] + values, values, flags)):
+        if not ok and _miss(g, x, y) > tol:
+            raise RuntimeError(f"threshold a_{k} missed its defining identity beyond {tol!r}")
     return np.array([float(v) for v in values])
 
 
@@ -560,13 +560,10 @@ def step_identity_residual(solution: CascadeSolution) -> StepIdentityReport:
     """
     g = _G(solution.params)
     cells = np.arange(-solution.below, solution.depth + 1)
-    res = np.empty(len(cells))
-    with mp.workprec(53):
-        for i, n in enumerate(cells):
-            v_n = solution.a_exact[n] if n >= 0 else mpf(1)
-            v_prev = solution.a_exact[n - 1] if n >= 1 else mpf(1)
-            image = g(v_n._mpf_)
-            res[i] = 0.0 if image == v_prev._mpf_ else float(abs(v_prev - mp.make_mpf(image)))
+    # the cell values v_n from n = -below - 1 on: 1 below the scale point
+    values = [mpf(1)] * (solution.below + 1) + list(solution.a_exact)
+    res = np.array([to_float(_miss(g, v_n, v_prev)._mpf_, rnd=_RND)
+                    for v_prev, v_n in zip(values, values[1:])])
     mx = float(np.max(res)) if len(res) else 0.0
     return StepIdentityReport(cells, res, mx, mx == 0.0)
 
@@ -641,9 +638,12 @@ def extend_from_seed(
     ``0 < t = y_{j-1} <= y_k <= tol``, and its value ``x`` has
     ``G(pred x) < t <= G(x)`` for the adjacent floats ``pred x < x``, a
     relative step of at most ``2^-52``.  ``g`` is concave with ``g(0) = 0``,
-    so ``g(x) / g(pred x) <= x / pred x``, and ``G`` adds a few ulps of
-    rounding at each: ``0 <= G(x) - t < G(x) - G(pred x)`` is a few ulps of
-    ``t``, below the target itself, and the check passes.  A ``tol`` below
+    so ``g(x) <= (1 + 2^-52) g(pred x)``, and ``G`` is ``g`` within a relative
+    ``eps``, the root's error plus two roundings: ``0 <= G(x) - t < G(x) -
+    G(pred x) <= (2^-52 + 3 eps) t / (1 - eps)``, below ``t`` for ``eps <
+    1/5``.  The root is within a relative ``2^-50`` (the kernel's for N <= 20;
+    mpmath's for N > 20 is tested down to ``2^(-1100 N)``, past a chain's last
+    computed cell), so ``eps < 2^-49`` and the check passes.  A ``tol`` below
     every value, ``tol = 0`` for one, never stops a chain: every cell is
     computed and checked, and the first failed check raises as before.
     """
@@ -660,42 +660,30 @@ def extend_from_seed(
         )
     if n_lo > 0 or n_hi < 0 or n_lo >= n_hi:
         raise ValueError("need n_lo <= 0 <= n_hi with n_lo < n_hi")
+    if not tol >= 0.0:
+        raise ValueError("tol must be >= 0")
 
     # Chains per seed point over n in [n_lo - 1, n_hi]; the extra -1 entry
     # serves the residue-1 column, whose exponent is shifted by one.
     ups = -(n_lo - 1)
-    downs = n_hi
     chains = []
     g = _G(params)
-    with mp.workprec(_PREC):
-        for v in seed.values:
-            chain = {0: float(v)}
-            x = float(v)
-            for k in range(1, ups + 1):
-                # clip: float rounding near the fixed point 1 can overshoot by an ulp
-                x = min(1.0, g_eval(params, min(x, 1.0)))
-                chain[-k] = x
-            # The inverse chain decays doubly exponentially (x ~ (theta x)^N
-            # per step), leaving float64 range after a handful of cells, so a
-            # float64 bisection would stall and break monotonicity.  Iterate
-            # in unbounded-exponent 53-bit floats and project; cells beyond
-            # float range underflow to an honest 0.0, whose one-step residual
-            # is the size of the vanished value.
-            y = mpf(float(v))
-            for k in range(1, downs + 1):
-                prev = y
-                y = _mp_preimage(g, y, y)[0]
-                image = g(y._mpf_)
-                miss = 0 if image == prev._mpf_ else abs(mp.make_mpf(image) - prev)
-                if miss > tol:
-                    raise RuntimeError(
-                        f"inverse chain missed its defining identity beyond {tol!r}"
-                    )
-                chain[k] = float(y)
-                if chain[k] == 0.0 and y <= tol:  # the stop rule in the docstring
-                    chain.update(dict.fromkeys(range(k + 1, downs + 1), 0.0))
-                    break
-            chains.append(chain)
+    for v in seed.values:
+        chain = {0: float(v)}
+        for k in range(1, ups + 1):
+            # clip: float rounding near the fixed point 1 can overshoot by an ulp
+            chain[-k] = min(1.0, g_eval(params, min(chain[1 - k], 1.0)))
+        # The inverse chain leaves float64 range within a few cells, so it runs
+        # in unbounded-exponent 53-bit floats; cells past that project to 0.0.
+        top = mp.make_mpf(from_float(v))
+        for k, (t, y, exact) in zip(range(1, n_hi + 1), _inverse_walk(g, top, top)):
+            if not exact and _miss(g, y, t) > tol:
+                raise RuntimeError(f"inverse chain missed its defining identity beyond {tol!r}")
+            chain[k] = float(y)
+            if chain[k] == 0.0 and y <= tol:  # the stop rule in the docstring
+                chain.update(dict.fromkeys(range(k + 1, n_hi + 1), 0.0))
+                break
+        chains.append(chain)
 
     residues = np.concatenate([[1.0], seed.grid[:-1]])  # 1, then the seed points inside (1, e)
     spec = LatticeSpec(math.e, residues, n_lo, n_hi)

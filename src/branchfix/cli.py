@@ -588,12 +588,12 @@ def _curve_csv(em: _Emitter, curve) -> None:
 # ---------------------------------------------------------------------------
 # command runners
 # ---------------------------------------------------------------------------
-# `run_command` checks each runner's options and config parts against `_RUNNERS`.
+# `run_command` checks each runner's options and config parts against `_RUNNERS`
+# and says the command and model lines before the runner's own.
 
 
 def _run_weights_analyze(config: RunConfig, em: _Emitter, threads: int) -> int:
     model = config.model
-    em.say(f"model: {_describe_model(model)}")
     res = characteristic_exponent(model)
     if res.alpha is not None:
         em.say(f"characteristic exponent: {format_number(res.alpha)}")
@@ -627,7 +627,6 @@ def _run_weights_analyze(config: RunConfig, em: _Emitter, threads: int) -> int:
 def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
     z_max, mc = config.options["z_max"], config.mc
     traces = replicate_traces(config.model, config.alpha, **asdict(mc), threads=threads)
-    em.say(f"model: {_describe_model(config.model)}")
     em.say(f"alpha: {format_number(config.alpha)}")
     em.say(f"replicates: {mc.replicates}, depth: {mc.depth}")
     replicate, n = np.divmod(np.arange(traces.W.size), mc.depth + 1)
@@ -658,7 +657,6 @@ def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
 def _run_fixpoint_verify(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
     _require(opts["curve"] is not None, "fixpoint-verify requires options.curve")
-    em.say(f"model: {_describe_model(config.model)}")
     built = _build_curve(config, em, opts["curve"], opts["kind"], threads)
     kind, grid = built.kind, built.curve.grid
     em.say(f"operator: {kind}")
@@ -708,9 +706,7 @@ def _run_fixpoint_construct(config: RunConfig, em: _Emitter, threads: int) -> in
 
 
 def _cascade_params(config: RunConfig) -> casc.CascadeParams:
-    model = config.model
-    _require(isinstance(model, BernoulliCascade), "this command needs model.kind = 'cascade'")
-    return casc.CascadeParams(model.N, model.theta)
+    return casc.CascadeParams(config.model.N, config.model.theta)
 
 
 def _run_cascade_solve(config: RunConfig, em: _Emitter, threads: int) -> int:
@@ -721,7 +717,6 @@ def _run_cascade_solve(config: RunConfig, em: _Emitter, threads: int) -> int:
              f"cascade-solve needs the supercritical regime; got {regime} (theta vs 1 - 1/N)")
     depth, scale, below, tol = opts["depth"], opts["scale"], opts["below"], opts["tol"]
     sol = casc.explicit_solution(params, scale=scale, depth=depth, below=below)
-    em.say(f"model: {_describe_model(config.model)} ({regime})")
     em.say(f"scale: {format_number(scale)}, cells n in [{-below}, {depth}]")
     em.csv("thresholds", {"n": range(depth + 1), "a_n": sol.a,
                           "exact_preimage": sol.exact_flags})
@@ -749,7 +744,6 @@ def _run_cascade_solve(config: RunConfig, em: _Emitter, threads: int) -> int:
 def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
     params = _cascade_params(config)
-    regime = casc.classify(params)
     grid, values, value = opts["seed_grid"], opts["seed_values"], opts["seed_value"]
     if value is not None:
         _require(grid is None and values is None,
@@ -762,7 +756,6 @@ def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
         seed = casc.SeedFunction(grid, values)
     n_lo, n_hi, check_tol = opts["n_lo"], opts["n_hi"], opts["check_tol"]
     curve = casc.extend_from_seed(params, seed, n_lo=n_lo, n_hi=n_hi, tol=opts["tol"])
-    em.say(f"model: {_describe_model(config.model)} ({regime})")
     em.say(f"seed points: {len(seed.grid)}, extension cells n in [{n_lo}, {n_hi}]")
     lat = curve.lattice
     n, residue = np.meshgrid(range(lat.n_lo, lat.n_hi + 1), lat.residues, indexing="ij")
@@ -777,7 +770,6 @@ def _run_cascade_extend(config: RunConfig, em: _Emitter, threads: int) -> int:
 def _run_regularity(config: RunConfig, em: _Emitter, threads: int) -> int:
     opts = config.options
     _require(opts["curve"] is not None, "regularity requires options.curve")
-    em.say(f"model: {_describe_model(config.model)}")
     built = _build_curve(config, em, opts["curve"], opts["kind"], threads)
     alpha = config.alpha if config.alpha is not None else built.alpha
     _require(alpha is not None, "regularity requires the alpha key (or a curve form carrying one)")
@@ -805,7 +797,6 @@ def _run_regularity(config: RunConfig, em: _Emitter, threads: int) -> int:
 def _run_biggins(config: RunConfig, em: _Emitter, threads: int) -> int:
     rep = biggins_check(config.model, config.alpha)
     inc = increment_distribution(config.model, config.alpha)
-    em.say(f"model: {_describe_model(config.model)}")
     em.say(f"alpha: {format_number(config.alpha)}")
     em.say(f"increment drift: {format_number(rep.drift)}")
     em.say(f"mean-one normalization integral: {format_number(rep.integral)}")
@@ -821,7 +812,6 @@ def _run_renewal_check(config: RunConfig, em: _Emitter, threads: int) -> int:
     z_max, mc = opts["z_max"], config.mc
     rep = renewal_measure_check(config.model, config.alpha, tuple(opts["interval"]),
                                 **asdict(mc), threads=threads)
-    em.say(f"model: {_describe_model(config.model)}")
     em.say(
         f"interval: [{format_number(rep.interval[0])}, "
         f"{format_number(rep.interval[1])}], depth {mc.depth}, "
@@ -848,6 +838,9 @@ _TOL = (1e-10, float, None)
 _Z_MAX = (3.0, float, None)
 _POINTS = (24, int, 1)
 
+# A cascade command needs a cascade model, and its model line names the regime.
+_CASCADE = "cascade model"
+
 # command -> (runner, its options table, config parts it requires)
 _RUNNERS = {
     "weights-analyze": (_run_weights_analyze, {}, ()),
@@ -859,11 +852,12 @@ _RUNNERS = {
         "kind": _ANY, "modulation": _ANY, "z_max": _Z_MAX, "points": _POINTS}, ()),
     "cascade-solve": (_run_cascade_solve, {
         "depth": (30, int, 0), "scale": (1.0, float, 0), "below": (1, int, 1),
-        "tol": _TOL}, ()),
+        "tol": _TOL}, (_CASCADE,)),
     "cascade-extend": (_run_cascade_extend, {
         "seed_grid": (None, list, None), "seed_values": (None, list, None),
         "seed_value": (None, float, None), "n_lo": (-20, int, None),
-        "n_hi": (20, int, None), "tol": (1e-13, float, None), "check_tol": _TOL}, ()),
+        "n_hi": (20, int, None), "tol": (1e-13, float, None),
+        "check_tol": _TOL}, (_CASCADE,)),
     "regularity": (_run_regularity, {
         "curve": _ANY, "window": (12, int, 1), "kind": _ANY}, ()),
     "biggins": (_run_biggins, {}, ("alpha key",)),
@@ -881,9 +875,16 @@ def run_command(config: RunConfig, command: str, threads: int = 1,
     config = replace(config, options=_checked(config.options, table, "options",
                                                f" for {command}"))
     for part in required:  # "alpha key" is config.alpha, "mc section" is config.mc
-        _require(getattr(config, part.split()[0]) is not None, f"{command} requires the {part}")
+        if part == _CASCADE:
+            _require(isinstance(config.model, BernoulliCascade),
+                     "this command needs model.kind = 'cascade'")
+        else:
+            _require(getattr(config, part.split()[0]) is not None,
+                     f"{command} requires the {part}")
     em = _Emitter(config, out or config.out or command)
     em.say(f"command: {command}")
+    regime = f" ({casc.classify(_cascade_params(config))})" if _CASCADE in required else ""
+    em.say(f"model: {_describe_model(config.model)}{regime}")
     code = runner(config, em, threads)
     text = em.finish()
     sys.stdout.write(text)

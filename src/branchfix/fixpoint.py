@@ -394,12 +394,14 @@ def _trend_slope(xs: np.ndarray, ys: np.ndarray):
     """Least-squares slope and R^2 of ys against xs."""
     if len(xs) < 3:
         return 0.0, 0.0
-    coef = np.polyfit(xs, ys, 1)
-    fit = np.polyval(coef, xs)
-    ss_res = float(np.sum((ys - fit) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
+    # the closed-form least-squares line: no LAPACK call, so no kernel-dependent bits
+    dx = xs - np.add.reduce(xs) / len(xs)
+    dy = ys - np.add.reduce(ys) / len(ys)
+    slope = float(np.add.reduce(dx * dy) / np.add.reduce(dx * dx))
+    ss_res = float(np.add.reduce((dy - slope * dx) ** 2))
+    ss_tot = float(np.add.reduce(dy * dy))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), r2
+    return slope, r2
 
 
 def regularity_diagnostic(

@@ -219,7 +219,7 @@ def _m_minus_one_many(model: WeightModel, betas: np.ndarray) -> np.ndarray:
         return np.full(betas.shape, const)
     pw = np.concatenate(pws)
     lw = np.concatenate(lws)
-    return np.exp(betas[:, None] * lw[None, :]) @ pw + const
+    return np.add.reduce(np.exp(betas[:, None] * lw[None, :]) * pw, axis=1) + const
 
 
 def _m_minus_one(model: WeightModel, beta: float) -> float:
@@ -357,7 +357,7 @@ def detect_lattice(model: WeightModel) -> LatticeInfo:
     # Least-squares refinement of the step through the integer multiples,
     # then a strict verification pass.
     k = np.round(nonzero / d)
-    d = float(np.dot(nonzero, k) / np.dot(k, k))
+    d = float(np.add.reduce(nonzero * k) / np.add.reduce(k * k))
     k = np.round(nonzero / d)
     if np.any(k < 1) or np.any(np.abs(nonzero - k * d) > _LATTICE_RTOL * np.maximum(1.0, nonzero)):
         return LatticeInfo("continuous")
@@ -404,7 +404,7 @@ def check_assumptions(model: WeightModel) -> AssumptionReport:
     return AssumptionReport(
         a1=bool(np.all(counts[live] >= 1) and np.any(live & (table.copies * counts > 1))),
         a2=bool(np.any(live & (sups < 1.0))),
-        a3=bool(table.copies * float(np.dot(probs, counts)) > 1.0),
+        a3=bool(table.copies * float(np.add.reduce(probs * counts)) > 1.0),
         a4=bool(np.any(live & ~in01)),
         degenerate_sup_one=bool(np.all(sups[live] == 1.0)),
         sup_ge_one=bool(np.all(sups[live] >= 1.0) and np.any(live & (sups > 1.0))),

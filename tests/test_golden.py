@@ -146,6 +146,12 @@ CASES = {
             "period": math.e, "residues": [1.0, 1.6], "values": [1.0, 1.3]}}}}, 0),
     "biggins-cascade": ("biggins", {"model": CASCADE3, "alpha": "auto"}, 0),
     "biggins-atoms": ("biggins", {"model": ATOMS, "alpha": "auto"}, 0),
+    # A drift whose last bit moved with the BLAS kernel while it was a dot
+    # product (0.435741031370962 under AVX-512, 0.43574103137096204 under
+    # Haswell and Prescott).
+    "biggins-atoms-fanout": ("biggins", {"model": {"kind": "atoms", "atoms": [
+        [0.3, [0.6, 0.8]], [0.5, [0.2, 0.3, 0.8]], [0.2, [0.3, 0.4, 0.8]]]},
+        "alpha": "auto"}, 0),
     "renewal-check-cascade": ("renewal-check", {
         "model": CASCADE, "alpha": LN3,
         "mc": {"depth": 5, "replicates": 100, "seed": 15},
@@ -157,6 +163,11 @@ GOLDEN = {
         'generation-one.csv': 'eb4a7e69f9dd125db8c759f8a6eccdbf0466940393f350b63f2fadcb9ce473af',
         'increments.csv': '47993e0ce5b9174b3741d6d22ff4019184133cef1403f89196a5cf17b6d72ee9',
         'report.txt': 'd093c5f839775d8eca5ac7d624931fd685a28672ed7cd7184e07dca7a8d3d6cf',
+    },
+    'biggins-atoms-fanout': {
+        'generation-one.csv': '088e9cc83bc8a501f7187d8f5567a8dc6c20fb0b0a3a8f36f51c3a5f91705189',
+        'increments.csv': '8bbe24f568dd494e7764d4e7846dbd737ed2e52a7f5f5d5660da0d344c1e8383',
+        'report.txt': '65d4281510ecb7742c1403e90f2a496ec9cae0363ff962da19b29a47b552a903',
     },
     'biggins-cascade': {
         'generation-one.csv': '0cfd193a13c522182448ae2ec83200f2c431147a2adf179f4f6028593c85f781',

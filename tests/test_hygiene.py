@@ -1,6 +1,6 @@
 """Source hygiene over ``src/branchfix`` and ``tests``: no unused imports
-and no dead locals in either; in the package, no unread private names and no
-private default that no call overrides.
+and no dead locals in either; in the package, no unread private names, no
+private default that no call overrides, and no BLAS or LAPACK call.
 
 The checks read the syntax tree only (``ast``), so they need no linter.
 """
@@ -161,6 +161,29 @@ def unpassed_private_defaults(trees):
     return sorted(found)
 
 
+# numpy functions that run BLAS or LAPACK kernels
+_BLAS_FUNCTIONS = {"dot", "matmul", "inner", "vdot", "tensordot", "polyfit"}
+
+
+def blas_calls(tree):
+    """``(line, what)`` for each BLAS or LAPACK entry point: the ``@``
+    operator, ``np.dot``, ``np.matmul``, ``np.inner``, ``np.vdot``,
+    ``np.tensordot``, ``np.polyfit``, any ``.dot`` method and ``np.linalg``.
+    Their sums run in an order that depends on the BLAS kernel the machine
+    picks, so a value summed there changes bits from one CPU to another."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute):
+            numpy = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            if numpy and node.attr in _BLAS_FUNCTIONS | {"linalg"}:
+                found.append((node.lineno, f"np.{node.attr}"))
+            elif node.attr == "dot":
+                found.append((node.lineno, ".dot"))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", CHECKED, ids=_file_id)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -174,6 +197,11 @@ def test_no_dead_locals(path):
 def test_no_unread_private_names():
     trees = {p.name: _tree(p) for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(trees) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=_file_id)
+def test_no_blas_calls(path):
+    assert blas_calls(_tree(path)) == []
 
 
 def test_private_defaults_are_passed_somewhere():
@@ -199,6 +227,16 @@ def test_checks_catch_what_they_look_for():
     tree = ast.parse(src)
     assert unused_imports(tree) == [(1, "os"), (2, "Sequence")]
     assert dead_locals(tree) == [(4, "f", "unused"), (11, "f", "b")]
+    blas = (
+        "import numpy as np\n"
+        "def f(a, b):\n"
+        "    c = a @ b\n"
+        "    c @= b\n"
+        "    d = np.dot(a, b) + a.dot(b) + np.linalg.norm(a)\n"
+        "    return np.polyfit(a, b, 1), np.add.reduce(a * b), c, d\n"
+    )
+    assert blas_calls(ast.parse(blas)) == [
+        (3, "@"), (4, "@"), (5, ".dot"), (5, "np.dot"), (5, "np.linalg"), (6, "np.polyfit")]
     other = (
         "_LIMIT = 3\n"
         "_UNREAD: int = 4\n"
