@@ -755,8 +755,20 @@ class EmpiricalLaplace:
     diagnostics: dict = field(default_factory=dict)
 
     def evaluate(self, x):
-        """Empirical ``phi(x) = mean exp(-x W)``; a float for a scalar ``x``."""
-        return 1.0 - self.evaluate_tail(x)
+        """Empirical ``phi(x) = mean exp(-x W)``; a float for a scalar ``x``.
+
+        ``1 - evaluate_tail(x)`` where the tail is at most 1/2, else the mean
+        itself, which keeps full relative accuracy as ``phi`` nears 0.
+        """
+        xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        tail = self.evaluate_tail(xs)
+        value = 1.0 - tail
+        far = tail > 0.5
+        if np.any(far):
+            value[far] = self._block_means(xs[far], tail=False)
+        if np.isscalar(x) or np.ndim(x) == 0:
+            return float(value[0])
+        return value
 
     def evaluate_tail(self, x):
         """``1 - phi(x)`` with full relative accuracy for small arguments.
@@ -768,6 +780,14 @@ class EmpiricalLaplace:
         xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
         if np.any(xs < 0.0):
             raise ValueError("Laplace arguments must be >= 0")
+        mean = self._block_means(xs, tail=True)
+        if np.isscalar(x) or np.ndim(x) == 0:
+            return float(mean[0])
+        return mean
+
+    def _block_means(self, xs, tail: bool):
+        """``mean -expm1(-x W)`` (``tail``) or ``mean exp(-x W)`` for each
+        ``x`` in ``xs``, in blocks of at most 2^22 values."""
         n = len(self.samples)
         chunk = max(1, (1 << 22) // max(n, 1))
         buf = np.empty((min(chunk, len(xs)), n))
@@ -777,11 +797,12 @@ class EmpiricalLaplace:
             rows = slice(lo, lo + chunk)
             z = buf[: len(xs[rows])]
             np.multiply.outer(xs[rows], neg, out=z)
-            np.expm1(z, out=z)
-            np.negative(z, out=z)
+            if tail:
+                np.expm1(z, out=z)
+                np.negative(z, out=z)
+            else:
+                np.exp(z, out=z)
             mean[rows] = z.mean(axis=1)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(mean[0])
         return mean
 
 

@@ -18,8 +18,8 @@ The threshold sequence decays doubly exponentially (``a_{k+1} ~ (theta
 a_k)^N``), which leaves IEEE double range around k = 8 for small theta.  The
 chain is therefore computed in 53-bit floats with unbounded exponents, and
 its values are mpmath floats.  ``G``, the 53-bit evaluation of ``g`` with
-each operation rounded as mpmath rounds it, has one evaluator,
-:meth:`_G.pair`, on pairs of a float mantissa and an integer exponent.
+each operation correctly rounded, has one evaluator, :meth:`_G.pair`, on
+pairs of a float mantissa and an integer exponent.
 Each ``a_{k+1}`` is the transition float of ``a_k``: the ``x`` with
 ``G(pred x) < a_k <= G(x)``, ``pred x`` the float just below it, flagged
 exact when ``G(x) == a_k``.  Where ``G`` is monotone that is the least float
@@ -33,10 +33,10 @@ seed extension's inverse cells are the same walk (:func:`_inverse_walk`),
 and each check takes a cell's miss from :func:`_miss`.  Float64 projections
 mark the underflow point.
 
-mpmath arithmetic is left in ``_G._mp`` (the reference, and ``G`` for N >
-20), the midpoint fallback, :func:`_newton_root` and one subtraction in
-:func:`_miss`.  Elsewhere values are only converted, rounded explicitly at
-the ends (:func:`_rounded`, ``from_float``, ``mp.make_mpf``, ``to_float``).
+mpmath arithmetic remains in :func:`_newton_root` and in the one
+subtraction of :func:`_miss`.  Elsewhere values are only converted, rounded
+explicitly at the ends (:func:`_rounded`, ``from_float``, ``mp.make_mpf``,
+``to_float``).
 """
 
 from __future__ import annotations
@@ -58,11 +58,9 @@ from mpmath.libmp import (
     mpf_lt,
     mpf_mul,
     mpf_mul_int,
-    mpf_nthroot,
     mpf_pos,
     mpf_pow_int,
     mpf_shift,
-    mpf_sqrt,
     mpf_sub,
     to_float,
 )
@@ -122,9 +120,6 @@ _RND = "n"
 _MASK = (1 << 52) - 1
 _ULP = 2.0**-52
 _TWO52 = 2.0**52
-# mpmath takes an N-th root above this N through ``mpf_pow``, whose error
-# grows with the argument's exponent; the pair kernel keeps mpmath there.
-_ROOT_MAX_N = 20
 # beyond this alignment shift the subtrahend is under a quarter ulp
 _SHIFT_CLAMP = 64
 
@@ -143,12 +138,11 @@ def _tuple(m: float, e: int) -> tuple:
 class _G:
     """``G``, the 53-bit round-to-nearest ``g``, on pairs.
 
-    ``G`` is ``g`` with each of its operations rounded as the mpf
-    operators round them at 53 bits (``mpf_sqrt``/``mpf_nthroot``,
-    ``mpf_mul``, ``mpf_sub``, ``mpf_div``).  :meth:`_mp` evaluates it so,
-    and is the reference; :meth:`pair`, the evaluator every caller uses,
-    gets the same bits on ``u`` in (0, 1] from IEEE arithmetic on
-    mantissas.
+    ``G`` is ``g`` with each of its operations (the N-th root, ``1 -
+    theta``, the product, the difference and the quotient) correctly
+    rounded to 53 bits, with an unbounded exponent: the root is IEEE 754's
+    ``rootn``.  :meth:`pair` evaluates it on ``u`` in (0, 1] from IEEE
+    arithmetic on mantissas and, for N > 2, one exact integer test.
 
     - ``(1 - theta) u`` and ``/ theta`` are one IEEE operation each on
       mantissas in [1, 2): no overflow or underflow, correctly rounded.
@@ -157,90 +151,55 @@ class _G:
       root, the shift clamped at ``_SHIFT_CLAMP``: beyond it the product is
       under a quarter ulp of the root and the difference rounds to the root
       either way.
-    - N = 2: ``math.sqrt`` (correctly rounded, as ``mpf_sqrt`` is) of the
-      mantissa with the exponent made even.
-    - 2 < N <= 20: ``u = a 2^(qN)`` with ``a`` in [1, 2^N), and the float
-      ``a ** (1/N)`` is a candidate mantissa ``M 2^-52``.  The exact integer
-      test ``(2M-1)^N < 2^(53N) a < (2M+1)^N`` (equality cannot occur) moves
-      ``M`` to the correctly rounded root.  ``mpf_nthroot`` rounds an
-      integer estimate with ``p = prec2 + 10`` fraction bits (67 at N = 3,
-      74 at N = 8), one Newton step from a 50-bit float start.  Its error
-      is under 1.5 units of that last place: the step's quadratic term
-      (``(N-1)/2 eps^2`` for a start within ``eps < 2^-47``) and three
-      floor divisions.  That is under ``2^(2-p)`` of the root, so mpmath
-      rounds correctly unless the root lies within ``2^(3-p)`` of a
-      midpoint.  There the kernel calls ``mpf_nthroot`` itself, and counts
-      it on ``fallbacks``: mpmath does round some of those the wrong way.
-    - N > 20: ``mpf_nthroot`` goes through ``mpf_pow`` with a 63-bit
-      ``1/N``, an error that grows with the exponent and admits no fixed
-      band, so the whole evaluation stays :meth:`_mp`.
+    - :meth:`root`, N = 2: ``math.sqrt`` of the mantissa with the exponent
+      made even.
+    - :meth:`root`, N > 2: ``u = a 2^(qN)`` with ``a`` in [1, 2^N), and the
+      float ``a ** (1/N)`` is a candidate mantissa ``M 2^-52`` (the power
+      taken in two factors, so that an ``a`` past ``2^1024`` cannot
+      overflow).  The exact integer test ``(2M-1)^N < 2^(53N) a <
+      (2M+1)^N`` (equality cannot occur) moves ``M`` to the correctly
+      rounded root.  The test raises 54-bit integers to the N-th power, so
+      its cost grows faster than N: a four-cell chain takes about 1.8 ms at
+      N = 100, 4.6 ms at N = 200, 15 ms at N = 400 and 145 ms at N = 1100.
 
-    ``calls`` counts the evaluations, whichever path makes them.
+    ``calls`` counts the evaluations.
     """
 
-    __slots__ = ("n", "theta", "one_minus", "calls", "fallbacks",
-                 "_tm", "_te", "_cm", "_ce", "_inv", "_shift", "_band")
+    __slots__ = ("n", "theta", "one_minus", "calls",
+                 "_tm", "_te", "_cm", "_ce", "_inv", "_shift")
 
     def __init__(self, params: CascadeParams) -> None:
         n = self.n = int(params.N)
         self.theta = from_float(params.theta)
         self.one_minus = mpf_sub(fone, self.theta, _PREC, _RND)
         self.calls = 0
-        self.fallbacks = 0
         self._tm, self._te = _pair(self.theta)
         self._cm, self._ce = _pair(self.one_minus)
         self._inv = 1.0 / n
         self._shift = 53 * n - 52  # 2^(53N) a = M_a << (k + _shift), a = M_a 2^(k-52)
-        # mpf_nthroot's working precision at 53 bits
-        prec2 = 53 + 2 * n - 53 % n
-        if n > 10:
-            prec2 += prec2 // 10
-            prec2 -= prec2 % n
-        # A root within 2^(3-p) of a midpoint, p = prec2 + 10, puts t = 2^(53N) a
-        # within N 2^(3-p) of the midpoint's N-th power, under t >> _band.
-        self._band = prec2 + 10 - 3 - n.bit_length()
 
-    def _mp(self, u: tuple) -> tuple:
-        """``G`` through the mpf operators, for any nonnegative tuple."""
-        if self.n == 2:
-            root = mpf_sqrt(u, _PREC, _RND)
-        else:
-            root = mpf_nthroot(u, self.n, _PREC, _RND)
-        diff = mpf_sub(root, mpf_mul(self.one_minus, u, _PREC, _RND), _PREC, _RND)
-        return mpf_div(diff, self.theta, _PREC, _RND)
+    def root(self, m: float, e: int) -> tuple:
+        """The correctly rounded N-th root of ``m 2^e`` as a pair."""
+        n = self.n
+        if n == 2:
+            return math.sqrt(m + m) if e & 1 else math.sqrt(m), e >> 1
+        re, k = divmod(e, n)
+        t = int(m * _TWO52) << (k + self._shift)
+        inv = self._inv
+        man = int(math.ldexp(m, k & 1023) ** inv * 2.0 ** ((k & ~1023) * inv) * _TWO52)
+        while True:
+            if t < (man + man - 1) ** n:
+                man -= 1
+            elif t >= (man + man + 1) ** n:
+                man += 1
+            else:
+                break
+        return (1.0, re + 1) if man >> 53 else (man * _ULP, re)
 
     def pair(self, m: float, e: int) -> tuple:
         """``G(m 2^e)`` as a pair, for ``m 2^e`` in (0, 1]."""
         self.calls += 1
-        n = self.n
-        if n > _ROOT_MAX_N:
-            return _pair(self._mp(_tuple(m, e)))
-        if n == 2:
-            r = math.sqrt(m + m) if e & 1 else math.sqrt(m)
-            re = e >> 1
-        else:
-            re, k = divmod(e, n)
-            a = int(m * _TWO52)
-            t = a << (k + self._shift)
-            man = int(math.ldexp(m, k) ** self._inv * _TWO52)
-            while True:
-                lo = (man + man - 1) ** n
-                if t < lo:
-                    man -= 1
-                    continue
-                hi = (man + man + 1) ** n
-                if t >= hi:
-                    man += 1
-                    continue
-                break
-            near = t >> self._band
-            if hi - t <= near or t - lo <= near:
-                self.fallbacks += 1
-                r, re = _pair(mpf_nthroot(from_man_exp(a, e - 52), n, _PREC, _RND))
-            elif man >> 53:
-                r, re = 1.0, re + 1
-            else:
-                r = man * _ULP
+        r, re = self.root(m, e)
         # (1 - theta) u is (m cm) 2^(re + d) with m cm in [1, 4), d <= 0
         d = max(e + self._ce - re, -_SHIFT_CLAMP)
         q, k = math.frexp((r - math.ldexp(m * self._cm, d)) / self._tm)
@@ -641,9 +600,8 @@ def extend_from_seed(
     so ``g(x) <= (1 + 2^-52) g(pred x)``, and ``G`` is ``g`` within a relative
     ``eps``, the root's error plus two roundings: ``0 <= G(x) - t < G(x) -
     G(pred x) <= (2^-52 + 3 eps) t / (1 - eps)``, below ``t`` for ``eps <
-    1/5``.  The root is within a relative ``2^-50`` (the kernel's for N <= 20;
-    mpmath's for N > 20 is tested down to ``2^(-1100 N)``, past a chain's last
-    computed cell), so ``eps < 2^-49`` and the check passes.  A ``tol`` below
+    1/5``.  The root is correctly rounded for every N, within a relative
+    ``2^-53``, so ``eps < 2^-51`` and the check passes.  A ``tol`` below
     every value, ``tol = 0`` for one, never stops a chain: every cell is
     computed and checked, and the first failed check raises as before.
     """
@@ -714,7 +672,7 @@ def restrict_to_seed(curve: SurvivalCurve) -> SeedFunction:
 
 
 def curve_step_residuals(params: CascadeParams, curve: SurvivalCurve) -> StepIdentityReport:
-    """Float64 one-step residuals ``|v(t/e) - g(v(t)))`` across a lattice curve."""
+    """Float64 one-step residuals ``|v(t/e) - g(v(t))|`` across a lattice curve."""
     lat = curve.lattice
     if lat is None or abs(lat.r - math.e) > 1e-12:
         raise ValueError("step residuals need a lattice-step curve with ratio e")

@@ -33,7 +33,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -95,16 +95,6 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class McSpec:
-    """The ``mc`` section; its fields are the samplers' keyword arguments."""
-
-    depth: int
-    replicates: int
-    seed: int
-    node_cap: int
-
-
-@dataclass
 class RunConfig:
     """Validated run configuration; ``raw`` preserves the input losslessly."""
 
@@ -112,7 +102,7 @@ class RunConfig:
     model: object
     alpha: Optional[float]
     grid: object  # np.ndarray, LatticeSpec, or None
-    mc: Optional[McSpec]
+    mc: Optional[dict]  # the samplers' keyword arguments
     out: Optional[str]
     options: dict
 
@@ -354,8 +344,7 @@ def parse_config(document) -> RunConfig:
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(copy.deepcopy(doc), model, alpha, grid, McSpec(**mc) if mc else None, out,
-                     options)
+    return RunConfig(copy.deepcopy(doc), model, alpha, grid, mc, out, options)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +426,7 @@ class _Emitter:
     def __init__(self, config: RunConfig, out_prefix: str):
         self.prefix = out_prefix
         self.digest = config_digest(config)
-        self.seed = str(config.mc.seed) if config.mc is not None else "none"
+        self.seed = str(config.mc["seed"]) if config.mc is not None else "none"
         self.lines = []
 
     def say(self, line: str = "") -> None:
@@ -549,7 +538,7 @@ def _build_curve(config: RunConfig, em: _Emitter, spec, kind, threads: int) -> _
         _require(config.mc is not None, f"{form} curves need the mc section")
         _require(config.grid is not None, f"{form} curves need a grid section")
         h = _parse_modulation(c["modulation"])
-        phi = sample_W_limit(config.model, config.alpha, **asdict(config.mc), threads=threads)
+        phi = sample_W_limit(config.model, config.alpha, **config.mc, threads=threads)
         build = build_weibull_mixture if fixed == "min" else build_stable_mixture
         curve = build(phi, h, config.alpha, config.grid)
         em.say(f"constructed: {form} at alpha = {format_number(config.alpha)}")
@@ -626,16 +615,16 @@ def _run_weights_analyze(config: RunConfig, em: _Emitter, threads: int) -> int:
 
 def _run_wbp_simulate(config: RunConfig, em: _Emitter, threads: int) -> int:
     z_max, mc = config.options["z_max"], config.mc
-    traces = replicate_traces(config.model, config.alpha, **asdict(mc), threads=threads)
+    traces = replicate_traces(config.model, config.alpha, **mc, threads=threads)
     em.say(f"alpha: {format_number(config.alpha)}")
-    em.say(f"replicates: {mc.replicates}, depth: {mc.depth}")
-    replicate, n = np.divmod(np.arange(traces.W.size), mc.depth + 1)
+    em.say(f"replicates: {mc['replicates']}, depth: {mc['depth']}")
+    replicate, n = np.divmod(np.arange(traces.W.size), mc["depth"] + 1)
     em.csv("traces", {"replicate": replicate, "n": n,
                       "W_n_alpha": traces.W.ravel(), "R_n": traces.R_sup.ravel()})
 
     mean_one = _mean_one_defect(config.model, config.alpha) is None
     worst = 0.0
-    for n in range(1, mc.depth + 1):
+    for n in range(1, mc["depth"] + 1):
         col = traces.W[:, n]
         mean = float(np.mean(col))
         se = float(np.std(col, ddof=1) / math.sqrt(len(col))) if len(col) > 1 else 0.0
@@ -811,11 +800,11 @@ def _run_renewal_check(config: RunConfig, em: _Emitter, threads: int) -> int:
     _require(len(opts["interval"]) == 2, "renewal-check requires options.interval = [a, b]")
     z_max, mc = opts["z_max"], config.mc
     rep = renewal_measure_check(config.model, config.alpha, tuple(opts["interval"]),
-                                **asdict(mc), threads=threads)
+                                **mc, threads=threads)
     em.say(
         f"interval: [{format_number(rep.interval[0])}, "
-        f"{format_number(rep.interval[1])}], depth {mc.depth}, "
-        f"replicates {mc.replicates}"
+        f"{format_number(rep.interval[1])}], depth {mc['depth']}, "
+        f"replicates {mc['replicates']}"
     )
     em.say(
         f"empirical mass: {format_number(rep.empirical_mean)} "

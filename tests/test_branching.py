@@ -9,6 +9,7 @@ import textwrap
 import threading
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -704,6 +705,23 @@ def test_empirical_laplace_tail_accuracy():
     # 1 - phi(x) ~ x E W = x at first order; value-space evaluation would
     # quantize at one ulp of 1 and lose this entirely.
     assert 0.2 * x < tail < 5.0 * x
+
+
+def test_empirical_laplace_value_keeps_relative_accuracy():
+    # Far out, phi(x) = mean exp(-x W) is small (1.6e-8 at x = 60), and 1 -
+    # tail would keep only absolute precision there; each value is held to
+    # a 60-digit sum of its terms, and where the tail is under 1/2 it is
+    # still 1 - tail, bit for bit.
+    phi = sample_W_limit(BernoulliCascade(2, 0.75), LN3, depth=8, replicates=512, seed=5)
+    xs = np.array([0.5, 5.0, 20.0, 60.0])
+    got = phi.evaluate(xs)
+    with mpmath.workdps(60):
+        for x, value in zip(xs, got):
+            want = mpmath.fsum(mpmath.exp(-mpmath.mpf(float(x)) * mpmath.mpf(float(w)))
+                               for w in phi.samples) / len(phi.samples)
+            assert abs(value - want) <= 1e-14 * want, x
+    assert float(got[3]) == phi.evaluate(60.0) < 1e-7
+    assert phi.evaluate(0.5) == 1.0 - phi.evaluate_tail(0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_nthroot,
+    mpf_pos,
     mpf_pow_int,
     mpf_shift,
+    mpf_sqrt,
     mpf_sub,
 )
 
@@ -229,20 +231,39 @@ def test_exact_threshold_chain_flags():
 # the preimage search: transition floats, checked by brute force
 # ---------------------------------------------------------------------------
 
-# ``G`` below is the 53-bit g built from the mpf operators, independently
-# of the library's raw-tuple evaluator.  A preimage ``x`` of ``y`` must be
-# a transition float, ``G(pred x) < y <= G(x)``, flagged exact iff
-# ``G(x) == y``.
+# ``G`` below is the 53-bit g built from the mpf operators, each operation
+# correctly rounded, independently of the library's pair kernel.  A
+# preimage ``x`` of ``y`` must be a transition float, ``G(pred x) < y <=
+# G(x)``, flagged exact iff ``G(x) == y``.
+
+
+def _reference_root(u, n):
+    """The correctly rounded 53-bit N-th root of a nonnegative tuple ``u``.
+
+    For N > 2, mpmath's root at ``55 N + 64`` bits rounded to 53.  A root of
+    a 53-bit float is no 53-bit rounding midpoint, and lies at least
+    ``2^(-54 N) / N`` (relative) from every one: ``mid^N`` has an odd
+    numerator of more than 53 bits, so it differs from ``u`` by at least the
+    last place of ``mid^N``.  The wide root's error is far below that, so
+    the second rounding goes the way the first would.
+    """
+    if n == 2:
+        return mpf_sqrt(u, 53, "n")
+    return mpf_pos(mpf_nthroot(u, n, 55 * n + 64, "n"), 53, "n")
+
+
+def _reference_G(params, u):
+    """``G(u)`` for a nonnegative tuple ``u``: :func:`_reference_root`, then
+    the mpf operators at 53 bits."""
+    theta = from_float(params.theta)
+    one_minus = mpf_sub(fone, theta, 53, "n")
+    diff = mpf_sub(_reference_root(u, params.N), mpf_mul(one_minus, u, 53, "n"), 53, "n")
+    return mpf_div(diff, theta, 53, "n")
 
 
 def _reference_g(params, u):
-    u = mpf(u)
-    theta = mpf(params.theta)
-    if params.N == 2:
-        root = mp.sqrt(u)
-    else:
-        root = mp.root(u, params.N)
-    return (root - (1 - theta) * u) / theta
+    """:func:`_reference_G` on ``mpf(u)`` (rounded at the working precision)."""
+    return mp.make_mpf(_reference_G(params, mpf(u)._mpf_))
 
 
 def _next_float(t, up):
@@ -294,12 +315,13 @@ def _chain_cells(params, n):
 NO_HIT_CELLS = {(2, 0.45): [1, 4, 7], (3, 0.2): [5], (3, 0.4): [2], (8, 0.85): [4]}
 REFERENCE_CHAINS = [
     (2, 0.25, 12), (2, 0.45, 8), (3, 0.2, 8), (3, 0.4, 16),
-    (4, 0.5, 10), (4, 0.7, 8), (8, 0.5, 12), (8, 0.85, 6),
+    (4, 0.5, 10), (4, 0.7, 8), (8, 0.5, 12), (8, 0.85, 6), (21, 0.5, 7),
 ]
 GOLDEN_CHAINS = [(8, 0.5, 31), (3, 0.4, 21)]
 
 
-@pytest.mark.parametrize("n,theta,length", REFERENCE_CHAINS + GOLDEN_CHAINS)
+# N = 1100: each cell has the exponent residue 1099, where a float 2^k overflows
+@pytest.mark.parametrize("n,theta,length", REFERENCE_CHAINS + GOLDEN_CHAINS + [(1100, 0.5, 4)])
 def test_chain_cells_are_transition_floats(n, theta, length):
     params = CascadeParams(n, theta)
     for y, x, exact in _chain_cells(params, length - 1):
@@ -394,32 +416,34 @@ def test_preimage_above_hi_returns_hi(monkeypatch):
     assert _mp_preimage(_G(SUPER), 0.5, 1e-6) == (mpf(1e-6), False)
 
 
+def _assert_root_rounds_correctly(n, u):
+    assert _tuple(*_G(CascadeParams(n, 0.5)).root(*_pair(u))) == _reference_root(u, n), (n, u)
+
+
 def test_nthroot_within_one_ulp():
-    # mpmath's 53-bit nthroot within one ulp of the true root down to
-    # 2^-400; above N = 20 it takes the root through pow
+    # the kernel's root is the correctly rounded one, down to 2^-400; and at
+    # N = 1100, at exponent residues k = 1099, 1024, 1023, 0 and 1050, either
+    # side of where the float estimate splits 2^k so that it cannot overflow
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randint(3, 40)
-        u = from_man_exp(rng.getrandbits(53) | 1 << 52, rng.randint(-400, 0))
-        got = mp.make_mpf(mpf_nthroot(u, n, 53, "n"))
-        with mp.workprec(200):
-            true = mp.root(mp.make_mpf(u), n)
-            assert abs(got - true) <= true * mpf(2) ** -52
+        _assert_root_rounds_correctly(
+            n, from_man_exp(rng.getrandbits(53) | 1 << 52, rng.randint(-400, 0)))
+    for exp in (-53, -128, -129, -1152, -1100 * 900 + 998):
+        u = from_man_exp(rng.getrandbits(53) | 1 << 52, exp)
+        _assert_root_rounds_correctly(1100, u)
+        _assert_kernel_matches(CascadeParams(1100, 0.5), [u])
 
 
 def test_nthroot_within_the_stop_rule_bound():
-    # The stop rule of extend_from_seed uses a 53-bit root within a relative
-    # 2^-50 of the true root.  For N > 20 that root is mpmath's, through pow,
-    # with an error that grows with the exponent; a chain's last computed
+    # The stop rule of extend_from_seed takes the kernel's root to be
+    # correctly rounded, within a relative 2^-53.  A chain's last computed
     # cell lies near 2^(-1075 N), so the arguments reach 2^(-1100 N).
     rng = random.Random(2040)
     for _ in range(3000):
         n = rng.randint(21, 40)
-        u = from_man_exp(rng.getrandbits(53) | 1 << 52, rng.randint(-1100 * n, 0))
-        got = mp.make_mpf(mpf_nthroot(u, n, 53, "n"))
-        with mp.workprec(300):
-            true = mp.root(mp.make_mpf(u), n)
-            assert abs(got - true) <= true * mpf(2) ** -50, (n, u)
+        _assert_root_rounds_correctly(
+            n, from_man_exp(rng.getrandbits(53) | 1 << 52, rng.randint(-1100 * n, 0)))
 
 
 def _reference_newton(g, y):
@@ -462,8 +486,8 @@ def test_chain_g_evaluations_repeat():
     assert one.g_evaluations < 8 * len(one.exact_flags)
 
 
-# (calls, fallbacks) of the evaluator each golden chain builds
-GOLDEN_CHAIN_COUNTS = {(8, 0.5): (176, 0), (3, 0.4): (74, 0)}
+# calls of the evaluator each golden chain builds
+GOLDEN_CHAIN_COUNTS = {(8, 0.5): 176, (3, 0.4): 74}
 
 
 @pytest.mark.parametrize("n,theta,length", GOLDEN_CHAINS)
@@ -475,27 +499,26 @@ def test_golden_chain_counts_repeat(monkeypatch, n, theta, length):
     first = exact_threshold_chain(params, length - 1)
     second = exact_threshold_chain(params, length - 1)
     assert first == second
-    counts = [(g.calls, g.fallbacks) for g in made]
+    counts = [g.calls for g in made]
     assert counts == [GOLDEN_CHAIN_COUNTS[n, theta]] * 2
-    assert counts[0][0] == first.g_evaluations
+    assert counts[0] == first.g_evaluations
 
 
 # ---------------------------------------------------------------------------
 # the pair kernel of G, bit for bit against the mpf operators
 # ---------------------------------------------------------------------------
 
-# N = 2 (sqrt), 3..20 (the integer rounding test), 21 and 40 (mpmath's root)
+# N = 2 (sqrt), and the integer rounding test on either side of N = 20,
+# above which mpmath's own 53-bit root goes through pow
 KERNEL_NS = [2, 3, 4, 5, 8, 12, 20, 21, 40]
 KERNEL_THETAS = (0.5, 0.3, 0.875, 0.01)
 
 
 def _assert_kernel_matches(params, args):
-    """``G`` on the pair of each tuple equals the mpmath evaluation;
-    returns the evaluator."""
+    """``G`` on the pair of each tuple equals :func:`_reference_G`."""
     g = _G(params)
     for u in args:
-        assert _tuple(*g.pair(*_pair(u))) == g._mp(u), (params, u)
-    return g
+        assert _tuple(*g.pair(*_pair(u))) == _reference_G(params, u), (params, u)
 
 
 @pytest.mark.parametrize("n", KERNEL_NS)
@@ -527,14 +550,14 @@ def test_kernel_matches_mpmath_at_binade_edges(n):
                      for exp in range(-53 - 2 * n, -52)]
     args += [_nearest(top**n, 52 * n + 7 * n) for top in (2**53 - 1, 2**53 - 2, 2**52 + 1)]
     if 2 < n:
-        assert any(mpf_nthroot(u, n, 53, "n")[1] == 1 for u in args)  # a root of 2^k
+        assert any(_reference_root(u, n)[1] == 1 for u in args)  # a root of 2^k
     for theta in KERNEL_THETAS:
         _assert_kernel_matches(CascadeParams(n, theta), args)
 
 
 # u whose N-th root lies so near a rounding midpoint that mpf_nthroot rounds
-# it the wrong way (found by a search over the nearest floats to midpoint
-# powers); the kernel must give mpmath's bits there, not the correct ones
+# it the wrong way at 53 bits (found by a search over the nearest floats to
+# midpoint powers); the kernel must give the correctly rounded root there
 MISROUNDED_ROOTS = [(3, 8750263067684939, -221), (3, 8490573552234779, -116),
                     (4, 4930228678451138, -214), (4, 6832871653002633, -200),
                     (5, 8520093365378162, -153), (5, 7182988018445662, -150)]
@@ -546,9 +569,10 @@ def test_kernel_takes_mpmath_root_where_mpmath_misrounds(n, man, exp):
     with mp.workprec(300):
         true = mp.root(mp.make_mpf(u), n)
     with mp.workprec(53):
-        assert mpf_nthroot(u, n, 53, "n") != (+true)._mpf_
-    g = _assert_kernel_matches(CascadeParams(n, 0.5), [u])
-    assert g.fallbacks == 1
+        correct = (+true)._mpf_
+    assert mpf_nthroot(u, n, 53, "n") != correct
+    assert _tuple(*_G(CascadeParams(n, 0.5)).root(*_pair(u))) == correct
+    _assert_kernel_matches(CascadeParams(n, 0.5), [u])
 
 
 @pytest.mark.parametrize("n", KERNEL_NS)
@@ -564,10 +588,9 @@ def test_kernel_matches_mpmath_near_rounding_midpoints(n):
 @pytest.mark.parametrize("n", [4, 8, 12, 20])
 def test_kernel_takes_mpmath_root_next_to_a_midpoint(n):
     # u = 1 - (N/2)(2i + 1) 2^-53 has the root 1 - (2i + 1) 2^-54 - O(i^2 2^-106),
-    # a midpoint to far closer than mpmath's error: each one falls back
+    # a midpoint to far closer than mpmath's 53-bit error
     args = [from_man_exp(2**53 - n // 2 * (2 * i + 1), -53) for i in range(40)]
-    g = _assert_kernel_matches(CascadeParams(n, 0.5), args)
-    assert g.fallbacks == len(args)
+    _assert_kernel_matches(CascadeParams(n, 0.5), args)
 
 
 @pytest.mark.parametrize("n", KERNEL_NS)

@@ -1,6 +1,7 @@
 """Source hygiene over ``src/branchfix`` and ``tests``: no unused imports
 and no dead locals in either; in the package, no unread private names, no
-private default that no call overrides, and no BLAS or LAPACK call.
+private default that no call overrides, no BLAS or LAPACK call and no
+mpmath root.
 
 The checks read the syntax tree only (``ast``), so they need no linter.
 """
@@ -184,6 +185,31 @@ def blas_calls(tree):
     return sorted(found)
 
 
+# mpmath's low-level roots (``mpf_pow_int`` is exact repeated squaring and
+# not among them), and its root functions
+_MPF_ROOTS = {"mpf_nthroot", "mpf_sqrt", "mpf_pow"}
+_MP_ROOTS = {"root", "sqrt", "cbrt"}
+
+
+def mpmath_roots(tree):
+    """``(line, what)`` for each read of ``mpf_nthroot``, ``mpf_sqrt`` or
+    ``mpf_pow``, bare or as an attribute, and of ``root``, ``sqrt`` or
+    ``cbrt`` on ``mp`` or ``mpmath``.  The package's roots are correctly
+    rounded by its own kernel; mpmath's 53-bit N-th root misrounds some
+    arguments next to a rounding midpoint, and above N = 20 goes through
+    ``mpf_pow``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in _MPF_ROOTS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in _MPF_ROOTS:
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Attribute) and node.attr in _MP_ROOTS
+              and isinstance(node.value, ast.Name) and node.value.id in ("mp", "mpmath")):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", CHECKED, ids=_file_id)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -202,6 +228,11 @@ def test_no_unread_private_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=_file_id)
 def test_no_blas_calls(path):
     assert blas_calls(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=_file_id)
+def test_no_mpmath_roots(path):
+    assert mpmath_roots(_tree(path)) == []
 
 
 def test_private_defaults_are_passed_somewhere():
@@ -237,6 +268,18 @@ def test_checks_catch_what_they_look_for():
     )
     assert blas_calls(ast.parse(blas)) == [
         (3, "@"), (4, "@"), (5, ".dot"), (5, "np.dot"), (5, "np.linalg"), (6, "np.polyfit")]
+    roots = (
+        "from mpmath import mp\n"
+        "from mpmath.libmp import mpf_nthroot, mpf_pow, mpf_pow_int, mpf_sqrt\n"
+        "from mpmath import libmp\n"
+        "def f(u, x):\n"
+        "    a = mpf_nthroot(u, 3, 53) + mpf_sqrt(u, 53) + libmp.mpf_pow(u, u, 53)\n"
+        "    b = mp.root(x, 3) + mp.sqrt(x) + mp.cbrt(x) + mpf_pow_int(u, 3, 53)\n"
+        "    return a, b, mpf_pow, x.sqrt(), mp.exp(x)\n"
+    )
+    assert mpmath_roots(ast.parse(roots)) == [
+        (5, "mpf_nthroot"), (5, "mpf_pow"), (5, "mpf_sqrt"),
+        (6, "mp.cbrt"), (6, "mp.root"), (6, "mp.sqrt"), (7, "mpf_pow")]
     other = (
         "_LIMIT = 3\n"
         "_UNREAD: int = 4\n"
