@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -356,57 +357,57 @@ def format_column(column) -> list:
     """CSV cells of one column: an ndarray, a ``range`` or a list.
 
     The one set of cell rules (README "Artifacts"): strings as they are,
-    booleans ``True``/``False``, integers plain, floats via ``repr`` except
-    ``0.0`` for both zeros and numpy's shortest scientific form for
-    ``0 < |x| < 1e-4``.  Integer, boolean and float arrays are formatted as
-    whole columns; other columns cell by cell, their floats gathered into
-    one array.
+    booleans ``True``/``False``, integers plain and floats as
+    :func:`_float_cell` writes them.  An integer, boolean or float array
+    formats each distinct value once (:func:`_array_cells`); other columns
+    go cell by cell through :func:`format_number`.
     """
     if isinstance(column, range):
         return list(map(str, column))
     if isinstance(column, np.ndarray) and column.dtype.kind in "biu":
-        return list(map(str, column.tolist()))
+        return _array_cells(column, str)
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return _float_cells(column.astype(np.float64, copy=False))
-    cells, at, floats = [], [], []
-    for x in column.tolist() if isinstance(column, np.ndarray) else column:
-        if isinstance(x, str):
-            cells.append(x)
-        elif isinstance(x, (bool, np.bool_)):
-            cells.append(str(bool(x)))
-        elif isinstance(x, (int, np.integer)):
-            cells.append(str(int(x)))
-        else:
-            at.append(len(cells))
-            floats.append(float(x))
-            cells.append(None)
-    for i, cell in zip(at, _float_cells(np.array(floats, dtype=np.float64))):
-        cells[i] = cell
-    return cells
+        return _array_cells(column.astype(np.float64, copy=False), _float_cell)
+    return list(map(format_number, column.tolist() if isinstance(column, np.ndarray) else column))
 
 
-def _float_cells(values: np.ndarray) -> list:
-    """The cell of each float64, each distinct value formatted once.
+def _array_cells(values: np.ndarray, cell) -> list:
+    """``cell`` of each entry of ``values``, each distinct value formatted once.
 
-    ``repr``, or ``format_float_scientific`` below 1e-4 in size, of each
-    value of ``np.unique``, gathered back by its inverse index.  ``np.unique``
-    merges both zeros (each is ``0.0``) and every NaN (each is ``nan``), so
-    the cells are those of a per-value pass.  A column without repeats is
-    formatted in place, which skips the gather.
+    ``cell`` runs on each value of ``np.unique``, and the cells are gathered
+    back by its inverse index.  ``np.unique`` merges both zeros (each is
+    ``0.0``) and every NaN (each is ``nan``), so the cells are those of a
+    per-value pass.  A column without repeats is formatted in row order,
+    which skips the gather.
     """
     uniq, inverse = np.unique(values, return_inverse=True)
     if len(uniq) == len(values):
-        uniq, inverse = values, None
-    cells = list(map(repr, uniq.tolist()))
-    for i in np.flatnonzero(np.abs(uniq) < 1e-4).tolist():
-        x = uniq[i]
-        cells[i] = "0.0" if x == 0.0 else np.format_float_scientific(x, unique=True)
-    return cells if inverse is None else list(map(cells.__getitem__, inverse.tolist()))
+        return list(map(cell, values.tolist()))
+    cells = list(map(cell, uniq.tolist()))
+    return list(map(cells.__getitem__, inverse.tolist()))
+
+
+def _float_cell(x: float) -> str:
+    """``repr(x)``, except ``0.0`` for both zeros and, for ``0 < |x| < 1e-4``
+    (which ``repr`` writes in scientific form), a point after an integral
+    mantissa: ``1e-05`` is ``1.e-05``."""
+    if x == 0.0:
+        return "0.0"
+    text = repr(x)
+    if -1e-4 < x < 1e-4 and "." not in text:
+        return text.replace("e", ".e")
+    return text
 
 
 def format_number(x) -> str:
-    """One CSV cell: the one-cell case of :func:`format_column`."""
-    return format_column([x])[0]
+    """One CSV cell: a string, bool, integer or float by :func:`format_column`'s rules."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return _float_cell(float(x))
 
 
 def config_digest(config: RunConfig) -> str:
@@ -421,7 +422,11 @@ _CSV_CHUNK_ROWS = 4096
 
 
 class _Emitter:
-    """Collects report lines and writes CSV artifacts with metadata."""
+    """Collects report lines and writes CSV artifacts with metadata.
+
+    Every artifact is written through :meth:`_create`, which replaces an
+    existing file at its path instead of truncating it (README "Artifacts").
+    """
 
     def __init__(self, config: RunConfig, out_prefix: str):
         self.prefix = out_prefix
@@ -437,34 +442,49 @@ class _Emitter:
         self.say(f"{label} check: {'PASS' if ok else 'FAIL'} ({detail})")
         return EXIT_OK if ok else EXIT_VERIFY
 
-    def _path(self, suffix: str) -> Path:
+    def _create(self, suffix: str):
+        """A new file ``<prefix>-<suffix>`` open for writing text.
+
+        A file already at the path is unlinked, then the path is created.
+        Truncating a file in place and writing it again costs several times
+        more on ext4, which flushes a file truncated and rewritten.  A
+        symlink at the path is replaced, not followed, and a hard link is
+        broken.
+        """
         path = Path(f"{self.prefix}-{suffix}")
         if path.parent != Path("."):
             path.parent.mkdir(parents=True, exist_ok=True)
-        return path
+        path.unlink(missing_ok=True)
+        return path.open("x", encoding="utf-8")
 
     def csv(self, name: str, columns: dict) -> None:
         """Write ``{header: column}`` as rows; a column is an ndarray, range or list.
 
-        Rows are formatted and written ``_CSV_CHUNK_ROWS`` at a time, so only
-        one chunk's cells are held as text.
+        Every column must have the same length.  Rows are formatted and
+        written ``_CSV_CHUNK_ROWS`` at a time, so only one chunk's cells are
+        held as text.
         """
-        path = self._path(f"{name}.csv")
-        rows = min(map(len, columns.values()), default=0)
-        with path.open("w", encoding="utf-8") as f:
+        lengths = [len(c) for c in columns.values()]
+        if len(set(lengths)) > 1:
+            sizes = ", ".join(f"{h}: {k}" for h, k in zip(columns, lengths))
+            raise ValueError(f"{self.prefix}-{name}.csv: columns differ in length ({sizes})")
+        rows = lengths[0] if lengths else 0
+        with self._create(f"{name}.csv") as f:
             f.write(",".join(columns) + "\n")
             for start in range(0, rows, _CSV_CHUNK_ROWS):
                 stop = min(start + _CSV_CHUNK_ROWS, rows)
                 cells = [format_column(c[start:stop]) for c in columns.values()]
                 f.write("\n".join(map(",".join, zip(*cells))) + "\n")
             f.write(f"# config_sha256: {self.digest}\n# seed: {self.seed}\n")
-        self.say(f"wrote {path}")
+        self.say(f"wrote {f.name}")
 
     def finish(self) -> str:
         self.say(f"config sha256: {self.digest}")
         self.say(f"seed: {self.seed}")
-        self._path("report.txt").write_text("\n".join(self.lines) + "\n", encoding="utf-8")
-        return "\n".join(self.lines) + "\n"
+        text = "\n".join(self.lines) + "\n"
+        with self._create("report.txt") as f:
+            f.write(text)
+        return text
 
 
 def _describe_model(model) -> str:
@@ -880,7 +900,9 @@ def run_command(config: RunConfig, command: str, threads: int = 1,
     return code
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`main`'s parser, built on the first call; a parse leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="branchfix",
         description="Weighted-branching fixed-point toolkit command line",
@@ -892,7 +914,11 @@ def main(argv=None) -> int:
                         help="override mc.seed from the config")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads (never changes results)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)

@@ -17,6 +17,7 @@ from branchfix.cli import (
     _RUNNERS,
     EXIT_VERIFY,
     ConfigError,
+    _parser,
     config_digest,
     format_number,
     main,
@@ -671,6 +672,49 @@ def test_main_usage_errors(tmp_path):
     # --seed needs an mc section to land in
     assert main(["--config", str(ok), "--command", "weights-analyze",
                  "--seed", "5"]) == 1
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds its parser once; a parse leaves nothing behind for the
+    # next call: not a usage error, and not the --seed of the call before.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_wbp_doc()), encoding="utf-8")
+    out = str(tmp_path / "w")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--command", "no-such-command"])
+    assert exc.value.code == 2
+    assert "argument --command: invalid choice: 'no-such-command'" in capsys.readouterr().err
+    parser = _parser()
+    assert main(["--config", str(path), "--command", "wbp-simulate", "--out", out,
+                 "--seed", "7"]) == 0
+    assert "# seed: 7" in _read_csv(tmp_path / "w-traces.csv")[2]
+    assert main(["--config", str(path), "--command", "wbp-simulate", "--out", out]) == 0
+    assert "# seed: 3" in _read_csv(tmp_path / "w-traces.csv")[2]
+    assert _parser() is parser
+
+
+def test_rerun_replaces_artifacts(tmp_path):
+    # A rerun into the same prefix writes the same bytes as new files: a
+    # symlink at an artifact's path is replaced, not followed, and a hard
+    # link to an artifact keeps the old file.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_wbp_doc()), encoding="utf-8")
+    argv = ["--config", str(path), "--command", "wbp-simulate", "--out", str(tmp_path / "w")]
+    assert main(argv) == 0
+    names = ("w-traces.csv", "w-report.txt")
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+    target = tmp_path / "target.txt"
+    target.write_text("untouched", encoding="utf-8")
+    (tmp_path / "w-report.txt").unlink()
+    (tmp_path / "w-report.txt").symlink_to(target)
+    (tmp_path / "w-traces.csv").rename(tmp_path / "old.csv")
+    (tmp_path / "w-traces.csv").hardlink_to(tmp_path / "old.csv")
+    assert main(argv) == 0
+    assert {name: (tmp_path / name).read_bytes() for name in names} == first
+    assert not (tmp_path / "w-report.txt").is_symlink()
+    assert target.read_text(encoding="utf-8") == "untouched"
+    assert (tmp_path / "old.csv").stat().st_nlink == 1
+    assert (tmp_path / "old.csv").read_bytes() == first["w-traces.csv"]
 
 
 def test_artifacts_are_thread_invariant(tmp_path):

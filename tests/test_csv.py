@@ -6,6 +6,7 @@ row.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,27 @@ def test_regularity_labels():
     assert format_column(["all", 1, 2.5e-5]) == ["all", "1", "2.5e-05"]
 
 
+@pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-05, np.nextafter(1e-4, 0.0),
+                               2.2250738585072014e-308])
+def test_scientific_cell_is_numpys_shortest_form(x):
+    # Below 1e-4 in size, the cell is repr with a point after an integral
+    # mantissa; it equals numpy's shortest scientific form.
+    assert format_number(x) == np.format_float_scientific(x, unique=True)
+    assert format_column(np.array([x])) == [format_number(x)]
+
+
+@pytest.mark.parametrize("column, cells", [
+    (np.array([0, -2**63]), ["0", "-9223372036854775808"]),
+    (np.array([2**64 - 1, 0], dtype=np.uint64), ["18446744073709551615", "0"]),
+    (np.array([True, False]), ["True", "False"]),
+    (np.array([1.0, -0.5, 2.5e-5]), ["1.0", "-0.5", "2.5e-05"]),
+])
+def test_distinct_array_keeps_row_order(column, cells):
+    # A column without repeats skips np.unique's gather; its cells stay in
+    # row order, not np.unique's sorted order.
+    assert format_column(column) == cells
+
+
 # ---------------------------------------------------------------------------
 # chunked writing
 # ---------------------------------------------------------------------------
@@ -178,11 +200,27 @@ def test_chunked_csv_matches_whole_file_join(rows, tmp_path):
     assert em.lines == [f"wrote {tmp_path / 'out-traces.csv'}"]
 
 
-def test_chunked_csv_truncates_to_shortest_column(tmp_path):
+def test_chunked_csv_rejects_unequal_columns(tmp_path):
     em = _emitter(tmp_path)
     columns = {"n": range(_CSV_CHUNK_ROWS + 5), "t": np.linspace(0.0, 1.0, _CSV_CHUNK_ROWS + 2)}
-    em.csv("short", columns)
-    assert (tmp_path / "out-short.csv").read_bytes() == _reference_csv(columns, em.digest, em.seed)
+    path = tmp_path / "out-short.csv"
+    message = f"{path}: columns differ in length (n: 4101, t: 4098)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        em.csv("short", columns)
+    assert not path.exists()
+    assert em.lines == []
+
+
+@pytest.mark.parametrize("first, second", [(3 * _CSV_CHUNK_ROWS + 7, 5), (0, 40), (40, 0)])
+def test_rewrite_leaves_no_stale_bytes(first, second, tmp_path):
+    # An artifact written again is a new file: with fewer rows, nothing of
+    # the longer one (its rows or its trailer) is left after the new trailer.
+    em = _emitter(tmp_path)
+    em.csv("traces", _trace_columns(first))
+    columns = _trace_columns(second, seed=9)
+    em.csv("traces", columns)
+    assert (tmp_path / "out-traces.csv").read_bytes() == _reference_csv(columns, em.digest,
+                                                                        em.seed)
 
 
 def test_chunked_csv_memory_is_bounded(tmp_path):

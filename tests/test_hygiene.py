@@ -1,7 +1,7 @@
 """Source hygiene over ``src/branchfix`` and ``tests``: no unused imports
 and no dead locals in either; in the package, no unread private names, no
-private default that no call overrides, no BLAS or LAPACK call and no
-mpmath root.
+private default that no call overrides, no BLAS or LAPACK call, no
+mpmath root and no file write outside the CLI's one write helper.
 
 The checks read the syntax tree only (``ast``), so they need no linter.
 """
@@ -210,6 +210,34 @@ def mpmath_roots(tree):
     return sorted(found)
 
 
+def write_calls(tree):
+    """``(line, what)`` for each ``write_text`` or ``write_bytes`` call and
+    each ``open`` call, bare or as a method, whose mode is not a constant
+    without ``w``, ``a``, ``x`` or ``+``, outside method ``_create`` of
+    class ``_Emitter``.  A call with no mode reads.  ``_create`` is the
+    package's one write path: it replaces an artifact instead of
+    truncating it, so every file the package writes is replaced."""
+    helper = {id(n) for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_Emitter"
+              for f in c.body if isinstance(f, _FUNCS) and f.name == "_create"
+              for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in helper:
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open":
+            at = 1 if isinstance(node.func, ast.Name) else 0  # open(file, mode), p.open(mode)
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[at] if len(node.args) > at else None)
+            reads = mode is None or (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                                     and not set(mode.value) & set("wax+"))
+            if not reads:
+                found.append((node.lineno, "open"))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", CHECKED, ids=_file_id)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -233,6 +261,11 @@ def test_no_blas_calls(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=_file_id)
 def test_no_mpmath_roots(path):
     assert mpmath_roots(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=_file_id)
+def test_one_write_path(path):
+    assert write_calls(_tree(path)) == []
 
 
 def test_private_defaults_are_passed_somewhere():
@@ -280,6 +313,21 @@ def test_checks_catch_what_they_look_for():
     assert mpmath_roots(ast.parse(roots)) == [
         (5, "mpf_nthroot"), (5, "mpf_pow"), (5, "mpf_sqrt"),
         (6, "mp.cbrt"), (6, "mp.root"), (6, "mp.sqrt"), (7, "mpf_pow")]
+    writes = (
+        "import os\n"
+        "class _Emitter:\n"
+        "    def _create(self, path):\n"
+        "        return path.open('x', encoding='utf-8')\n"
+        "    def csv(self, path, mode):\n"
+        "        path.write_text('a')\n"
+        "        return open(path, 'w'), path.open(mode=mode), open(path), path.open('rb')\n"
+        "def f(path):\n"
+        "    with open(path, mode='a') as f, path.open('r+') as g:\n"
+        "        return path.write_bytes(b''), os.open(path, os.O_WRONLY), f, g\n"
+    )
+    assert write_calls(ast.parse(writes)) == [
+        (6, "write_text"), (7, "open"), (7, "open"), (9, "open"), (9, "open"),
+        (10, "open"), (10, "write_bytes")]
     other = (
         "_LIMIT = 3\n"
         "_UNREAD: int = 4\n"
