@@ -30,7 +30,6 @@ from .weights import (
     detect_lattice,
     extinction_probability,
     moment_m,
-    sample_T,
 )
 from .branching import (
     BigginsReport,

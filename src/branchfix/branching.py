@@ -40,16 +40,16 @@ of one pass over the whole generation and no BLAS product (see
 Memory.  A running thread works in one :class:`_Workspace`, which holds one
 chunk slot per generation and the step's block buffers: about ``depth *
 2^15 * 16`` bytes of ``S`` values and seeds, plus 8 bytes per slot value for
-the atoms' draws and 8 for a variable fan-out's child offsets, whatever the
-replicate count (more when one row passes 2^15 children).  A variable
-fan-out's chunk may hold up to 2^15 parents, so its step's ``(parents,
-width)`` buffers take up to ``2^15 * width`` values.  The module's
-:class:`_WorkspacePool`, empty until first used, lends workspaces to each
-call and keeps them for later ones, so a call after the first touches no
-fresh memory beyond its outputs.  A generation step holds only immutable
-tables, so one step serves every thread of a call: :func:`_make_step`, the
-engine's one type dispatch, picks :class:`_CascadeStep` on the cascade's
-exact integer levels or :class:`_AtomStep` for every other model.
+a one-draw model's atoms and 8 for a variable fan-out's child offsets,
+whatever the replicate count (more when one row passes 2^15 children).  A
+variable fan-out's chunk may hold up to 2^15 parents, so its step's
+``(parents, width)`` buffers take up to ``2^15 * width`` values.  The
+module's :class:`_WorkspacePool`, empty until first used, lends workspaces
+to each call and keeps them for later ones, so a call after the first
+touches no fresh memory beyond its outputs.  Every model grows through one
+generation step, :class:`_Step`, built once per call from the model's atom
+table, so the engine never reads a model's type.  A step holds only
+immutable tables, so one step serves every thread of a call.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ import numpy as np
 from . import seeding
 from .seeding import GOLDEN, _M64
 from .weights import (
-    BernoulliCascade,
     WeightModel,
     atom_table,
     detect_lattice,
@@ -110,8 +109,8 @@ class _Workspace:
 
     :meth:`get` returns the first ``size`` values of buffer ``name`` viewed
     as ``dtype``.  A buffer is raw bytes grown to the largest request it has
-    served, so the cascade's int64 slots and the atoms' float64 ones share
-    memory.  One workspace serves one thread at a time.
+    served, so int64 levels and float64 ``S`` values share memory.  One
+    workspace serves one thread at a time.
     """
 
     def __init__(self):
@@ -165,177 +164,149 @@ def _unit_threshold(theta: float) -> int:
     return math.ceil(theta * 2.0**53)
 
 
-class _CascadeStep:
-    """Cascade generation step on exact integer levels ``S(v) = sum B``.
+class _Step:
+    """The generation step of a weight model, built from its :func:`atom_table`.
 
-    A step (contract in :func:`_make_step`) in which every parent has
-    ``N`` children, so there is nothing to draw.  Child ``j`` of a parent with seed ``s`` has seed ``mix64(s ^ salt_j)``
-    and level ``parent + (bits < ceil(theta * 2^53))`` with ``bits =
-    mix64(child ^ DRAW_SALT) >> 11``.  That integer test is exactly ``u <
-    theta`` for ``u = bits * 2^-53`` (both sides scale by the power of two
-    exactly), so the draws are those of :func:`seeding.unit_uniforms_np`.
-    One XOR per child position writes each child row, a contiguous slab of
-    ``trees`` values; one fused pass then mixes the child seeds in place and
-    draws, and one add per position writes the levels.  The draws need every
-    child seed, the last generation's too, so ``leaf`` changes nothing here.
-    Levels are int64.
+    ``T`` is ``copies`` i.i.d. draws from the table's ``K`` atoms.  A draw
+    from seed ``s`` reads ``bits = mix64(s ^ DRAW_SALT) >> 11`` and counts
+    the thresholds ``thr[j] = ceil(cum_j * 2^53)`` above it, for the
+    cumulative atom probabilities ``cum_j``, ``j < K-1``.  ``bits < thr[j]``
+    is exactly ``u < cum_j`` for ``u = bits * 2^-53`` (the power-of-two
+    scaling is exact and ``bits`` is an integer), so a count ``c`` is atom
+    ``K-1-c``, the draw ``min(searchsorted(cum, u, "right"), K-1)`` of
+    :func:`seeding.unit_uniforms_np`.  The step's tables list the atoms in
+    that reversed order, so a count indexes them.  Which seed a draw reads
+    is fixed by ``copies``:
+
+    * ``copies == 1``: :meth:`draw` picks each parent's atom from the
+      parent's own seed, so a caller knows every child count
+      (``counts[c]``) before any child is built.  The call then builds the
+      children, within a parent in ascending position of their weights: for
+      each column ``j`` it gathers the atoms' ``-log w`` and salts from the
+      column tables, adds the steps to the parent ``S`` and XORs the salts
+      into the parent seeds.  With ``leaf`` set the seeds are not built at
+      all: the draws need only the parents' seeds.
+    * ``copies > 1``: every atom is one positive weight, and child ``j`` is
+      draw ``j``.  One XOR per position writes the child seeds ``mix64(s ^
+      salt_j)``, one pass mixes them in place and one draws each child's
+      atom from its own seed, leaf or not.  Each atom's step is its count
+      (the cascade's: ``bits < ceil(theta * 2^53)`` draws ``exp(-1)``, step
+      1), so one add per position writes the child ``S`` straight from the
+      counts; another table raises ``ValueError``.
+
+    Column ``j`` of ``salts`` holds the salt ``(i+1) * GOLDEN`` of the
+    ``j``-th positive weight's position ``i`` in ``T``, so zero weights keep
+    their place in the seed chain, and column ``j`` of ``neglog`` its ``-log
+    w``.  ``valid[c, j]`` tells whether atom ``c`` has a ``j``-th positive
+    weight.  ``S`` is int64 (``dtype``) when every step ``-log w`` is a
+    nonnegative integer, at most ``kmax``, and float64 otherwise; the
+    tables are built once per call and read-only for every thread.
+
+    The engine's contract: ``width`` (the most children of one parent),
+    ``dtype``, ``counts`` (each atom's child count, None for a fixed
+    fan-out), ``draws`` (whether :meth:`draw` must pick each parent's atom
+    before a build) and a call ``(ws, S, seeds, atoms, out_s, out_seeds,
+    trees=1, leaf=False)``.  The call builds the children of the parents
+    ``(S, seeds)`` into ``(out_s, out_seeds)``, using the buffers of
+    workspace ``ws``.  With a fixed fan-out the parents come as a flat
+    C-contiguous ``(rows, trees)`` array and the children of parent row
+    ``p`` fill rows ``p*width .. p*width + width-1`` in child order.  With a
+    variable fan-out (``trees = 1``) the children follow their parent's,
+    parent by parent, moved from ``(parents, width)`` buffers by one
+    row-major compress over the atoms' ``valid`` rows.  ``leaf=True`` says
+    that nothing reads the children's seeds.
     """
-
-    dtype = np.dtype(np.int64)
-    counts = None
-    draws = False
-
-    def __init__(self, model: BernoulliCascade):
-        self.width = model.N
-        self.salts = (np.arange(model.N, dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
-        self.thr = np.uint64(_unit_threshold(model.theta))
-
-    def __call__(self, ws, levels, seeds, atoms, kid_levels, child, trees=1, leaf=False):
-        n = self.width
-        rows = len(levels) // trees
-        shape = (rows, trees)
-        kid_seeds = child.reshape(rows, n, trees)
-        for j in range(n):
-            np.bitwise_xor(seeds.reshape(shape), self.salts[j], out=kid_seeds[:, j])
-        scratch = ws.get("scratch", seeding._BLOCK)
-        seeding._mix64_inplace(child, scratch)
-        bits = ws.get("bits", len(child))
-        np.bitwise_xor(child, seeding._DRAW_NP, out=bits)
-        seeding._mix64_inplace(bits, scratch)
-        bits >>= seeding._UNIT_SHIFT
-        hit = np.less(bits, self.thr, out=ws.get("hit", len(child), bool))
-        hit = hit.reshape(rows, n, trees)
-        kid_levels = kid_levels.reshape(rows, n, trees)
-        for j in range(n):
-            np.add(levels.reshape(shape), hit[:, j], out=kid_levels[:, j])
-
-
-class _AtomStep:
-    """Finite-atom generation step on float ``S(v) = -log L(v)``.
-
-    A generation takes two calls (contract in :func:`_make_step`).
-    :meth:`draw` picks each parent's atom from ``bits = mix64(seed ^
-    DRAW_SALT) >> 11`` as the count of ``bits >= thr[j]``: ``cum_j <= u``
-    for ``u = bits * 2^-53`` exactly when ``bits >= ceil(cum_j * 2^53)``
-    (the power-of-two scaling is exact and ``bits`` is an integer), and with
-    ``cum`` nondecreasing the count over ``j < K-1`` is ``min(searchsorted(
-    cum, u, "right"), K-1)``, the draw of :func:`seeding.unit_uniforms_np`.
-    A caller so knows every child count (``counts[atom]``) before any child
-    is built.  Calling the step then builds the children, within a parent
-    in ascending position of their weights.  For each column ``j`` it
-    gathers the atoms' ``-log w`` and salts from the column tables into
-    reused buffers, adds the steps to the parent ``S`` and XORs the salts
-    into the parent seeds.  With a fixed fan-out these land straight in the
-    output, child ``j`` of every parent row as one row of ``trees`` values;
-    otherwise in a ``(parents, width)`` buffer that one row-major compress
-    by the atoms' ``valid`` rows moves to the output.  The child seeds are
-    then mixed in place.  With ``leaf`` set the seeds are not built at all
-    (no gather, XOR or mix): the draws of a generation need only the
-    parents' seeds.
-
-    The tables, built once per call and read-only for every thread:
-    ``thr[j] = ceil(cum_j * 2^53)`` for the cumulative atom probabilities
-    ``cum_j``, ``j < K-1``.  Column ``j`` of ``salts`` and ``neglog`` holds,
-    per atom, the child salt and ``-log w`` of the atom's ``j``-th positive
-    weight ``w``; the salt is that of the weight's position in
-    ``full_weights``, so zero weights keep their place in the seed chain.
-    ``valid[k, j]`` tells whether atom ``k`` has a ``j``-th positive weight
-    and ``counts[k]`` how many it has, None when every atom has the same
-    count (a fixed fan-out).
-    """
-
-    dtype = np.dtype(np.float64)
-    draws = True
 
     def __init__(self, model: WeightModel):
         table = atom_table(model)
-        cum = np.cumsum(table.probs)
-        k = len(cum)
-        self.thr = np.array([_unit_threshold(c) for c in cum[:-1]], dtype=np.uint64)
-        counts = table.positive_counts
+        k = len(table.probs)
+        self.thr = np.array([_unit_threshold(c) for c in np.cumsum(table.probs)[:-1]],
+                            dtype=np.uint64)
+        full = table.full_weights[::-1]
+        steps = [-lw for lw in table.log_weights[::-1]]
+        flat = np.concatenate(steps)
+        levels = bool(np.all((flat >= 0.0) & (flat == np.floor(flat))))
+        self.dtype = np.dtype(np.int64 if levels else np.float64)
+        self.kmax = int(flat.max()) if levels else None
+        counts = np.array([len(s) for s in steps], dtype=np.int64)
         self.width = width = int(counts.max())
         self.counts = None if np.all(counts == width) else counts
         self.salts = np.zeros((width, k), dtype=np.uint64)
-        self.neglog = np.zeros((width, k))
+        self.neglog = np.zeros((width, k), dtype=self.dtype)
         self.valid = np.zeros((k, width), dtype=bool)
-        for a, ws in enumerate(table.full_weights):
+        for c, (ws, s) in enumerate(zip(full, steps)):
             positions = [i for i, w in enumerate(ws) if w > 0.0]
-            for j, i in enumerate(positions):
-                self.salts[j, a] = ((i + 1) * GOLDEN) & _M64
-                self.neglog[j, a] = -float(table.log_weights[a][j])
-                self.valid[a, j] = True
+            self.salts[: len(s), c] = [((i + 1) * GOLDEN) & _M64 for i in positions]
+            self.neglog[: len(s), c] = s
+            self.valid[c, : len(s)] = True
+        self.draws = table.copies == 1
+        if not self.draws:
+            if (width != 1 or any(len(ws) != 1 for ws in full) or not levels
+                    or not np.array_equal(self.neglog[0], np.arange(k))):
+                raise ValueError("an atom table of several draws needs atoms of one weight "
+                                 "whose steps are their counts 0, 1, ...")
+            self.width = table.copies
+            self.salts = np.array([((j + 1) * GOLDEN) & _M64 for j in range(table.copies)],
+                                  dtype=np.uint64)
         for arr in (self.thr, counts, self.salts, self.neglog, self.valid):
             arr.flags.writeable = False
 
-    def draw(self, ws, seeds, atoms):
-        """Write each parent's atom to ``atoms``."""
+    def draw(self, ws, seeds, out):
+        """Write the atom that each seed draws, as its count, to ``out``."""
         thr = self.thr
         if len(thr) == 0:                   # one atom: nothing to draw
-            atoms[:] = 0
-            return
+            out[:] = 0
+            return out
         bits = ws.get("bits", len(seeds))
         np.bitwise_xor(seeds, seeding._DRAW_NP, out=bits)
         seeding._mix64_inplace(bits, ws.get("scratch", seeding._BLOCK))
         bits >>= seeding._UNIT_SHIFT
-        np.greater_equal(bits, thr[0], out=atoms, casting="unsafe")
+        np.less(bits, thr[0], out=out, casting="unsafe")
         hit = ws.get("hit", len(bits), bool)
         for t in thr[1:]:
-            np.greater_equal(bits, t, out=hit)
-            atoms += hit
+            np.less(bits, t, out=hit)
+            out += hit
+        return out
 
     def __call__(self, ws, S, seeds, atoms, out_s, out_seeds, trees=1, leaf=False):
         width = self.width
         fixed = self.counts is None
         m = len(S)
-        rows = m // trees
-        shape = (rows, trees)
+        shape = (m // trees, trees)
         if fixed:
             full_s, full_seeds = out_s, out_seeds
         else:
-            full_s = ws.get("full_s", m * width, np.float64)
+            full_s = ws.get("full_s", m * width, self.dtype)
             full_seeds = ws.get("full_seeds", m * width)
-        kids = full_s.reshape(rows, width, trees)
-        inc = ws.get("inc", m, np.float64)
-        for j in range(width):
-            np.take(self.neglog[j], atoms, out=inc, mode="clip")
-            np.add(S.reshape(shape), inc.reshape(shape), out=kids[:, j])
-        if not fixed:
             keep = np.take(self.valid, atoms, axis=0, mode="clip",
                            out=ws.get("keep", m * width, bool).reshape(m, width))
             idx = np.flatnonzero(keep)
-            np.take(full_s, idx, out=out_s, mode="clip")
-        if leaf:
-            return
-        kids = full_seeds.reshape(rows, width, trees)
-        salt = ws.get("salt", m)
+        if not (leaf and self.draws):
+            kids = full_seeds.reshape(-1, width, trees)
+            salt = ws.get("salt", m)
+            for j in range(width):
+                s = self.salts[j]
+                if self.draws:
+                    s = np.take(s, atoms, out=salt, mode="clip").reshape(shape)
+                np.bitwise_xor(seeds.reshape(shape), s, out=kids[:, j])
+            if not fixed:
+                np.take(full_seeds, idx, out=out_seeds, mode="clip")
+            seeding._mix64_inplace(out_seeds, ws.get("scratch", seeding._BLOCK))
+        if self.draws:
+            inc = ws.get("inc", m, self.dtype)
+        else:
+            drawn = self.draw(ws, out_seeds, ws.get("drawn", len(out_seeds),
+                                                    bool if len(self.thr) <= 1 else np.intp))
+            drawn = drawn.reshape(-1, width, trees)
+        kids = full_s.reshape(-1, width, trees)
         for j in range(width):
-            np.take(self.salts[j], atoms, out=salt, mode="clip")
-            np.bitwise_xor(seeds.reshape(shape), salt.reshape(shape), out=kids[:, j])
+            if self.draws:
+                step = np.take(self.neglog[j], atoms, out=inc, mode="clip").reshape(shape)
+            else:
+                step = drawn[:, j]
+            np.add(S.reshape(shape), step, out=kids[:, j])
         if not fixed:
-            np.take(full_seeds, idx, out=out_seeds, mode="clip")
-        seeding._mix64_inplace(out_seeds, ws.get("scratch", seeding._BLOCK))
-
-
-def _make_step(model: WeightModel):
-    """The generation step of ``model``, the engine's one type dispatch.
-
-    A step holds only the model's tables, built here once per call, so one
-    step serves every thread.  The contract of a step: ``width`` (the most children of one parent),
-    the ``dtype`` of its ``S`` values, ``counts`` (each atom's child count,
-    None for a fixed fan-out), ``draws`` (whether :meth:`draw` must pick
-    each parent's atom before a build) and a call ``(ws, S, seeds, atoms,
-    out_s, out_seeds, trees=1, leaf=False)``.  The call builds the children
-    of the parents ``(S, seeds)`` into ``(out_s, out_seeds)``, using the
-    buffers of workspace ``ws``.  With a fixed fan-out the parents come as a
-    flat C-contiguous ``(rows, trees)`` array and the children of parent row
-    ``p`` fill rows ``p*width .. p*width + width-1`` in child order.  With a
-    variable fan-out (``trees = 1``) the children follow their parent's,
-    parent by parent.  ``leaf=True`` says that nothing reads the children's
-    seeds: a step that needs none to draw skips them.
-    """
-    if isinstance(model, BernoulliCascade):
-        return _CascadeStep(model)
-    return _AtomStep(model)
+            np.take(full_s, idx, out=out_s, mode="clip")
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +325,7 @@ def _grow(step, ws, state, seeds, depth, node_cap, rep_indices=None, leaf_seeds=
     None for a fixed fan-out.  A chunk holds the children of a run of whole
     parent rows, at most ``_CHUNK`` of them unless one row has more; a row
     is one vertex of every tree with a fixed fan-out (the layout in the
-    module docstring and :func:`_make_step`) and one vertex with a
+    module docstring and :class:`_Step`) and one vertex with a
     variable one.  A fixed chunk takes ``_CHUNK // (width * trees)`` rows;
     a variable one takes as many parents as its drawn child counts fit.
     Descent is depth first, and a chunk's parent rows follow those of the
@@ -494,7 +465,7 @@ def simulate_tree(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    step = _make_step(model)
+    step = _Step(model)
     s = np.zeros(1, dtype=step.dtype)
     seeds = np.array([seed & _M64], dtype=np.uint64)
     gens = [[s.astype(np.float64)]] + [[] for _ in range(depth)]
@@ -591,7 +562,7 @@ def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, st
     Writes rows of the call's outputs ``w``, ``r`` and ``ren`` (None
     without an interval) and returns the batch's vertex count per
     generation.  ``step`` is the model's generation step (see
-    :func:`_make_step`) and ``ws`` the thread's workspace; :func:`_grow`
+    :class:`_Step`) and ``ws`` the thread's workspace; :func:`_grow`
     raises :class:`NodeCapError` as it describes.
 
     Each chunk goes into per-generation accumulators in ``ws``, in the order
@@ -615,7 +586,7 @@ def _batch_traces(alpha, depth, rep_indices, master_seed, node_cap, interval, st
     sums = ws.get("sums", 2 * gens * nrep, np.float64).reshape(2, gens, nrep)
     sums[...] = 0.0
     if levels:
-        rho = np.array([math.exp(-alpha * k) for k in range(gens)])
+        rho = np.array([math.exp(-alpha * k) for k in range(depth * step.kmax + 1)])
     if interval is not None:
         a, b = interval[0] - 1e-9, interval[1] + 1e-9
     vertices = np.zeros(gens, dtype=np.int64)
@@ -706,7 +677,7 @@ def replicate_traces(
     if renewal_interval is not None:
         renewal_interval, ren = _interval(renewal_interval), np.zeros(replicates)
     batches = [(lo, min(lo + _BATCH, replicates)) for lo in range(0, replicates, _BATCH)]
-    step = _make_step(model)
+    step = _Step(model)
     with _POOL.take(min(threads, len(batches))) as lent:
         idle = queue.SimpleQueue()
         for ws in lent:

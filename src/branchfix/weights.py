@@ -17,8 +17,8 @@ Every analysis routine reads one form of a model, its :class:`AtomTable`:
 fixed vectors among them, are one draw; the cascade is ``N`` draws of
 ``{exp(-1): theta, 1: 1 - theta}``.  Expected products over the coordinates
 are then ``copies``-th powers and expected sums scale by ``copies``, so
-nothing enumerates the ``2^N`` cascade patterns.  Of the analysis, only
-:func:`atom_table` reads a model's type.
+nothing enumerates the ``2^N`` cascade patterns.  The tree engine reads the
+same table, so outside the CLI only :func:`atom_table` reads a model's type.
 
 The module computes the moment function ``m(beta) = E sum_i T_i^beta``, its
 minimal positive unit root (the characteristic exponent), the multiplicative
@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-
-from .seeding import child_seed, unit_uniform
 
 _ATOM_CAP = 1 << 20
 
@@ -124,8 +122,9 @@ class AtomTable:
     ``T`` is ``copies`` i.i.d. draws, each drawing atom ``k`` (a weight
     vector) with probability ``probs[k]``, concatenated in draw order.
     ``log_weights[k]`` holds ``log T_i`` for the *positive* weights of atom
-    ``k`` only; zero weights are recorded in ``full_weights`` (used by
-    :func:`sample_T`) but drop out of every moment/lattice computation.
+    ``k`` only; zero weights are recorded in ``full_weights``, where they
+    keep their place in the tree engine's seed chain, but drop out of every
+    moment/lattice computation.
     Atoms of probability 0 are kept: they still span the weight lattice.
     For the Bernoulli cascade the log-weights are the exact integers ``-1``
     and ``0``, avoiding ``log(exp(-1))`` round-trips.
@@ -158,25 +157,6 @@ def atom_table(model: WeightModel) -> AtomTable:
             copies=int(model.N),
         )
     raise TypeError(f"not a weight model: {model!r}")
-
-
-def sample_T(model: WeightModel, seed: int) -> tuple:
-    """Draw one realization of the weight vector as a pure function of ``seed``.
-
-    Identical ``(model, seed)`` pairs always return the identical vector.  A
-    single draw uses the uniform of ``seed`` itself; draw ``i`` of several
-    uses the uniform of ``child_seed(seed, i)``.
-    """
-    table = atom_table(model)
-    cum = np.cumsum(table.probs)
-
-    def draw(s: int) -> tuple:
-        k = int(np.searchsorted(cum, unit_uniform(s), side="right"))
-        return table.full_weights[min(k, len(cum) - 1)]
-
-    if table.copies == 1:
-        return draw(seed)
-    return tuple(w for i in range(table.copies) for w in draw(child_seed(seed, i)))
 
 
 def moment_m(model: WeightModel, beta: float) -> float:

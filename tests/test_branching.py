@@ -27,6 +27,7 @@ from branchfix.branching import (
 )
 from branchfix.seeding import (
     DRAW_SALT,
+    GOLDEN,
     _BLOCK,
     _M64,
     _MIX1,
@@ -35,8 +36,8 @@ from branchfix.seeding import (
     replicate_root,
     unit_uniforms_np,
 )
-from branchfix.weights import (BernoulliCascade, Deterministic, FiniteAtoms, atom_table,
-                               characteristic_exponent)
+from branchfix.weights import (AtomTable, BernoulliCascade, Deterministic, FiniteAtoms,
+                               characteristic_exponent, moment_m)
 
 LN3 = math.log(3.0)
 # Every atom has two positive weights: a fixed fan-out of 2.
@@ -100,9 +101,10 @@ def test_node_cap_raises():
         simulate_tree(Deterministic(0.5, 0.5), depth=20, seed=3, node_cap=10)
 
 
-def _count_step_inputs(monkeypatch, step=branching._CascadeStep):
+def _count_step_inputs(monkeypatch):
     """Record the child count of every call of a generation step."""
     sizes = []
+    step = branching._Step
     original = step.__call__
 
     def spy(self, ws, S, seeds, atoms, out_s, *args, **kwargs):
@@ -138,7 +140,7 @@ def test_cascade_node_cap_in_simulate_tree(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fixed_fanout_atom_node_cap_in_replicate_traces(threads, monkeypatch):
     # Fan-out 2 as in the cascade test above: the counts are scalars.
-    sizes = _count_step_inputs(monkeypatch, branching._AtomStep)
+    sizes = _count_step_inputs(monkeypatch)
     with pytest.raises(NodeCapError) as err:
         replicate_traces(ATOMS_FIXED, 1.0, depth=30, replicates=1100, seed=5,
                          node_cap=10**4, threads=threads)
@@ -148,7 +150,7 @@ def test_fixed_fanout_atom_node_cap_in_replicate_traces(threads, monkeypatch):
 
 
 def test_fixed_fanout_atom_node_cap_in_simulate_tree(monkeypatch):
-    sizes = _count_step_inputs(monkeypatch, branching._AtomStep)
+    sizes = _count_step_inputs(monkeypatch)
     with pytest.raises(NodeCapError) as err:
         simulate_tree(ATOMS_FIXED, depth=30, seed=5, node_cap=10**4)
     e = err.value
@@ -164,7 +166,7 @@ def test_variable_fanout_node_cap_in_replicate_traces(threads, monkeypatch):
     per_gen = replicate_traces(ATOMS_VARIABLE, 0.0, depth=12, replicates=512, seed=5).W
     totals = np.cumsum(per_gen, axis=1)
     assert np.all(totals <= 10**4)
-    sizes = _count_step_inputs(monkeypatch, branching._AtomStep)
+    sizes = _count_step_inputs(monkeypatch)
     with pytest.raises(NodeCapError) as err:
         replicate_traces(ATOMS_VARIABLE, 1.0, depth=30, replicates=1100, seed=5,
                          node_cap=10**4, threads=threads)
@@ -177,7 +179,7 @@ def test_variable_fanout_node_cap_in_replicate_traces(threads, monkeypatch):
 def test_variable_fanout_node_cap_in_simulate_tree(monkeypatch):
     gens = simulate_tree(ATOMS_VARIABLE, depth=15, seed=5).generations
     assert sum(len(g) for g in gens) <= 10**4
-    sizes = _count_step_inputs(monkeypatch, branching._AtomStep)
+    sizes = _count_step_inputs(monkeypatch)
     with pytest.raises(NodeCapError) as err:
         simulate_tree(ATOMS_VARIABLE, depth=30, seed=5, node_cap=10**4)
     e = err.value
@@ -194,28 +196,6 @@ def test_unit_threshold_is_exact(theta):
     for k in {0, thr - 1, thr, thr + 1, 2**53 - 1}:
         k = min(max(k, 0), 2**53 - 1)
         assert (k < thr) == (k * 2.0**-53 < theta), (theta, k, thr)
-
-
-@pytest.mark.parametrize("theta", [0.0, 2.0**-53, 0.3, 0.75, 1.0 - 2.0**-53, 1.0])
-def test_cascade_step_matches_unit_uniform_reference(theta):
-    # N = 3 children of 2^15 // 3 + 7 parents pass one 2^15-value mixing
-    # block; the second of two chained calls reads the first one's output
-    # and reuses the workspace's buffers.
-    model = BernoulliCascade(3, theta)
-    step = branching._CascadeStep(model)
-    ws = branching._Workspace()
-    rng = np.random.default_rng(17)
-    seeds = rng.integers(0, 1 << 64, size=(1 << 15) // 3 + 7, dtype=np.uint64)
-    levels = rng.integers(0, 5, size=len(seeds), dtype=np.int64)
-    for _ in range(2):
-        kids = np.stack([child_seeds_np(seeds, j) for j in range(3)], axis=1).reshape(-1)
-        want = np.repeat(levels, 3) + (unit_uniforms_np(kids) < theta)
-        got_levels = np.empty(3 * len(seeds), dtype=np.int64)
-        got_seeds = np.empty(3 * len(seeds), dtype=np.uint64)
-        step(ws, levels, seeds, None, got_levels, got_seeds)
-        np.testing.assert_array_equal(got_seeds, kids)
-        np.testing.assert_array_equal(got_levels, want)
-        levels, seeds = got_levels, got_seeds
 
 
 def _unmix64(z: int) -> int:
@@ -238,14 +218,26 @@ def _seeds_drawing(bits):
     return np.array([_unmix64(b << 11) ^ DRAW_SALT for b in bits], dtype=np.uint64)
 
 
-def _atom_reference(model, S, seeds):
-    """One generation from the public seeding helpers: the atom is
-    ``min(searchsorted(cum, u, "right"), K-1)``, and position ``i`` of its
-    weight vector, when positive, gives a child with seed
-    ``child_seed(parent, i)`` and step ``-log w``."""
-    table = atom_table(model)
+def _atom_reference(table, S, seeds):
+    """One generation of ``table`` from the public seeding helpers.  A draw
+    from seed ``s`` is atom ``min(searchsorted(cum, unit_uniform(s),
+    "right"), K-1)``.  With one draw, the parent's seed draws its atom, and
+    position ``i`` of the atom's weight vector, when positive, gives a child
+    with seed ``child_seed(parent, i)`` and step ``-log w``.  With several,
+    child ``j`` has seed ``child_seed(parent, j)`` and draws its own atom, of
+    one weight, from that seed.  Returns the drawn atoms (per parent with
+    one draw, per child with several) and the children's ``S`` and seeds."""
     cum = np.cumsum(table.probs)
-    k = np.minimum(np.searchsorted(cum, unit_uniforms_np(seeds), side="right"), len(cum) - 1)
+
+    def draw(s):
+        return np.minimum(np.searchsorted(cum, unit_uniforms_np(s), side="right"), len(cum) - 1)
+
+    if table.copies > 1:
+        kids = np.stack([child_seeds_np(seeds, j) for j in range(table.copies)], axis=1)
+        k = draw(kids)
+        steps = -np.array([lw[0] for lw in table.log_weights])
+        return k, (S[:, None] + steps[k]).reshape(-1), kids.reshape(-1)
+    k = draw(seeds)
     width = max(len(ws) for ws in table.full_weights)
     keep = np.zeros((len(seeds), width), dtype=bool)
     step = np.zeros((len(seeds), width))
@@ -262,49 +254,112 @@ def _atom_reference(model, S, seeds):
 # multiple of 2^-53, cum_0 = 0.25 is one.
 MANY_ATOMS = FiniteAtoms([(0.25, (0.5, 0.0, 0.7)), (0.05, (1.1,))]
                          + [(0.035, (0.3 + 0.01 * j,) * (1 + j % 3)) for j in range(20)])
+E1, E2 = math.exp(-1.0), math.exp(-2.0)
+# Steps -log w of 1, 0 and 2: integer levels with a fan-out of 1 or 3.
+LATTICE_VARIABLE = FiniteAtoms([(0.3, (E1, 1.0, E2)), (0.7, (E1,))])
+STEP_CASES = {
+    "fixed": ATOMS_FIXED,
+    "variable": ATOMS_VARIABLE,
+    "many": MANY_ATOMS,
+    "deterministic": Deterministic(0.5, 0.0, 0.25),
+    "lattice-variable": LATTICE_VARIABLE,
+    # The cascade draws at theta and its neighbours of 2^-53 at both ends.
+    **{f"cascade-{theta!r}": BernoulliCascade(3, theta)
+       for theta in (0.0, 2.0**-53, 0.3, 0.75, 1.0 - 2.0**-53, 1.0)},
+    # Several draws over three atoms, which no model gives: counts to 2.
+    "draws-3": AtomTable(np.array([0.1, 0.6, 0.3]), ((E2,), (E1,), (1.0,)),
+                         (np.array([-2.0]), np.array([-1.0]), np.array([0.0])), copies=2),
+}
 
 
-@pytest.mark.parametrize("model", [ATOMS_FIXED, ATOMS_VARIABLE, MANY_ATOMS,
-                                   Deterministic(0.5, 0.0, 0.25)],
-                         ids=["fixed", "variable", "many", "deterministic"])
-def test_atom_step_matches_reference(model):
-    step = branching._AtomStep(model)
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_atom_step_matches_reference(case, monkeypatch):
+    model = STEP_CASES[case]
+    if isinstance(model, AtomTable):
+        monkeypatch.setattr(branching, "atom_table", lambda _: model)
+    table = branching.atom_table(model)
+    step = branching._Step(model)
     ws = branching._Workspace()
     rng = np.random.default_rng(23)
     # Draws exactly on each cum_j * 2^53 and one ulp of u either side, at
-    # the head and across the boundary of the first mixing block.
-    cum = np.cumsum(atom_table(model).probs)
+    # the head and across the boundary of the first mixing block.  With one
+    # draw the parents' seeds draw; with several, child j of parent p is draw
+    # ``copies * p + j``, and the planted seeds are those of child 0.
+    cum = np.cumsum(table.probs)
     edges = sorted({b for c in cum for f in (math.floor, math.ceil)
                     for b in (f(c * 2.0**53) - 1, f(c * 2.0**53), f(c * 2.0**53) + 1)
                     if 0 <= b < 2**53} | {0, 2**53 - 1})
-    seeds = rng.integers(0, 1 << 64, size=_BLOCK + len(edges), dtype=np.uint64)
-    seeds[: len(edges)] = _seeds_drawing(edges)
-    mid = _BLOCK - len(edges) // 2
-    seeds[mid : mid + len(edges)] = _seeds_drawing(edges)
-    np.testing.assert_array_equal(unit_uniforms_np(seeds[: len(edges)]),
+    planted = _seeds_drawing(edges)
+    copies = table.copies
+    if copies == 1:
+        parents = _BLOCK + len(edges)
+    else:
+        # 2^15 // copies + 7 parents: their children pass one mixing block.
+        parents = _BLOCK // copies + 7
+        planted = np.array([_unmix64(int(s)) ^ GOLDEN for s in planted], dtype=np.uint64)
+    seeds = rng.integers(0, 1 << 64, size=parents, dtype=np.uint64)
+    for at in (0, _BLOCK // copies - len(edges) // 2):
+        seeds[at : at + len(edges)] = planted
+    first = seeds if copies == 1 else child_seeds_np(seeds, 0)
+    np.testing.assert_array_equal(unit_uniforms_np(first[: len(edges)]),
                                   np.array(edges) * 2.0**-53)
-    S = rng.uniform(-1.0, 3.0, size=len(seeds))
+    if step.dtype.kind == "i":
+        S = rng.integers(0, 5, size=len(seeds), dtype=np.int64)
+    else:
+        S = rng.uniform(-1.0, 3.0, size=len(seeds))
     # Two chained calls: the second reads the first one's output and reuses
-    # the workspace's buffers.  A leaf call builds the same S and no seeds.
+    # the workspace's buffers.  A leaf call builds the same S; with one draw
+    # it builds no seeds, with several it needs them to draw.
     for _ in range(2):
-        want_k, want_S, want_seeds = _atom_reference(model, S, seeds)
-        atoms = np.empty(len(seeds), dtype=np.intp)
-        step.draw(ws, seeds, atoms)
-        np.testing.assert_array_equal(atoms, want_k)
+        want_k, want_S, want_seeds = _atom_reference(table, S, seeds)
+        atoms = None
+        if step.draws:
+            atoms = step.draw(ws, seeds, np.empty(len(seeds), dtype=np.intp))
+            # A draw's count c of the thresholds above it is atom K-1-c.
+            np.testing.assert_array_equal(atoms, len(cum) - 1 - want_k)
         k = len(want_S)
         if step.counts is None:
             assert k == step.width * len(seeds)
         else:
             assert k == int(step.counts[atoms].sum())
-        leaf_S, leaf_seeds = np.empty(k), np.zeros(k, dtype=np.uint64)
+        leaf_S, leaf_seeds = np.empty(k, step.dtype), np.zeros(k, dtype=np.uint64)
         step(ws, S, seeds, atoms, leaf_S, leaf_seeds, leaf=True)
         np.testing.assert_array_equal(leaf_S, want_S)
-        assert not leaf_seeds.any()
-        out_s, out_seeds = np.empty(k), np.empty(k, dtype=np.uint64)
+        np.testing.assert_array_equal(leaf_seeds, 0 if step.draws else want_seeds)
+        out_s, out_seeds = np.empty(k, step.dtype), np.empty(k, dtype=np.uint64)
         step(ws, S, seeds, atoms, out_s, out_seeds)
         np.testing.assert_array_equal(out_s, want_S)
         np.testing.assert_array_equal(out_seeds, want_seeds)
         S, seeds = out_s, out_seeds
+
+
+def test_step_levels_and_draws_come_from_the_table():
+    # Integer levels, up to kmax, exactly where every step -log w is a
+    # nonnegative integer; the cascade draws per child, explicit atoms per
+    # parent, and the tables are read-only.
+    cascade = branching._Step(BernoulliCascade(3, 0.3))
+    assert cascade.dtype == np.int64 and cascade.kmax == 1 and not cascade.draws
+    assert cascade.width == 3 and cascade.counts is None
+    lattice = branching._Step(LATTICE_VARIABLE)
+    assert lattice.dtype == np.int64 and lattice.kmax == 2 and lattice.draws
+    assert lattice.counts.tolist() == [1, 3]
+    for model in (ATOMS_FIXED, ATOMS_VARIABLE, FiniteAtoms([(1.0, (math.e, E1))]),
+                  FiniteAtoms([(1.0, (math.exp(-0.5),))])):
+        assert branching._Step(model).dtype == np.float64
+    assert not branching._Step(BernoulliCascade(2, 0.5)).thr.flags.writeable
+
+
+@pytest.mark.parametrize("table", [
+    AtomTable(np.array([1.0]), ((E1, E1),), (np.array([-1.0, -1.0]),), copies=2),
+    AtomTable(np.array([0.5, 0.5]), ((1.0,), (E1,)), (np.array([0.0]), np.array([-1.0])),
+              copies=2),
+    AtomTable(np.array([0.5, 0.5]), ((0.5,), (1.0,)), (np.log([0.5]), np.array([0.0])),
+              copies=2),
+], ids=["two-weights", "step-no-count", "float"])
+def test_step_rejects_several_draws_it_cannot_count(table, monkeypatch):
+    monkeypatch.setattr(branching, "atom_table", lambda _: table)
+    with pytest.raises(ValueError, match="several draws needs atoms of one weight"):
+        branching._Step(None)
 
 
 def test_atom_tables_built_once_per_call(monkeypatch):
@@ -398,6 +453,49 @@ def test_float_sums_add_in_vertex_order(model, replicates):
         assert traces.renewal_sums[i] == ren, i
 
 
+LATTICE_ALPHA = characteristic_exponent(LATTICE_VARIABLE).alpha
+
+
+def test_lattice_variable_fanout_traces_match_single_trees():
+    # Integer levels with a variable fan-out.  W_n and the renewal sums read
+    # exp(-alpha k) from the level table (libm), which may differ from np.exp
+    # of the same S in the last bit, so the vertex-order sums agree to
+    # rounding; R_n takes np.exp of the same exact minimum.
+    a, b = 0.5, 3.0
+    traces = replicate_traces(LATTICE_VARIABLE, LATTICE_ALPHA, depth=8, replicates=40,
+                              seed=606, renewal_interval=(a, b))
+    assert np.all(traces.renewal_sums > 0.0)
+    for i in range(40):
+        tree = simulate_tree(LATTICE_VARIABLE, depth=8, seed=replicate_root(606, i))
+        terms = [np.exp(-LATTICE_ALPHA * s) for s in tree.generations]
+        np.testing.assert_allclose(traces.W[i], [np.cumsum(t)[-1] for t in terms], rtol=1e-14)
+        np.testing.assert_array_equal(traces.R_sup[i], sup_weight_trace(tree))
+        occupation = sum(np.cumsum(t * ((s >= a - 1e-9) & (s <= b + 1e-9)))[-1]
+                         for t, s in zip(terms, tree.generations))
+        np.testing.assert_allclose(traces.renewal_sums[i], occupation, rtol=1e-14)
+
+
+def test_lattice_variable_fanout_mean_is_m_to_the_n():
+    # E W_n = m(alpha)^n.  Ten generations: |z| <= 4 bounds each at a
+    # family-wise rate below 1e-3.
+    depth, reps = 10, 4000
+    traces = replicate_traces(LATTICE_VARIABLE, LATTICE_ALPHA, depth=depth, replicates=reps,
+                              seed=4242)
+    m = moment_m(LATTICE_VARIABLE, LATTICE_ALPHA)
+    for n in range(1, depth + 1):
+        col = traces.W[:, n]
+        z = (col.mean() - m**n) / (col.std(ddof=1) / math.sqrt(reps))
+        assert abs(z) <= 4.0, (n, z)
+
+
+def test_lattice_variable_fanout_thread_invariant():
+    one, two = (replicate_traces(LATTICE_VARIABLE, LATTICE_ALPHA, depth=8, replicates=1100,
+                                 seed=8, threads=threads, renewal_interval=(0.5, 3.0))
+                for threads in (1, 2))
+    for name in ("W", "R_sup", "renewal_sums", "vertices"):
+        assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), name
+
+
 def test_replicate_traces_thread_invariant():
     model = BernoulliCascade(2, 0.75)
     one = replicate_traces(model, LN3, depth=6, replicates=600, seed=7, threads=1)
@@ -483,7 +581,7 @@ def test_variable_chunks_take_every_parent_that_fits(monkeypatch, budget):
         monkeypatch.setattr(branching, "_CHUNK", budget)
     budget = branching._CHUNK
     trees, depth = (2048, 10) if budget > 100 else (64, 6)
-    step = branching._make_step(ATOMS_VARIABLE)
+    step = branching._Step(ATOMS_VARIABLE)
     seeds = np.arange(1, trees + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     chunks = [[] for _ in range(depth + 1)]  # per generation: its chunks' child counts
     with branching._POOL.take(1) as (ws,):
@@ -510,6 +608,7 @@ CHUNK_CASES = {
     "fixed": (ATOMS_FIXED, 1.0, 7, (0.5, 3.0), 12),
     "variable": (ATOMS_VARIABLE, 1.0, 4, (0.5, 3.0), 12),
     "wide": (WIDE, 1.0, 2, (3.0, 9.5), 2),
+    "lattice-variable": (LATTICE_VARIABLE, LATTICE_ALPHA, 4, (0.5, 3.0), 12),
 }
 
 
@@ -521,7 +620,7 @@ def _chunked_runs(monkeypatch, case, budget):
     with monkeypatch.context() as patch:
         if budget is not None:
             patch.setattr(branching, "_CHUNK", budget)
-        sizes = _count_step_inputs(patch, type(branching._make_step(model)))
+        sizes = _count_step_inputs(patch)
         traces = {(replicates, threads): replicate_traces(
                       model, alpha, depth, replicates, seed=77, threads=threads,
                       renewal_interval=interval)

@@ -1,7 +1,8 @@
 """Source hygiene over ``src/branchfix`` and ``tests``: no unused imports
 and no dead locals in either; in the package, no unread private names, no
 private default that no call overrides, no BLAS or LAPACK call, no
-mpmath root and no file write outside the CLI's one write helper.
+mpmath root, no file write outside the CLI's one write helper and no test
+of a weight model's type outside ``weights.atom_table`` and the CLI.
 
 The checks read the syntax tree only (``ast``), so they need no linter.
 """
@@ -238,6 +239,30 @@ def write_calls(tree):
     return sorted(found)
 
 
+_MODEL_TYPES = {"BernoulliCascade", "FiniteAtoms", "Deterministic"}
+
+
+def model_type_tests(tree, exempt=()):
+    """``(line, class)`` for each ``isinstance`` or ``issubclass`` call
+    whose class argument names ``BernoulliCascade``, ``FiniteAtoms`` or
+    ``Deterministic`` (bare, as an attribute or in a tuple), outside the
+    module-level functions named in ``exempt``.  Every model has one form,
+    its atom table, so code that needs a model's structure reads the table:
+    only ``weights.atom_table`` and the CLI's model descriptions and command
+    checks read a model's type."""
+    skip = {id(n) for f in tree.body if isinstance(f, _FUNCS) and f.name in exempt
+            for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and id(node) not in skip and len(node.args) == 2
+                and getattr(node.func, "id", None) in ("isinstance", "issubclass")):
+            for n in ast.walk(node.args[1]):
+                name = getattr(n, "id", getattr(n, "attr", None))
+                if name in _MODEL_TYPES:
+                    found.append((node.lineno, name))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", CHECKED, ids=_file_id)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -266,6 +291,13 @@ def test_no_mpmath_roots(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=_file_id)
 def test_one_write_path(path):
     assert write_calls(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"],
+                         ids=_file_id)
+def test_model_types_read_only_by_the_atom_table(path):
+    exempt = ("atom_table",) if path.name == "weights.py" else ()
+    assert model_type_tests(_tree(path), exempt) == []
 
 
 def test_private_defaults_are_passed_somewhere():
@@ -325,6 +357,19 @@ def test_checks_catch_what_they_look_for():
         "    with open(path, mode='a') as f, path.open('r+') as g:\n"
         "        return path.write_bytes(b''), os.open(path, os.O_WRONLY), f, g\n"
     )
+    models = (
+        "from branchfix import weights\n"
+        "from branchfix.weights import BernoulliCascade, FiniteAtoms\n"
+        "def atom_table(model):\n"
+        "    return isinstance(model, (FiniteAtoms, BernoulliCascade))\n"
+        "def step(model):\n"
+        "    if isinstance(model, BernoulliCascade) or isinstance(model, weights.Deterministic):\n"
+        "        return issubclass(type(model), FiniteAtoms)\n"
+        "    return isinstance(model, (int, FiniteAtoms)), isinstance(model, float)\n"
+    )
+    assert model_type_tests(ast.parse(models), exempt=("atom_table",)) == [
+        (6, "BernoulliCascade"), (6, "Deterministic"), (7, "FiniteAtoms"), (8, "FiniteAtoms")]
+    assert len(model_type_tests(ast.parse(models))) == 6
     assert write_calls(ast.parse(writes)) == [
         (6, "write_text"), (7, "open"), (7, "open"), (9, "open"), (9, "open"),
         (10, "open"), (10, "write_bytes")]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from branchfix.branching import simulate_tree
 from branchfix.seeding import child_seed, unit_uniform
 from branchfix.weights import (
     BernoulliCascade,
@@ -18,7 +19,6 @@ from branchfix.weights import (
     detect_lattice,
     extinction_probability,
     moment_m,
-    sample_T,
 )
 
 
@@ -27,25 +27,44 @@ from branchfix.weights import (
 # ---------------------------------------------------------------------------
 
 
+def _sample_steps(model, seed):
+    """``-log T_i`` of the positive weights of one draw of ``T`` from
+    ``seed``: generation 1 of the tree rooted there."""
+    return tuple(simulate_tree(model, 1, seed).generations[1].tolist())
+
+
 def test_deterministic_sample_is_constant():
-    assert sample_T(Deterministic(0.5, 0.5), seed=7) == (0.5, 0.5)
-    assert sample_T(Deterministic(0.5, 0.5), seed=12345) == (0.5, 0.5)
+    want = tuple(-atom_table(Deterministic(0.5, 0.5)).log_weights[0])
+    assert want == (math.log(2.0), math.log(2.0))
+    assert _sample_steps(Deterministic(0.5, 0.5), seed=7) == want
+    assert _sample_steps(Deterministic(0.5, 0.5), seed=12345) == want
 
 
 def test_cascade_theta_one_forces_all_decrements():
     # theta = 1 makes every Bernoulli indicator fire, so both weights are 1/e.
-    got = sample_T(BernoulliCascade(2, 1.0), seed=99)
-    np.testing.assert_allclose(got, (math.exp(-1), math.exp(-1)), rtol=0, atol=0)
+    assert _sample_steps(BernoulliCascade(2, 1.0), seed=99) == (1.0, 1.0)
 
 
 def test_sample_is_deterministic_in_seed():
     model = BernoulliCascade(2, 0.5)
-    draws = {sample_T(model, seed=s) for s in range(20)}
+    draws = {_sample_steps(model, seed=s) for s in range(20)}
     # same seed -> same vector, and the seed ensemble hits both weight values
     for s in range(20):
-        assert sample_T(model, seed=s) == sample_T(model, seed=s)
+        assert _sample_steps(model, seed=s) == _sample_steps(model, seed=s)
     flat = {w for vec in draws for w in vec}
-    assert flat == {1.0, math.exp(-1)}
+    assert flat == {0.0, 1.0}
+
+
+def test_atom_sample_draws_from_the_seed_itself():
+    # One draw: the atom of min(searchsorted(cum, u, "right"), K-1) for the
+    # uniform u of the seed itself; its positive weights, in order, are the
+    # children.
+    model = FiniteAtoms([(0.25, (0.2, 0.0, 1.5)), (0.5, (0.8,)), (0.25, (1.0, 0.4, 0.1))])
+    table = atom_table(model)
+    cum = np.cumsum(table.probs)
+    for seed in range(50):
+        k = min(int(np.searchsorted(cum, unit_uniform(seed), side="right")), len(cum) - 1)
+        assert _sample_steps(model, seed) == tuple(-table.log_weights[k])
 
 
 def test_finite_atoms_validation():
@@ -101,15 +120,12 @@ def test_atom_table_cascade_two_atom_law():
 
 
 def test_cascade_sample_draws_one_child_seed_per_coordinate():
-    # Coordinate i is exp(-1) exactly when the uniform of child_seed(seed, i)
-    # falls below theta -- the rule the tree engine applies to child seeds.
+    # Coordinate i is exp(-1) (step 1) exactly when the uniform of
+    # child_seed(seed, i) falls below theta.
     model = BernoulliCascade(6, 0.4)
     for seed in range(50):
-        want = tuple(
-            math.exp(-1.0) if unit_uniform(child_seed(seed, i)) < 0.4 else 1.0
-            for i in range(6)
-        )
-        assert sample_T(model, seed) == want
+        want = tuple(1.0 if unit_uniform(child_seed(seed, i)) < 0.4 else 0.0 for i in range(6))
+        assert _sample_steps(model, seed) == want
 
 
 # ---------------------------------------------------------------------------
