@@ -5,9 +5,9 @@ Modules:
 * :mod:`branchfix.weights`   — weight models, moment function, characteristic
   exponent, lattice detection, structural assumptions, extinction.
 * :mod:`branchfix.seeding`   — counter-based deterministic seeding.
-* :mod:`branchfix.branching` — tree simulation, martingale/extreme traces,
-  empirical Laplace transforms, increment measure, mean-one dichotomy check,
-  renewal-mass comparison.
+* :mod:`branchfix.branching` — tree simulation, replicate traces of the
+  martingale and the largest weight, empirical Laplace transforms, increment
+  measure, mean-one dichotomy check, renewal-mass comparison.
 * :mod:`branchfix.curves`    — monotone curve containers (interpolated and
   lattice-step), periodic modulations, balanced products.
 * :mod:`branchfix.fixpoint`  — min/sum operators, residuals, mixture
@@ -16,6 +16,8 @@ Modules:
   chains, explicit step solutions, seed extension, escape iteration.
 * :mod:`branchfix.cli`       — reproducible command-line runs.
 """
+
+from types import ModuleType as _ModuleType
 
 from .weights import (
     AssumptionReport,
@@ -35,19 +37,16 @@ from .branching import (
     BigginsReport,
     EmpiricalLaplace,
     IncrementDistribution,
-    MartingaleTrace,
     NodeCapError,
     RenewalReport,
     ReplicateTraces,
     WeightedTree,
     biggins_check,
     increment_distribution,
-    martingale_trace,
     renewal_measure_check,
     replicate_traces,
     sample_W_limit,
     simulate_tree,
-    sup_weight_trace,
 )
 from .curves import (
     CurveShapeError,
@@ -66,7 +65,6 @@ from .curves import (
 from .fixpoint import (
     DisintegrationReport,
     GridDepthError,
-    IterationReport,
     MixtureResidualReport,
     OperatorResult,
     PsiReport,
@@ -77,7 +75,6 @@ from .fixpoint import (
     build_weibull_mixture,
     disintegration_check,
     fixed_point_residual,
-    iterate_operator,
     mixture_residual_report,
     psi_transform,
     regularity_diagnostic,
@@ -99,13 +96,14 @@ from .cascade import (
     extract_modulation,
     g_eval,
     g_eval_mp,
-    g_inverse,
     restrict_to_seed,
     seed_defect,
     step_identity_residual,
     u_star,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The re-exported names, without the submodules the imports above bind.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 
 __version__ = "0.1.0"

@@ -486,30 +486,6 @@ def simulate_tree(
                         [np.concatenate(v) for v in vseeds])
 
 
-@dataclass(frozen=True)
-class MartingaleTrace:
-    """Values ``W_n = sum_v L(v)^alpha`` for n = 0..depth (``W_0 = 1``)."""
-
-    alpha: float
-    values: np.ndarray
-
-
-def martingale_trace(tree: WeightedTree, alpha: float) -> MartingaleTrace:
-    vals = np.array([float(np.sum(np.exp(-alpha * s))) for s in tree.generations])
-    return MartingaleTrace(alpha, vals)
-
-
-def sup_weight_trace(tree: WeightedTree) -> np.ndarray:
-    """``R_n = max_v L(v)`` per generation (empty generations give 0).
-
-    ``np.exp`` of each generation's minimum, as the batch engines take it,
-    so ``replicate_traces(...).R_sup`` equals this trace bit for bit.
-    """
-    mins = np.array([s.min() if len(s) else np.inf for s in tree.generations],
-                    dtype=np.float64)
-    return np.exp(-mins)
-
-
 # ---------------------------------------------------------------------------
 # batched replicate engine
 # ---------------------------------------------------------------------------

@@ -412,28 +412,6 @@ def a_sequence(params: CascadeParams, n: int, tol: float = 1e-13) -> np.ndarray:
     return np.array([float(v) for v in values])
 
 
-def a0(params: CascadeParams) -> float:
-    """First threshold: the unique ``a`` in (0,1) with ``g(a) = 1``."""
-    return float(a_sequence(params, 0)[0])
-
-
-def g_inverse(params: CascadeParams, y: float) -> float:
-    """Invert ``g`` on its increasing branch ``[0, u*]``.
-
-    The float projection of the 53-bit preimage :func:`_mp_preimage` (the
-    branch is [0, 1] in the critical/subcritical regimes); raises
-    ``RuntimeError`` unless ``|g(x) - y| <= 1e-13`` in float arithmetic.
-    """
-    if not (0.0 <= y <= 1.0):
-        raise ValueError(f"y = {y!r} outside [0, 1]")
-    x = float(_mp_preimage(_G(params), y, u_star(params))[0])
-    if abs(g_eval(params, x) - y) > 1e-13:
-        raise RuntimeError(
-            f"preimage missed residual 1e-13 inverting g at y = {y!r}"
-        )
-    return x
-
-
 # ---------------------------------------------------------------------------
 # explicit supercritical solution
 # ---------------------------------------------------------------------------
@@ -741,9 +719,10 @@ def extract_modulation(params, curve: SurvivalCurve, phi, alpha: float):
 
     Inverts the empirical Laplace transform at each residue value of the
     curve (``h(s) = φ̂^{-1}(F̄(s)) s^{-alpha}``) by monotone bisection.
-    Requires every queried value strictly inside (0, 1).
+    Requires every queried value strictly inside (0, 1), and ``params``
+    (``N`` and ``theta``, as :func:`classify` reads them) subcritical.
     """
-    if isinstance(params, CascadeParams) and classify(params) != SUBCRITICAL:
+    if classify(params) != SUBCRITICAL:
         raise ValueError("modulation recovery applies to the subcritical regime")
     lat = curve.lattice
     if lat is None:

@@ -155,31 +155,6 @@ def fixed_point_residual(curve, model: WeightModel) -> ResidualReport:
     )
 
 
-@dataclass
-class IterationReport:
-    """Residual trajectory of repeated operator application."""
-
-    sup_norms: list
-    clamp_fractions: list
-    final: object
-    warnings: list = field(default_factory=list)
-
-
-def iterate_operator(curve, model: WeightModel, n_iter: int = 1) -> IterationReport:
-    """Apply the operator ``n_iter`` times, recording the residual each step."""
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    sups, fracs, warnings = [], [], []
-    cur = curve
-    for _ in range(n_iter):
-        rep = fixed_point_residual(cur, model)
-        sups.append(rep.sup_norm)
-        fracs.append(rep.clamp_fraction)
-        warnings.extend(rep.warnings)
-        cur = rep.image
-    return IterationReport(sups, fracs, cur, warnings)
-
-
 # ---------------------------------------------------------------------------
 # mixture fixed points driven by the empirical limit law
 # ---------------------------------------------------------------------------

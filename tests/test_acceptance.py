@@ -29,7 +29,6 @@ from branchfix.cascade import (
     CascadeParams,
     SeedFunction,
     a_sequence,
-    a0,
     curve_step_residuals,
     escape_check,
     explicit_solution,
@@ -75,7 +74,7 @@ def test_criterion_01_characteristic_exponents():
 def test_criterion_02_supercritical_exactness():
     t0 = time.perf_counter()
     params = CascadeParams(2, 0.25)
-    a = a0(params)
+    a = a_sequence(params, 0)[0]
     q = extinction_probability([1 / 16, 6 / 16, 9 / 16])  # Binomial(2, 3/4)
     sol = explicit_solution(params, scale=1.0, depth=30, below=1)
     rep = step_identity_residual(sol)

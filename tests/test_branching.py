@@ -18,12 +18,10 @@ from branchfix.branching import (
     NodeCapError,
     biggins_check,
     increment_distribution,
-    martingale_trace,
     renewal_measure_check,
     replicate_traces,
     sample_W_limit,
     simulate_tree,
-    sup_weight_trace,
 )
 from branchfix.seeding import (
     DRAW_SALT,
@@ -382,20 +380,18 @@ def test_atom_tables_built_once_per_call(monkeypatch):
 
 
 def test_martingale_trace_deterministic_is_one():
-    tree = simulate_tree(Deterministic(0.5, 0.5), depth=6, seed=2)
-    trace = martingale_trace(tree, alpha=1.0)
-    np.testing.assert_allclose(trace.values, 1.0, rtol=1e-12)
+    traces = replicate_traces(Deterministic(0.5, 0.5), 1.0, depth=6, replicates=1, seed=2)
+    np.testing.assert_allclose(traces.W[0], 1.0, rtol=1e-12)
 
 
 def test_trace_alpha_zero_counts_vertices():
-    tree = simulate_tree(BernoulliCascade(2, 0.6), depth=5, seed=9)
-    trace = martingale_trace(tree, alpha=0.0)
-    np.testing.assert_array_equal(trace.values, [2**n for n in range(6)])
+    traces = replicate_traces(BernoulliCascade(2, 0.6), 0.0, depth=5, replicates=1, seed=9)
+    np.testing.assert_array_equal(traces.W[0], [2**n for n in range(6)])
 
 
 def test_sup_weight_deterministic():
-    tree = simulate_tree(Deterministic(0.5, 0.5), depth=5, seed=4)
-    np.testing.assert_allclose(sup_weight_trace(tree), 0.5 ** np.arange(6), rtol=1e-12)
+    traces = replicate_traces(Deterministic(0.5, 0.5), 1.0, depth=5, replicates=1, seed=4)
+    np.testing.assert_allclose(traces.R_sup[0], 0.5 ** np.arange(6), rtol=1e-12)
 
 
 def test_replicate_traces_match_single_trees():
@@ -403,7 +399,7 @@ def test_replicate_traces_match_single_trees():
     # engines add W_n and the renewal sums sequentially per replicate, the
     # cascade's terms from its per-level table, so values agree with the
     # per-vertex sum up to summation order only.  R_n is exact: the engines
-    # and sup_weight_trace all take np.exp of the exact minimum.  The renewal
+    # take np.exp of the exact minimum, as the test does.  The renewal
     # sum is sum_n sum_v exp(-alpha S(v)) 1{S(v) in [a, b]}, with the engines'
     # 1e-9 slack at the ends, on an interval with 0 and one without;
     # ATOMS_VARIABLE's weights 1.5 and 1.0 also put S(v) at and below 0.
@@ -416,11 +412,11 @@ def test_replicate_traces_match_single_trees():
             for i in range(8):
                 tree = simulate_tree(model, depth=5, seed=replicate_root(2024, i))
                 np.testing.assert_allclose(
-                    traces.W[i], martingale_trace(tree, alpha).values, rtol=1e-12
+                    traces.W[i], [np.sum(np.exp(-alpha * s)) for s in tree.generations],
+                    rtol=1e-12,
                 )
                 mins = np.array([s.min() for s in tree.generations])
                 np.testing.assert_array_equal(traces.R_sup[i], np.exp(-mins))
-                np.testing.assert_array_equal(traces.R_sup[i], sup_weight_trace(tree))
                 occupation = sum(
                     float(np.sum(np.exp(-alpha * s)[(s >= a - 1e-9) & (s <= b + 1e-9)]))
                     for s in tree.generations
@@ -469,7 +465,8 @@ def test_lattice_variable_fanout_traces_match_single_trees():
         tree = simulate_tree(LATTICE_VARIABLE, depth=8, seed=replicate_root(606, i))
         terms = [np.exp(-LATTICE_ALPHA * s) for s in tree.generations]
         np.testing.assert_allclose(traces.W[i], [np.cumsum(t)[-1] for t in terms], rtol=1e-14)
-        np.testing.assert_array_equal(traces.R_sup[i], sup_weight_trace(tree))
+        mins = np.array([s.min() for s in tree.generations])
+        np.testing.assert_array_equal(traces.R_sup[i], np.exp(-mins))
         occupation = sum(np.cumsum(t * ((s >= a - 1e-9) & (s <= b + 1e-9)))[-1]
                          for t, s in zip(terms, tree.generations))
         np.testing.assert_allclose(traces.renewal_sums[i], occupation, rtol=1e-14)

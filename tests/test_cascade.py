@@ -38,7 +38,6 @@ from branchfix.cascade import (
     _pair,
     _tuple,
     SeedFunction,
-    a0,
     a_sequence,
     classify,
     curve_step_residuals,
@@ -49,7 +48,6 @@ from branchfix.cascade import (
     extract_modulation,
     g_eval,
     g_eval_mp,
-    g_inverse,
     restrict_to_seed,
     seed_defect,
     step_identity_residual,
@@ -139,38 +137,25 @@ def test_u_star_follows_classify_near_the_watershed():
 # ---------------------------------------------------------------------------
 
 
-def test_g_inverse_endpoint_and_oracles():
-    assert g_inverse(SUPER, 0.0) == 0.0
-    # y = 1 on the increasing branch: 3a - 4 sqrt(a) + 1 = 0, sqrt(a) = 1/3
-    np.testing.assert_allclose(g_inverse(SUPER, 1.0), 1.0 / 9.0, atol=1e-12)
-    # y = 1/9: the smaller root of 3x^2 - 4x + 1/9 = 0 in x = sqrt(a)
-    want = ((1.0 - math.sqrt(11.0 / 12.0)) / 1.5) ** 2
-    np.testing.assert_allclose(g_inverse(SUPER, 1.0 / 9.0), want, rtol=1e-10)
+def test_preimage_of_zero_is_zero():
+    assert _mp_preimage(_G(SUPER), 0.0, u_star(SUPER)) == (0, True)
 
 
-def test_g_inverse_round_trip():
-    for params in (SUB, CRIT):
-        for y in (0.01, 0.3, 0.9):
-            x = g_inverse(params, y)
-            np.testing.assert_allclose(g_eval(params, x), y, atol=1e-12)
-    for y in (0.2, 0.8, 1.0):
-        x = g_inverse(SUPER, y)
-        assert x <= 1.0 / 9.0 + 1e-12  # increasing branch only
-        np.testing.assert_allclose(g_eval(SUPER, x), y, atol=1e-12)
-
-
-
-def test_g_inverse_deep_targets_to_relative_precision():
+def test_preimage_deep_targets_to_relative_precision():
     # x sits near (theta y)^N, far below the float resolution of y's scale.
     params = CascadeParams(8, 0.5)
     for y in (1e-20, 1e-5):
-        x = g_inverse(params, y)
+        x = float(_mp_preimage(_G(params), y, u_star(params))[0])
         np.testing.assert_allclose(x, (0.5 * y) ** 8, rtol=1e-6)
         np.testing.assert_allclose(g_eval(params, x), y, rtol=1e-14)
 
+
 def test_a_sequence_oracles():
     seq = a_sequence(SUPER, 1)
+    # g(a) = 1 on the increasing branch: 3a - 4 sqrt(a) + 1 = 0, sqrt(a) = 1/3
     np.testing.assert_allclose(seq[0], 1.0 / 9.0, atol=1e-12)
+    # g(a) = 1/9: the smaller root of 3x^2 - 4x + 1/9 = 0 in x = sqrt(a),
+    # ((1 - sqrt(11/12)) / 1.5)^2
     np.testing.assert_allclose(seq[1], 0.0008055338462179763, rtol=1e-9)
     long = a_sequence(SUPER, 12)
     nz = long[long > 0.0]
@@ -185,7 +170,7 @@ def test_a0_equals_skeleton_extinction():
     # equation of the Binomial(N, 1-theta) generating function.
     pgf = [1 / 16, 6 / 16, 9 / 16]  # Binomial(2, 3/4) counts of unit weights
     np.testing.assert_allclose(
-        a0(SUPER), extinction_probability(pgf), atol=1e-12
+        a_sequence(SUPER, 0)[0], extinction_probability(pgf), atol=1e-12
     )
 
 
@@ -358,14 +343,13 @@ def test_float_index_steps_one_ulp():
 
 def test_preimage_sweep_gives_transition_floats():
     rng = random.Random(20090917)
-    # g_inverse at random targets, shallow and deep, in every regime
+    # preimages of random targets, shallow and deep, in every regime
     for _ in range(12):
         n = rng.randint(2, 12)
         params = CascadeParams(n, rng.uniform(0.05, 0.95))
         for y in (rng.random(), 10.0 ** rng.uniform(-30.0, -3.0)):
             x, exact = _mp_preimage(_G(params), y, u_star(params))
             _assert_transition(params, y, x, exact)
-            assert g_inverse(params, y) == float(x)
     # critical and subcritical extension chains from random seed values
     for _ in range(8):
         n = rng.randint(2, 12)
@@ -934,9 +918,9 @@ _PLAIN = SurvivalCurve(grid=np.array([1.0, 2.0]), values=np.array([0.5, 0.4]))
 _E_SEED = SeedFunction(np.array([math.e]), np.array([0.3]))
 
 
-# The RuntimeErrors of exact_threshold_chain (a chain that fails to
-# decrease) and g_inverse (a missed residual) are defensive: no parameter
-# set is known to reach them, so no case here does.
+# The RuntimeError of exact_threshold_chain (a chain that fails to
+# decrease) is defensive: no parameter set is known to reach it, so no
+# case here does.
 @pytest.mark.parametrize("call, message", [
     (lambda: _seed([[1.5, math.e]], [[0.5, 0.4]]), "seed grid must be a nonempty 1-d array"),
     (lambda: _seed([1.5, math.e], [0.5]), "seed values and grid must have the same shape"),
@@ -962,9 +946,10 @@ _E_SEED = SeedFunction(np.array([math.e]), np.array([0.3]))
     (lambda: g_eval(CRIT, 1.5), "u = 1.5 outside [0, 1]"),
     (lambda: g_eval_mp(CRIT, -0.5), "u = -0.5 outside [0, 1]"),
     (lambda: exact_threshold_chain(SUPER, -1), "n must be >= 0"),
-    (lambda: g_inverse(CRIT, 1.5), "y = 1.5 outside [0, 1]"),
     (lambda: extract_modulation(SUB, _PLAIN, None, LN3),
      "modulation recovery needs a lattice-step curve"),
+    (lambda: extract_modulation(BernoulliCascade(2, 0.25), _PLAIN, None, LN3),
+     "modulation recovery applies to the subcritical regime"),
 ])
 def test_cascade_input_checks(call, message):
     with pytest.raises(ValueError) as info:

@@ -27,7 +27,6 @@ from branchfix.fixpoint import (
     build_weibull_mixture,
     disintegration_check,
     fixed_point_residual,
-    iterate_operator,
     mixture_residual_report,
     psi_transform,
     regularity_diagnostic,
@@ -141,8 +140,10 @@ def test_iterate_stays_at_fixed_point():
     # keeps that contamination far below the tolerance for four passes.
     g = dyadic_grid(points=1024, per_octave=8)
     curve = SurvivalCurve(grid=g, values=np.exp(-2.0 * g))  # Weib(2, 1)
-    rep = iterate_operator(curve, Deterministic(0.5, 0.5), n_iter=4)
-    assert all(s <= 1e-12 for s in rep.sup_norms)
+    for _ in range(4):
+        rep = fixed_point_residual(curve, Deterministic(0.5, 0.5))
+        assert rep.sup_norm <= 1e-12
+        curve = rep.image
 
 
 def test_iterate_drifts_to_zero_when_no_fixed_point_exists():
@@ -150,17 +151,12 @@ def test_iterate_drifts_to_zero_when_no_fixed_point_exists():
     # curve is pushed toward the zero survival function.
     g = log_grid(1e-3, 1e3, 64)
     start = SurvivalCurve(grid=g, values=np.exp(-g))
-    rep = iterate_operator(start, Deterministic(2.0, 1.0), n_iter=6)
+    curve = start
+    for _ in range(6):
+        curve = fixed_point_residual(curve, Deterministic(2.0, 1.0)).image
     before = float(start.eval(1.0)[0])
-    after = float(rep.final.eval(1.0)[0])
+    after = float(curve.eval(1.0)[0])
     assert after < 1e-6 * before
-
-
-def test_iterate_requires_positive_count():
-    g = log_grid(1e-2, 1e2, 16)
-    curve = SurvivalCurve(grid=g, values=np.exp(-g))
-    with pytest.raises(ValueError):
-        iterate_operator(curve, Deterministic(0.5, 0.5), n_iter=0)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ import numpy as np
 import pytest
 
 import branchfix
-from branchfix.branching import replicate_traces, simulate_tree
+from branchfix.branching import _Step, replicate_traces, simulate_tree
 from branchfix.cascade import (CascadeParams, SeedFunction, exact_threshold_chain,
                                explicit_solution, extend_from_seed, g_eval)
 from branchfix.cli import main
@@ -57,6 +57,9 @@ ATOMS = {"kind": "atoms",
 HALVES = {"kind": "deterministic", "weights": [0.5, 0.5]}
 # Variable fan-out: unequal atom lengths and a zero weight (no child).
 VARIABLE = [(0.25, (0.2, 0.0, 1.5)), (0.5, (0.8,)), (0.25, (1.0, 0.4, 0.1))]
+# Integer levels with a variable fan-out: weights e^-1, 1 and e^-2.
+LATTICE_FANOUT = [[0.3, [0.36787944117144233, 1.0, 0.1353352832366127]],
+                  [0.7, [0.36787944117144233]]]
 # A wide fixed fan-out: 80 positive weights per atom, so one parent's
 # children of a 512-replicate batch span more than one 2^15-value block.
 WIDE = [(0.6, tuple(round(0.004 + 0.0002 * j, 6) for j in range(80))),
@@ -96,6 +99,12 @@ CASES = {
     "wbp-simulate-chunks": ("wbp-simulate", {
         "model": {"kind": "atoms", "atoms": [[0.5, [1e-80]], [0.5, [0.5, 0.5]]]},
         "alpha": 1.0, "mc": {"depth": 10, "replicates": 1400, "seed": 19}}, 0),
+    # Alpha is the model's characteristic exponent as a literal: "auto"
+    # would take it from a search whose np.exp rounds differently under
+    # AVX-512.  The test below checks that the case takes integer levels.
+    "wbp-simulate-lattice-fanout": ("wbp-simulate", {
+        "model": {"kind": "atoms", "atoms": LATTICE_FANOUT}, "alpha": 0.5206908010569715,
+        "mc": {"depth": 6, "replicates": 40, "seed": 23}}, 0),
     "fixpoint-verify-cascade": ("fixpoint-verify", {
         "model": CASCADE3, "grid": LOG_GRID,
         "options": {"kind": "min", "curve": {"form": "weibull", "alpha": 1.0}}}, 2),
@@ -253,6 +262,10 @@ GOLDEN = {
         'report.txt': '13f3c850d37c9fc8d2aebcf23ef7b0575ed32357b5e340e5c1fcc6439c75082e',
         'traces.csv': '03dc2b563333ebab3e1585ae8a0c693e181d63e3033d0b7fd44bf5d57c72595e',
     },
+    'wbp-simulate-lattice-fanout': {
+        'report.txt': '884fe6ce565fdf308935c246c17c19e9e4999c4eaa614473fd855987d045df43',
+        'traces.csv': '70834206e1bcd6b787ec6d7c77aca435ecc8b3105d9b20a27b235777df31f123',
+    },
     'wbp-simulate-renewal-unnormalized': {
         'report.txt': '2ccedbcf7459c647d9f0a4a9aa8c9ea26873c3dc3101233fd177bc0701f8a70b',
         'traces.csv': '8b1043067214d90ee86f9a5d9a65e0e76e8130c08abf6b02d83f7bb5f339e204',
@@ -409,6 +422,12 @@ def test_golden_artifacts(name, tmp_path):
     code, digests = artifact_digests(command, doc, tmp_path)
     assert code == want_code
     assert digests == GOLDEN[name]
+
+
+def test_lattice_fanout_case_takes_integer_levels():
+    # So its digest pins the int64 level path with a variable fan-out.
+    model = FiniteAtoms(CASES["wbp-simulate-lattice-fanout"][1]["model"]["atoms"])
+    assert _Step(model).dtype == np.int64
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_CASES))

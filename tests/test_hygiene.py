@@ -2,18 +2,22 @@
 and no dead locals in either; in the package, no unread private names, no
 private default that no call overrides, no BLAS or LAPACK call, no
 mpmath root, no file write outside the CLI's one write helper and no test
-of a weight model's type outside ``weights.atom_table`` and the CLI.
+of a weight model's type outside ``weights.atom_table`` and the CLI; and no
+exported function that neither the package, the benchmark nor the README
+reads.
 
 The checks read the syntax tree only (``ast``), so they need no linter.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "branchfix"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "branchfix"
 # __init__.py imports in order to re-export.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 CHECKED = MODULES + sorted(TESTS.glob("*.py"))
@@ -263,6 +267,32 @@ def model_type_tests(tree, exempt=()):
     return sorted(found)
 
 
+def unread_exports(init, modules, readers, text):
+    """``(module, line, name)`` for each module-level function of
+    ``modules`` (a mapping of module name to tree) that ``init`` imports,
+    so exports, and that no tree in ``modules`` or ``readers`` reads as a
+    name or an attribute outside its own ``def``, and that ``text`` does not
+    name as a whole word.  An export is there to be used: by the package, by
+    a program that drives it, or by a reader of the documentation."""
+    exported = {a.asname or a.name for stmt in init.body
+                if isinstance(stmt, ast.ImportFrom) for a in stmt.names}
+    reads = {}
+    for tree in (*modules.values(), *readers):
+        for n in ast.walk(tree):
+            if isinstance(getattr(n, "ctx", None), ast.Load):
+                reads.setdefault(getattr(n, "id", getattr(n, "attr", None)), []).append(n)
+    found = []
+    for module, tree in modules.items():
+        for func in tree.body:
+            if not isinstance(func, _FUNCS) or func.name not in exported:
+                continue
+            own = {id(n) for n in ast.walk(func)}
+            if (all(id(n) in own for n in reads.get(func.name, ()))
+                    and not re.search(rf"\b{re.escape(func.name)}\b", text)):
+                found.append((module, func.lineno, func.name))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", CHECKED, ids=_file_id)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -298,6 +328,13 @@ def test_one_write_path(path):
 def test_model_types_read_only_by_the_atom_table(path):
     exempt = ("atom_table",) if path.name == "weights.py" else ()
     assert model_type_tests(_tree(path), exempt) == []
+
+
+def test_public_functions_have_a_reader():
+    modules = {p.name: _tree(p) for p in MODULES}
+    bench = [_tree(p) for p in sorted((ROOT / "bench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unread_exports(_tree(SRC / "__init__.py"), modules, bench, readme) == []
 
 
 def test_private_defaults_are_passed_somewhere():
@@ -412,3 +449,24 @@ def test_checks_catch_what_they_look_for():
     )
     assert unpassed_private_defaults({"m": ast.parse(defaults)}) == [
         ("m", "_f", "c"), ("m", "_f", "d"), ("m", "_m", "q"), ("m", "_never", "y")]
+    init = "from .m import Box, by_bench, documented, recursive, unread, used\n"
+    exports = (
+        "def used():\n"
+        "    return 1\n"
+        "def unread():\n"
+        "    return used()\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def documented():\n"
+        "    return 0\n"
+        "def by_bench():\n"
+        "    return 0\n"
+        "def not_exported():\n"
+        "    return 0\n"
+        "class Box:\n"
+        "    pass\n"
+    )
+    bench = "import m\nm.by_bench()\n"
+    text = "Call `documented()`; unread_more and recursive_x name nothing here."
+    assert unread_exports(ast.parse(init), {"m": ast.parse(exports)}, [ast.parse(bench)],
+                          text) == [("m", 3, "unread"), ("m", 5, "recursive")]

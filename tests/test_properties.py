@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from branchfix.branching import sample_W_limit, simulate_tree
-from branchfix.cascade import CascadeParams, a0, classify, explicit_solution, g_eval
+from branchfix.cascade import CascadeParams, a_sequence, classify, explicit_solution, g_eval
 from branchfix.cli import main
 from branchfix.curves import (
     LaplaceCurve,
@@ -94,7 +94,7 @@ def test_g_unit_crossing_structure_below_watershed(n):
         p = CascadeParams(n, theta)
         if classify(p) != "supercritical":
             continue
-        a = a0(p)
+        a = a_sequence(p, 0)[0]
         assert 0.0 < a < 1.0
         assert abs(g_eval(p, a) - 1.0) <= 1e-10
         rising = _g_many(p, np.linspace(0.0, a, 801))
