@@ -46,10 +46,15 @@ variable fan-out's chunk may hold up to 2^15 parents, so its step's
 ``(parents, width)`` buffers take up to ``2^15 * width`` values.  The
 module's :class:`_WorkspacePool`, empty until first used, lends workspaces
 to each call and keeps them for later ones, so a call after the first
-touches no fresh memory beyond its outputs.  Every model grows through one
-generation step, :class:`_Step`, built once per call from the model's atom
-table, so the engine never reads a model's type.  A step holds only
-immutable tables, so one step serves every thread of a call.
+touches no fresh memory beyond its outputs.  The Laplace kernel of
+:class:`EmpiricalLaplace` works in blocks too: one buffer of whole sample
+rows, at most 2^15 values (256 KiB) or one row when the sample is larger,
+plus a negated copy of the sample, whatever the number of arguments.
+
+Every model grows through one generation step, :class:`_Step`, built once
+per call from the model's atom table, so the engine never reads a model's
+type.  A step holds only immutable tables, so one step serves every thread
+of a call.
 """
 
 from __future__ import annotations
@@ -705,52 +710,63 @@ class EmpiricalLaplace:
         """Empirical ``phi(x) = mean exp(-x W)``; a float for a scalar ``x``.
 
         ``1 - evaluate_tail(x)`` where the tail is at most 1/2, else the mean
-        itself, which keeps full relative accuracy as ``phi`` nears 0.
+        itself, which keeps full relative accuracy as ``phi`` nears 0.  Both
+        come from one blocked pass (:meth:`_block_means`).
         """
-        xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        tail = self.evaluate_tail(xs)
-        value = 1.0 - tail
-        far = tail > 0.5
-        if np.any(far):
-            value[far] = self._block_means(xs[far], tail=False)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(value[0])
+        _, value = self._block_means(x, values=True)
         return value
 
     def evaluate_tail(self, x):
         """``1 - phi(x)`` with full relative accuracy for small arguments.
 
         A float for a scalar ``x``, else an array.  The terms ``-expm1(-x
-        W)`` go in blocks of at most 2^22 values through one buffer, formed,
-        reduced and overwritten in place.
+        W)`` go in blocks of whole rows, at most 2^15 values (one row when
+        the sample is larger), through one buffer, formed, reduced and
+        overwritten in place.
+        """
+        tail, _ = self._block_means(x, values=False)
+        return tail
+
+    def _block_means(self, x, values: bool):
+        """``(mean -expm1(-x W), mean exp(-x W) or None)`` for each ``x``.
+
+        A block holds the rows of as many arguments as fit in
+        ``seeding._BLOCK`` values (one row when the sample is larger), so a
+        row, one argument's terms over the whole sample, is never split and
+        its mean does not depend on the block.  With ``values``, the block's
+        rows whose tail exceeds 1/2 are formed again in the same buffer as
+        ``exp(-x W)`` for the value means, while the block is in cache; every
+        other value is ``1 - tail``.  Floats for a scalar ``x``.
         """
         xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
         if np.any(xs < 0.0):
             raise ValueError("Laplace arguments must be >= 0")
-        mean = self._block_means(xs, tail=True)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(mean[0])
-        return mean
-
-    def _block_means(self, xs, tail: bool):
-        """``mean -expm1(-x W)`` (``tail``) or ``mean exp(-x W)`` for each
-        ``x`` in ``xs``, in blocks of at most 2^22 values."""
         n = len(self.samples)
-        chunk = max(1, (1 << 22) // max(n, 1))
-        buf = np.empty((min(chunk, len(xs)), n))
+        per = max(1, seeding._BLOCK // max(n, 1))
+        buf = np.empty((min(per, len(xs)), n))
         neg = -self.samples
-        mean = np.empty(len(xs))
-        for lo in range(0, len(xs), chunk):
-            rows = slice(lo, lo + chunk)
-            z = buf[: len(xs[rows])]
-            np.multiply.outer(xs[rows], neg, out=z)
-            if tail:
-                np.expm1(z, out=z)
-                np.negative(z, out=z)
-            else:
-                np.exp(z, out=z)
-            mean[rows] = z.mean(axis=1)
-        return mean
+        tail = np.empty(len(xs))
+        value = np.empty(len(xs)) if values else None
+        for lo in range(0, len(xs), per):
+            block = xs[lo : lo + per]
+            z = buf[: len(block)]
+            np.multiply.outer(block, neg, out=z)
+            np.expm1(z, out=z)
+            np.negative(z, out=z)
+            t = tail[lo : lo + len(block)]
+            t[:] = z.mean(axis=1)
+            if values:
+                v = value[lo : lo + len(block)]
+                np.subtract(1.0, t, out=v)
+                far = np.flatnonzero(t > 0.5)
+                if len(far):
+                    z = buf[: len(far)]
+                    np.multiply.outer(block[far], neg, out=z)
+                    np.exp(z, out=z)
+                    v[far] = z.mean(axis=1)
+        if np.isscalar(x) or np.ndim(x) == 0:
+            return float(tail[0]), None if value is None else float(value[0])
+        return tail, value
 
 
 def _mean_one_defect(model: WeightModel, alpha: float) -> Optional[str]:

@@ -30,40 +30,25 @@ and exactness flags record the rare failures.  It is found on integer
 float indices: a Newton estimate of the root, a gallop in whole ulps until
 ``G`` crosses the target, and a bisection of the bracketing indices.  The
 seed extension's inverse cells are the same walk (:func:`_inverse_walk`),
-and each check takes a cell's miss from :func:`_miss`.  Float64 projections
-mark the underflow point.
+and each check takes a cell's miss from ``_extended.miss``.  Float64
+projections mark the underflow point.
 
-mpmath arithmetic remains in :func:`_newton_root` and in the one
-subtraction of :func:`_miss`.  Elsewhere values are only converted, rounded
-explicitly at the ends (:func:`_rounded`, ``from_float``, ``mp.make_mpf``,
-``to_float``).
+The mpmath code lives in the private module :mod:`branchfix._extended`: the
+80-bit Newton start, the one subtraction of a cell's miss, and every
+conversion that makes or reads an extended-precision value, each rounded
+explicitly.  The functions here that need it (the chain, the seed
+extension, the step identity and :func:`g_eval_mp`) import it when they
+run, through :func:`_ext`, so importing this module does not load mpmath.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from mpmath import mp, mpf
-from mpmath.libmp import (
-    fone,
-    from_float,
-    from_man_exp,
-    fzero,
-    mpf_abs,
-    mpf_div,
-    mpf_le,
-    mpf_lt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_pos,
-    mpf_pow_int,
-    mpf_shift,
-    mpf_sub,
-    to_float,
-)
 
 from .curves import LatticeSpec, PeriodicModulation, SurvivalCurve
 from .weights import BernoulliCascade
@@ -112,8 +97,17 @@ def g_eval(params: CascadeParams, u: float) -> float:
     return (root - (1.0 - params.theta) * u) / params.theta
 
 
-_PREC = 53
-_RND = "n"
+@functools.cache
+def _ext():
+    """:mod:`branchfix._extended`, imported on first use (it loads mpmath).
+
+    Cached, so that the preimage search, which asks once per cell, pays a
+    call instead of an import.
+    """
+    from . import _extended
+
+    return _extended
+
 
 # A pair ``(m, e)`` is the positive 53-bit float ``m 2^e``: a float
 # mantissa ``m`` in [1, 2) and an unbounded Python-int exponent ``e``.
@@ -124,15 +118,10 @@ _TWO52 = 2.0**52
 _SHIFT_CLAMP = 64
 
 
-def _pair(t: tuple) -> tuple:
-    """The pair of a positive mpmath tuple (``bc <= 53``)."""
-    _, man, exp, bc = t
-    return math.ldexp(man, 1 - bc), exp + bc - 1
-
-
-def _tuple(m: float, e: int) -> tuple:
-    """The mpmath tuple of a pair; ``m = 0`` gives zero."""
-    return from_man_exp(int(m * _TWO52), e - 52)
+def _pair(x: float) -> tuple:
+    """The pair of a positive float."""
+    m, e = math.frexp(x)
+    return m + m, e - 1
 
 
 class _G:
@@ -162,16 +151,20 @@ class _G:
       its cost grows faster than N: a four-cell chain takes about 1.8 ms at
       N = 100, 4.6 ms at N = 200, 15 ms at N = 400 and 145 ms at N = 1100.
 
-    ``calls`` counts the evaluations.
+    ``theta`` and ``one_minus`` are the floats ``theta`` and ``1 - theta``,
+    the latter correctly rounded (it is at least 2^-53); ``mp`` holds the
+    two as mpmath tuples once :mod:`branchfix._extended` has made them for
+    a Newton start.  ``calls`` counts the evaluations.
     """
 
-    __slots__ = ("n", "theta", "one_minus", "calls",
+    __slots__ = ("n", "theta", "one_minus", "mp", "calls",
                  "_tm", "_te", "_cm", "_ce", "_inv", "_shift")
 
     def __init__(self, params: CascadeParams) -> None:
         n = self.n = int(params.N)
-        self.theta = from_float(params.theta)
-        self.one_minus = mpf_sub(fone, self.theta, _PREC, _RND)
+        self.theta = float(params.theta)
+        self.one_minus = 1.0 - self.theta
+        self.mp = None
         self.calls = 0
         self._tm, self._te = _pair(self.theta)
         self._cm, self._ce = _pair(self.one_minus)
@@ -206,12 +199,13 @@ class _G:
         return q + q, re - self._te + k - 1
 
 
-def g_eval_mp(params: CascadeParams, u) -> mpf:
-    """53-bit, unbounded-exponent evaluation of ``g`` (no underflow)."""
+def g_eval_mp(params: CascadeParams, u):
+    """53-bit, unbounded-exponent evaluation of ``g`` (no underflow), as an
+    mpmath ``mpf``."""
     if u < 0 or u > 1:
         raise ValueError(f"u = {u!r} outside [0, 1]")
-    t = _rounded(u)
-    return mp.make_mpf(t if t == fzero else _tuple(*_G(params).pair(*_pair(t))))
+    ext = _ext()
+    return ext.make_mpf(ext.image(_G(params), ext.rounded(u)))
 
 
 def u_star(params: CascadeParams) -> float:
@@ -227,71 +221,6 @@ def u_star(params: CascadeParams) -> float:
     return (n * (1.0 - params.theta)) ** (-n / (n - 1.0))
 
 
-_NEWTON_PREC = 80
-
-
-def _newton_root(g: _G, y: tuple) -> tuple:
-    """Estimate of the branch root of ``g(x) = y``, at 80 bits.
-
-    Newton's method on ``v = x^(1/N)`` for ``p(v) = v - c v^N - theta y``,
-    started at ``v = theta y``.  ``p`` is concave and ``p(theta y) < 0``, so
-    the iterates rise monotonically to the root on the increasing branch.
-    Stops on a step below 2^-70 relative, a slope that is not positive (no
-    root below the peak), or after 64 steps; returns ``v^N``.
-
-    Where ``c (theta y)^N`` is below a quarter ulp of ``theta y``, as it is
-    on every deep cell, ``v - c v^N`` rounds to ``v``, so the first step is
-    exactly 0 (or the slope stops the loop) and ``v`` stays ``theta y``;
-    that step is skipped.  ``c v^N`` rounded three times at 80 bits is
-    under ``2^(ce + 2 + N top)`` for ``c < 2^(ce+1)`` and ``theta y <
-    2^top``, and a quarter ulp of ``theta y`` is at least ``2^(top - 82)``.
-    """
-    prec = _NEWTON_PREC
-    n = g.n
-    ty = mpf_mul(g.theta, y, prec, _RND)
-    top = ty[2] + ty[3]
-    if g._ce + 2 + n * top <= top - 82:
-        return mpf_pow_int(ty, n, prec, _RND)
-    v = ty
-    for _ in range(64):
-        cw = mpf_mul(g.one_minus, mpf_pow_int(v, n - 1, prec, _RND), prec, _RND)
-        slope = mpf_sub(fone, mpf_mul_int(cw, n, prec, _RND), prec, _RND)
-        if not mpf_lt(fzero, slope):
-            break
-        p = mpf_sub(mpf_sub(v, mpf_mul(cw, v, prec, _RND), prec, _RND), ty, prec, _RND)
-        step = mpf_div(p, slope, prec, _RND)
-        v = mpf_sub(v, step, prec, _RND)
-        if mpf_le(mpf_abs(step), mpf_shift(v, -70)):
-            break
-    return mpf_pow_int(v, n, prec, _RND)
-
-
-def _index(t: tuple) -> int:
-    """Integer index of a positive 53-bit float; adjacent floats differ by 1.
-
-    ``man 2^exp`` with a 53-bit ``man`` maps to ``exp 2^52 + man``, so the
-    top of a binade (``man = 2^53 - 1``) and the bottom of the next
-    (``man = 2^52``, ``exp + 1``) are consecutive.  The exponent is
-    unbounded, and so are the indices, in both directions.
-    """
-    _, man, exp, bc = t
-    return ((exp + bc - 53) << 52) + (man << (53 - bc))
-
-
-def _float_at(i: int) -> tuple:
-    """The positive 53-bit float of index ``i`` (the inverse of :func:`_index`)."""
-    exp = (i >> 52) - 1
-    return from_man_exp(i - (exp << 52), exp)
-
-
-def _rounded(x) -> tuple:
-    """The tuple of ``mpf(x)`` at 53 bits, round to nearest."""
-    if isinstance(x, mpf):
-        return mpf_pos(x._mpf_, _PREC, _RND)
-    with mp.workprec(_PREC):
-        return mpf(x)._mpf_
-
-
 def _mp_preimage(g: _G, y, hi):
     """Preimage of ``y`` under the increasing branch of ``g``, at 53 bits.
 
@@ -303,22 +232,25 @@ def _mp_preimage(g: _G, y, hi):
     exists, else the float just above the root.  ``(hi, False)`` when
     ``G(hi) < y``, and ``(0, True)`` for ``y = 0``.
 
-    The search runs on the integer indices of :func:`_index`.  It starts
-    at :func:`_newton_root` rounded to 53 bits (clamped to ``hi``),
-    gallops in 1, 2, 4, ... ulps away from the side it starts on until
-    ``G`` crosses ``y``, then bisects the bracket of indices; each ``G`` is
-    one evaluation, counted on ``g.calls``.  Where ``G`` is monotone the
-    start does not change the result; only near the peak of ``g``, where
-    ``G`` is not, can it decide which transition is found.  Either way
-    ``G`` at ``x`` and ``pred x`` checks the result.  ``G`` runs on pairs
-    (:meth:`_G.pair`), so the only tuples are the ends of the search.
+    The search runs on the integer float indices of ``_extended.index``.
+    It starts at the Newton estimate ``_extended.newton_root`` rounded to
+    53 bits (clamped to ``hi``), gallops in 1, 2, 4, ... ulps away from the
+    side it starts on until ``G`` crosses ``y``, then bisects the bracket of
+    indices; each ``G`` is one evaluation, counted on ``g.calls``.  Where
+    ``G`` is monotone the start does not change the result; only near the
+    peak of ``g``, where ``G`` is not, can it decide which transition is
+    found.  Either way ``G`` at ``x`` and ``pred x`` checks the result.
+    ``G`` runs on pairs (:meth:`_G.pair`), so the only extended-precision
+    values are the ends of the search, which :mod:`branchfix._extended`
+    makes and reads.
     """
-    y, hi = _rounded(y), _rounded(hi)
-    if y == fzero:
-        return mpf(0), True
-    top = _index(hi)
-    start = min(_index(mpf_pos(_newton_root(g, y), _PREC, _RND)), top)
-    ym, ye = _pair(y)
+    ext = _ext()
+    y, hi = ext.rounded(y), ext.rounded(hi)
+    ym, ye = ext.to_pair(y)
+    if ym == 0.0:
+        return ext.make_mpf(y), True
+    top = ext.index(hi)
+    start = min(ext.newton_start(g, y), top)
     pair = g.pair
 
     def below(i: int) -> tuple:
@@ -332,7 +264,7 @@ def _mp_preimage(g: _G, y, hi):
     step = 1
     while lo is None or up is None:
         if up is None and lo == top:
-            return mp.make_mpf(hi), False
+            return ext.make_mpf(hi), False
         i = min(lo + step, top) if up is None else up - step
         under, hit = below(i)
         if under:
@@ -347,7 +279,7 @@ def _mp_preimage(g: _G, y, hi):
             lo = mid
         else:
             up, exact = mid, hit
-    return mp.make_mpf(_float_at(up)), exact
+    return ext.make_mpf(ext.float_at(up)), exact
 
 
 def _inverse_walk(g: _G, y, hi):
@@ -357,13 +289,6 @@ def _inverse_walk(g: _G, y, hi):
         x, exact = _mp_preimage(g, y, hi)
         yield y, x, exact
         y = hi = x
-
-
-def _miss(g: _G, x: mpf, y: mpf) -> mpf:
-    """``|G(x) - y|`` rounded to 53 bits, for positive 53-bit ``x`` and ``y``;
-    zero where ``G(x) == y``."""
-    image, y = _tuple(*g.pair(*_pair(x._mpf_))), y._mpf_
-    return mp.make_mpf(fzero if image == y else mpf_abs(mpf_sub(image, y, _PREC, _RND)))
 
 
 class ThresholdChain(NamedTuple):
@@ -389,7 +314,7 @@ def exact_threshold_chain(params: CascadeParams, n: int) -> ThresholdChain:
         raise ValueError("n must be >= 0")
     g = _G(params)
     values, flags = [], []
-    for _, (_, x, exact) in zip(range(n + 1), _inverse_walk(g, mpf(1), u_star(params))):
+    for _, (_, x, exact) in zip(range(n + 1), _inverse_walk(g, 1.0, u_star(params))):
         if values and not x < values[-1]:
             raise RuntimeError("threshold chain failed to decrease strictly")
         values.append(x)
@@ -406,8 +331,8 @@ def a_sequence(params: CascadeParams, n: int, tol: float = 1e-13) -> np.ndarray:
     """
     values, flags, _ = exact_threshold_chain(params, n)
     g = _G(params)
-    for k, (y, x, ok) in enumerate(zip([mpf(1)] + values, values, flags)):
-        if not ok and _miss(g, x, y) > tol:
+    for k, (y, x, ok) in enumerate(zip([1.0] + values, values, flags)):
+        if not ok and _ext().miss(g, x, y) > tol:
             raise RuntimeError(f"threshold a_{k} missed its defining identity beyond {tol!r}")
     return np.array([float(v) for v in values])
 
@@ -495,12 +420,12 @@ def step_identity_residual(solution: CascadeSolution) -> StepIdentityReport:
     Computed on the 53-bit unbounded-exponent chain, so double-exponentially
     small thresholds do not fake a zero residual through underflow.
     """
+    miss = _ext().miss
     g = _G(solution.params)
     cells = np.arange(-solution.below, solution.depth + 1)
     # the cell values v_n from n = -below - 1 on: 1 below the scale point
-    values = [mpf(1)] * (solution.below + 1) + list(solution.a_exact)
-    res = np.array([to_float(_miss(g, v_n, v_prev)._mpf_, rnd=_RND)
-                    for v_prev, v_n in zip(values, values[1:])])
+    values = [1.0] * (solution.below + 1) + list(solution.a_exact)
+    res = np.array([float(miss(g, v_n, v_prev)) for v_prev, v_n in zip(values, values[1:])])
     mx = float(np.max(res)) if len(res) else 0.0
     return StepIdentityReport(cells, res, mx, mx == 0.0)
 
@@ -599,6 +524,7 @@ def extend_from_seed(
     if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
 
+    miss = _ext().miss
     # Chains per seed point over n in [n_lo - 1, n_hi]; the extra -1 entry
     # serves the residue-1 column, whose exponent is shifted by one.
     ups = -(n_lo - 1)
@@ -611,9 +537,9 @@ def extend_from_seed(
             chain[-k] = min(1.0, g_eval(params, min(chain[1 - k], 1.0)))
         # The inverse chain leaves float64 range within a few cells, so it runs
         # in unbounded-exponent 53-bit floats; cells past that project to 0.0.
-        top = mp.make_mpf(from_float(v))
+        top = float(v)
         for k, (t, y, exact) in zip(range(1, n_hi + 1), _inverse_walk(g, top, top)):
-            if not exact and _miss(g, y, t) > tol:
+            if not exact and miss(g, y, t) > tol:
                 raise RuntimeError(f"inverse chain missed its defining identity beyond {tol!r}")
             chain[k] = float(y)
             if chain[k] == 0.0 and y <= tol:  # the stop rule in the docstring
@@ -719,9 +645,18 @@ def extract_modulation(params, curve: SurvivalCurve, phi, alpha: float):
 
     Inverts the empirical Laplace transform at each residue value of the
     curve (``h(s) = φ̂^{-1}(F̄(s)) s^{-alpha}``) by monotone bisection.
-    Requires every queried value strictly inside (0, 1), and ``params``
-    (``N`` and ``theta``, as :func:`classify` reads them) subcritical.
+    Requires every queried value strictly inside (0, 1), and ``params`` a
+    :class:`CascadeParams` or a :class:`~branchfix.weights.BernoulliCascade`
+    (``theta`` inside (0, 1)) in the subcritical regime.
     """
+    try:
+        n, theta = params.N, params.theta
+    except AttributeError:
+        raise ValueError(
+            "modulation recovery needs CascadeParams or a BernoulliCascade, "
+            f"not {type(params).__name__}"
+        ) from None
+    params = CascadeParams(n, theta)
     if classify(params) != SUBCRITICAL:
         raise ValueError("modulation recovery applies to the subcritical regime")
     lat = curve.lattice

@@ -46,6 +46,7 @@ from .curves import (
     constant_modulation,
     pairwise_prod,
 )
+from .seeding import _BLOCK
 from .weights import WeightModel, atom_table
 
 Modulation = Union[PeriodicModulation, float]
@@ -315,7 +316,9 @@ def mixture_residual_report(
     n = len(phi.samples)
     ses = np.full(len(pts), math.inf)
     if n > 1:
-        step = max(1, (1 << 20) // (x.shape[1] * n))  # points per temporary
+        # points per temporary: at most _BLOCK values, or one point's
+        # (columns x samples) when that is more; a point is never split
+        step = max(1, _BLOCK // (x.shape[1] * n))
         for lo in range(0, len(pts), step):
             rows = slice(lo, lo + step)
             # exp(-x W) minus 1 where φ̂ > 1/2, else as is: each column keeps

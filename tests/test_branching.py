@@ -820,6 +820,39 @@ def test_empirical_laplace_value_keeps_relative_accuracy():
     assert phi.evaluate(0.5) == 1.0 - phi.evaluate_tail(0.5)
 
 
+def test_evaluate_is_one_minus_tail_or_the_value_mean():
+    # One blocked pass gives both: 1 - tail where the tail is at most 1/2,
+    # else mean exp(-x W) over the same products, bit for bit, for arrays
+    # across several blocks and for scalars on either side of 1/2.
+    phi = sample_W_limit(BernoulliCascade(2, 0.75), LN3, depth=6, replicates=2048, seed=5)
+    xs = np.geomspace(0.01, 100.0, 64)
+    tail = phi.evaluate_tail(xs)
+    far = tail > 0.5
+    assert not far[0] and far[63]
+    terms = np.multiply.outer(xs, -phi.samples)
+    np.exp(terms, out=terms)
+    want = np.where(far, terms.mean(axis=1), 1.0 - tail)
+    assert phi.evaluate(xs).tobytes() == want.tobytes()
+    for x, w in zip(xs[[0, 20, 40, 63]], want[[0, 20, 40, 63]]):
+        got = phi.evaluate(float(x))
+        assert isinstance(got, float) and got == w
+    with pytest.raises(ValueError, match=">= 0"):
+        phi.evaluate(-1.0)
+
+
+@pytest.mark.parametrize("n", [2048, 40_000])
+def test_evaluate_tail_is_the_same_point_by_point(n):
+    # 2048 samples take 16 arguments per 2^15-value block; 40 000 take one
+    # row per block, which holds more than 2^15 values.  A row is never
+    # split, so one call per point gives the array call's bits.
+    rng = np.random.default_rng(n)
+    phi = branching.EmpiricalLaplace(1.0, 1, rng.exponential(size=n))
+    xs = np.geomspace(1e-6, 1e3, 40)
+    tail, value = phi.evaluate_tail(xs), phi.evaluate(xs)
+    assert tail.tobytes() == np.array([phi.evaluate_tail(x) for x in xs]).tobytes()
+    assert value.tobytes() == np.array([phi.evaluate(x) for x in xs]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # increments and the positivity verdict
 # ---------------------------------------------------------------------------

@@ -29,14 +29,13 @@ from mpmath.libmp import (
     mpf_sub,
 )
 
-from branchfix import cascade
+from branchfix import _extended, cascade
+from branchfix._extended import from_pair, to_pair
 from branchfix.branching import sample_W_limit
 from branchfix.cascade import (
     CascadeParams,
     _G,
     _mp_preimage,
-    _pair,
-    _tuple,
     SeedFunction,
     a_sequence,
     classify,
@@ -55,7 +54,8 @@ from branchfix.cascade import (
 )
 from branchfix.curves import LatticeSpec, PeriodicModulation, SurvivalCurve
 from branchfix.fixpoint import build_weibull_mixture, fixed_point_residual
-from branchfix.weights import BernoulliCascade, Deterministic, extinction_probability
+from branchfix.weights import (BernoulliCascade, Deterministic, FiniteAtoms,
+                               extinction_probability)
 
 LN3 = math.log(3.0)
 SUPER = CascadeParams(2, 0.25)
@@ -335,10 +335,10 @@ def test_float_index_steps_one_ulp():
     # Across binade boundaries too: 2^k, and the floats either side of it.
     for t in (fone, from_man_exp(1, -70), from_man_exp(2**53 - 1, -123),
               from_man_exp(2**52 + 1, -122), from_man_exp(2**52 + 12345, -60)):
-        i = cascade._index(t)
-        assert cascade._float_at(i) == t
-        assert cascade._float_at(i - 1) == _next_float(t, False)
-        assert cascade._float_at(i + 1) == _next_float(t, True)
+        i = _extended.index(t)
+        assert _extended.float_at(i) == t
+        assert _extended.float_at(i - 1) == _next_float(t, False)
+        assert _extended.float_at(i + 1) == _next_float(t, True)
 
 
 def test_preimage_sweep_gives_transition_floats():
@@ -380,9 +380,9 @@ def test_perturbed_newton_start_finds_the_same_float(monkeypatch, factor):
     cells = [(params, y, x, exact) for n, theta, length in REFERENCE_CHAINS
              for params in [CascadeParams(n, theta)]
              for y, x, exact in _chain_cells(params, length - 1)[1:]]
-    newton = cascade._newton_root
+    newton = _extended.newton_root
     scale = from_float(factor)
-    monkeypatch.setattr(cascade, "_newton_root",
+    monkeypatch.setattr(_extended, "newton_root",
                         lambda g, y: mpf_mul(newton(g, y), scale, 80, "n"))
     for params, y, x, exact in cells:
         assert _mp_preimage(_G(params), y, y) == (x, exact)
@@ -396,12 +396,12 @@ def test_preimage_above_hi_returns_hi(monkeypatch):
     assert _mp_preimage(g, 0.5, 1e-6) == (mpf(1e-6), False)
     assert g.calls == 1
     below = from_float(1e-6 * (1 - 2.0**-40))
-    monkeypatch.setattr(cascade, "_newton_root", lambda g, y: below)
+    monkeypatch.setattr(_extended, "newton_root", lambda g, y: below)
     assert _mp_preimage(_G(SUPER), 0.5, 1e-6) == (mpf(1e-6), False)
 
 
 def _assert_root_rounds_correctly(n, u):
-    assert _tuple(*_G(CascadeParams(n, 0.5)).root(*_pair(u))) == _reference_root(u, n), (n, u)
+    assert from_pair(*_G(CascadeParams(n, 0.5)).root(*to_pair(u))) == _reference_root(u, n), (n, u)
 
 
 def test_nthroot_within_one_ulp():
@@ -433,10 +433,12 @@ def test_nthroot_within_the_stop_rule_bound():
 def _reference_newton(g, y):
     """The 80-bit Newton start with every step taken."""
     prec, n = 80, g.n
-    ty = mpf_mul(g.theta, y, prec, "n")
+    theta = from_float(g.theta)
+    one_minus = mpf_sub(fone, theta, 53, "n")
+    ty = mpf_mul(theta, y, prec, "n")
     v = ty
     for _ in range(64):
-        cw = mpf_mul(g.one_minus, mpf_pow_int(v, n - 1, prec, "n"), prec, "n")
+        cw = mpf_mul(one_minus, mpf_pow_int(v, n - 1, prec, "n"), prec, "n")
         slope = mpf_sub(fone, mpf_mul_int(cw, n, prec, "n"), prec, "n")
         if not mpf_lt(fzero, slope):
             break
@@ -457,7 +459,7 @@ def test_newton_start_skips_only_a_zero_step(n):
         g = _G(CascadeParams(n, theta))
         for k in range(0, 400, 3):
             y = from_man_exp(rng.getrandbits(53) | 1 << 52, -53 - k)
-            assert cascade._newton_root(g, y) == _reference_newton(g, y), (theta, k)
+            assert _extended.newton_root(g, y) == _reference_newton(g, y), (theta, k)
 
 
 def test_chain_g_evaluations_repeat():
@@ -502,7 +504,7 @@ def _assert_kernel_matches(params, args):
     """``G`` on the pair of each tuple equals :func:`_reference_G`."""
     g = _G(params)
     for u in args:
-        assert _tuple(*g.pair(*_pair(u))) == _reference_G(params, u), (params, u)
+        assert from_pair(*g.pair(*to_pair(u))) == _reference_G(params, u), (params, u)
 
 
 @pytest.mark.parametrize("n", KERNEL_NS)
@@ -555,7 +557,7 @@ def test_kernel_takes_mpmath_root_where_mpmath_misrounds(n, man, exp):
     with mp.workprec(53):
         correct = (+true)._mpf_
     assert mpf_nthroot(u, n, 53, "n") != correct
-    assert _tuple(*_G(CascadeParams(n, 0.5)).root(*_pair(u))) == correct
+    assert from_pair(*_G(CascadeParams(n, 0.5)).root(*to_pair(u))) == correct
     _assert_kernel_matches(CascadeParams(n, 0.5), [u])
 
 
@@ -584,7 +586,7 @@ def test_kernel_matches_mpmath_where_the_difference_cancels(n):
     args = [fone] + [from_man_exp(2**53 - j, -53) for j in range(1, 120)]
     for theta in (2.0**-60, 2.0**-30, 1e-6, 0.01):
         _assert_kernel_matches(CascadeParams(n, theta), args)
-    assert _tuple(*_G(CascadeParams(n, 2.0**-60)).pair(1.0, 0)) == fzero
+    assert from_pair(*_G(CascadeParams(n, 2.0**-60)).pair(1.0, 0)) == fzero
 
 
 @settings(max_examples=300, deadline=None)
@@ -721,7 +723,7 @@ def _inverse_chain(params, v, cells, tol):
             prev, (y, exact) = y, _mp_preimage(g, y, y)
             _assert_transition(params, prev, y, exact)
             out.append(y)
-            if abs(mp.make_mpf(_tuple(*g.pair(*_pair(y._mpf_)))) - prev) > tol:
+            if abs(mp.make_mpf(from_pair(*g.pair(*to_pair(y._mpf_)))) - prev) > tol:
                 return out, k
     return out, None
 
@@ -950,6 +952,10 @@ _E_SEED = SeedFunction(np.array([math.e]), np.array([0.3]))
      "modulation recovery needs a lattice-step curve"),
     (lambda: extract_modulation(BernoulliCascade(2, 0.25), _PLAIN, None, LN3),
      "modulation recovery applies to the subcritical regime"),
+    (lambda: extract_modulation(FiniteAtoms([(1.0, (0.5, 0.5))]), _PLAIN, None, LN3),
+     "modulation recovery needs CascadeParams or a BernoulliCascade, not FiniteAtoms"),
+    (lambda: extract_modulation(BernoulliCascade(2, 1.0), _PLAIN, None, LN3),
+     "theta must lie in (0,1)"),
 ])
 def test_cascade_input_checks(call, message):
     with pytest.raises(ValueError) as info:

@@ -2,6 +2,7 @@
 tree-level product/renewal identities."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -224,8 +225,8 @@ def test_mixture_tail_slope_recovers_mean():
 def test_tail_mean_matches_evaluate_tail():
     phi = sample_W_limit(BernoulliCascade(2, 0.75), LN3, depth=6,
                          replicates=4096, seed=22)
-    # 1024 arguments per 2^22-element block: three blocks, the last partial,
-    # so the comparison crosses the block boundaries at rows 1024 and 2048.
+    # Eight arguments per 2^15-value block: 313 blocks, the last partial
+    # (four rows), so the comparison crosses 312 block boundaries.
     xs = np.concatenate([[0.0, 1e-300, 1e-9], np.geomspace(1e-6, 1e3, 2497)])
     # One-shot reference: every term in one array, one mean per row.
     terms = np.multiply.outer(xs, -phi.samples)
@@ -366,6 +367,47 @@ def test_mixture_residuals_match_per_point_reference(model, alpha, h):
     np.testing.assert_array_equal(rep.residuals, want)
     # From t = 1 up the reference's value-form influence function is accurate.
     np.testing.assert_allclose(rep.se[10:], want_se[10:], rtol=1e-9, atol=0.0)
+
+
+def _traced_peak(call):
+    """Peak bytes ``tracemalloc`` traces while ``call()`` runs (numpy's
+    buffers included)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_laplace_temporaries_stay_in_a_cache_sized_block():
+    # The benchmark's sizes: 2048 samples, a 512-point grid, and 21 points
+    # of the 3-atom model (7 columns).  A Laplace block holds at most 2^15
+    # values (256 KiB), and so does an influence temporary; each whole
+    # kernel stays under 1 MiB, where blocks of 2^22 and 2^20 values took
+    # 8.2, 8.2 and 3.0 MiB.
+    alpha = characteristic_exponent(ATOMS3).alpha
+    phi = sample_W_limit(ATOMS3, alpha, depth=6, replicates=2048, seed=7)
+    grid = log_grid()
+    xs = _mixture_arguments(_as_modulation(1.0), alpha, grid)
+    pts = np.exp(np.arange(-10.0, 11.0))
+    peaks = [_traced_peak(lambda: phi.evaluate_tail(xs)),
+             _traced_peak(lambda: build_weibull_mixture(phi, 1.0, alpha, grid)),
+             _traced_peak(lambda: mixture_residual_report(phi, 1.0, alpha, ATOMS3, pts))]
+    assert max(peaks) < 2**20, peaks
+
+
+def test_residual_report_is_the_same_point_by_point():
+    # 21 points of 7 columns over 2048 samples take two points per influence
+    # temporary and 147 tails in 10 Laplace blocks; one point at a time
+    # takes one point and one block.  No bit moves.
+    alpha = characteristic_exponent(ATOMS3).alpha
+    phi = sample_W_limit(ATOMS3, alpha, depth=6, replicates=2048, seed=8)
+    pts = np.exp(np.arange(-10.0, 11.0))
+    rep = mixture_residual_report(phi, 1.0, alpha, ATOMS3, pts)
+    one = [mixture_residual_report(phi, 1.0, alpha, ATOMS3, pts[i:i + 1]) for i in range(len(pts))]
+    assert rep.residuals.tobytes() == np.concatenate([r.residuals for r in one]).tobytes()
+    assert rep.se.tobytes() == np.concatenate([r.se for r in one]).tobytes()
 
 
 def _mp_mixture_se(phi, alpha, model, t):

@@ -1,16 +1,21 @@
 """Source hygiene over ``src/branchfix`` and ``tests``: no unused imports
 and no dead locals in either; in the package, no unread private names, no
 private default that no call overrides, no BLAS or LAPACK call, no
-mpmath root, no file write outside the CLI's one write helper and no test
-of a weight model's type outside ``weights.atom_table`` and the CLI; and no
-exported function that neither the package, the benchmark nor the README
-reads.
+mpmath root, no import of mpmath outside ``_extended``, no file write
+outside the CLI's one write helper and no test of a weight model's type
+outside ``weights.atom_table`` and the CLI; and no exported function that
+neither the package, the benchmark nor the README reads.
 
-The checks read the syntax tree only (``ast``), so they need no linter.
+The checks read the syntax tree only (``ast``), so they need no linter; one
+more test imports the package in a fresh interpreter to see that mpmath
+stays out of it.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -215,6 +220,22 @@ def mpmath_roots(tree):
     return sorted(found)
 
 
+def mpmath_imports(tree):
+    """``(line, module)`` for each ``import`` or ``from ... import`` of
+    mpmath or one of its submodules, at any depth of the module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if name == "mpmath" or name.startswith("mpmath."))
+    return sorted(found)
+
+
 def write_calls(tree):
     """``(line, what)`` for each ``write_text`` or ``write_bytes`` call and
     each ``open`` call, bare or as a method, whose mode is not a constant
@@ -318,6 +339,24 @@ def test_no_mpmath_roots(path):
     assert mpmath_roots(_tree(path)) == []
 
 
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "_extended.py"],
+                         ids=_file_id)
+def test_mpmath_imported_only_by_the_extended_module(path):
+    # The exact layer's extended-precision code is in _extended, which
+    # cascade imports inside the functions that need it.
+    assert mpmath_imports(_tree(path)) == []
+
+
+def test_importing_the_package_does_not_load_mpmath():
+    code = ("import sys, branchfix, branchfix.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=_file_id)
 def test_one_write_path(path):
     assert write_calls(_tree(path)) == []
@@ -382,6 +421,18 @@ def test_checks_catch_what_they_look_for():
     assert mpmath_roots(ast.parse(roots)) == [
         (5, "mpf_nthroot"), (5, "mpf_pow"), (5, "mpf_sqrt"),
         (6, "mp.cbrt"), (6, "mp.root"), (6, "mp.sqrt"), (7, "mpf_pow")]
+    imports = (
+        "import mpmath, math\n"
+        "import mpmathx\n"
+        "from . import _extended\n"
+        "def f():\n"
+        "    from mpmath.libmp import fzero\n"
+        "    import mpmath.libmp as libmp\n"
+        "    from ._extended import miss\n"
+        "    return fzero, libmp, miss\n"
+    )
+    assert mpmath_imports(ast.parse(imports)) == [
+        (1, "mpmath"), (5, "mpmath.libmp"), (6, "mpmath.libmp")]
     writes = (
         "import os\n"
         "class _Emitter:\n"
